@@ -207,7 +207,7 @@ def _dispatch(args) -> int:
         else:
             field = _field_for(spec, args.field, args.seed)
         fam = enumerate_family(FamilyParams(spec, _delta(args)), field, workers=args.workers)
-        out = maximal_apply(grid, fam, workers=args.workers)
+        out = maximal_apply(grid, fam)
         _write(args.out, render_grid(out))
         return 0
 

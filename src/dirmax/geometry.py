@@ -294,6 +294,12 @@ class Parallelogram:
         )
         return lo, lo + (1 << (s - self.spec.m_w))
 
+    def slab_lows(self) -> range:
+        """slab_scaled(c)[0] for every column c of the base, in column order."""
+        step = 2 * (2 * self.slope.index + 1)
+        lo, _ = self.slab_scaled(self.col_lo)
+        return range(lo, lo + step * (self.col_hi - self.col_lo), step)
+
     def column_segment(self, c: int) -> tuple[DyadicRational, DyadicRational]:
         """The vertical slab [s*x_c + b, s*x_c + b + w) over column c."""
         if not self.col_lo <= c < self.col_hi:

@@ -8,6 +8,9 @@ in integer arithmetic.  The MAXGRID v1 text format round-trips canonically.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import repeat
+from operator import mul, or_, rshift
 from typing import Iterable, Sequence
 
 from .dyadic import DyadicRational
@@ -42,7 +45,7 @@ class GridFunction:
             raise ValueError("grid value count mismatch")
         if scale < 0:
             raise ValueError("scale must be nonnegative")
-        if any(n < 0 for n in nums):
+        if min(nums) < 0:
             raise ValueError("grid values must be nonnegative")
         self.spec = spec
         self.scale = scale
@@ -95,11 +98,10 @@ class GridFunction:
 
     def reduced(self) -> "GridFunction":
         """Canonical representation: strip common powers of two from the scale."""
-        scale, nums = self.scale, self.nums
-        while scale > 0 and all(n & 1 == 0 for n in nums):
-            nums = [n >> 1 for n in nums]
-            scale -= 1
-        return GridFunction(self.spec, scale, nums)
+        bits = reduce(or_, self.nums, 0)
+        sh = min(self.scale, (bits & -bits).bit_length() - 1) if bits else self.scale
+        nums = list(map(rshift, self.nums, repeat(sh))) if sh else self.nums
+        return GridFunction(self.spec, self.scale - sh, nums)
 
     def rescaled(self, scale: int) -> "GridFunction":
         """Same function at a given scale; rounds down if scale is coarser."""
@@ -136,7 +138,7 @@ class GridFunction:
     def l2_sq(self) -> DyadicRational:
         """Exact integral of the square over the unit square."""
         return DyadicRational(
-            sum(n * n for n in self.nums), 2 * self.scale + 2 * self.spec.m
+            sum(map(mul, self.nums, self.nums)), 2 * self.scale + 2 * self.spec.m
         )
 
     def lp_norm(self, p: float) -> float:
@@ -239,61 +241,31 @@ class RationalGrid:
 # -- exact integration over staircase parallelograms ------------------------
 
 
-def column_prefix(f: GridFunction) -> list[list[int]]:
-    """Per-column prefix sums of the scaled cell values (reused across members)."""
-    m = f.spec.m
-    n = f.spec.n
-    out = []
-    nums = f.nums
-    for c in range(n):
-        base = c << m
-        acc = 0
-        pref = [0] * (n + 1)
-        for r in range(n):
-            acc += nums[base + r]
-            pref[r + 1] = acc
-        out.append(pref)
-    return out
+def integrate_scaled(R: Parallelogram, f: GridFunction) -> tuple[int, int]:
+    """Exact integral of f over R as (numerator, exponent).
 
-
-def integrate_scaled(R: Parallelogram, f: GridFunction, prefix=None) -> tuple[int, int]:
-    """Exact integral of f over R as (numerator, exponent)."""
+    The slab [lo, hi) of a column touches rows r0..r1, each 2^sh scaled units
+    high: all of them enter whole, then the parts of row r0 below lo and of
+    row r1 above hi are taken off again.
+    """
     spec = R.spec
     if spec != f.spec:
         raise ValueError("incompatible grids")
     m = spec.m
-    u = 1 << (R.y_scale - m)
+    s = R.y_scale
+    sh = s - m
+    mask = (1 << sh) - 1
+    height = 1 << (s - spec.m_w)
     nums = f.nums
     total = 0
-    if prefix is None:
-        for c in range(R.col_lo, R.col_hi):
-            lo, hi = R.slab_scaled(c)
-            r0 = lo // u
-            r1 = (hi - 1) // u
-            base = c << m
-            if r0 == r1:
-                total += (hi - lo) * nums[base + r0]
-                continue
-            total += ((r0 + 1) * u - lo) * nums[base + r0]
-            total += (hi - r1 * u) * nums[base + r1]
-            acc = 0
-            for r in range(r0 + 1, r1):
-                acc += nums[base + r]
-            total += u * acc
-    else:
-        for c in range(R.col_lo, R.col_hi):
-            lo, hi = R.slab_scaled(c)
-            r0 = lo // u
-            r1 = (hi - 1) // u
-            base = c << m
-            if r0 == r1:
-                total += (hi - lo) * nums[base + r0]
-                continue
-            pref = prefix[c]
-            total += ((r0 + 1) * u - lo) * nums[base + r0]
-            total += (hi - r1 * u) * nums[base + r1]
-            total += u * (pref[r1] - pref[r0 + 1])
-    return total, R.y_scale + m + f.scale
+    base = R.col_lo << m
+    for lo in R.slab_lows():
+        hi = lo + height
+        a = base + (lo >> sh)
+        b = base + ((hi - 1) >> sh)
+        total += (sum(nums[a : b + 1]) << sh) - (lo & mask) * nums[a] - (-hi & mask) * nums[b]
+        base += 1 << m
+    return total, s + m + f.scale
 
 
 def integrate(R: Parallelogram, f: GridFunction) -> DyadicRational:

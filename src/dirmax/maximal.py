@@ -5,6 +5,12 @@ point and takes the supremum.  On a finite family the supremum is attained,
 so the linearization rho picks the argmax member per cell (canonical-order
 tie-break) and the linear operator T averages over rho(x).
 
+One painter pass gives both: members paint their center-row cells in rising
+(average, -index) order, so each cell keeps the largest average and, among
+equal averages, the lowest index.  The painted values are Mf and the painted
+indices are rho, so Mf is exactly T_rho f at its own linearization, at the
+same scale; the T*T ascent feeds Mf to T* with no second averaging pass.
+
 T* is computed against the exact staircase geometry: the indicator of a
 member enters as its per-cell coverage fractions, which is precisely what
 makes <Tf, g> = <f, T*g> an exact identity on the grid.
@@ -13,14 +19,13 @@ makes <Tf, g> = <f, T*g> an exact identity on the grid.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import DyadicRational
 from .family import RectangleFamily
 from .geometry import GridSpec
-from .grids import GridFunction, RationalGrid, column_prefix, integrate_scaled
+from .grids import GridFunction, RationalGrid, integrate_scaled
 
 
 @dataclass(frozen=True)
@@ -65,11 +70,10 @@ class ChoiceMap:
 def _scaled_averages(fam: RectangleFamily, f: GridFunction) -> tuple[list[int], int]:
     """Per-member averages over a common power-of-two scale."""
     spec = fam.spec
-    prefix = column_prefix(f)
     top = 2 * spec.m + 2 + f.scale
     vals = []
     for r in fam.members:
-        num, exp = integrate_scaled(r, f, prefix)
+        num, exp = integrate_scaled(r, f)
         # average = num / 2^(exp - level - m_w); bring to the common scale
         e = exp - r.base.level - spec.m_w
         vals.append(num << (top - e))
@@ -81,69 +85,51 @@ def _require_nonneg(f: GridFunction) -> None:
         raise ValueError("operator input must be nonnegative")
 
 
-def maximal_apply(
-    f: GridFunction, fam: RectangleFamily, workers: int = 1
-) -> GridFunction:
-    """Mf: per cell, the largest member average among members containing it."""
+def _paint(f: GridFunction, fam: RectangleFamily) -> tuple[list[int], list[int], int]:
+    """(Mf numerators, argmax member per cell, scale); 0 and -1 on X.
+
+    Members paint their center-row cells in rising (average, -index) order,
+    so the last writer of a cell is the canonical argmax.
+    """
     spec = fam.spec
     if spec != f.spec:
         raise ValueError("incompatible grids")
     avgs, scale = _scaled_averages(fam, f)
+    members = fam.members
+    m = spec.m
+    cnt = 1 << (m - spec.m_w)
+    best = [0] * spec.n_cells
+    idxs = [-1] * spec.n_cells
+    # a stable sort over falling indices puts the lowest index last among ties
+    for mi in sorted(range(len(members) - 1, -1, -1), key=avgs.__getitem__):
+        r = members[mi]
+        fill_avg, fill_idx = [avgs[mi]] * cnt, [mi] * cnt
+        sh = r.y_scale - m
+        half = (1 << (sh - 1)) - 1  # row r0 is the first whose center is >= lo
+        start = r.col_lo << m
+        for lo in r.slab_lows():
+            a = start + ((lo + half) >> sh)
+            best[a : a + cnt] = fill_avg
+            idxs[a : a + cnt] = fill_idx
+            start += 1 << m
+    return best, idxs, scale
 
-    def splat(member_range) -> list[int]:
-        out = [0] * spec.n_cells
-        members = fam.members
-        for mi in member_range:
-            a = avgs[mi]
-            if a == 0:
-                continue
-            r = members[mi]
-            m = spec.m
-            cnt = 1 << (m - spec.m_w)
-            for c in range(r.col_lo, r.col_hi):
-                r0, _ = r.center_rows(c)
-                base = (c << m) + r0
-                for idx in range(base, base + cnt):
-                    if a > out[idx]:
-                        out[idx] = a
-        return out
 
-    if workers <= 1 or len(fam.members) < 2:
-        out = splat(range(len(fam.members)))
-    else:
-        nw = min(workers, len(fam.members))
-        size = -(-len(fam.members) // nw)
-        ranges = [range(i * size, min((i + 1) * size, len(fam.members))) for i in range(nw)]
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            parts = list(pool.map(splat, ranges))
-        out = parts[0]
-        for part in parts[1:]:
-            for i, vv in enumerate(part):
-                if vv > out[i]:
-                    out[i] = vv
-    return GridFunction(spec, scale, out)
+def maximal_apply(f: GridFunction, fam: RectangleFamily) -> GridFunction:
+    """Mf: per cell, the largest member average among members containing it."""
+    best, _, scale = _paint(f, fam)
+    return GridFunction(fam.spec, scale, best)
 
 
 def linearize(f: GridFunction, fam: RectangleFamily) -> ChoiceMap:
     """Argmax member per covered cell; ties broken by canonical member order."""
-    spec = fam.spec
-    if spec != f.spec:
-        raise ValueError("incompatible grids")
-    avgs, _ = _scaled_averages(fam, f)
-    best = [0] * spec.n_cells
-    idxs = [-1] * spec.n_cells
-    m = spec.m
-    cnt = 1 << (m - spec.m_w)
-    for mi, r in enumerate(fam.members):
-        a = avgs[mi]
-        for c in range(r.col_lo, r.col_hi):
-            r0, _ = r.center_rows(c)
-            base = (c << m) + r0
-            for idx in range(base, base + cnt):
-                if a > best[idx] or idxs[idx] < 0:
-                    best[idx] = a
-                    idxs[idx] = mi
+    _, idxs, _ = _paint(f, fam)
     return ChoiceMap(fam, tuple(idxs))
+
+
+def _check_entries(rho: ChoiceMap) -> None:
+    if max(rho.entries) >= len(rho.fam.members):
+        raise ValueError("corrupt choice map")
 
 
 def apply_T(rho: ChoiceMap, f: GridFunction) -> GridFunction:
@@ -152,79 +138,48 @@ def apply_T(rho: ChoiceMap, f: GridFunction) -> GridFunction:
     spec = fam.spec
     if spec != f.spec:
         raise ValueError("incompatible grids")
+    _check_entries(rho)
     avgs, scale = _scaled_averages(fam, f)
-    nmem = len(fam.members)
-    out = [0] * spec.n_cells
-    for idx, e in enumerate(rho.entries):
-        if e < 0:
-            continue
-        if e >= nmem:
-            raise ValueError("corrupt choice map")
-        out[idx] = avgs[e]
+    out = [avgs[e] if e >= 0 else 0 for e in rho.entries]
     return GridFunction(spec, scale, out)
 
 
-def apply_T_adjoint(rho: ChoiceMap, g: GridFunction, workers: int = 1) -> GridFunction:
+def apply_T_adjoint(rho: ChoiceMap, g: GridFunction) -> GridFunction:
     """T* g = sum over members of (mass of g on the choosers) * 1_R / |R|.
 
     1_R enters with exact per-cell coverage fractions of the staircase, so
-    adjointness against apply_T holds exactly.  Member chunks may accumulate
-    concurrently; exact sums commute, so any worker count gives identical
-    output.
+    adjointness against apply_T holds exactly.
     """
     fam = rho.fam
     spec = fam.spec
     if spec != g.spec:
         raise ValueError("incompatible grids")
-    nmem = len(fam.members)
-    mass = [0] * nmem  # scaled by 2^(g.scale + 2m)
-    for idx, e in enumerate(rho.entries):
-        if e < 0:
-            continue
-        if e >= nmem:
-            raise ValueError("corrupt choice map")
-        mass[e] += g.nums[idx]
+    _check_entries(rho)
+    mass = [0] * len(fam.members)  # scaled by 2^(g.scale + 2m)
+    for e, n in zip(rho.entries, g.nums):
+        if e >= 0:
+            mass[e] += n
     m = spec.m
-    scale = g.scale + 2 * m + 2
-
-    def splat(member_range) -> list[int]:
-        out = [0] * spec.n_cells
-        for mi in member_range:
-            if mass[mi] == 0:
-                continue
-            r = fam.members[mi]
-            # contribution per cell: mass * overlap(slab, cell)/cell / |R|
-            coef = mass[mi] << (2 * (spec.m_w - r.k))
-            u = 1 << (r.y_scale - m)
-            for c in range(r.col_lo, r.col_hi):
-                lo, hi = r.slab_scaled(c)
-                r0 = lo // u
-                r1 = (hi - 1) // u
-                base = c << m
-                if r0 == r1:
-                    out[base + r0] += coef * (hi - lo)
-                    continue
-                out[base + r0] += coef * ((r0 + 1) * u - lo)
-                out[base + r1] += coef * (hi - r1 * u)
-                full = coef * u
-                for row in range(r0 + 1, r1):
-                    out[base + row] += full
-        return out
-
-    if workers <= 1 or nmem < 2:
-        out = splat(range(nmem))
-    else:
-        nw = min(workers, nmem)
-        size = -(-nmem // nw)
-        ranges = [range(i * size, min((i + 1) * size, nmem)) for i in range(nw)]
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            parts = list(pool.map(splat, ranges))
-        out = parts[0]
-        for part in parts[1:]:
-            for i, vv in enumerate(part):
-                if vv:
-                    out[i] += vv
-    return GridFunction(spec, scale, out)
+    out = [0] * spec.n_cells
+    for r, w in zip(fam.members, mass):
+        if not w:
+            continue
+        # per cell: mass * overlap(slab, cell)/cell / |R|, as in integrate_scaled
+        coef = w << (2 * (spec.m_w - r.k))
+        sh = r.y_scale - m
+        mask = (1 << sh) - 1
+        height = 1 << (r.y_scale - spec.m_w)
+        full = coef << sh
+        base = r.col_lo << m
+        for lo in r.slab_lows():
+            hi = lo + height
+            a = base + (lo >> sh)
+            b = base + ((hi - 1) >> sh) + 1
+            out[a:b] = [x + full for x in out[a:b]]
+            out[a] -= coef * (lo & mask)
+            out[b - 1] -= coef * (-hi & mask)
+            base += 1 << m
+    return GridFunction(spec, g.scale + 2 * m + 2, out)
 
 
 def nu(rho: ChoiceMap, cells, member) -> DyadicRational:
@@ -386,11 +341,13 @@ class NormReport:
 
 def rayleigh_ratio(f: GridFunction, fam: RectangleFamily) -> float:
     """||Mf||_2 / ||f||_2 from exact squared norms."""
-    den = f.l2_sq()
-    if not den:
+    if f.is_zero():
         raise ValueError("degenerate seed")
-    num = maximal_apply(f, fam).l2_sq()
-    return math.sqrt(float(num.as_fraction() / den.as_fraction()))
+    return _ratio(maximal_apply(f, fam), f)
+
+
+def _ratio(mf: GridFunction, f: GridFunction) -> float:
+    return math.sqrt(float(mf.l2_sq().as_fraction() / f.l2_sq().as_fraction()))
 
 
 _MAX_ASCENT_SCALE = 96
@@ -403,25 +360,33 @@ def estimate_norm(
 
     The ascent relinearizes at the current iterate and follows f <- T* T f;
     all reported ratios are genuine Rayleigh quotients, so the best ratio is
-    a certified lower estimate, never an upper bound.
+    a certified lower estimate, never an upper bound.  One painter pass per
+    iterate gives both Mf and rho, and Mf is T_rho f at that rho.
     """
+    spec = fam.spec
     rows = []
     best = 0.0
     for sid, seed in enumerate(seeds):
-        if seed.spec != fam.spec:
+        if seed.spec != spec:
             raise ValueError("incompatible grids")
         if seed.is_zero():
             raise ValueError("degenerate seed")
         f = seed
+        # each grid is dropped once used: memory, not time, bounds m here
         for it in range(ascent_iters + 1):
-            ratio = rayleigh_ratio(f, fam)
+            painted, idxs, scale = _paint(f, fam)
+            mf = GridFunction(spec, scale, painted)
+            del painted
+            ratio = _ratio(mf, f)
             rows.append((sid, it, ratio))
             if ratio > best:
                 best = ratio
             if it == ascent_iters:
                 break
-            rho = linearize(f, fam)
-            nxt = apply_T_adjoint(rho, apply_T(rho, f))
+            rho = ChoiceMap(fam, tuple(idxs))
+            del f, idxs
+            nxt = apply_T_adjoint(rho, mf)
+            del rho, mf
             if nxt.is_zero():
                 break
             if nxt.scale > _MAX_ASCENT_SCALE:
@@ -429,4 +394,5 @@ def estimate_norm(
                 if nxt.is_zero():
                     break
             f = nxt.reduced()
+            del nxt
     return NormReport(len(fam.members), tuple(rows), best)

@@ -23,9 +23,9 @@ from dirmax.badness import (
 from dirmax.calibration import DEFAULT_LAMBDA0, REFORMULATE_FACTOR
 from dirmax.dyadic import DyadicRational as D
 from dirmax.family import FamilyParams, RectangleFamily, enumerate_family
-from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell
+from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell, Window
 from dirmax.grids import GridFunction
-from dirmax.instances import organized_collections, random_field, random_grid
+from dirmax.instances import build_corpus, organized_collections, random_field, random_grid
 from dirmax.maximal import apply_T_adjoint, linearize, nu
 
 
@@ -114,6 +114,12 @@ def test_in_out_split_identity_and_averages():
     K0 = DyadicInterval(0, 0)  # 3K covers [0,1]
     _, b_out = in_out_split(I, K0, E, rho)
     assert b_out == 0
+
+
+def test_in_out_split_zero_length_window():
+    rho = build_corpus()[5].rho
+    split = in_out_split(DyadicInterval(0, 0), Window(D(1, 1), D(1, 1)), rho.covered_cells(), rho)
+    assert split == (Fraction(0), Fraction(0))
 
 
 def test_mass_bound_for_window_sets():

@@ -47,6 +47,26 @@ def test_grid_construction_and_validation():
     assert f.l2_sq() == D(9, 4)
 
 
+def test_reduced_l2_and_sign_passes():
+    spec = GridSpec(2, 0, False)
+    pad = [0] * 13
+
+    def canon(scale, nums):
+        r = GridFunction(spec, scale, nums).reduced()
+        return r.scale, r.nums
+
+    assert canon(7, [0] * 16) == (0, [0] * 16)
+    assert canon(5, [3, 4, 8] + pad) == (5, [3, 4, 8] + pad)  # one odd numerator
+    assert canon(5, [12, 8, 1 << 90] + pad) == (3, [3, 2, 1 << 88] + pad)
+    assert canon(2, [16, 48, 0] + pad) == (0, [4, 12, 0] + pad)  # capped at scale 0
+    assert canon(0, [6, 2, 0] + pad) == (0, [6, 2, 0] + pad)
+    big = 1 << 80
+    f = GridFunction(spec, 1, [1, 2, big] + pad)
+    assert f.l2_sq() == D(5 + big * big, 2 + 4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        GridFunction(spec, 0, [big] * 15 + [-1])
+
+
 def test_grid_equality_across_scales():
     spec = GridSpec(3, 1, False)
     a = GridFunction(spec, 2, [4] * 64)

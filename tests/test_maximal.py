@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from dirmax import oracle
+from dirmax import maximal, oracle
 from dirmax.dyadic import DyadicRational as D
 from dirmax.family import FamilyParams, enumerate_family
 from dirmax.geometry import GridSpec
@@ -16,6 +16,7 @@ from dirmax.grids import GridFunction, average
 from dirmax.instances import random_field, random_grid
 from dirmax.maximal import (
     ChoiceMap,
+    NormReport,
     apply_T,
     apply_T_adjoint,
     estimate_norm,
@@ -78,7 +79,79 @@ def test_maximal_against_oracle_and_workers():
     raw = [(r.k, r.base.index, r.slope.index, r.offset.as_fraction()) for r in fam.members]
     want = oracle.maximal_apply(spec.m, spec.m_w, raw, [x.as_fraction() for x in f.values()])
     assert [x.as_fraction() for x in mf.values()] == want
-    assert maximal_apply(f, fam, workers=3) == mf
+    assert maximal_apply(f, fam) == mf
+
+
+def test_maximal_against_oracle_above_62_bits():
+    spec, fam, f = _setup(seed=15, half=True)
+    rng = random.Random(115)
+    big = GridFunction(spec, f.scale + 70, [(n << 70) | rng.getrandbits(70) for n in f.nums])
+    assert max(big.nums).bit_length() > 62
+    raw = [(r.k, r.base.index, r.slope.index, r.offset.as_fraction()) for r in fam.members]
+    want = oracle.maximal_apply(spec.m, spec.m_w, raw, [x.as_fraction() for x in big.values()])
+    assert [x.as_fraction() for x in maximal_apply(big, fam).values()] == want
+
+
+def test_painter_equal_and_zero_averages():
+    # f = 1 on the left half: members there tie at average 1, members on the
+    # right half average 0, so both tie-break paths of the painter run
+    spec = GridSpec(4, 2, True)
+    fam = enumerate_family(FamilyParams(spec, D(1, 2)), random_field(spec, random.Random(0)))
+    f = GridFunction.indicator(spec, [i for i in range(spec.n_cells) if i < spec.n_cells // 2])
+    avgs = [average(r, f) for r in fam.members]
+    rho, mf = linearize(f, fam), maximal_apply(f, fam)
+    tied = zero = 0
+    for idx in range(spec.n_cells):
+        c, row = spec.cell_coords(idx)
+        cands = [i for i, r in enumerate(fam.members) if r.contains_cell(c, row)]
+        want = max(cands, key=lambda i: (avgs[i], -i)) if cands else -1
+        assert rho.entries[idx] == want
+        assert mf.value_at(idx) == (avgs[want] if cands else 0)
+        if cands and avgs[want] == 0:
+            zero += 1
+        elif sum(1 for i in cands if avgs[i] == avgs[want]) > 1:
+            tied += 1
+    assert tied and zero
+
+
+def _composed_ascent(fam, seeds, iters):
+    """estimate_norm spelled out: rayleigh_ratio, linearize, T, T*, rescale,
+    reduce.  Returns the report, every T* output and the times the cap fired."""
+    rows, best, outs, capped = [], 0.0, [], 0
+    for sid, f in enumerate(seeds):
+        for it in range(iters + 1):
+            ratio = rayleigh_ratio(f, fam)
+            rows.append((sid, it, ratio))
+            best = max(best, ratio)
+            if it == iters:
+                break
+            rho = linearize(f, fam)
+            nxt = apply_T_adjoint(rho, apply_T(rho, f))
+            outs.append(nxt)
+            assert not nxt.is_zero()
+            if nxt.scale > 96:
+                capped += 1
+                nxt = nxt.rescaled(96)
+            f = nxt.reduced()
+    return NormReport(len(fam.members), tuple(rows), best), outs, capped
+
+
+@pytest.mark.parametrize("m, half, delta", [(4, True, D(1, 2)), (5, False, D(1, 3)), (6, False, D(1, 2))])
+def test_fused_ascent_matches_composition(monkeypatch, m, half, delta):
+    spec, fam, f = _setup(seed=30 + m, delta=delta, m=m, half=half)
+    seeds = [f, random_grid(spec, random.Random(90 + m))]
+    want, want_outs, capped = _composed_ascent(fam, seeds, 6)
+    assert capped and max(max(g.nums).bit_length() for g in want_outs) > 62
+    outs = []
+    inner = maximal.apply_T_adjoint
+
+    def spy(rho, g):
+        outs.append(inner(rho, g))
+        return outs[-1]
+
+    monkeypatch.setattr(maximal, "apply_T_adjoint", spy)
+    assert estimate_norm(fam, seeds, 6) == want
+    assert [(g.scale, g.nums) for g in outs] == [(g.scale, g.nums) for g in want_outs]
 
 
 def test_maximal_sublinear_and_homogeneous():
@@ -141,7 +214,7 @@ def test_adjointness_exact():
         rhs = sum(a * b for a, b in zip(f.nums, tg.nums)), f.scale + tg.scale
         e = max(lhs[1], rhs[1])
         assert lhs[0] << (e - lhs[1]) == rhs[0] << (e - rhs[1])
-        assert apply_T_adjoint(rho, g, workers=3) == tg
+        assert apply_T_adjoint(rho, g) == tg
 
 
 def test_nu_and_mass_bound():
