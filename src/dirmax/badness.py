@@ -5,11 +5,20 @@ the indicator of the E-points whose chosen rectangle projects inside
 pi_1(R).  All quadratic pairings here use true staircase intersections, so
 identities like the in/out split and the single-rectangle reformulation are
 exact dyadic equalities.
+
+Window masses are exact integers: a member's slab bottoms form an
+arithmetic progression, so G(y), the sum over its columns of
+clamp(y - slab bottom, 0, slab height), takes O(1) integer arithmetic
+(``geometry.slab_cover``) and its mass in [a, b) is G(b) - G(a).  The
+bad-window scan of a shrinking step tabulates G once per base I and
+compares B_out with lambda0 by cross-multiplying integers, so it builds no
+DyadicRational or Fraction per window.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -18,7 +27,14 @@ import numpy as np
 
 from .dyadic import DyadicRational
 from .family import RectangleFamily, is_good_collection
-from .geometry import DyadicInterval, Parallelogram, Window, overlap_measure, union_measure
+from .geometry import (
+    DyadicInterval,
+    Parallelogram,
+    Window,
+    overlap_measure,
+    slab_cover,
+    union_measure,
+)
 from .grids import GridFunction
 from .maximal import ChoiceMap, apply_T_adjoint, estimate_norm, maximal_apply
 
@@ -107,34 +123,23 @@ class BadnessEngine:
     ) -> DyadicRational:
         """Integral over I x W of T* of the indicator of the kept choosers."""
         spec = self.spec
-        total_num = 0
-        total_exp = 0
-        for qi in members:
-            cnt = counts[qi]
-            if cnt == 0 or not keep(qi):
-                continue
-            Q = self.fam.members[qi]
-            s = Q.y_scale
-            wlo = W.lo.num << (s - W.lo.exp)
-            whi = W.hi.num << (s - W.hi.exp)
-            acc = 0
-            for c in range(Q.col_lo, Q.col_hi):
-                lo, hi = Q.slab_scaled(c)
-                seg = min(hi, whi) - max(lo, wlo)
-                if seg > 0:
-                    acc += seg
-            if acc:
-                # cnt/4^m / |Q| * acc/2^s * cell width
-                e = 2 * spec.m + s + spec.m - Q.base.level - spec.m_w
-                if total_num == 0:
-                    total_num, total_exp = cnt * acc, e
-                else:
-                    t = max(total_exp, e)
-                    total_num = (total_num << (t - total_exp)) + (
-                        (cnt * acc) << (t - e)
-                    )
-                    total_exp = t
-        return DyadicRational(total_num, total_exp)
+        fam = self.fam.members
+        kept = [qi for qi in members if counts[qi] and keep(qi)]
+        if not kept:
+            return DyadicRational(0)
+        t = max(W.lo.exp, W.hi.exp, max(fam[qi].y_scale for qi in kept))
+        a = W.lo.num << (t - W.lo.exp)
+        b = W.hi.num << (t - W.hi.exp)
+        total = 0
+        for qi in kept:
+            Q = fam[qi]
+            slabs = Q.slabs(t)
+            # nu_Q/|Q| = counts << (level + m_w) over 4^m; slab mass over 2^t,
+            # times the cell width 2^-m
+            total += (counts[qi] << Q.base.level) * (
+                slab_cover(*slabs, b) - slab_cover(*slabs, a)
+            )
+        return DyadicRational(total, 3 * spec.m + t - spec.m_w)
 
 
 def restricted_choosers(
@@ -226,29 +231,21 @@ def in_out_split(
     hence the Fraction return.
     """
     eng = BadnessEngine(rho)
-    return _in_out_split(eng, I, K, eng.nu_counts(cells))
+    counts = eng.nu_counts(cells)
+    W = _window_of(K)
+    if W.lo == W.hi:
+        return Fraction(0), Fraction(0)
+    TW = W.triple()
+    members = eng.inside_base(I)
+    inside = {qi: TW.contains_window(eng.pi2[qi]) for qi in members}
+    mass_in = eng.box_mass(counts, members, I, W, inside.__getitem__)
+    mass_out = eng.box_mass(counts, members, I, W, lambda qi: not inside[qi])
+    denom = I.length.as_fraction() * W.length.as_fraction()
+    return mass_in.as_fraction() / denom, mass_out.as_fraction() / denom
 
 
 def _window_of(K: DyadicInterval | Window) -> Window:
     return K.window() if isinstance(K, DyadicInterval) else K
-
-
-def _in_out_split(
-    eng: BadnessEngine,
-    I: DyadicInterval,
-    K: DyadicInterval | Window,
-    counts: Sequence[int],
-) -> tuple[Fraction, Fraction]:
-    W = _window_of(K)
-    TW = W.triple()
-    members = eng.inside_base(I)
-    inside = [TW.contains_window(eng.pi2[qi]) for qi in range(len(eng.fam.members))]
-    mass_in = eng.box_mass(counts, members, I, W, lambda qi: inside[qi])
-    mass_out = eng.box_mass(counts, members, I, W, lambda qi: not inside[qi])
-    denom = I.length.as_fraction() * W.length.as_fraction()
-    if not denom:
-        return Fraction(0), Fraction(0)
-    return mass_in.as_fraction() / denom, mass_out.as_fraction() / denom
 
 
 def badness_components(
@@ -287,21 +284,57 @@ def _select_bad_windows(
     counts: Sequence[int],
     lam0: DyadicRational,
 ) -> tuple[DyadicInterval, ...]:
-    out = []
-    m = eng.spec.m
-    members = eng.inside_base(I)
-    if not any(counts[qi] for qi in members):
+    """The bad-window scan over one base I, in scaled integers.
+
+    Every vertical window at level <= m, its triple and the triple of that
+    run over the 2^m + 1 grid points p (p / 2^m).  One table per I holds,
+    for each member under I with choosers, its weight times the slab mass
+    below every grid point (slab_cover, at the common scale 2^S), so the
+    mass in [a, b) is cover[b] - cover[a].  The out-mass of a window is
+    the total mass minus that of the members whose pi_2 fits the triple,
+    and only members no taller than the triple can fit.
+    """
+    spec = eng.spec
+    m = spec.m
+    n = 1 << m
+    members = eng.fam.members
+    active = [qi for qi in eng.inside_base(I) if counts[qi]]
+    if not active:
         return ()
-    lam0_fr = lam0.as_fraction()
+    S = max(members[qi].y_scale for qi in active)
+    u = S - m  # grid point p sits at p << u
+    rows = []
+    for qi in active:
+        Q = members[qi]
+        start, step, cols, height = Q.slabs(S)
+        w = counts[qi] << Q.base.level
+        cover = [w * slab_cover(start, step, cols, height, p << u) for p in range(n + 1)]
+        rows.append((start, start + (cols - 1) * step + height, cover))  # pi_2 at 2^S
+    total = [sum(col) for col in zip(*(cover for _, _, cover in rows))]
+    rows.sort(key=lambda r: r[1] - r[0])
+    heights = [hi - lo for lo, hi, _ in rows]
+    # b_out = (mass / 2^(3m + S - m_w)) / (2^-I.level * (b - a) / 2^m) >= lam0
+    lhs_shift = I.level + lam0.exp
+    rhs_shift = u + 3 * m - spec.m_w
+
+    def out_reaches(a: int, b: int) -> bool:
+        ln = b - a
+        ta, tb = max(0, a - ln) << u, min(n, b + ln) << u
+        mass = total[b] - total[a]
+        for lo, hi, cover in rows[: bisect_right(heights, tb - ta)]:
+            if ta <= lo and hi <= tb:
+                mass -= cover[b] - cover[a]
+        return mass << lhs_shift >= (lam0.num * ln) << rhs_shift
+
+    out = []
     for level in range(m + 1):
+        span = n >> level
         for index in range(1 << level):
-            K = DyadicInterval(level, index)
-            _, b_out = _in_out_split(eng, I, K, counts)
-            if b_out < lam0_fr:
-                continue
-            _, b_out3 = _in_out_split(eng, I, K.triple(), counts)
-            if b_out3 < lam0_fr:
-                out.append(K)
+            a = index * span
+            if out_reaches(a, a + span) and not out_reaches(
+                max(0, a - span), min(n, a + 2 * span)
+            ):
+                out.append(DyadicInterval(level, index))
     return tuple(out)
 
 
@@ -325,11 +358,12 @@ class ShrinkDiagnostics:
 def _member_inside_cells(R: Parallelogram) -> set[int]:
     """All cells with positive overlap with the staircase."""
     m = R.spec.m
+    u = 1 << (R.y_scale - m)
+    height = 1 << (R.y_scale - R.spec.m_w)
     out = set()
-    for c in range(R.col_lo, R.col_hi):
-        r0, r1 = R.touched_rows(c)
+    for c, lo in zip(range(R.col_lo, R.col_hi), R.slab_lows()):
         base = c << m
-        out.update(range(base + r0, base + r1))
+        out.update(range(base + lo // u, base + (lo + height - 1) // u + 1))
     return out
 
 
@@ -379,11 +413,10 @@ def shrink_once(
     if audit:
         g = apply_T_adjoint(rho, GridFunction.indicator(spec, cells))
         mg = maximal_apply(g, rho.fam)
-        half_lam = DyadicRational(lam0.num, lam0.exp + 1)
+        # F = {M g >= lam0/2}: n / 2^scale >= num / 2^(exp + 1), in integers
+        half_lam = lam0.num << mg.scale
         f_cells = frozenset(
-            idx
-            for idx, n in enumerate(mg.nums)
-            if DyadicRational(n, mg.scale) >= half_lam
+            idx for idx, n in enumerate(mg.nums) if n << (lam0.exp + 1) >= half_lam
         )
         cap = DyadicRational(UNIVERSAL_BADNESS_FACTOR) * lam0
         counts_after = eng.nu_counts(shrunk_f)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 _PARSE_RE = re.compile(r"^(-?\d+)(?:/2\^(\d+))?$")
+_HASH_MODULUS = sys.hash_info.modulus
 
 
 class DyadicRational:
@@ -185,7 +187,12 @@ class DyadicRational:
         return self._cmp(other) >= 0
 
     def __hash__(self):
-        return hash((self.num, self.exp))
+        # Python's numeric hash of num / 2^exp, so that equal ints and
+        # Fractions hash equal (what Fraction.__hash__ computes)
+        h = abs(self.num) % _HASH_MODULUS * pow(2, -self.exp, _HASH_MODULUS) % _HASH_MODULUS
+        if self.num < 0:
+            h = -h
+        return -2 if h == -1 else h
 
 
 def _coerce(value) -> DyadicRational | None:

@@ -240,12 +240,18 @@ class Parallelogram:
             raise ValueError("base shorter than rectangle width")
         if self.slope.level != k:
             raise ValueError("slope level does not match base length")
-        if self.offset < 0:
+        if self.offset.num < 0:
             raise ValueError("offset must be nonnegative")
         if self.offset.exp > self.spec.offset_exp:
             raise ValueError("offset is not a multiple of the offset step")
-        top = self.slope.center * self.base.hi + self.offset + self.spec.w
-        if top > 1:
+        # top = slope center * sup(base) + offset + w, all over 2^(m_w + 1)
+        e = self.spec.m_w + 1
+        top = (
+            (2 * self.slope.index + 1) * (self.base.index + 1)
+            + (self.offset.num << (e - self.offset.exp))
+            + 2
+        )
+        if top > 1 << e:
             raise ValueError("parallelogram leaves the unit square")
 
     @property
@@ -300,6 +306,16 @@ class Parallelogram:
         lo, _ = self.slab_scaled(self.col_lo)
         return range(lo, lo + step * (self.col_hi - self.col_lo), step)
 
+    def slabs(self, scale: int) -> tuple[int, int, int, int]:
+        """(first slab bottom, step, columns, slab height) scaled by 2^scale.
+
+        The slab bottoms form an arithmetic progression (``slab_lows``);
+        scale must be at least y_scale.
+        """
+        lows = self.slab_lows()
+        d = scale - self.y_scale
+        return lows.start << d, lows.step << d, len(lows), 1 << (scale - self.spec.m_w)
+
     def column_segment(self, c: int) -> tuple[DyadicRational, DyadicRational]:
         """The vertical slab [s*x_c + b, s*x_c + b + w) over column c."""
         if not self.col_lo <= c < self.col_hi:
@@ -349,24 +365,45 @@ class Parallelogram:
         return f"R(k={self.k}, base={self.base}, s={self.slope.center}, b={self.offset})"
 
 
+def slab_cover(start: int, step: int, n: int, height: int, y: int) -> int:
+    """G(y) = sum over c < n of clamp(y - (start + c*step), 0, height).
+
+    The total length below y of the n slabs [lo, lo + height) whose bottoms
+    lo run through an arithmetic progression, so the mass of the slabs in a
+    window [a, b) is G(b) - G(a).  O(1): the slabs wholly below y and the
+    slabs cut by y are two runs of consecutive c.  Any integer step; height
+    must be positive.
+    """
+    if step < 0:
+        start, step = start + (n - 1) * step, -step
+    if step == 0:
+        return n * min(max(y - start, 0), height)
+    full = min(n, max(0, (y - height - start) // step + 1))  # lo <= y - height
+    below = min(n, max(0, (y - start - 1) // step + 1))  # lo < y
+    cut = below - full
+    return full * height + cut * (y - start) - step * (cut * (full + below - 1) // 2)
+
+
 def overlap_measure(a: Parallelogram, b: Parallelogram) -> DyadicRational:
-    """Exact area of the intersection of two staircase parallelograms."""
+    """Exact area of the intersection of two staircase parallelograms.
+
+    Over a shared column the two slabs overlap in
+    clamp(b_lo + h_b - a_lo, 0, h_a) - clamp(b_lo - a_lo, 0, h_a), and
+    a_lo - b_lo runs through an arithmetic progression, so the sum over the
+    shared columns is a difference of two slab_cover values.
+    """
     if a.spec != b.spec:
         raise ValueError("incompatible grids")
     c0 = max(a.col_lo, b.col_lo)
     c1 = min(a.col_hi, b.col_hi)
     if c0 >= c1:
         return DyadicRational(0)
-    sa, sb = a.y_scale, b.y_scale
-    s = max(sa, sb)
-    total = 0
-    for c in range(c0, c1):
-        alo, ahi = a.slab_scaled(c)
-        blo, bhi = b.slab_scaled(c)
-        lo = max(alo << (s - sa), blo << (s - sb))
-        hi = min(ahi << (s - sa), bhi << (s - sb))
-        if hi > lo:
-            total += hi - lo
+    s = max(a.y_scale, b.y_scale)
+    a0, astep, _, ah = a.slabs(s)
+    b0, bstep, _, bh = b.slabs(s)
+    start = a0 + (c0 - a.col_lo) * astep - b0 - (c0 - b.col_lo) * bstep
+    step, n = astep - bstep, c1 - c0
+    total = slab_cover(start, step, n, ah, bh) - slab_cover(start, step, n, ah, 0)
     return DyadicRational(total, s + a.spec.m)
 
 
@@ -381,10 +418,10 @@ def union_measure(members) -> DyadicRational:
     for r in members:
         if r.spec != spec:
             raise ValueError("incompatible grids")
-        shift = s - r.y_scale
-        for c in range(r.col_lo, r.col_hi):
-            lo, hi = r.slab_scaled(c)
-            by_col.setdefault(c, []).append((lo << shift, hi << shift))
+        lo, step, n, height = r.slabs(s)
+        for c in range(r.col_lo, r.col_lo + n):
+            by_col.setdefault(c, []).append((lo, lo + height))
+            lo += step
     total = 0
     for segs in by_col.values():
         segs.sort()

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dirmax import oracle
 from dirmax.badness import (
+    BadnessEngine,
     ShrinkHalvingError,
+    _select_bad_windows,
     badness,
     badness_components,
     badness_table,
@@ -148,22 +153,120 @@ def test_select_bad_windows_degenerate():
         select_bad_windows(I, E, rho, D(1, 1))  # lambda0 must be >= 1
 
 
+def _raw(fam):
+    return [(r.k, r.base.index, r.slope.index, r.offset.as_fraction()) for r in fam.members]
+
+
+def _oracle_split(spec, raw, rho, E, I, lo, hi):
+    """(B_in, B_out) over I x [lo, hi) from the oracle's Fraction definitions."""
+    m, m_w = spec.m, spec.m_w
+    counts = [
+        c if oracle.base_contains(m_w, (I.level, I.index), r) else 0
+        for c, r in zip(oracle.nu_counts(raw, rho.entries, E), raw)
+    ]
+    tlo, thi = oracle._triple(lo, hi)
+    inside = [tlo <= a and b <= thi for a, b in (oracle.pi2_extent(m, m_w, r) for r in raw)]
+    outside = [not x for x in inside]
+    return tuple(
+        oracle._box_average(m, m_w, raw, counts, keep, I.level, I.index, lo, hi)
+        for keep in (inside, outside)
+    )
+
+
 def test_select_bad_windows_definition_replay():
     spec, fam, rho, E = _setup(seed=31)
-    lam0 = Fraction(1)
-    for I in (DyadicInterval(0, 0), DyadicInterval(1, 0), DyadicInterval(2, 1)):
-        got = select_bad_windows(I, E, rho, 1)
-        want = []
-        for level in range(spec.m + 1):
-            for index in range(1 << level):
-                K = DyadicInterval(level, index)
-                _, b_out = in_out_split(I, K, E, rho)
-                if b_out < lam0:
-                    continue
-                _, b_out3 = in_out_split(I, K.triple(), E, rho)
-                if b_out3 < lam0:
-                    want.append(K)
-        assert list(got) == want
+    raw = _raw(fam)
+    selected = 0
+    for lam in (Fraction(1), Fraction(3, 2)):
+        for I in (DyadicInterval(0, 0), DyadicInterval(1, 0), DyadicInterval(2, 1)):
+            got = select_bad_windows(I, E, rho, D.from_fraction(lam))
+            want = []
+            for level in range(spec.m + 1):
+                for index in range(1 << level):
+                    lo, hi = Fraction(index, 1 << level), Fraction(index + 1, 1 << level)
+                    if _oracle_split(spec, raw, rho, E, I, lo, hi)[1] < lam:
+                        continue
+                    tlo, thi = oracle._triple(lo, hi)
+                    if _oracle_split(spec, raw, rho, E, I, tlo, thi)[1] < lam:
+                        want.append(DyadicInterval(level, index))
+            assert list(got) == want
+            selected += len(got)
+    assert selected  # the replay is not vacuous
+
+
+# m_w = 0 is left out: no width-1 member fits in the unit square
+def _dyadics_around(b: Fraction) -> list[D]:
+    """The positive dyadics at resolution 2^-40 just below and just above b."""
+    nums = {math.floor(b * (1 << 40)), math.ceil(b * (1 << 40))}
+    return [D(num, 40) for num in sorted(nums) if num > 0]
+
+
+def test_select_bad_windows_at_threshold():
+    # lambda0 pinned next to every positive B_out value the oracle gives, so
+    # any inexact mass, in/out flag or comparison in the scan flips a
+    # decision; the scan itself takes lambda0 below 1 as well
+    probes = 0
+    cases = ((4, 2, True, 2, D(1, 3)), (4, 2, False, 31, D(1, 3)), (5, 2, False, 3, D(1, 2)))
+    for m, m_w, half, seed, delta in cases:
+        spec = GridSpec(m, m_w, half)
+        fam = enumerate_family(FamilyParams(spec, delta), random_field(spec, random.Random(seed)))
+        rho = linearize(random_grid(spec, random.Random(seed + 1)), fam)
+        E = frozenset(rho.covered_cells())
+        eng = BadnessEngine(rho)
+        counts = eng.nu_counts(E)
+        raw = _raw(fam)
+        for i_level in range(m_w + 1):
+            for I in (DyadicInterval(i_level, 0), DyadicInterval(i_level, (1 << i_level) - 1)):
+                for level in range(m + 1):
+                    for index in range(1 << level):
+                        lo, hi = Fraction(index, 1 << level), Fraction(index + 1, 1 << level)
+                        b1 = _oracle_split(spec, raw, rho, E, I, lo, hi)[1]
+                        b3 = _oracle_split(spec, raw, rho, E, I, *oracle._triple(lo, hi))[1]
+                        K = DyadicInterval(level, index)
+                        for lam in _dyadics_around(b1) + _dyadics_around(b3):
+                            got = K in _select_bad_windows(eng, I, counts, lam)
+                            assert got == (b1 >= lam > b3), (spec, I, K, lam)
+                            probes += 1
+    assert probes > 1000
+
+
+_SPECS = st.integers(3, 5).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(1, m - 2), st.booleans())
+)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    spec_args=_SPECS,
+    seed=st.integers(0, 1 << 16),
+    delta=st.sampled_from([D(1, 3), D(1, 2), D(1, 1)]),
+    lam=st.sampled_from([D(1), D(3, 1), D(2), D(5, 1), D(3)]),
+    pick=st.integers(0, 1 << 12),
+)
+@example(spec_args=(5, 3, True), seed=2, delta=D(1, 1), lam=D(1), pick=0)
+@example(spec_args=(4, 2, True), seed=2, delta=D(1, 3), lam=D(3, 1), pick=77)
+def test_shrink_and_split_match_oracle(spec_args, seed, delta, lam, pick):
+    spec = GridSpec(*spec_args)
+    m = spec.m
+    fam = enumerate_family(FamilyParams(spec, delta), random_field(spec, random.Random(seed)))
+    rho = linearize(random_grid(spec, random.Random(seed + 1)), fam)
+    E = frozenset(rho.covered_cells())
+    raw = _raw(fam)
+    got, _ = shrink_once(E, rho, lam, audit=False)
+    assert set(got) == oracle.shrink_once(m, spec.m_w, raw, rho.entries, E, lam.as_fraction())
+    # windows whose triples clip at 0 and at 1, the triples themselves, and a
+    # zero-length window
+    i_level = pick % (spec.m_w + 1)
+    I = DyadicInterval(i_level, (pick >> 3) % (1 << i_level))
+    level = (pick >> 6) % (m + 1)
+    for index in (0, (1 << level) - 1):
+        K = DyadicInterval(level, index)
+        for W in (K.window(), K.triple()):
+            want = _oracle_split(spec, raw, rho, E, I, W.lo.as_fraction(), W.hi.as_fraction())
+            assert in_out_split(I, W, E, rho) == want
+    mid = D(1, 1)
+    assert in_out_split(I, Window(mid, mid), E, rho) == (Fraction(0), Fraction(0))
+    assert _oracle_split(spec, raw, rho, E, I, Fraction(1, 2), Fraction(1, 2)) == (0, 0)
 
 
 def test_shrink_once_empty_and_oracle():
@@ -175,6 +278,20 @@ def test_shrink_once_empty_and_oracle():
         ep, _ = shrink_once(E, rho, lam, audit=False)
         want = oracle.shrink_once(spec.m, spec.m_w, raw, rho.entries, E, Fraction(lam))
         assert set(ep) == want
+
+
+def test_shrink_once_large_maximal_set():
+    # F = {M T* 1_E >= lam0 / 2}, with M taken from the oracle
+    spec, fam, rho, E = _setup(seed=29)
+    g = apply_T_adjoint(rho, GridFunction.indicator(spec, E))
+    mg = oracle.maximal_apply(
+        spec.m, spec.m_w, _raw(fam), [Fraction(n, 1 << g.scale) for n in g.nums]
+    )
+    for lam in (D(1), D(3, 1)):
+        _, diag = shrink_once(E, rho, lam)
+        half = lam.as_fraction() / 2
+        assert diag.f_cells == {i for i, v in enumerate(mg) if v >= half}
+        assert any(half <= v < 2 * half for v in mg)  # the factor 1/2 matters
 
 
 def test_shrink_iterate_trace():

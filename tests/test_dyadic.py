@@ -72,3 +72,13 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         x.num = 5
     assert len({D(3, 1), D(6, 2), D(12, 3)}) == 1
+
+
+def test_hash_agrees_with_fraction_and_int():
+    assert len({D(1, 1), Fraction(1, 2)}) == 1
+    assert len({D(2), 2}) == 1
+    big = (1 << 200) + 12345
+    for n, e in ((-7, 3), (-1, 0), (0, 0), (0, 9), (5, 0), (big, 0), (big, 70), (-big, 150)):
+        assert hash(D(n, e)) == hash(Fraction(n, 2**e))
+    assert hash(D(-1)) == hash(-1) == -2
+    assert hash(D(big)) == hash(big)

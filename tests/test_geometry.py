@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from dirmax import oracle
 from dirmax.dyadic import DyadicRational as D
+from dirmax.family import FamilyParams, enumerate_family
 from dirmax.geometry import (
     DyadicInterval,
     GridSpec,
     Parallelogram,
     SlopeCell,
     overlap_measure,
+    slab_cover,
     union_measure,
 )
+from dirmax.instances import random_field
 
 
 def test_interval_containment_partial_order():
@@ -156,3 +161,56 @@ def test_overlap_and_union_measures():
     c = Parallelogram(spec, DyadicInterval(2, 0), SlopeCell(0, 0), D(0))
     d = Parallelogram(spec, DyadicInterval(2, 3), SlopeCell(0, 0), D(0))
     assert overlap_measure(c, d) == D(0)
+
+
+def test_containment_boundary_top_exactly_one():
+    # slope 1/2 over [3/4, 1): top = 1/2 + offset + w
+    for half in (False, True):
+        spec = GridSpec(4, 2, half)
+        base, slope = DyadicInterval(2, 3), SlopeCell(0, 0)
+        R = Parallelogram(spec, base, slope, D(1, 2))  # top exactly 1
+        assert R.slope.center * base.hi + R.offset + spec.w == 1
+        with pytest.raises(ValueError, match="leaves the unit square"):
+            Parallelogram(spec, base, slope, D(1, 2) + spec.offset_step)
+    spec = GridSpec(4, 2, False)
+    with pytest.raises(ValueError, match="offset must be nonnegative"):
+        Parallelogram(spec, DyadicInterval(2, 0), SlopeCell(0, 0), D(-1, 2))
+    with pytest.raises(ValueError, match="not a multiple of the offset step"):
+        Parallelogram(spec, DyadicInterval(2, 0), SlopeCell(0, 0), D(1, 3))
+
+
+def test_slab_cover_against_column_sum():
+    rng = random.Random(5)
+    for _ in range(3000):
+        n, step, h = rng.randrange(1, 9), rng.randrange(-12, 13), rng.randrange(1, 20)
+        start, y = rng.randrange(-40, 40), rng.randrange(-80, 160)
+        want = sum(min(max(y - (start + c * step), 0), h) for c in range(n))
+        assert slab_cover(start, step, n, h, y) == want
+
+
+def test_overlap_and_union_against_oracle():
+    for m, m_w, half in ((4, 2, False), (5, 3, True), (5, 1, False)):
+        spec = GridSpec(m, m_w, half)
+        fam = enumerate_family(FamilyParams(spec, D(1, 3)), random_field(spec, random.Random(m + m_w)))
+        raw = [(r.k, r.base.index, r.slope.index, r.offset.as_fraction()) for r in fam.members]
+        rng = random.Random(m * m_w)
+        for _ in range(150):
+            i, j = rng.randrange(len(raw)), rng.randrange(len(raw))
+            got = overlap_measure(fam.members[i], fam.members[j]).as_fraction()
+            assert got == oracle.pair_overlap(m, m_w, raw[i], raw[j])
+        pick = sorted(rng.sample(range(len(raw)), min(12, len(raw))))
+        want = Fraction(0)
+        for c in range(spec.n):
+            segs = sorted(
+                oracle.slab(m, m_w, raw[i], c) for i in pick if c in oracle.columns(m, m_w, raw[i])
+            )
+            cur = None
+            for lo, hi in segs:
+                if cur is None or lo > cur[1]:
+                    want += cur[1] - cur[0] if cur else 0
+                    cur = [lo, hi]
+                else:
+                    cur[1] = max(cur[1], hi)
+            want += cur[1] - cur[0] if cur else 0
+        got = union_measure(fam.members[i] for i in pick).as_fraction()
+        assert got == want * Fraction(1, 1 << m)

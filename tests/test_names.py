@@ -1,0 +1,54 @@
+"""Every global name a dirmax module loads is defined, imported or a builtin.
+
+A stdlib stand-in for a linter's undefined-name check: a module that uses a
+name it never imports (say ``Fraction``) fails only when that line runs.
+"""
+
+from __future__ import annotations
+
+import builtins
+import symtable
+from pathlib import Path
+
+import dirmax
+
+MODULE_NAMES = set(dir(builtins)) | {
+    "__name__", "__file__", "__doc__", "__spec__", "__loader__", "__package__", "__path__",
+}
+
+
+def undefined_globals(source: str, filename: str) -> list[tuple[str, int]]:
+    """(name, scope line) for each global name loaded but never bound."""
+    top = symtable.symtable(source, filename, "exec")
+    bound = {
+        s.get_name()
+        for s in top.get_symbols()
+        if s.is_assigned() or s.is_imported() or s.is_namespace()
+    } | MODULE_NAMES
+    missing = []
+
+    def walk(table: symtable.SymbolTable) -> None:
+        for sym in table.get_symbols():
+            at_module = table is top or sym.is_global()
+            if at_module and sym.is_referenced() and sym.get_name() not in bound:
+                missing.append((sym.get_name(), table.get_lineno()))
+        for child in table.get_children():
+            walk(child)
+
+    walk(top)
+    return sorted(set(missing))
+
+
+def test_checker_flags_an_unimported_name():
+    src = "import math\n\ndef f(x):\n    y = math.pi\n    return Fraction(x) + y + len([])\n"
+    assert undefined_globals(src, "<probe>") == [("Fraction", 3)]
+    assert undefined_globals("from fractions import Fraction\n" + src, "<probe>") == []
+    src = "class C:\n    z = 1\n    def g(self):\n        return z\n"
+    assert undefined_globals(src, "<probe>") == [("z", 3)]
+
+
+def test_dirmax_modules_define_every_global_they_load():
+    paths = sorted(Path(dirmax.__file__).parent.glob("*.py"))
+    assert len(paths) > 10
+    found = {p.name: undefined_globals(p.read_text(), str(p)) for p in paths}
+    assert {name: names for name, names in found.items() if names} == {}
