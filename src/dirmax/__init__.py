@@ -5,6 +5,8 @@ Fraction where odd denominators are forced); floats appear only in fits and
 reports.
 """
 
+from types import ModuleType as _ModuleType
+
 from .dyadic import DyadicRational
 from .geometry import (
     DyadicInterval,
@@ -92,5 +94,10 @@ from .sweeps import ExperimentConfig, sweep_delta, sweep_logn, sweep_lp
 from .verify import run_verify
 from .cli import cli_main
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names imported above; the submodules bound by those imports are not
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]
 __version__ = "0.1.0"

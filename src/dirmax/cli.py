@@ -172,8 +172,11 @@ def cli_main(argv: list[str] | None = None) -> int:
     bool_keys = {"quick"}
     for key, value in defaults.items():
         attr = key.replace("-", "_")
+        if not hasattr(args, attr):
+            sys.stderr.write(f"config error: unknown key '{key}'\n")
+            return 2
         given = any(tok == f"--{key}" or tok.startswith(f"--{key}=") for tok in argv)
-        if hasattr(args, attr) and not given:
+        if not given:
             if key in bool_keys:
                 setattr(args, attr, value.lower() in ("1", "true", "yes"))
             elif key in int_keys:

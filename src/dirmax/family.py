@@ -10,7 +10,9 @@ disjoint and the Carleson packing bound holds exactly.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .dyadic import DyadicRational
 from .geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell, Window
@@ -31,11 +33,17 @@ class FamilyParams:
 
 @dataclass(frozen=True)
 class RectangleFamily:
-    """A finite list of parallelograms in canonical order with provenance."""
+    """A finite list of parallelograms in canonical order with provenance.
+
+    ``sort_keys`` holds each member's ``sort_key()`` (k, base index, slope
+    index, offset steps) as one int64 row, in member order: the geometry the
+    numpy kernels of ``maximal`` read instead of the Parallelogram objects.
+    """
 
     params: FamilyParams
     members: tuple[Parallelogram, ...]
     provenance: str = "constructed"
+    sort_keys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         keys = [r.sort_key() for r in self.members]
@@ -44,6 +52,8 @@ class RectangleFamily:
         for r in self.members:
             if r.spec != self.params.spec:
                 raise ValueError("member grid spec mismatch")
+        keys = np.array(keys, dtype=np.int64).reshape(-1, 4)
+        object.__setattr__(self, "sort_keys", keys)
 
     def __len__(self) -> int:
         return len(self.members)

@@ -35,18 +35,22 @@ def _to_scaled(values, what: str) -> tuple[int, list[int]]:
     return scale, [d.num << (scale - d.exp) for d in pairs]
 
 
+def _check_grid(spec: GridSpec, scale: int, nums: Sequence[int]) -> None:
+    if len(nums) != spec.n_cells:
+        raise ValueError("grid value count mismatch")
+    if scale < 0:
+        raise ValueError("scale must be nonnegative")
+    if min(nums) < 0:
+        raise ValueError("grid values must be nonnegative")
+
+
 class GridFunction:
     """A nonnegative function constant on grid cells, values exact dyadic."""
 
     __slots__ = ("spec", "scale", "nums")
 
     def __init__(self, spec: GridSpec, scale: int, nums: Sequence[int]):
-        if len(nums) != spec.n_cells:
-            raise ValueError("grid value count mismatch")
-        if scale < 0:
-            raise ValueError("scale must be nonnegative")
-        if min(nums) < 0:
-            raise ValueError("grid values must be nonnegative")
+        _check_grid(spec, scale, nums)
         self.spec = spec
         self.scale = scale
         self.nums = list(nums)
@@ -54,25 +58,34 @@ class GridFunction:
     # -- constructors ----------------------------------------------------
 
     @classmethod
+    def _adopt(cls, spec: GridSpec, scale: int, nums: list[int]) -> "GridFunction":
+        """Checked like the constructor, but keeps ``nums`` itself: only for a
+        list this package has just built and no one else holds."""
+        _check_grid(spec, scale, nums)
+        g = cls.__new__(cls)
+        g.spec, g.scale, g.nums = spec, scale, nums
+        return g
+
+    @classmethod
     def zeros(cls, spec: GridSpec) -> "GridFunction":
-        return cls(spec, 0, [0] * spec.n_cells)
+        return cls._adopt(spec, 0, [0] * spec.n_cells)
 
     @classmethod
     def constant(cls, spec: GridSpec, value) -> "GridFunction":
         scale, nums = _to_scaled([value], "grid")
-        return cls(spec, scale, nums * spec.n_cells)
+        return cls._adopt(spec, scale, nums * spec.n_cells)
 
     @classmethod
     def from_values(cls, spec: GridSpec, values: Iterable) -> "GridFunction":
         scale, nums = _to_scaled(values, "grid")
-        return cls(spec, scale, nums)
+        return cls._adopt(spec, scale, nums)
 
     @classmethod
     def indicator(cls, spec: GridSpec, cells: Iterable[int]) -> "GridFunction":
         nums = [0] * spec.n_cells
         for idx in cells:
             nums[idx] = 1
-        return cls(spec, 0, nums)
+        return cls._adopt(spec, 0, nums)
 
     # -- access ------------------------------------------------------------
 
@@ -100,22 +113,25 @@ class GridFunction:
         """Canonical representation: strip common powers of two from the scale."""
         bits = reduce(or_, self.nums, 0)
         sh = min(self.scale, (bits & -bits).bit_length() - 1) if bits else self.scale
-        nums = list(map(rshift, self.nums, repeat(sh))) if sh else self.nums
-        return GridFunction(self.spec, self.scale - sh, nums)
+        if not sh:
+            return self
+        return GridFunction._adopt(
+            self.spec, self.scale - sh, list(map(rshift, self.nums, repeat(sh)))
+        )
 
     def rescaled(self, scale: int) -> "GridFunction":
         """Same function at a given scale; rounds down if scale is coarser."""
         if scale >= self.scale:
             sh = scale - self.scale
-            return GridFunction(self.spec, scale, [n << sh for n in self.nums])
+            return GridFunction._adopt(self.spec, scale, [n << sh for n in self.nums])
         sh = self.scale - scale
-        return GridFunction(self.spec, scale, [n >> sh for n in self.nums])
+        return GridFunction._adopt(self.spec, scale, [n >> sh for n in self.nums])
 
     def masked(self, cells: Iterable[int]) -> "GridFunction":
         """Pointwise product with the indicator of a cell set."""
         keep = set(cells)
         nums = [n if i in keep else 0 for i, n in enumerate(self.nums)]
-        return GridFunction(self.spec, self.scale, nums)
+        return GridFunction._adopt(self.spec, self.scale, nums)
 
     def __eq__(self, other):
         if not isinstance(other, GridFunction):

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .dyadic import DyadicRational
-from .family import FamilyParams, RectangleFamily, enumerate_family
+from .family import FamilyParams, RectangleFamily, _max_offset_steps, enumerate_family
 from .geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell
 from .grids import GridFunction, OneVarField
 from .maximal import ChoiceMap, linearize
@@ -218,30 +218,20 @@ def organized_collections(spec: GridSpec, count: int) -> list[RectangleFamily]:
         for index in range(1 << level):
             for j in range(1 << k):
                 base, s = DyadicInterval(level, index), SlopeCell(k, j)
-                if _tmax(spec, base, s) >= 0:
+                if _max_offset_steps(spec, base, s) >= 0:
                     pairs.append((base, s))
         level += 1
     if len(pairs) < count:
         raise ValueError("grid too small for that many collections")
     out = []
     for base, s in pairs[:count]:
-        tmax = _tmax(spec, base, s)
+        tmax = _max_offset_steps(spec, base, s)
         members = [
             Parallelogram(spec, base, s, DyadicRational(tt, spec.offset_exp))
             for tt in range(tmax + 1)
         ]
         out.append(RectangleFamily(params, tuple(members), "constructed"))
     return out
-
-
-def _tmax(spec: GridSpec, base: DyadicInterval, s: SlopeCell) -> int:
-    bmax = DyadicRational(1) - spec.w - s.center * base.hi
-    if bmax < 0:
-        return -1
-    q = spec.offset_exp
-    if q >= bmax.exp:
-        return bmax.num << (q - bmax.exp)
-    return bmax.num >> (bmax.exp - q)
 
 
 # -- the verification corpus ---------------------------------------------------

@@ -5,11 +5,14 @@ point and takes the supremum.  On a finite family the supremum is attained,
 so the linearization rho picks the argmax member per cell (canonical-order
 tie-break) and the linear operator T averages over rho(x).
 
-One painter pass gives both: members paint their center-row cells in rising
-(average, -index) order, so each cell keeps the largest average and, among
-equal averages, the lowest index.  The painted values are Mf and the painted
-indices are rho, so Mf is exactly T_rho f at its own linearization, at the
-same scale; the T*T ascent feeds Mf to T* with no second averaging pass.
+Member averages come from one exact int64 numpy kernel over all members at
+once wherever a proven bit bound allows it (_int64_exact), and otherwise,
+as for the wide T*T ascent iterates, from the Python-int integrate_scaled
+member by member.  One rank painter gives Mf and rho: each cell keeps the
+member of highest (average, -index) rank, that is the largest average and,
+among equal averages, the lowest index.  So Mf is exactly T_rho f at its own
+linearization, at the same scale, and the T*T ascent feeds Mf to T* with no
+second averaging pass.
 
 T* is computed against the exact staircase geometry: the indicator of a
 member enters as its per-cell coverage fractions, which is precisely what
@@ -21,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .dyadic import DyadicRational
 from .family import RectangleFamily
@@ -67,17 +72,78 @@ class ChoiceMap:
                 raise ValueError("uncovered mark on a covered cell")
 
 
-def _scaled_averages(fam: RectangleFamily, f: GridFunction) -> tuple[list[int], int]:
-    """Per-member averages over a common power-of-two scale."""
+# The int64 kernel.  With b the bit length of f's largest numerator, every
+# intermediate stays below 2^(b + 2m + 2): a column prefix sum is below
+# 2^(b + m); a slab's row sum shifted to y units (sh = k + 2 bits, k <= m - 2)
+# below 2^(b + 2m); a member's integral below 2^(b + 2k + 2m + 2 - 2m_w), and
+# its average, shifted up by 2(m_w - k) to the common scale, below
+# 2^(b + 2m + 2).  Partial sums of nonnegative column integrals stay below
+# their total.  So b + 2m + 3 <= 62 keeps every value below 2^61, inside an
+# int64 with room to spare.
+_INT64_BITS = 62
+_BLOCK = 1 << 15  # member-columns per numpy block
+
+
+def _int64_exact(f: GridFunction) -> bool:
+    """True when the int64 kernel provably computes f's averages exactly."""
+    return max(f.nums).bit_length() + 2 * f.spec.m + 3 <= _INT64_BITS
+
+
+def _blocks(fam: RectangleFamily):
+    """(member indices, columns, slab bottoms, k) per block of one k level.
+
+    Columns and slab bottoms (scaled by 2^y_scale) are int64 arrays of shape
+    (members, columns of a level-k member), about _BLOCK entries per block.
+    """
     spec = fam.spec
-    top = 2 * spec.m + 2 + f.scale
-    vals = []
-    for r in fam.members:
-        num, exp = integrate_scaled(r, f)
-        # average = num / 2^(exp - level - m_w); bring to the common scale
-        e = exp - r.base.level - spec.m_w
-        vals.append(num << (top - e))
-    return vals, top
+    m, keys = spec.m, fam.sort_keys
+    for k in range(spec.m_w + 1):
+        sel = np.flatnonzero(keys[:, 0] == k)
+        cols = spec.m - spec.m_w + k  # log2 of the columns per member
+        span = np.arange(1 << cols)
+        step = max(1, _BLOCK >> cols)
+        for a in range(0, len(sel), step):
+            part = sel[a : a + step]
+            _, base, slope, t = keys[part].T
+            c = (base << cols)[:, None] + span
+            lift = t << (k + m + 2 - spec.offset_exp)
+            yield part, c, (2 * slope + 1)[:, None] * (2 * c + 1) + lift[:, None], k
+
+
+def _averages_int64(fam: RectangleFamily, f: GridFunction) -> list[int]:
+    """integrate_scaled over every member at once, at the common scale.
+
+    Only valid where _int64_exact(f) holds.
+    """
+    spec = fam.spec
+    m, m_w, n = spec.m, spec.m_w, spec.n
+    pref = np.zeros((n, n + 1), dtype=np.int64)  # per-column prefix sums
+    pref[:, 1:] = np.array(f.nums, dtype=np.int64).reshape(n, n)
+    np.cumsum(pref, axis=1, out=pref)
+    out = np.empty(len(fam.members), dtype=np.int64)
+    for part, c, lo, k in _blocks(fam):
+        # the slab [lo, hi) touches rows a..b, each 2^sh units high: all of
+        # them whole, less the part of row a below lo and of row b above hi
+        sh = k + 2
+        mask = (1 << sh) - 1
+        hi = lo + (1 << (k + m + 2 - m_w))
+        a, b = lo >> sh, (hi - 1) >> sh
+        pa, pb = pref[c, a], pref[c, b + 1]
+        cols = ((pb - pa) << sh) - (lo & mask) * (pref[c, a + 1] - pa)
+        cols -= (-hi & mask) * (pb - pref[c, b])
+        out[part] = cols.sum(axis=1) << (2 * (m_w - k))
+    return out.tolist()
+
+
+def _scaled_averages(fam: RectangleFamily, f: GridFunction) -> tuple[list[int], int]:
+    """Per-member averages over the common scale 2^(2m + 2 + f.scale)."""
+    spec = fam.spec
+    if _int64_exact(f):
+        vals = _averages_int64(fam, f)
+    else:
+        # average = integral / 2^(level + m_w); level = m_w - k
+        vals = [integrate_scaled(r, f)[0] << 2 * (spec.m_w - r.k) for r in fam.members]
+    return vals, 2 * spec.m + 2 + f.scale
 
 
 def _require_nonneg(f: GridFunction) -> None:
@@ -85,46 +151,64 @@ def _require_nonneg(f: GridFunction) -> None:
         raise ValueError("operator input must be nonnegative")
 
 
-def _paint(f: GridFunction, fam: RectangleFamily) -> tuple[list[int], list[int], int]:
-    """(Mf numerators, argmax member per cell, scale); 0 and -1 on X.
+def _rank_grid(fam: RectangleFamily, avgs: list[int]) -> tuple[np.ndarray, list[int]]:
+    """Per cell the rank of its argmax member (0 on X), and members by rank.
 
-    Members paint their center-row cells in rising (average, -index) order,
-    so the last writer of a cell is the canonical argmax.
+    Members are ranked 1..N in rising (average, -index) order and each cell
+    keeps the highest rank among the members whose center rows hold it, so
+    ties go to the lowest index.  A member holds 2^(m - m_w) consecutive rows
+    of each of its columns: its rank is marked at the first of them with
+    np.maximum.at (every repeated index is applied, unlike a fancy
+    assignment), then a running max over each column, doubling its window
+    m - m_w times, spreads the mark over the rest.
     """
     spec = fam.spec
-    if spec != f.spec:
+    m = spec.m
+    order = sorted(range(len(avgs) - 1, -1, -1), key=avgs.__getitem__)
+    rank = np.empty(len(avgs), dtype=np.int32)
+    rank[order] = np.arange(1, len(avgs) + 1, dtype=np.int32)
+    top = np.zeros(spec.n_cells, dtype=np.int32)
+    for part, c, lo, k in _blocks(fam):
+        sh = k + 2  # rows are 2^sh units high; r0 is the first center >= lo
+        r0 = (lo + ((1 << (sh - 1)) - 1)) >> sh
+        np.maximum.at(top, ((c << m) + r0).ravel(), np.repeat(rank[part], c.shape[1]))
+    grid = top.reshape(spec.n, spec.n)
+    d = 1
+    while d < 1 << (m - spec.m_w):
+        np.maximum(grid[:, d:], grid[:, :-d], out=grid[:, d:])
+        d <<= 1
+    return top, order
+
+
+def _cells(table: list, top: np.ndarray) -> list:
+    """[table[r] for r in top]: every cell shares its member's object."""
+    return np.array(table, dtype=object)[top].tolist()
+
+
+def _paint(
+    f: GridFunction, fam: RectangleFamily
+) -> tuple[np.ndarray, list[int], list[int], int]:
+    """(rank grid, Mf numerators by rank, member by rank, scale).
+
+    _cells of the two tables gives Mf and rho; rank 0 maps to 0 and -1 on X.
+    """
+    if fam.spec != f.spec:
         raise ValueError("incompatible grids")
     avgs, scale = _scaled_averages(fam, f)
-    members = fam.members
-    m = spec.m
-    cnt = 1 << (m - spec.m_w)
-    best = [0] * spec.n_cells
-    idxs = [-1] * spec.n_cells
-    # a stable sort over falling indices puts the lowest index last among ties
-    for mi in sorted(range(len(members) - 1, -1, -1), key=avgs.__getitem__):
-        r = members[mi]
-        fill_avg, fill_idx = [avgs[mi]] * cnt, [mi] * cnt
-        sh = r.y_scale - m
-        half = (1 << (sh - 1)) - 1  # row r0 is the first whose center is >= lo
-        start = r.col_lo << m
-        for lo in r.slab_lows():
-            a = start + ((lo + half) >> sh)
-            best[a : a + cnt] = fill_avg
-            idxs[a : a + cnt] = fill_idx
-            start += 1 << m
-    return best, idxs, scale
+    top, order = _rank_grid(fam, avgs)
+    return top, [0] + [avgs[i] for i in order], [-1] + order, scale
 
 
 def maximal_apply(f: GridFunction, fam: RectangleFamily) -> GridFunction:
     """Mf: per cell, the largest member average among members containing it."""
-    best, _, scale = _paint(f, fam)
-    return GridFunction(fam.spec, scale, best)
+    top, vals, _, scale = _paint(f, fam)
+    return GridFunction._adopt(fam.spec, scale, _cells(vals, top))
 
 
 def linearize(f: GridFunction, fam: RectangleFamily) -> ChoiceMap:
     """Argmax member per covered cell; ties broken by canonical member order."""
-    _, idxs, _ = _paint(f, fam)
-    return ChoiceMap(fam, tuple(idxs))
+    top, _, members, _ = _paint(f, fam)
+    return ChoiceMap(fam, tuple(_cells(members, top)))
 
 
 def _check_entries(rho: ChoiceMap) -> None:
@@ -141,7 +225,7 @@ def apply_T(rho: ChoiceMap, f: GridFunction) -> GridFunction:
     _check_entries(rho)
     avgs, scale = _scaled_averages(fam, f)
     out = [avgs[e] if e >= 0 else 0 for e in rho.entries]
-    return GridFunction(spec, scale, out)
+    return GridFunction._adopt(spec, scale, out)
 
 
 def apply_T_adjoint(rho: ChoiceMap, g: GridFunction) -> GridFunction:
@@ -179,7 +263,7 @@ def apply_T_adjoint(rho: ChoiceMap, g: GridFunction) -> GridFunction:
             out[a] -= coef * (lo & mask)
             out[b - 1] -= coef * (-hi & mask)
             base += 1 << m
-    return GridFunction(spec, g.scale + 2 * m + 2, out)
+    return GridFunction._adopt(spec, g.scale + 2 * m + 2, out)
 
 
 def nu(rho: ChoiceMap, cells, member) -> DyadicRational:
@@ -374,17 +458,17 @@ def estimate_norm(
         f = seed
         # each grid is dropped once used: memory, not time, bounds m here
         for it in range(ascent_iters + 1):
-            painted, idxs, scale = _paint(f, fam)
-            mf = GridFunction(spec, scale, painted)
-            del painted
+            top, vals, members, scale = _paint(f, fam)
+            mf = GridFunction._adopt(spec, scale, _cells(vals, top))
+            del vals
             ratio = _ratio(mf, f)
             rows.append((sid, it, ratio))
             if ratio > best:
                 best = ratio
             if it == ascent_iters:
                 break
-            rho = ChoiceMap(fam, tuple(idxs))
-            del f, idxs
+            rho = ChoiceMap(fam, tuple(_cells(members, top)))
+            del f, top, members
             nxt = apply_T_adjoint(rho, mf)
             del rho, mf
             if nxt.is_zero():

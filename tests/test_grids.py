@@ -47,6 +47,20 @@ def test_grid_construction_and_validation():
     assert f.l2_sq() == D(9, 4)
 
 
+def test_adopt_checks_without_copying():
+    spec = GridSpec(3, 1, False)
+    nums = [1] * 64
+    public = GridFunction(spec, 0, nums)
+    nums[0] = 5
+    assert public.nums[0] == 1  # the caller's list was copied
+    assert GridFunction._adopt(spec, 0, nums).nums is nums
+    for scale, bad, match in ((0, [0] * 10, "count"), (-1, nums, "scale"), (0, [-1] * 64, "nonnegative")):
+        with pytest.raises(ValueError, match=match):
+            GridFunction._adopt(spec, scale, bad)
+    odd = GridFunction(spec, 3, [1] + [2] * 63)
+    assert odd.reduced() is odd  # nothing to strip
+
+
 def test_reduced_l2_and_sign_passes():
     spec = GridSpec(2, 0, False)
     pad = [0] * 13

@@ -5,8 +5,11 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirmax import maximal, oracle
 from dirmax.dyadic import DyadicRational as D
@@ -112,6 +115,95 @@ def test_painter_equal_and_zero_averages():
         elif sum(1 for i in cands if avgs[i] == avgs[want]) > 1:
             tied += 1
     assert tied and zero
+
+
+def _oracle_max(spec, fam, f):
+    raw = [(r.k, r.base.index, r.slope.index, r.offset.as_fraction()) for r in fam.members]
+    return oracle.maximal_apply(spec.m, spec.m_w, raw, [x.as_fraction() for x in f.values()])
+
+
+def _exact_path():
+    """Run the Python-int averages (integrate_scaled per member) whatever f is."""
+    return mock.patch.object(maximal, "_int64_exact", lambda f: False)
+
+
+_SPECS = st.integers(3, 5).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(1, m - 2), st.booleans())
+)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    spec_args=_SPECS,
+    seed=st.integers(0, 1 << 16),
+    delta=st.sampled_from([D(1, 3), D(1, 2), D(1, 1)]),
+    bits=st.integers(1, 49),  # 49 is the guard's bound at m = 5
+    block=st.sampled_from([1, 8, 1 << 15]),
+)
+def test_int64_kernel_matches_oracle_and_exact_path(spec_args, seed, delta, bits, block):
+    spec = GridSpec(*spec_args)
+    fam = enumerate_family(FamilyParams(spec, delta), random_field(spec, random.Random(seed)))
+    rng = random.Random(seed + 1)
+    f = GridFunction(spec, rng.randrange(70), [rng.getrandbits(bits) for _ in range(spec.n_cells)])
+    assert maximal._int64_exact(f)
+    with mock.patch.object(maximal, "_BLOCK", block):
+        mf, rho = maximal_apply(f, fam), linearize(f, fam)
+        tf = apply_T(rho, f)
+    assert [x.as_fraction() for x in mf.values()] == _oracle_max(spec, fam, f)
+    rho.check()
+    with _exact_path():
+        assert linearize(f, fam).entries == rho.entries
+        want = maximal_apply(f, fam)
+        assert (mf.scale, mf.nums) == (want.scale, want.nums)
+        want = apply_T(rho, f)
+        assert (tf.scale, tf.nums) == (want.scale, want.nums)
+
+
+@pytest.mark.parametrize("half", [False, True])
+def test_int64_guard_bound_both_sides(half):
+    spec, fam, _ = _setup(seed=21, m=4, half=half)
+    bound = 62 - 2 * spec.m - 3  # numerator bits the int64 kernel accepts at m = 4
+    rng = random.Random(22)
+    at = [(1 << bound) - 1 - rng.getrandbits(12) for _ in range(spec.n_cells)]
+    at[5] = (1 << bound) - 1
+    above = at[:5] + [1 << bound] + at[6:]
+    for nums, fits in ((at, True), (above, False)):
+        f = GridFunction(spec, 7, nums)
+        assert maximal._int64_exact(f) is fits
+        kernel = mock.patch.object(maximal, "_averages_int64", wraps=maximal._averages_int64)
+        with kernel as spy:
+            mf, rho = maximal_apply(f, fam), linearize(f, fam)
+        assert spy.called is fits
+        assert [x.as_fraction() for x in mf.values()] == _oracle_max(spec, fam, f)
+        assert apply_T(rho, f) == mf
+        with _exact_path():
+            assert linearize(f, fam).entries == rho.entries
+        if fits:  # the kernel near its largest inputs: averages of 61 bits
+            assert max(maximal._scaled_averages(fam, f)[0]).bit_length() == 61
+
+
+def test_painter_many_ties():
+    # f constant along each column: all members over one base have the same
+    # average whatever their slope and offset, so most cells see a tie
+    spec = GridSpec(6, 3, True)
+    fam = enumerate_family(FamilyParams(spec, D(1, 3)), random_field(spec, random.Random(3)))
+    rng = random.Random(4)
+    col = [rng.randrange(3) for _ in range(spec.n)]
+    f = GridFunction(spec, 0, [col[i >> spec.m] for i in range(spec.n_cells)])
+    avgs = [average(r, f) for r in fam.members]
+    assert len(set(avgs)) * 10 < len(avgs)
+    cands = [[] for _ in range(spec.n_cells)]
+    for i, r in enumerate(fam.members):
+        for idx in r.cell_indices():
+            cands[idx].append(i)
+    want = [max(cs, key=lambda i: (avgs[i], -i)) if cs else -1 for cs in cands]
+    assert sum(1 for cs, w in zip(cands, want) if sum(avgs[i] == avgs[w] for i in cs) > 1) > 1000
+    rho = linearize(f, fam)
+    assert list(rho.entries) == want
+    mf = maximal_apply(f, fam)
+    assert mf.values() == [avgs[w] if w >= 0 else D(0) for w in want]
+    with _exact_path():
+        assert linearize(f, fam).entries == rho.entries
 
 
 def _composed_ascent(fam, seeds, iters):

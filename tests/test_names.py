@@ -1,4 +1,5 @@
-"""Every global name a dirmax module loads is defined, imported or a builtin.
+"""Every global name a dirmax module loads is defined, imported or a builtin;
+the package exports names, not its submodules.
 
 A stdlib stand-in for a linter's undefined-name check: a module that uses a
 name it never imports (say ``Fraction``) fails only when that line runs.
@@ -9,6 +10,7 @@ from __future__ import annotations
 import builtins
 import symtable
 from pathlib import Path
+from types import ModuleType
 
 import dirmax
 
@@ -52,3 +54,10 @@ def test_dirmax_modules_define_every_global_they_load():
     assert len(paths) > 10
     found = {p.name: undefined_globals(p.read_text(), str(p)) for p in paths}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_package_exports_no_modules():
+    exported = {name: getattr(dirmax, name) for name in dirmax.__all__}
+    assert [name for name, value in exported.items() if isinstance(value, ModuleType)] == []
+    assert {"maximal_apply", "GridFunction", "cli_main", "run_verify"} <= set(exported)
+    assert "maximal" not in exported and "ModuleType" not in exported

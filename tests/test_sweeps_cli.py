@@ -179,6 +179,19 @@ def test_cli_config_file(tmp_path):
     assert rc == 2 and "config error" in err
 
 
+def test_cli_config_unknown_key(tmp_path):
+    # a key that names no argument of the command is rejected, not dropped;
+    # `quick` belongs to verify only
+    for key in ("bogus", "quick"):
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"m = 4\n{key} = 1\n")
+        out = tmp_path / f"{key}.txt"
+        rc, _, err = _run(["enumerate", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert err == f"config error: unknown key '{key}'\n"
+        assert not out.exists()
+
+
 def test_cli_verify_quick(tmp_path):
     rc, out, _ = _run(["verify", "--quick", "--out", str(tmp_path / "repro")])
     assert rc == 0
