@@ -36,7 +36,7 @@ from .geometry import (
     union_measure,
 )
 from .grids import GridFunction
-from .maximal import ChoiceMap, apply_T_adjoint, estimate_norm, maximal_apply
+from .maximal import ChoiceMap, apply_T_adjoint, estimate_norm, maximal_apply, nu_all
 
 UNIVERSAL_BADNESS_FACTOR = 20  # dichotomy constant: C_key = 20 * lambda0
 
@@ -55,7 +55,6 @@ class BadnessEngine:
     """Shared geometry caches for badness scans over one linearization."""
 
     def __init__(self, rho: ChoiceMap):
-        self.rho = rho
         self.fam = rho.fam
         self.spec = rho.fam.spec
         members = self.fam.members
@@ -64,17 +63,6 @@ class BadnessEngine:
         self._by_base: dict[DyadicInterval, list[int]] = {}
         for mi, r in enumerate(members):
             self._by_base.setdefault(r.base, []).append(mi)
-
-    # -- chooser counts ----------------------------------------------------
-
-    def nu_counts(self, cells: Iterable[int]) -> list[int]:
-        counts = [0] * len(self.fam.members)
-        entries = self.rho.entries
-        for idx in cells:
-            e = entries[idx]
-            if e >= 0:
-                counts[e] += 1
-        return counts
 
     def inside_base(self, I: DyadicInterval) -> list[int]:
         """Member indices whose horizontal projection sits inside I."""
@@ -142,20 +130,6 @@ class BadnessEngine:
         return DyadicRational(total, 3 * spec.m + t - spec.m_w)
 
 
-def restricted_choosers(
-    cells: Iterable[int], rho: ChoiceMap, I: DyadicInterval
-) -> frozenset[int]:
-    """E_I: the cells of E whose chosen rectangle projects inside I."""
-    fam = rho.fam
-    keep = set()
-    inside = [I.contains(r.base) for r in fam.members]
-    for idx in cells:
-        e = rho.entries[idx]
-        if e >= 0 and inside[e]:
-            keep.add(idx)
-    return frozenset(keep)
-
-
 def badness(R: Parallelogram, cells: Iterable[int], rho: ChoiceMap) -> DyadicRational:
     """Badness of R against the chooser set: exact weighted intersection count."""
     fam = rho.fam
@@ -164,13 +138,13 @@ def badness(R: Parallelogram, cells: Iterable[int], rho: ChoiceMap) -> DyadicRat
     except ValueError:
         raise ValueError("rectangle is not a family member") from None
     eng = BadnessEngine(rho)
-    return eng.badness_of(mi, eng.nu_counts(cells))
+    return eng.badness_of(mi, nu_all(rho, cells))
 
 
 def badness_table(cells: Iterable[int], rho: ChoiceMap) -> "BadnessTable":
     """nu and badness for every member against one chooser set."""
     eng = BadnessEngine(rho)
-    counts = eng.nu_counts(cells)
+    counts = nu_all(rho, cells)
     area = eng.spec.cell_area
     nus = tuple(DyadicRational(c, 0) * area for c in counts)
     bs = tuple(eng.badness_of(mi, counts) for mi in range(len(rho.fam.members)))
@@ -194,7 +168,7 @@ def reformulate_check(
 ) -> tuple[DyadicRational, DyadicRational]:
     """Exact (integral of (T* 1_E)^2, sum of nu_R * B_R); lhs <= 2*rhs always."""
     eng = BadnessEngine(rho)
-    counts = eng.nu_counts(cells)
+    counts = nu_all(rho, cells)
     fam = rho.fam
     area = eng.spec.cell_area
     active = [i for i, c in enumerate(counts) if c]
@@ -231,7 +205,7 @@ def in_out_split(
     hence the Fraction return.
     """
     eng = BadnessEngine(rho)
-    counts = eng.nu_counts(cells)
+    counts = nu_all(rho, cells)
     W = _window_of(K)
     if W.lo == W.hi:
         return Fraction(0), Fraction(0)
@@ -258,7 +232,7 @@ def badness_components(
     fam = rho.fam
     mi = fam.members.index(R)
     eng = BadnessEngine(rho)
-    counts = eng.nu_counts(cells)
+    counts = nu_all(rho, cells)
     TW = _window_of(K).triple()
     b_in = eng.badness_of(mi, counts, lambda qi: TW.contains_window(eng.pi2[qi]))
     b_out = eng.badness_of(mi, counts, lambda qi: not TW.contains_window(eng.pi2[qi]))
@@ -274,7 +248,7 @@ def select_bad_windows(
     """Vertical dyadic K with B_out(I,K) >= lambda0 but B_out(I,3K) < lambda0."""
     lam0 = _coerce_lambda(lam0)
     eng = BadnessEngine(rho)
-    counts = eng.nu_counts(cells)
+    counts = nu_all(rho, cells)
     return _select_bad_windows(eng, I, counts, lam0)
 
 
@@ -385,7 +359,7 @@ def shrink_once(
     spec = eng.spec
     m = spec.m
     cells = frozenset(cells)
-    counts = eng.nu_counts(cells)
+    counts = nu_all(rho, cells)
 
     windows = []
     shrunk: set[int] = set()
@@ -419,7 +393,7 @@ def shrink_once(
             idx for idx, n in enumerate(mg.nums) if n << (lam0.exp + 1) >= half_lam
         )
         cap = DyadicRational(UNIVERSAL_BADNESS_FACTOR) * lam0
-        counts_after = eng.nu_counts(shrunk_f)
+        counts_after = nu_all(rho, shrunk_f)
         for mi in range(len(rho.fam.members)):
             b = eng.badness_of(mi, counts)
             if b <= cap:
@@ -502,7 +476,7 @@ def shrink_iterate(
             break
 
     eng = BadnessEngine(rho)
-    counts0 = eng.nu_counts(steps[0])
+    counts0 = nu_all(rho, steps[0])
     cap = DyadicRational(UNIVERSAL_BADNESS_FACTOR) * lam0
     b0 = [eng.badness_of(mi, counts0) for mi in range(len(rho.fam.members))]
     e0_measure = DyadicRational(len(steps[0]), area_exp)

@@ -16,7 +16,7 @@ from .calibration import DEFAULT_LAMBDA0
 from .dyadic import DyadicRational
 from .family import FamilyParams, RectangleFamily, enumerate_family
 from .geometry import GridSpec, spec_from_offstep
-from .grids import parse_field, parse_grid, render_field, render_grid
+from .grids import OneVarField, parse_field, parse_grid, render_field, render_grid
 from .instances import (
     cascade_field,
     constant_field,
@@ -87,17 +87,24 @@ def _config_defaults(argv: list[str]) -> dict[str, str]:
     return out
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--mw", type=int, default=None)
-    p.add_argument("--delta", type=str, default=None)
-    p.add_argument("--lambda0", type=str, default=None)
-    p.add_argument("--offstep", choices=["w", "w2"], default="w")
-    p.add_argument("--seed", type=int, default=0)
+_FLAGS = {
+    "m": dict(type=int, default=None),
+    "mw": dict(type=int, default=None),
+    "delta": dict(type=str, default=None),
+    "lambda0": dict(type=str, default=None),
+    "offstep": dict(choices=["w", "w2"], default="w"),
+    "seed": dict(type=int, default=0),
+    "field": dict(type=str, default="identity"),
+}
+_FAMILY_FLAGS = ("m", "mw", "delta", "offstep", "seed", "field")
+
+
+def _add_flags(p: argparse.ArgumentParser, names) -> None:
+    """The shared flags a command reads, then --out and --config."""
+    for name in names:
+        p.add_argument(f"--{name}", **_FLAGS[name])
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--config", type=str, default=None)
-    p.add_argument("--field", type=str, default="identity")
-    p.add_argument("--workers", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,31 +115,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="enumerate a density family and export it")
-    _add_common(p)
+    _add_flags(p, _FAMILY_FLAGS)
 
     p = sub.add_parser("maximal", help="apply the maximal operator to a grid file")
-    _add_common(p)
+    _add_flags(p, ("delta", "seed", "field"))
     p.add_argument("--grid", type=str, required=True)
     p.add_argument("--field-file", type=str, default=None)
 
     p = sub.add_parser("decompose", help="emit the stopping-time decomposition as JSON")
-    _add_common(p)
+    _add_flags(p, _FAMILY_FLAGS)
     p.add_argument("--max-gen", type=int, default=64)
 
     p = sub.add_parser("badness", help="badness tables and the shrink trace")
-    _add_common(p)
+    _add_flags(p, _FAMILY_FLAGS + ("lambda0",))
 
     p = sub.add_parser("sweep", help="run a parameter sweep, write CSV")
     p.add_argument("kind", choices=["delta", "logn", "lp"])
-    _add_common(p)
+    _add_flags(p, ("m", "delta", "seed"))
     p.add_argument("--iters", type=int, default=1)
 
     p = sub.add_parser("kakeya", help="emit a compression-tree instance")
-    _add_common(p)
+    _add_flags(p, ("m", "delta"))
     p.add_argument("--depth", type=int, default=None)
 
     p = sub.add_parser("verify", help="oracle equivalence and invariant suite")
-    _add_common(p)
+    _add_flags(p, ("m",))
     p.add_argument("--quick", action="store_true")
 
     return parser
@@ -148,15 +155,17 @@ def _delta(args) -> DyadicRational:
     if args.delta is None:
         return DyadicRational(1, 3)
     deltas = _parse_deltas(args.delta)
+    if len(deltas) > 1:
+        raise ValueError(f"--delta takes one value here, not {args.delta!r}")
     return deltas[0]
 
 
-def _family(args) -> tuple[GridSpec, RectangleFamily]:
+def _family(args) -> tuple[OneVarField, RectangleFamily]:
+    """The field of --field and its family for --m --mw --offstep --delta."""
     spec = _spec(args)
     delta = _delta(args)
     field = _field_for(spec, args.field, args.seed)
-    fam = enumerate_family(FamilyParams(spec, delta), field, workers=args.workers)
-    return spec, fam
+    return field, enumerate_family(FamilyParams(spec, delta), field)
 
 
 def cli_main(argv: list[str] | None = None) -> int:
@@ -168,11 +177,12 @@ def cli_main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     args = parser.parse_args(argv)
-    int_keys = {"m", "mw", "seed", "workers", "iters", "max-gen", "depth"}
+    int_keys = {"m", "mw", "seed", "iters", "max-gen", "depth"}
     bool_keys = {"quick"}
     for key, value in defaults.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        # the positionals are not options: a key must not reroute the command
+        if attr in ("command", "kind") or not hasattr(args, attr):
             sys.stderr.write(f"config error: unknown key '{key}'\n")
             return 2
         given = any(tok == f"--{key}" or tok.startswith(f"--{key}=") for tok in argv)
@@ -196,7 +206,7 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "enumerate":
-        spec, fam = _family(args)
+        _, fam = _family(args)
         lines = fam.export_lines()
         head = f"# members {len(fam)}\n"
         _write(args.out, head + "\n".join(lines) + "\n")
@@ -209,31 +219,25 @@ def _dispatch(args) -> int:
             field = parse_field(Path(args.field_file).read_text())
         else:
             field = _field_for(spec, args.field, args.seed)
-        fam = enumerate_family(FamilyParams(spec, _delta(args)), field, workers=args.workers)
+        fam = enumerate_family(FamilyParams(spec, _delta(args)), field)
         out = maximal_apply(grid, fam)
         _write(args.out, render_grid(out))
         return 0
 
     if args.command == "decompose":
-        spec = _spec(args)
-        delta = _delta(args)
-        field = _field_for(spec, args.field, args.seed)
-        fam = enumerate_family(FamilyParams(spec, delta), field)
-        f = random_grid(spec, random.Random(args.seed))
+        field, fam = _family(args)
+        f = random_grid(fam.spec, random.Random(args.seed))
         rho = linearize(f, fam)
-        result = run_generations(field, spec.w, delta, rho, args.max_gen)
+        result = run_generations(field, fam.spec.w, fam.params.delta, rho, args.max_gen)
         _write(args.out, decomposition_to_json(result) + "\n")
         return 0
 
     if args.command == "badness":
-        spec = _spec(args)
-        delta = _delta(args)
         lam0 = (
             DyadicRational.parse(args.lambda0) if args.lambda0 else DEFAULT_LAMBDA0
         )
-        field = _field_for(spec, args.field, args.seed)
-        fam = enumerate_family(FamilyParams(spec, delta), field)
-        f = random_grid(spec, random.Random(args.seed))
+        _, fam = _family(args)
+        f = random_grid(fam.spec, random.Random(args.seed))
         rho = linearize(f, fam)
         cells = frozenset(rho.covered_cells())
         table = badness_table(cells, rho)
@@ -245,8 +249,6 @@ def _dispatch(args) -> int:
         cfg = ExperimentConfig(seed=args.seed, ascent_iters=args.iters)
         if args.delta:
             cfg.deltas = _parse_deltas(args.delta)
-        if args.lambda0:
-            cfg.lambda0 = DyadicRational.parse(args.lambda0)
         if args.m is not None:
             cfg.m_override = args.m
         if args.kind == "delta":

@@ -9,7 +9,6 @@ disjoint and the Carleson packing bound holds exactly.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,10 +60,6 @@ class RectangleFamily:
     @property
     def spec(self) -> GridSpec:
         return self.params.spec
-
-    def sorted_canonical(self) -> "RectangleFamily":
-        members = tuple(sorted(self.members, key=Parallelogram.sort_key))
-        return RectangleFamily(self.params, members, self.provenance)
 
     def subfamily(self, indices) -> "RectangleFamily":
         members = tuple(self.members[i] for i in sorted(set(indices)))
@@ -133,30 +128,15 @@ def v_measure(R: Parallelogram, v: OneVarField) -> DyadicRational:
     """|V_R|: measure of the part of R whose columns see the field in theta(R)."""
     if R.spec != v.spec:
         raise ValueError("incompatible grids")
-    count = _window_count(R, v)
+    count = _interval_hits(R.base, v).get(R.slope.index, 0)
     return DyadicRational(count, R.spec.m + R.spec.m_w)
-
-
-def _window_count(R: Parallelogram, v: OneVarField) -> int:
-    k = R.slope.level
-    j = R.slope.index
-    scale = v.scale
-    nums = v.nums
-    count = 0
-    for c in range(R.col_lo, R.col_hi):
-        if (nums[c] << k) >> scale == j:
-            count += 1
-    return count
 
 
 def is_dense(R: Parallelogram, v: OneVarField, delta: DyadicRational) -> bool:
     """Exact test |V_R| >= delta * |R|."""
     if R.spec != v.spec:
         raise ValueError("incompatible grids")
-    count = _window_count(R, v)
-    ncols = R.spec.m - R.base.level
-    # count / 2^(m - level) >= dn / 2^de
-    return (count << delta.exp) >= (delta.num << ncols)
+    return R.slope.index in _popular_counts(R.base, v, delta)
 
 
 def _max_offset_steps(spec: GridSpec, base: DyadicInterval, s: SlopeCell) -> int:
@@ -170,60 +150,32 @@ def _max_offset_steps(spec: GridSpec, base: DyadicInterval, s: SlopeCell) -> int
     return bmax.num >> (bmax.exp - q)
 
 
-def _enumerate_block(params: FamilyParams, v: OneVarField, block) -> list[Parallelogram]:
-    spec = params.spec
-    delta = params.delta
-    step = spec.offset_step
-    members = []
-    for k, i in block:
-        level = spec.m_w - k
-        base = DyadicInterval(level, i)
-        c0 = i << (spec.m - level)
-        c1 = (i + 1) << (spec.m - level)
-        hits = v.cell_hits(k, c0, c1)
-        need_shift = spec.m - level
-        for j in sorted(hits):
-            if (hits[j] << delta.exp) < (delta.num << need_shift):
-                continue
-            s = SlopeCell(k, j)
-            tmax = _max_offset_steps(spec, base, s)
-            for t in range(tmax + 1):
-                members.append(Parallelogram(spec, base, s, t * step))
-    return members
-
-
 def enumerate_family(
     params: FamilyParams,
     v: OneVarField,
     max_m: int = ENUM_M_CAP,
-    workers: int = 1,
 ) -> RectangleFamily:
     """All width-w parallelograms in the unit square that are delta-dense for v.
 
     Deterministic order: k ascending, then base index, slope index, offset.
-    The (k, base) blocks may be evaluated concurrently; results are merged in
-    canonical order so the output is identical for any worker count.
+    A member is dense exactly when its slope cell is delta-popular on its
+    base, so each (k, base) block takes one popularity count.
     """
     spec = params.spec
     if spec != v.spec:
         raise ValueError("incompatible grids")
     if spec.m > max_m:
         raise ValueError("family too large")
-    blocks = [
-        (k, i)
-        for k in range(spec.m_w + 1)
-        for i in range(1 << (spec.m_w - k))
-    ]
-    if workers <= 1 or len(blocks) < 2:
-        members = _enumerate_block(params, v, blocks)
-    else:
-        nw = min(workers, len(blocks))
-        size = -(-len(blocks) // nw)
-        chunks = [blocks[i * size : (i + 1) * size] for i in range(nw)]
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            parts = list(pool.map(lambda b: _enumerate_block(params, v, b), chunks))
-        # Contiguous chunks concatenated in order preserve the canonical order.
-        members = [r for part in parts for r in part]
+    step = spec.offset_step
+    members = []
+    for k in range(spec.m_w + 1):
+        for i in range(1 << (spec.m_w - k)):
+            base = DyadicInterval(spec.m_w - k, i)
+            for j in _popular_counts(base, v, params.delta):
+                s = SlopeCell(k, j)
+                tmax = _max_offset_steps(spec, base, s)
+                for t in range(tmax + 1):
+                    members.append(Parallelogram(spec, base, s, t * step))
     return RectangleFamily(params, tuple(members), "enumerated")
 
 
@@ -237,6 +189,25 @@ def _slope_level_for(J: DyadicInterval, spec: GridSpec) -> int:
     return k
 
 
+def _interval_hits(J: DyadicInterval, v: OneVarField) -> dict[int, int]:
+    """|G_{J,s}| * 2^m by s.index: J's columns per slope cell at J's level."""
+    spec = v.spec
+    shift = spec.m - J.level
+    return v.cell_hits(_slope_level_for(J, spec), J.index << shift, (J.index + 1) << shift)
+
+
+def _popular_counts(
+    J: DyadicInterval, v: OneVarField, delta: DyadicRational
+) -> dict[int, int]:
+    """The delta-popular slope cells of J, ascending, with their column counts."""
+    hits = _interval_hits(J, v)
+    shift = v.spec.m - J.level
+    # count / 2^(m - level) >= dn / 2^de
+    return {
+        j: hits[j] for j in sorted(hits) if (hits[j] << delta.exp) >= (delta.num << shift)
+    }
+
+
 def g_measure(
     J: DyadicInterval, s: SlopeCell, v: OneVarField, w: DyadicRational
 ) -> DyadicRational:
@@ -244,16 +215,9 @@ def g_measure(
     spec = v.spec
     if w != spec.w:
         raise ValueError("interval/width mismatch")
-    k = _slope_level_for(J, spec)
-    if s.level != k:
+    if s.level != _slope_level_for(J, spec):
         raise ValueError("slope level mismatch")
-    c0 = J.index << (spec.m - J.level)
-    c1 = (J.index + 1) << (spec.m - J.level)
-    count = 0
-    for c in range(c0, c1):
-        if (v.nums[c] << k) >> v.scale == s.index:
-            count += 1
-    return DyadicRational(count, spec.m)
+    return DyadicRational(_interval_hits(J, v).get(s.index, 0), spec.m)
 
 
 def allowable_slopes(
@@ -264,15 +228,7 @@ def allowable_slopes(
     if w != spec.w:
         raise ValueError("interval/width mismatch")
     k = _slope_level_for(J, spec)
-    c0 = J.index << (spec.m - J.level)
-    c1 = (J.index + 1) << (spec.m - J.level)
-    hits = v.cell_hits(k, c0, c1)
-    need_shift = spec.m - J.level
-    return tuple(
-        SlopeCell(k, j)
-        for j in sorted(hits)
-        if (hits[j] << delta.exp) >= (delta.num << need_shift)
-    )
+    return tuple(SlopeCell(k, j) for j in _popular_counts(J, v, delta))
 
 
 # -- goodness ----------------------------------------------------------------

@@ -437,6 +437,18 @@ def _ratio(mf: GridFunction, f: GridFunction) -> float:
 _MAX_ASCENT_SCALE = 96
 
 
+def ascent_iterate(g: GridFunction) -> GridFunction | None:
+    """The next power-ascent iterate from g: g at a scale of at most
+    _MAX_ASCENT_SCALE bits, reduced; None once it is zero."""
+    if g.is_zero():
+        return None
+    if g.scale > _MAX_ASCENT_SCALE:
+        g = g.rescaled(_MAX_ASCENT_SCALE)
+        if g.is_zero():
+            return None
+    return g.reduced()
+
+
 def estimate_norm(
     fam: RectangleFamily, seeds: list[GridFunction], ascent_iters: int
 ) -> NormReport:
@@ -471,12 +483,8 @@ def estimate_norm(
             del f, top, members
             nxt = apply_T_adjoint(rho, mf)
             del rho, mf
-            if nxt.is_zero():
-                break
-            if nxt.scale > _MAX_ASCENT_SCALE:
-                nxt = nxt.rescaled(_MAX_ASCENT_SCALE)
-                if nxt.is_zero():
-                    break
-            f = nxt.reduced()
+            f = ascent_iterate(nxt)
             del nxt
+            if f is None:
+                break
     return NormReport(len(fam.members), tuple(rows), best)

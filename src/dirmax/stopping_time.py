@@ -18,11 +18,11 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .dyadic import DyadicRational
-from .family import RectangleFamily, allowable_slopes
+from .family import RectangleFamily, _popular_counts
 from .geometry import DyadicInterval, SlopeCell
 from .grids import GridFunction, OneVarField
 from .grids import average as grid_average
-from .maximal import ChoiceMap, apply_T, apply_T_adjoint, m2_vertical
+from .maximal import ChoiceMap, apply_T, apply_T_adjoint, ascent_iterate, m2_vertical
 
 
 @dataclass(frozen=True)
@@ -82,12 +82,11 @@ def compute_assignments(
 
     def visit(J: DyadicInterval, blocked: frozenset[int]) -> None:
         k = spec.m_w - J.level
-        keep = tuple(
-            s for s in allowable_slopes(J, v, w, delta) if s.index not in blocked
-        )
+        popular = _popular_counts(J, v, delta)
+        keep = tuple(SlopeCell(k, j) for j in popular if j not in blocked)
         chosen[J] = keep
         for s in keep:
-            mu[ThetaPair(J, s)] = _g_count(J, s, v)
+            mu[ThetaPair(J, s)] = DyadicRational(popular[s.index], spec.m)
         if k > 0:
             child_blocked = frozenset(
                 {b >> 1 for b in blocked} | {s.index >> 1 for s in keep}
@@ -97,17 +96,6 @@ def compute_assignments(
 
     visit(I, frozenset())
     return SlopeAssignment(I, chosen, mu)
-
-
-def _g_count(J: DyadicInterval, s: SlopeCell, v: OneVarField) -> DyadicRational:
-    spec = v.spec
-    c0 = J.index << (spec.m - J.level)
-    c1 = (J.index + 1) << (spec.m - J.level)
-    count = 0
-    for c in range(c0, c1):
-        if (v.nums[c] << s.level) >> v.scale == s.index:
-            count += 1
-    return DyadicRational(count, spec.m)
 
 
 def carleson_sum(assign: SlopeAssignment) -> DyadicRational:
@@ -469,14 +457,9 @@ def cross_norm_estimate(
         num = tf.l2_sq()
         if num:
             best = max(best, math.sqrt(float(num.as_fraction() / den.as_fraction())))
-        f = op_adj(tf)
-        if f.is_zero():
+        f = ascent_iterate(op_adj(tf))
+        if f is None:
             break
-        if f.scale > 96:
-            f = f.rescaled(96)
-            if f.is_zero():
-                break
-        f = f.reduced()
     return best
 
 

@@ -42,15 +42,12 @@ class ExperimentConfig:
     p_values: tuple[float, ...] = (1.0, 1.5, 2.0)
     seed: int = 0
     ascent_iters: int = 1
-    lambda0: DyadicRational | None = None
     m_override: int | None = None
     random_m: int = 6
     random_count: int = 2
     logn_m: int = 7
     logn_mw: int = 5
     logn_values: tuple[int, ...] = (2, 4, 8, 16, 32, 64)
-    depth: int | None = None
-    workers: int = 1
 
 
 def kakeya_grid_m(delta: DyadicRational) -> int:
@@ -120,7 +117,7 @@ def sweep_delta(cfg: ExperimentConfig) -> DeltaSweep:
     rows: list[DeltaRow] = []
     best: list[tuple[DyadicRational, float]] = []
     for delta in cfg.deltas:
-        ratio = kakeya_point(delta, cfg.m_override, cfg.depth, 0)
+        ratio = kakeya_point(delta, cfg.m_override)
         rows.append(DeltaRow(delta, "kakeya", ratio))
         best.append((delta, ratio))
         for i in range(cfg.random_count):

@@ -31,7 +31,7 @@ from dirmax.family import FamilyParams, RectangleFamily, enumerate_family
 from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell, Window
 from dirmax.grids import GridFunction
 from dirmax.instances import build_corpus, organized_collections, random_field, random_grid
-from dirmax.maximal import apply_T_adjoint, linearize, nu
+from dirmax.maximal import apply_T_adjoint, linearize, nu, nu_all
 
 
 def _setup(seed=21, m=4, delta=D(1, 3)):
@@ -213,7 +213,7 @@ def test_select_bad_windows_at_threshold():
         rho = linearize(random_grid(spec, random.Random(seed + 1)), fam)
         E = frozenset(rho.covered_cells())
         eng = BadnessEngine(rho)
-        counts = eng.nu_counts(E)
+        counts = nu_all(rho, E)
         raw = _raw(fam)
         for i_level in range(m_w + 1):
             for I in (DyadicInterval(i_level, 0), DyadicInterval(i_level, (1 << i_level) - 1)):

@@ -7,12 +7,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dirmax import oracle
 from dirmax.calibration import DIAGONAL_RATIO_COEFF
 from dirmax.dyadic import DyadicRational as D
-from dirmax.family import FamilyParams, enumerate_family, g_measure
-from dirmax.geometry import DyadicInterval, GridSpec, SlopeCell
+from dirmax.family import (
+    FamilyParams,
+    allowable_slopes,
+    enumerate_family,
+    g_measure,
+    is_dense,
+    v_measure,
+)
+from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell
+from dirmax.grids import OneVarField
 from dirmax.instances import (
     cascade_field,
     constant_field,
@@ -348,3 +358,70 @@ def test_decomposition_json_stable():
     payload = json.loads(a)
     assert payload["truncated"] is False
     assert payload["generations"][0]["intervals"] == [[0, 0]]
+
+
+def _edge_field(spec: GridSpec, rng: random.Random) -> OneVarField:
+    """Random field values with many at 0, at exactly 1 and on slope-cell
+    boundaries j/2^k of every level k <= m_w."""
+    scale = rng.randrange(spec.m_w, spec.m + 3)
+    nums = []
+    for _ in range(spec.n):
+        kind = rng.randrange(4)
+        if kind == 0:
+            nums.append(rng.choice((0, 1 << scale)))
+        elif kind == 1:
+            k = rng.randrange(spec.m_w + 1)
+            nums.append(rng.randrange((1 << k) + 1) << (scale - k))
+        else:
+            nums.append(rng.randrange((1 << scale) + 1))
+    return OneVarField(spec, scale, nums)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    spec_args=st.sampled_from(
+        [(m, m_w, half) for m in range(3, 7) for m_w in range(1, m - 1) for half in (False, True)]
+    ),
+    seed=st.integers(0, 1 << 16),
+    delta=st.sampled_from([D(1), D(1, 1), D(1, 3)]),
+    root_seed=st.integers(0, 1 << 16),
+)
+@example(spec_args=(6, 4, False), seed=1, delta=D(1, 3), root_seed=0)
+@example(spec_args=(6, 4, True), seed=2, delta=D(1, 1), root_seed=0)
+def test_popularity_counts_match_oracle(spec_args, seed, delta, root_seed):
+    # every popularity count, popular set and assignment mass against the
+    # oracle's Fraction count |G_{J,s}| on the closed cells of every level
+    spec = GridSpec(*spec_args)
+    m, m_w = spec.m, spec.m_w
+    v = _edge_field(spec, random.Random(seed))
+    vf = [x.as_fraction() for x in v.values()]
+    assert any(x == 1 for x in vf) or any(x == 0 for x in vf)
+    rng = random.Random(root_seed)
+    level = rng.randrange(m_w + 1) if rng.random() < 0.5 else 0
+    root = DyadicInterval(level, rng.randrange(1 << level))
+    assign = compute_assignments(root, v, spec.w, delta)
+    want = oracle.slope_sets(m, m_w, delta.as_fraction(), vf, (root.level, root.index))
+    got = {(J.level, J.index): [s.index for s in cells] for J, cells in assign.chosen.items()}
+    assert got == want
+    assert len(assign.mu) == sum(len(js) for js in want.values())
+    for pair, mu in assign.mu.items():
+        J, s = pair.interval, pair.slope
+        assert mu.as_fraction() == Fraction(oracle.g_count(m, m_w, vf, J.level, J.index, s.index), 1 << m)
+    for lv in range(m_w + 1):
+        k = m_w - lv
+        for index in range(1 << lv):
+            J = DyadicInterval(lv, index)
+            counts = [oracle.g_count(m, m_w, vf, lv, index, j) for j in range(1 << k)]
+            dense = [Fraction(c, 1 << (m - lv)) >= delta.as_fraction() for c in counts]
+            assert allowable_slopes(J, v, spec.w, delta) == tuple(
+                SlopeCell(k, j) for j in range(1 << k) if dense[j]
+            )
+            for j, count in enumerate(counts):
+                s = SlopeCell(k, j)
+                assert g_measure(J, s, v, spec.w).as_fraction() == Fraction(count, 1 << m)
+                try:
+                    R = Parallelogram(spec, J, s, D(0))
+                except ValueError:  # the lowest member over J at slope s does not fit
+                    continue
+                assert v_measure(R, v).as_fraction() == Fraction(count, 1 << (m + m_w))
+                assert is_dense(R, v, delta) is dense[j]

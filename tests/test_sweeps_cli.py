@@ -211,12 +211,61 @@ def test_cli_invariant_failure_exit_code():
 
 def test_cli_workers_deterministic(tmp_path):
     a = tmp_path / "w1.txt"
-    b = tmp_path / "w4.txt"
-    for out, workers in ((a, "1"), (b, "4")):
-        rc, _, _ = _run(
-            ["enumerate", "--m", "5", "--mw", "3", "--delta", "1/2^3",
-             "--field", "random", "--seed", "9", "--workers", workers,
-             "--out", str(out)]
-        )
+    b = tmp_path / "w2.txt"
+    argv = ["enumerate", "--m", "5", "--mw", "3", "--delta", "1/2^3",
+            "--field", "random", "--seed", "9"]
+    for out in (a, b):
+        rc, _, _ = _run(argv + ["--out", str(out)])
         assert rc == 0
     assert a.read_text() == b.read_text()
+    # enumeration has one path: there is no worker count to set
+    with pytest.raises(SystemExit) as exc:
+        _run(argv + ["--workers", "4", "--out", str(tmp_path / "w4.txt")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "w4.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--workers", "2"],
+        ["decompose", "--lambda0", "2"],
+        ["maximal", "--grid", "f.grid", "--m", "4"],
+        ["sweep", "delta", "--mw", "3"],
+        ["kakeya", "--field", "random"],
+        ["verify", "--seed", "1"],
+    ],
+)
+def test_cli_rejects_flags_the_command_ignores(argv):
+    with pytest.raises(SystemExit) as exc:
+        _run(argv)
+    assert exc.value.code == 2
+
+
+def test_cli_config_key_the_command_ignores(tmp_path):
+    # `command` and `kind` name parsed positionals, not options
+    for key, value in (("workers", "2"), ("command", "badness"), ("kind", "lp")):
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"m = 4\n{key} = {value}\n")
+        rc, _, err = _run(["enumerate", "--config", str(cfg)])
+        assert rc == 2
+        assert err == f"config error: unknown key '{key}'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--m", "4"],
+        ["decompose", "--m", "4"],
+        ["badness", "--m", "4"],
+        ["kakeya"],
+    ],
+)
+def test_cli_rejects_delta_list_outside_sweep(argv, tmp_path):
+    out = tmp_path / "out"
+    rc, _, err = _run(argv + ["--delta", "1/2^3,1/2^4", "--out", str(out)])
+    assert rc == 2
+    assert err.startswith("error: --delta takes one value")
+    assert not out.exists() and not (tmp_path / "out.field").exists()
+    rc, _, _ = _run(argv + ["--delta", "1/2^3", "--out", str(out)])
+    assert rc == 0
