@@ -6,13 +6,16 @@ pi_1(R).  All quadratic pairings here use true staircase intersections, so
 identities like the in/out split and the single-rectangle reformulation are
 exact dyadic equalities.
 
-Window masses are exact integers: a member's slab bottoms form an
-arithmetic progression, so G(y), the sum over its columns of
-clamp(y - slab bottom, 0, slab height), takes O(1) integer arithmetic
-(``geometry.slab_cover``) and its mass in [a, b) is G(b) - G(a).  The
-bad-window scan of a shrinking step tabulates G once per base I and
-compares B_out with lambda0 by cross-multiplying integers, so it builds no
-DyadicRational or Fraction per window.
+Everything runs in integers over one member table (``BadnessEngine``): each
+member's slab progression at the scale 2^S, S = m + m_w + 2, its pi_2 ends
+and its base level, so nu_Q / |Q| is counts[Q] << level_Q over a fixed
+power of two.  Overlaps are ``geometry.slab_overlap`` of two progressions;
+a member's mass below height y, G(y), is ``geometry.slab_cover``, and its
+mass in [a, b) is G(b) - G(a).  B_R, the reformulation sums and box masses
+build one DyadicRational at return.  The bad-window scan of a shrinking
+step tabulates G once per base I and compares B_out with lambda0 by
+cross-multiplying integers, so it builds no DyadicRational or Fraction per
+window.
 """
 
 from __future__ import annotations
@@ -27,14 +30,7 @@ import numpy as np
 
 from .dyadic import DyadicRational
 from .family import RectangleFamily, is_good_collection
-from .geometry import (
-    DyadicInterval,
-    Parallelogram,
-    Window,
-    overlap_measure,
-    slab_cover,
-    union_measure,
-)
+from .geometry import DyadicInterval, Parallelogram, Window, slab_cover, slab_overlap, union_measure
 from .grids import GridFunction
 from .maximal import ChoiceMap, apply_T_adjoint, estimate_norm, maximal_apply, nu_all
 
@@ -52,54 +48,53 @@ def _coerce_lambda(lam0) -> DyadicRational:
 
 
 class BadnessEngine:
-    """Shared geometry caches for badness scans over one linearization."""
+    """One integer table over a linearization's members for every badness scan.
+
+    Each member is tabulated once at the scale 2^S, S = m + m_w + 2 (the
+    grid's largest y_scale): its slab run (first column, first slab bottom,
+    step, columns, slab height), its pi_2 ends and its base level.  A member
+    weighs (nu_Q / |Q|) = counts[Q] << level_Q over 4^m / 2^m_w.
+    """
 
     def __init__(self, rho: ChoiceMap):
         self.fam = rho.fam
-        self.spec = rho.fam.spec
-        members = self.fam.members
-        self.pi2: list[Window] = [r.pi2() for r in members]
-        self._inter: dict[tuple[int, int], DyadicRational] = {}
-        self._by_base: dict[DyadicInterval, list[int]] = {}
-        for mi, r in enumerate(members):
-            self._by_base.setdefault(r.base, []).append(mi)
+        self.spec = spec = rho.fam.spec
+        self.scale = S = spec.m + spec.m_w + 2
+        self.runs: list[tuple[int, int, int, int, int]] = []
+        self.ends: list[tuple[int, int]] = []  # pi_2 = [lo, hi) over 2^S
+        self.levels: list[int] = []
+        self._inside: dict[tuple[int, int], list[int]] = {}
+        for mi, R in enumerate(self.fam.members):
+            start, step, cols, height = R.slabs(S)
+            self.runs.append((R.col_lo, start, step, cols, height))
+            self.ends.append((start, start + (cols - 1) * step + height))
+            level, index = R.base.level, R.base.index
+            self.levels.append(level)
+            for up in range(level + 1):
+                self._inside.setdefault((up, index >> (level - up)), []).append(mi)
 
     def inside_base(self, I: DyadicInterval) -> list[int]:
-        """Member indices whose horizontal projection sits inside I."""
-        out = []
-        for base, idxs in self._by_base.items():
-            if I.contains(base):
-                out.extend(idxs)
-        out.sort()
-        return out
+        """Member indices whose horizontal projection sits inside I, ascending."""
+        return self._inside.get((I.level, I.index), [])
 
-    # -- exact pairings -----------------------------------------------------
-
-    def inter(self, a: int, b: int) -> DyadicRational:
-        key = (a, b) if a <= b else (b, a)
-        val = self._inter.get(key)
-        if val is None:
-            val = overlap_measure(self.fam.members[key[0]], self.fam.members[key[1]])
-            self._inter[key] = val
-        return val
+    def fits(self, W: Window) -> list[bool]:
+        """Per member: pi_2 lies inside W."""
+        lo, hi = W.lo.num << self.scale, W.hi.num << self.scale
+        return [lo <= a << W.lo.exp and b << W.hi.exp <= hi for a, b in self.ends]
 
     def badness_of(
         self, mi: int, counts: Sequence[int], member_filter: Callable[[int], bool] | None = None
     ) -> DyadicRational:
         """B_R: (1/|R|) integral over R of T*(1 restricted to pi_1(R)-choosers)."""
-        R = self.fam.members[mi]
-        area = self.spec.cell_area
-        total = DyadicRational(0)
-        for qi in self.inside_base(R.base):
+        run, runs, levels = self.runs[mi], self.runs, self.levels
+        total = 0
+        for qi in self.inside_base(self.fam.members[mi].base):
             cnt = counts[qi]
-            if cnt == 0 or (member_filter is not None and not member_filter(qi)):
-                continue
-            Q = self.fam.members[qi]
-            ov = self.inter(mi, qi)
-            if ov.num:
-                # nu_Q / |Q| * |R cap Q|
-                total = total + DyadicRational(cnt, 0) * area * ov / Q.measure
-        return total / R.measure
+            if cnt and (member_filter is None or member_filter(qi)):
+                total += (cnt << levels[qi]) * slab_overlap(run, runs[qi])
+        # |R cap Q| is slab_overlap over 2^(S + m), and 1/|R| = 2^(level_R + m_w)
+        spec = self.spec
+        return DyadicRational(total << levels[mi], 3 * spec.m + self.scale - 2 * spec.m_w)
 
     def box_mass(
         self,
@@ -110,24 +105,20 @@ class BadnessEngine:
         keep: Callable[[int], bool],
     ) -> DyadicRational:
         """Integral over I x W of T* of the indicator of the kept choosers."""
-        spec = self.spec
-        fam = self.fam.members
-        kept = [qi for qi in members if counts[qi] and keep(qi)]
-        if not kept:
-            return DyadicRational(0)
-        t = max(W.lo.exp, W.hi.exp, max(fam[qi].y_scale for qi in kept))
+        t = max(self.scale, W.lo.exp, W.hi.exp)
+        d = t - self.scale
         a = W.lo.num << (t - W.lo.exp)
         b = W.hi.num << (t - W.hi.exp)
         total = 0
-        for qi in kept:
-            Q = fam[qi]
-            slabs = Q.slabs(t)
-            # nu_Q/|Q| = counts << (level + m_w) over 4^m; slab mass over 2^t,
-            # times the cell width 2^-m
-            total += (counts[qi] << Q.base.level) * (
-                slab_cover(*slabs, b) - slab_cover(*slabs, a)
-            )
-        return DyadicRational(total, 3 * spec.m + t - spec.m_w)
+        for qi in members:
+            if counts[qi] and keep(qi):
+                _, start, step, cols, height = self.runs[qi]
+                slabs = start << d, step << d, cols, height << d
+                total += (counts[qi] << self.levels[qi]) * (
+                    slab_cover(*slabs, b) - slab_cover(*slabs, a)
+                )
+        # slab mass over 2^t, times the cell width 2^-m
+        return DyadicRational(total, 3 * self.spec.m + t - self.spec.m_w)
 
 
 def badness(R: Parallelogram, cells: Iterable[int], rho: ChoiceMap) -> DyadicRational:
@@ -166,29 +157,30 @@ class BadnessTable:
 def reformulate_check(
     cells: Iterable[int], rho: ChoiceMap
 ) -> tuple[DyadicRational, DyadicRational]:
-    """Exact (integral of (T* 1_E)^2, sum of nu_R * B_R); lhs <= 2*rhs always."""
+    """Exact (integral of (T* 1_E)^2, sum of nu_R * B_R); lhs <= 2*rhs always.
+
+    Both sides sum w_a * w_b * |R_a cap R_b| (w = counts << level) in one
+    pass over the pairs (a, b) with b's base inside a's.  rhs takes each
+    pair once.  lhs runs over every ordered pair with nested bases, so it
+    also takes the reversed pair (b, a), which the pass does not visit when
+    the bases differ.
+    """
     eng = BadnessEngine(rho)
     counts = nu_all(rho, cells)
-    fam = rho.fam
-    area = eng.spec.cell_area
-    active = [i for i, c in enumerate(counts) if c]
-    lhs = DyadicRational(0)
-    for a in active:
-        Ra = fam.members[a]
-        ca = DyadicRational(counts[a], 0) * area / Ra.measure
-        for b in active:
-            Rb = fam.members[b]
-            if not (Ra.base.contains(Rb.base) or Rb.base.contains(Ra.base)):
-                continue
-            ov = eng.inter(a, b)
-            if ov.num:
-                cb = DyadicRational(counts[b], 0) * area / Rb.measure
-                lhs = lhs + ca * cb * ov
-    rhs = DyadicRational(0)
-    for a in active:
-        nu_a = DyadicRational(counts[a], 0) * area
-        rhs = rhs + nu_a * eng.badness_of(a, counts)
-    return lhs, rhs
+    runs, levels = eng.runs, eng.levels
+    lhs = rhs = 0
+    for a, ca in enumerate(counts):
+        if not ca:
+            continue
+        wa = ca << levels[a]
+        for b in eng.inside_base(rho.fam.members[a].base):
+            if counts[b]:
+                x = wa * (counts[b] << levels[b]) * slab_overlap(runs[a], runs[b])
+                rhs += x
+                lhs += x if levels[b] == levels[a] else 2 * x
+    spec = eng.spec
+    exp = 5 * spec.m + eng.scale - 2 * spec.m_w
+    return DyadicRational(lhs, exp), DyadicRational(rhs, exp)
 
 
 def in_out_split(
@@ -209,9 +201,8 @@ def in_out_split(
     W = _window_of(K)
     if W.lo == W.hi:
         return Fraction(0), Fraction(0)
-    TW = W.triple()
     members = eng.inside_base(I)
-    inside = {qi: TW.contains_window(eng.pi2[qi]) for qi in members}
+    inside = eng.fits(W.triple())
     mass_in = eng.box_mass(counts, members, I, W, inside.__getitem__)
     mass_out = eng.box_mass(counts, members, I, W, lambda qi: not inside[qi])
     denom = I.length.as_fraction() * W.length.as_fraction()
@@ -233,9 +224,9 @@ def badness_components(
     mi = fam.members.index(R)
     eng = BadnessEngine(rho)
     counts = nu_all(rho, cells)
-    TW = _window_of(K).triple()
-    b_in = eng.badness_of(mi, counts, lambda qi: TW.contains_window(eng.pi2[qi]))
-    b_out = eng.badness_of(mi, counts, lambda qi: not TW.contains_window(eng.pi2[qi]))
+    inside = eng.fits(_window_of(K).triple())
+    b_in = eng.badness_of(mi, counts, inside.__getitem__)
+    b_out = eng.badness_of(mi, counts, lambda qi: not inside[qi])
     return b_in, b_out
 
 
@@ -271,19 +262,16 @@ def _select_bad_windows(
     spec = eng.spec
     m = spec.m
     n = 1 << m
-    members = eng.fam.members
     active = [qi for qi in eng.inside_base(I) if counts[qi]]
     if not active:
         return ()
-    S = max(members[qi].y_scale for qi in active)
-    u = S - m  # grid point p sits at p << u
+    u = eng.scale - m  # grid point p sits at p << u
     rows = []
     for qi in active:
-        Q = members[qi]
-        start, step, cols, height = Q.slabs(S)
-        w = counts[qi] << Q.base.level
+        _, start, step, cols, height = eng.runs[qi]
+        w = counts[qi] << eng.levels[qi]
         cover = [w * slab_cover(start, step, cols, height, p << u) for p in range(n + 1)]
-        rows.append((start, start + (cols - 1) * step + height, cover))  # pi_2 at 2^S
+        rows.append((*eng.ends[qi], cover))
     total = [sum(col) for col in zip(*(cover for _, _, cover in rows))]
     rows.sort(key=lambda r: r[1] - r[0])
     heights = [hi - lo for lo, hi, _ in rows]
@@ -332,12 +320,10 @@ class ShrinkDiagnostics:
 def _member_inside_cells(R: Parallelogram) -> set[int]:
     """All cells with positive overlap with the staircase."""
     m = R.spec.m
-    u = 1 << (R.y_scale - m)
-    height = 1 << (R.y_scale - R.spec.m_w)
     out = set()
-    for c, lo in zip(range(R.col_lo, R.col_hi), R.slab_lows()):
-        base = c << m
-        out.update(range(base + lo // u, base + (lo + height - 1) // u + 1))
+    for c in range(R.col_lo, R.col_hi):
+        r0, r1 = R.touched_rows(c)
+        out.update(range((c << m) + r0, (c << m) + r1))
     return out
 
 

@@ -65,16 +65,8 @@ def _write(out: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _config_defaults(argv: list[str]) -> dict[str, str]:
+def _config_defaults(path: str) -> dict[str, str]:
     """Read key=value defaults from a --config file; flags override them."""
-    path = None
-    for i, a in enumerate(argv):
-        if a == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif a.startswith("--config="):
-            path = a.split("=", 1)[1]
-    if path is None:
-        return {}
     out = {}
     for line in Path(path).read_text().splitlines():
         line = line.split("#", 1)[0].strip()
@@ -168,32 +160,35 @@ def _family(args) -> tuple[OneVarField, RectangleFamily]:
     return field, enumerate_family(FamilyParams(spec, delta), field)
 
 
-def cli_main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    try:
-        defaults = _config_defaults(argv)
-    except (OSError, ValueError) as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-    args = parser.parse_args(argv)
-    int_keys = {"m", "mw", "seed", "iters", "max-gen", "depth"}
-    bool_keys = {"quick"}
-    for key, value in defaults.items():
+def _apply_config(args, argv: list[str]) -> None:
+    """Set each --config value the command line does not give; ValueError if bad."""
+    if args.config is None:
+        return
+    for key, value in _config_defaults(args.config).items():
         attr = key.replace("-", "_")
         # the positionals are not options: a key must not reroute the command
         if attr in ("command", "kind") or not hasattr(args, attr):
-            sys.stderr.write(f"config error: unknown key '{key}'\n")
-            return 2
-        given = any(tok == f"--{key}" or tok.startswith(f"--{key}=") for tok in argv)
-        if not given:
-            if key in bool_keys:
-                setattr(args, attr, value.lower() in ("1", "true", "yes"))
-            elif key in int_keys:
-                setattr(args, attr, int(value))
-            else:
-                setattr(args, attr, value)
+            raise ValueError(f"unknown key '{key}'")
+        if any(tok == f"--{key}" or tok.startswith(f"--{key}=") for tok in argv):
+            continue
+        if key == "quick":
+            value = value.lower() in ("1", "true", "yes")
+        elif key in ("m", "mw", "seed", "iters", "max-gen", "depth"):
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"'{key}' takes an integer, not {value!r}") from None
+        setattr(args, attr, value)
 
+
+def cli_main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(argv)
+    try:
+        _apply_config(args, argv)
+    except (OSError, ValueError) as exc:
+        sys.stderr.write(f"config error: {exc}\n")
+        return 2
     try:
         return _dispatch(args)
     except ShrinkHalvingError as exc:

@@ -384,26 +384,32 @@ def slab_cover(start: int, step: int, n: int, height: int, y: int) -> int:
     return full * height + cut * (y - start) - step * (cut * (full + below - 1) // 2)
 
 
-def overlap_measure(a: Parallelogram, b: Parallelogram) -> DyadicRational:
-    """Exact area of the intersection of two staircase parallelograms.
+def slab_overlap(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Overlap length, summed over shared columns, of two slab runs at one scale.
 
-    Over a shared column the two slabs overlap in
+    A run is (first column, *Parallelogram.slabs(scale)).  Over a shared
+    column the two slabs overlap in
     clamp(b_lo + h_b - a_lo, 0, h_a) - clamp(b_lo - a_lo, 0, h_a), and
     a_lo - b_lo runs through an arithmetic progression, so the sum over the
     shared columns is a difference of two slab_cover values.
     """
+    ca, a0, astep, an, ah = a
+    cb, b0, bstep, bn, bh = b
+    c0 = max(ca, cb)
+    n = min(ca + an, cb + bn) - c0
+    if n <= 0:
+        return 0
+    start = a0 + (c0 - ca) * astep - b0 - (c0 - cb) * bstep
+    step = astep - bstep
+    return slab_cover(start, step, n, ah, bh) - slab_cover(start, step, n, ah, 0)
+
+
+def overlap_measure(a: Parallelogram, b: Parallelogram) -> DyadicRational:
+    """Exact area of the intersection of two staircase parallelograms."""
     if a.spec != b.spec:
         raise ValueError("incompatible grids")
-    c0 = max(a.col_lo, b.col_lo)
-    c1 = min(a.col_hi, b.col_hi)
-    if c0 >= c1:
-        return DyadicRational(0)
     s = max(a.y_scale, b.y_scale)
-    a0, astep, _, ah = a.slabs(s)
-    b0, bstep, _, bh = b.slabs(s)
-    start = a0 + (c0 - a.col_lo) * astep - b0 - (c0 - b.col_lo) * bstep
-    step, n = astep - bstep, c1 - c0
-    total = slab_cover(start, step, n, ah, bh) - slab_cover(start, step, n, ah, 0)
+    total = slab_overlap((a.col_lo, *a.slabs(s)), (b.col_lo, *b.slabs(s)))
     return DyadicRational(total, s + a.spec.m)
 
 

@@ -86,9 +86,7 @@ def _log2_delta(delta: DyadicRational) -> int:
     return delta.exp
 
 
-def make_kakeya_bundle(
-    m: int, delta: DyadicRational, depth: int | None = None, tail_extra: int = 0
-) -> KakeyaBundle:
+def make_kakeya_bundle(m: int, delta: DyadicRational, depth: int | None = None) -> KakeyaBundle:
     """Compression-tree instance: width w = delta, all 2^n discrete directions.
 
     Support parallelograms have length 1/2 over base [0, 1/2), with offsets
@@ -118,22 +116,22 @@ def make_kakeya_bundle(
     m0 = DyadicRational(0)
     for i in range(n):
         m0 = m0 + DyadicRational(1 << i, n) * t[i]  # 2^i * delta * t_i
+    # one full-length tail rectangle per direction that has one (every slope
+    # but the topmost), its offset quantized to the family grid and clamped
+    base = DyadicInterval(0, 0)
     offsets: list[DyadicRational] = []
+    members: list[Parallelogram] = []
     for j in range(nslopes):
         b = m0
         for i in range(n):
             if (j >> i) & 1:
                 b = b - DyadicRational(1 << i, n) * t[i]
-        # quantize to the offset grid; clamp so the length-1 tail fits when
-        # one exists at all (every slope but the topmost)
         tn = ((b.num << (n + 1)) + (1 << b.exp)) >> (b.exp + 1)
-        bmax = DyadicRational(1) - spec.w - DyadicRational(2 * j + 1, n + 1)
-        if bmax >= 0:
-            if n >= bmax.exp:
-                tmx = bmax.num << (n - bmax.exp)
-            else:
-                tmx = bmax.num >> (bmax.exp - n)
-            tn = min(max(tn, 0), tmx)
+        slope = SlopeCell(n, j)
+        t_max = _max_offset_steps(spec, base, slope)
+        if t_max >= 0:
+            tn = min(max(tn, 0), t_max)
+            members.append(Parallelogram(spec, base, slope, DyadicRational(tn, n)))
         offsets.append(DyadicRational(tn, n))
 
     # rasterize the support by cell-center membership
@@ -154,26 +152,7 @@ def make_kakeya_bundle(
                 nums[(c << m) + r] = 1
     indicator = GridFunction(spec, 0, nums)
 
-    # one full-length tail rectangle per direction, plus optional neighbors
-    params = FamilyParams(spec, delta)
-    members: list[Parallelogram] = []
-    seen = set()
-    base = DyadicInterval(0, 0)
-    for j in range(nslopes):
-        t_max = nslopes - 2 - j  # largest admissible offset step for slope j
-        if t_max < 0:
-            continue
-        b = offsets[j]
-        t_near = b.num << (n - b.exp)
-        for dt in range(-tail_extra, tail_extra + 1):
-            tt = t_near + dt
-            if 0 <= tt <= t_max and (j, tt) not in seen:
-                seen.add((j, tt))
-                members.append(
-                    Parallelogram(spec, base, SlopeCell(n, j), DyadicRational(tt, n))
-                )
-    members.sort(key=Parallelogram.sort_key)
-    tails = RectangleFamily(params, tuple(members), "constructed")
+    tails = RectangleFamily(FamilyParams(spec, delta), tuple(members), "constructed")
 
     return KakeyaBundle(
         spec, identity_field(spec), indicator, tails, depth,

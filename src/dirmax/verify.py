@@ -103,11 +103,13 @@ def _dump_reproducer(out_dir: Path | None, inst: CorpusInstance, op: str, detail
     return f"reproducer: {path}"
 
 
+ORACLE_BADNESS_SAMPLE = 48  # members per instance whose B_R the oracle replays
+
+
 def check_oracle_equivalence(
     report: VerifyReport,
     corpus: list[CorpusInstance],
     out_dir: Path | None = None,
-    badness_cap: int = 48,
 ) -> None:
     """Criterion-style oracle equality for the six core operations."""
     root = DyadicInterval(0, 0)
@@ -159,9 +161,9 @@ def check_oracle_equivalence(
         E = inst.covered
         tab = badness_table(E, inst.rho)
         idxs = range(len(members))
-        if len(members) > badness_cap:
+        if len(members) > ORACLE_BADNESS_SAMPLE:
             rng = random.Random(inst.seed)
-            idxs = sorted(rng.sample(range(len(members)), badness_cap))
+            idxs = sorted(rng.sample(range(len(members)), ORACLE_BADNESS_SAMPLE))
         for mi in idxs:
             ob = oracle.badness(spec.m, spec.m_w, members, inst.rho.entries, E, mi)
             if tab.badness[mi].as_fraction() != ob:

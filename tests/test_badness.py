@@ -99,6 +99,52 @@ def test_reformulate_identities():
         assert lhs <= D(REFORMULATE_FACTOR) * rhs
 
 
+def test_reformulate_and_components_match_oracle():
+    # lhs sums c_a c_b |R_a cap R_b| over every ordered pair (disjoint bases
+    # give no overlap), rhs sums nu_a B_a, and the in/out parts of B_R keep
+    # the choosers under R's base whose pi_2 fits the clipped triple of K;
+    # all from the oracle's Fractions, on a random chooser subset
+    cases = ((4, 2, False, 41, D(1, 3)), (4, 2, True, 42, D(1, 2)), (5, 3, False, 44, D(1, 2)))
+    for m, m_w, half, seed, delta in cases:
+        spec = GridSpec(m, m_w, half)
+        fam = enumerate_family(FamilyParams(spec, delta), random_field(spec, random.Random(seed)))
+        rho = linearize(random_grid(spec, random.Random(seed + 1)), fam)
+        rng = random.Random(seed + 2)
+        E = frozenset(i for i in rho.covered_cells() if rng.random() < 0.7)
+        raw = _raw(fam)
+        size = [oracle.member_measure(m_w, r) for r in raw]
+        nu = [Fraction(c, 1 << (2 * m)) for c in oracle.nu_counts(raw, rho.entries, E)]
+        active = [a for a, n in enumerate(nu) if n]
+        overlaps = {}
+
+        def ov(a, b):
+            key = (min(a, b), max(a, b))
+            if key not in overlaps:
+                overlaps[key] = oracle.pair_overlap(m, m_w, raw[a], raw[b])
+            return overlaps[key]
+
+        lhs = sum(nu[a] / size[a] * nu[b] / size[b] * ov(a, b) for a in active for b in active)
+        bad = {a: oracle.badness(m, m_w, raw, rho.entries, E, a) for a in active}
+        rhs = sum(nu[a] * bad[a] for a in active)
+        got = reformulate_check(E, rho)
+        assert (got[0].as_fraction(), got[1].as_fraction()) == (lhs, rhs)
+        assert rhs < lhs < 2 * rhs  # the pairs of distinct members matter
+        pi2 = [oracle.pi2_extent(m, m_w, r) for r in raw]
+        for mi in sorted({active[0], active[-1], max(active, key=bad.get)}):
+            base = (m_w - raw[mi][0], raw[mi][1])
+            under = [q for q in active if oracle.base_contains(m_w, base, raw[q])]
+            for level in range(m + 1):
+                for index in sorted({0, (1 << level) // 3, (1 << level) - 1}):
+                    tlo, thi = oracle._triple(Fraction(index, 1 << level), Fraction(index + 1, 1 << level))
+                    parts = [Fraction(0), Fraction(0)]
+                    for q in under:
+                        fits = tlo <= pi2[q][0] and pi2[q][1] <= thi
+                        parts[not fits] += nu[q] / size[q] * ov(mi, q) / size[mi]
+                    b_in, b_out = badness_components(fam.members[mi], DyadicInterval(level, index), E, rho)
+                    assert (b_in.as_fraction(), b_out.as_fraction()) == tuple(parts)
+                    assert sum(parts) == bad[mi]
+
+
 def test_in_out_split_identity_and_averages():
     spec, fam, rho, E = _setup(seed=26)
     tab = badness_table(E, rho)

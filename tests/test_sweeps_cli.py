@@ -177,6 +177,9 @@ def test_cli_config_file(tmp_path):
     bad.write_text("no equals sign here\n")
     rc, _, err = _run(["enumerate", "--config", str(bad)])
     assert rc == 2 and "config error" in err
+    bad.write_text("m = four\n")
+    rc, _, err = _run(["enumerate", "--config", str(bad)])
+    assert rc == 2 and err == "config error: 'm' takes an integer, not 'four'\n"
 
 
 def test_cli_config_unknown_key(tmp_path):
