@@ -138,7 +138,7 @@ def badness_table(cells: Iterable[int], rho: ChoiceMap) -> "BadnessTable":
     counts = nu_all(rho, cells)
     area = eng.spec.cell_area
     nus = tuple(DyadicRational(c, 0) * area for c in counts)
-    bs = tuple(eng.badness_of(mi, counts) for mi in range(len(rho.fam.members)))
+    bs = tuple(eng.badness_of(mi, counts) for mi in range(len(rho.fam)))
     return BadnessTable(nus, bs)
 
 
@@ -356,13 +356,11 @@ def shrink_once(
             if not cal:
                 continue
             windows.append((I, cal))
-            c0 = I.index << (m - I.level)
-            c1 = (I.index + 1) << (m - I.level)
             for K in cal:
                 TW = K.triple()
                 r0 = TW.lo.num << (m - TW.lo.exp)
                 r1 = TW.hi.num << (m - TW.hi.exp)
-                for c in range(c0, c1):
+                for c in I.columns(m):
                     base = c << m
                     shrunk.update(range(base + r0, base + r1))
     shrunk_f = frozenset(shrunk)
@@ -380,7 +378,7 @@ def shrink_once(
         )
         cap = DyadicRational(UNIVERSAL_BADNESS_FACTOR) * lam0
         counts_after = nu_all(rho, shrunk_f)
-        for mi in range(len(rho.fam.members)):
+        for mi in range(len(rho.fam)):
             b = eng.badness_of(mi, counts)
             if b <= cap:
                 continue
@@ -464,7 +462,7 @@ def shrink_iterate(
     eng = BadnessEngine(rho)
     counts0 = nu_all(rho, steps[0])
     cap = DyadicRational(UNIVERSAL_BADNESS_FACTOR) * lam0
-    b0 = [eng.badness_of(mi, counts0) for mi in range(len(rho.fam.members))]
+    b0 = [eng.badness_of(mi, counts0) for mi in range(len(rho.fam))]
     e0_measure = DyadicRational(len(steps[0]), area_exp)
     bands: list[BandRow] = []
     k = 1
@@ -541,7 +539,7 @@ def multi_collection_experiment(
             good, witness = is_good_collection(col)
             if not (good and witness.organized):
                 raise ValueError(f"builder yielded a non-good collection: {witness}")
-            key = tuple(r.sort_key() for r in col.members)
+            key = col.sort_keys.tobytes()
             if key in keys:
                 raise ValueError("builder yielded duplicate collections")
             keys.add(key)

@@ -27,7 +27,7 @@ from .instances import (
 )
 from .maximal import linearize, maximal_apply
 from .stopping_time import decomposition_to_json, run_generations
-from .sweeps import ExperimentConfig, sweep_delta, sweep_logn, sweep_lp
+from .sweeps import ExperimentConfig, kakeya_grid_m, sweep_delta, sweep_logn, sweep_lp
 from .verify import run_verify
 
 
@@ -258,7 +258,7 @@ def _dispatch(args) -> int:
 
     if args.command == "kakeya":
         delta = _delta(args)
-        m = args.m if args.m is not None else delta.exp + 3
+        m = args.m if args.m is not None else kakeya_grid_m(delta)
         bundle = make_kakeya_bundle(m, delta, args.depth)
         base = args.out or "kakeya"
         Path(f"{base}.field").write_text(render_field(bundle.field))

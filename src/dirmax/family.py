@@ -1,5 +1,11 @@
 """Rectangle families: density filtering, slope popularity, and goodness.
 
+A family is its key table: one int64 row (k, base index, slope index,
+offset steps) per member, in canonical order, plus its parameters.
+Enumeration, subfamilies, unions, export and every numpy kernel read the
+rows; ``Parallelogram`` objects are built only when ``members`` is first
+read, at the API edges.
+
 A rectangle of length 2^k * w sees the field through its slope window
 theta(R), the width-(w/L) interval centered at its slope -- which is exactly
 the rectangle's slope cell.  The popularity sets G_{J,s} use the same cell
@@ -9,12 +15,13 @@ disjoint and the Carleson packing bound holds exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dyadic import DyadicRational
-from .geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell, Window
+from .geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell, Window, spec_from_offstep
 from .grids import OneVarField
 
 ENUM_M_CAP = 12
@@ -30,49 +37,84 @@ class FamilyParams:
             raise ValueError("density delta must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
+def _lex_sorted(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows in canonical (lexicographic) order, and which equal their predecessor."""
+    rows = keys[np.lexsort(keys.T[::-1])]
+    dup = np.zeros(len(rows), dtype=bool)
+    dup[1:] = (rows[1:] == rows[:-1]).all(axis=1)
+    return rows, dup
+
+
 class RectangleFamily:
     """A finite list of parallelograms in canonical order with provenance.
 
-    ``sort_keys`` holds each member's ``sort_key()`` (k, base index, slope
-    index, offset steps) as one int64 row, in member order: the geometry the
-    numpy kernels of ``maximal`` read instead of the Parallelogram objects.
+    The family is its int64 key table ``sort_keys``: row i is member i's
+    ``sort_key()`` (k, base index, slope index, offset steps).  ``members``
+    is the tuple the family was constructed from, else built from the rows
+    on first read.  Equal families have equal params, rows and provenance.
     """
 
-    params: FamilyParams
-    members: tuple[Parallelogram, ...]
-    provenance: str = "constructed"
-    sort_keys: np.ndarray = field(init=False, repr=False, compare=False)
+    def __init__(self, params: FamilyParams, members, provenance: str = "constructed"):
+        members = tuple(members)
+        if any(r.spec != params.spec for r in members):
+            raise ValueError("member grid spec mismatch")
+        keys = np.array([r.sort_key() for r in members], dtype=np.int64).reshape(-1, 4)
+        self._init(params, keys, provenance)
+        self.__dict__["members"] = members
 
-    def __post_init__(self):
-        keys = [r.sort_key() for r in self.members]
-        if len(set(keys)) != len(keys):
+    @classmethod
+    def _adopt(cls, params: FamilyParams, keys: np.ndarray, provenance: str) -> "RectangleFamily":
+        """A family over key rows this package built from valid members."""
+        fam = cls.__new__(cls)
+        fam._init(params, keys, provenance)
+        return fam
+
+    def _init(self, params: FamilyParams, keys: np.ndarray, provenance: str) -> None:
+        if _lex_sorted(keys)[1].any():
             raise ValueError("family members must be distinct")
-        for r in self.members:
-            if r.spec != self.params.spec:
-                raise ValueError("member grid spec mismatch")
-        keys = np.array(keys, dtype=np.int64).reshape(-1, 4)
-        object.__setattr__(self, "sort_keys", keys)
+        keys.flags.writeable = False
+        self.__dict__.update(params=params, sort_keys=keys, provenance=provenance)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RectangleFamily is immutable")
+
+    @cached_property
+    def members(self) -> tuple[Parallelogram, ...]:
+        spec = self.spec
+        rows = self.sort_keys.tolist()
+        return tuple(_member(spec, k, i, j, DyadicRational(t, spec.offset_exp)) for k, i, j, t in rows)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.sort_keys)
+
+    def __eq__(self, other):
+        if not isinstance(other, RectangleFamily):
+            return NotImplemented
+        return (
+            self.params == other.params
+            and self.provenance == other.provenance
+            and np.array_equal(self.sort_keys, other.sort_keys)
+        )
+
+    def __hash__(self):
+        return hash((self.params, self.provenance, self.sort_keys.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"RectangleFamily({self.params!r}, {len(self)} members, {self.provenance!r})"
 
     @property
     def spec(self) -> GridSpec:
         return self.params.spec
 
     def subfamily(self, indices) -> "RectangleFamily":
-        members = tuple(self.members[i] for i in sorted(set(indices)))
-        return RectangleFamily(self.params, members, "subfamily")
+        rows = np.array(sorted(set(indices)), dtype=np.int64)
+        return RectangleFamily._adopt(self.params, self.sort_keys[rows], "subfamily")
 
     def union(self, other: "RectangleFamily") -> "RectangleFamily":
         if self.params != other.params:
             raise ValueError("family parameter mismatch")
-        seen = {r.sort_key(): r for r in self.members}
-        for r in other.members:
-            seen.setdefault(r.sort_key(), r)
-        members = tuple(seen[k] for k in sorted(seen))
-        return RectangleFamily(self.params, members, "constructed")
+        rows, dup = _lex_sorted(np.concatenate([self.sort_keys, other.sort_keys]))
+        return RectangleFamily._adopt(self.params, rows[~dup], "constructed")
 
     # -- text export: one canonical record per member ---------------------
 
@@ -80,22 +122,16 @@ class RectangleFamily:
         spec = self.spec
         lines = [
             f"params m {spec.m} mw {spec.m_w} offstep {spec.offstep_code} "
-            f"delta {self.delta_render()}"
+            f"delta {self.params.delta.render()}"
         ]
-        for r in sorted(self.members, key=Parallelogram.sort_key):
-            lines.append(
-                f"k {r.k} base {r.base.index} slope {r.slope.index} "
-                f"off {r.offset.render()}"
-            )
+        for k, i, j, t in _lex_sorted(self.sort_keys)[0].tolist():
+            off = DyadicRational(t, spec.offset_exp).render()
+            lines.append(f"k {k} base {i} slope {j} off {off}")
         return lines
-
-    def delta_render(self) -> str:
-        return self.params.delta.render()
 
     @classmethod
     def from_lines(cls, lines) -> "RectangleFamily":
-        from .geometry import spec_from_offstep
-
+        """Read export_lines' text; every record is validated as a Parallelogram."""
         lines = [ln for ln in lines if ln.strip()]
         head = lines[0].split()
         if head[0] != "params":
@@ -107,16 +143,14 @@ class RectangleFamily:
         for ln in lines[1:]:
             parts = ln.split()
             rec = dict(zip(parts[0::2], parts[1::2]))
-            k = int(rec["k"])
-            members.append(
-                Parallelogram(
-                    spec,
-                    DyadicInterval(spec.m_w - k, int(rec["base"])),
-                    SlopeCell(k, int(rec["slope"])),
-                    DyadicRational.parse(rec["off"]),
-                )
-            )
+            off = DyadicRational.parse(rec["off"])
+            members.append(_member(spec, int(rec["k"]), int(rec["base"]), int(rec["slope"]), off))
         return cls(params, tuple(members), "enumerated")
+
+
+def _member(spec: GridSpec, k: int, i: int, j: int, offset: DyadicRational) -> Parallelogram:
+    """The member of key row (k, i, j, offset steps), with the offset as a value."""
+    return Parallelogram(spec, DyadicInterval(spec.m_w - k, i), SlopeCell(k, j), offset)
 
 
 def theta(R: Parallelogram) -> Window:
@@ -139,15 +173,12 @@ def is_dense(R: Parallelogram, v: OneVarField, delta: DyadicRational) -> bool:
     return R.slope.index in _popular_counts(R.base, v, delta)
 
 
-def _max_offset_steps(spec: GridSpec, base: DyadicInterval, s: SlopeCell) -> int:
-    """Largest t with t*step + slope*sup(base) + w <= 1, or -1 if none."""
-    bmax = DyadicRational(1) - spec.w - s.center * base.hi
-    if bmax < 0:
-        return -1
-    q = spec.offset_exp
-    if q >= bmax.exp:
-        return bmax.num << (q - bmax.exp)
-    return bmax.num >> (bmax.exp - q)
+def _max_offset_steps(spec: GridSpec, i, j):
+    """Largest t with t*step + slope*sup(base) + w <= 1, negative if none, for
+    base index i and slope index j of one length level (ints or arrays)."""
+    # 1 - w - slope*sup(base) = room / 2^(m_w + 1), since |base| = 2^k * w
+    room = (2 << spec.m_w) - 2 - (2 * j + 1) * (i + 1)
+    return room >> (spec.m_w + 1 - spec.offset_exp)
 
 
 def enumerate_family(
@@ -159,24 +190,29 @@ def enumerate_family(
 
     Deterministic order: k ascending, then base index, slope index, offset.
     A member is dense exactly when its slope cell is delta-popular on its
-    base, so each (k, base) block takes one popularity count.
+    base, so each (k, base) block takes one popularity count, and each
+    popular (k, base, slope) gives the offset run 0..tmax as rows at once.
     """
     spec = params.spec
     if spec != v.spec:
         raise ValueError("incompatible grids")
     if spec.m > max_m:
         raise ValueError("family too large")
-    step = spec.offset_step
-    members = []
-    for k in range(spec.m_w + 1):
-        for i in range(1 << (spec.m_w - k)):
-            base = DyadicInterval(spec.m_w - k, i)
-            for j in _popular_counts(base, v, params.delta):
-                s = SlopeCell(k, j)
-                tmax = _max_offset_steps(spec, base, s)
-                for t in range(tmax + 1):
-                    members.append(Parallelogram(spec, base, s, t * step))
-    return RectangleFamily(params, tuple(members), "enumerated")
+    runs = [
+        (k, i, j)
+        for k in range(spec.m_w + 1)
+        for i in range(1 << (spec.m_w - k))
+        for j in _popular_counts(DyadicInterval(spec.m_w - k, i), v, params.delta)
+    ]
+    return RectangleFamily._adopt(params, _offset_rows(spec, runs), "enumerated")
+
+
+def _offset_rows(spec: GridSpec, runs) -> np.ndarray:
+    """Key rows (k, i, j, t) for t = 0..tmax of each run (k, i, j), in run order."""
+    runs = np.array(runs, dtype=np.int64).reshape(-1, 3)
+    size = np.maximum(_max_offset_steps(spec, runs[:, 1], runs[:, 2]) + 1, 0)
+    t = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    return np.column_stack([np.repeat(runs, size, axis=0), t])
 
 
 # -- slope popularity on intervals (stopping-time inputs) ---------------------
@@ -191,9 +227,8 @@ def _slope_level_for(J: DyadicInterval, spec: GridSpec) -> int:
 
 def _interval_hits(J: DyadicInterval, v: OneVarField) -> dict[int, int]:
     """|G_{J,s}| * 2^m by s.index: J's columns per slope cell at J's level."""
-    spec = v.spec
-    shift = spec.m - J.level
-    return v.cell_hits(_slope_level_for(J, spec), J.index << shift, (J.index + 1) << shift)
+    cols = J.columns(v.spec.m)
+    return v.cell_hits(_slope_level_for(J, v.spec), cols.start, cols.stop)
 
 
 def _popular_counts(

@@ -38,6 +38,11 @@ class DyadicInterval:
     def length(self) -> DyadicRational:
         return DyadicRational(1, self.level)
 
+    def columns(self, m: int) -> range:
+        """The columns of a 2^m-column grid that the interval covers."""
+        sh = m - self.level
+        return range(self.index << sh, (self.index + 1) << sh)
+
     def contains(self, other: "DyadicInterval") -> bool:
         """self contains other (as sets)."""
         if other.level < self.level:
@@ -89,11 +94,6 @@ class Window:
 
     def contains_value(self, x) -> bool:
         return self.lo <= x < self.hi
-
-    def contains_window(self, other: "Window") -> bool:
-        if other.lo == other.hi:
-            return True
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def triple(self) -> "Window":
         ln = self.length
@@ -264,10 +264,6 @@ class Parallelogram:
         return self.base.length
 
     @property
-    def width(self) -> DyadicRational:
-        return self.spec.w
-
-    @property
     def measure(self) -> DyadicRational:
         return DyadicRational(1, self.base.level + self.spec.m_w)
 
@@ -280,12 +276,12 @@ class Parallelogram:
 
     @property
     def col_lo(self) -> int:
-        return self.base.index << (self.spec.m - self.base.level)
+        return self.base.columns(self.spec.m).start
 
     @property
     def col_hi(self) -> int:
         """One past the last column."""
-        return (self.base.index + 1) << (self.spec.m - self.base.level)
+        return self.base.columns(self.spec.m).stop
 
     @property
     def y_scale(self) -> int:

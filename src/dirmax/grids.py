@@ -170,12 +170,10 @@ class GridFunction:
             raise ValueError("box is not cell-aligned")
         if horiz.level > m:
             raise ValueError("box is not cell-aligned")
-        c0 = horiz.index << (m - horiz.level)
-        c1 = (horiz.index + 1) << (m - horiz.level)
         r0 = vert.lo.num << (m - vert.lo.exp)
         r1 = vert.hi.num << (m - vert.hi.exp)
         total = 0
-        for c in range(c0, c1):
+        for c in horiz.columns(m):
             base = c << m
             total += sum(self.nums[base + r0 : base + r1])
         return DyadicRational(total, self.scale + 2 * m)

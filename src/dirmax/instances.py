@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .dyadic import DyadicRational
-from .family import FamilyParams, RectangleFamily, _max_offset_steps, enumerate_family
-from .geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell
+from .family import FamilyParams, RectangleFamily, _max_offset_steps, _offset_rows, enumerate_family
+from .geometry import GridSpec
 from .grids import GridFunction, OneVarField
 from .maximal import ChoiceMap, linearize
 
@@ -118,20 +121,18 @@ def make_kakeya_bundle(m: int, delta: DyadicRational, depth: int | None = None) 
         m0 = m0 + DyadicRational(1 << i, n) * t[i]  # 2^i * delta * t_i
     # one full-length tail rectangle per direction that has one (every slope
     # but the topmost), its offset quantized to the family grid and clamped
-    base = DyadicInterval(0, 0)
     offsets: list[DyadicRational] = []
-    members: list[Parallelogram] = []
+    rows: list[tuple[int, int, int, int]] = []  # key rows over the base [0, 1)
     for j in range(nslopes):
         b = m0
         for i in range(n):
             if (j >> i) & 1:
                 b = b - DyadicRational(1 << i, n) * t[i]
         tn = ((b.num << (n + 1)) + (1 << b.exp)) >> (b.exp + 1)
-        slope = SlopeCell(n, j)
-        t_max = _max_offset_steps(spec, base, slope)
+        t_max = _max_offset_steps(spec, 0, j)
         if t_max >= 0:
             tn = min(max(tn, 0), t_max)
-            members.append(Parallelogram(spec, base, slope, DyadicRational(tn, n)))
+            rows.append((n, 0, j, tn))
         offsets.append(DyadicRational(tn, n))
 
     # rasterize the support by cell-center membership
@@ -152,7 +153,8 @@ def make_kakeya_bundle(m: int, delta: DyadicRational, depth: int | None = None) 
                 nums[(c << m) + r] = 1
     indicator = GridFunction(spec, 0, nums)
 
-    tails = RectangleFamily(FamilyParams(spec, delta), tuple(members), "constructed")
+    keys = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    tails = RectangleFamily._adopt(FamilyParams(spec, delta), keys, "constructed")
 
     return KakeyaBundle(
         spec, identity_field(spec), indicator, tails, depth,
@@ -190,27 +192,18 @@ def organized_collections(spec: GridSpec, count: int) -> list[RectangleFamily]:
     offset for its (base, slope) pair.
     """
     params = FamilyParams(spec, DyadicRational(1, spec.m_w))
-    pairs: list[tuple[DyadicInterval, SlopeCell]] = []
+    runs: list[tuple[int, int, int]] = []  # (k, base index, slope index)
     level = 0
-    while len(pairs) < count and level <= spec.m_w:
+    while len(runs) < count and level <= spec.m_w:
         k = spec.m_w - level
         for index in range(1 << level):
             for j in range(1 << k):
-                base, s = DyadicInterval(level, index), SlopeCell(k, j)
-                if _max_offset_steps(spec, base, s) >= 0:
-                    pairs.append((base, s))
+                if _max_offset_steps(spec, index, j) >= 0:
+                    runs.append((k, index, j))
         level += 1
-    if len(pairs) < count:
+    if len(runs) < count:
         raise ValueError("grid too small for that many collections")
-    out = []
-    for base, s in pairs[:count]:
-        tmax = _max_offset_steps(spec, base, s)
-        members = [
-            Parallelogram(spec, base, s, DyadicRational(tt, spec.offset_exp))
-            for tt in range(tmax + 1)
-        ]
-        out.append(RectangleFamily(params, tuple(members), "constructed"))
-    return out
+    return [RectangleFamily._adopt(params, _offset_rows(spec, [r]), "constructed") for r in runs[:count]]
 
 
 # -- the verification corpus ---------------------------------------------------
@@ -225,33 +218,24 @@ class CorpusInstance:
         self.delta = delta
         self.field = field
         self.seed = seed
-        self._fam: RectangleFamily | None = None
-        self._rho: ChoiceMap | None = None
-        self._f: GridFunction | None = None
 
     @property
     def params(self) -> FamilyParams:
         return FamilyParams(self.spec, self.delta)
 
-    @property
+    @cached_property
     def f(self) -> GridFunction:
-        if self._f is None:
-            self._f = random_grid(self.spec, random.Random(self.seed))
-        return self._f
+        return random_grid(self.spec, random.Random(self.seed))
 
-    @property
+    @cached_property
     def family(self) -> RectangleFamily:
-        if self._fam is None:
-            self._fam = enumerate_family(self.params, self.field)
-        return self._fam
+        return enumerate_family(self.params, self.field)
 
-    @property
+    @cached_property
     def rho(self) -> ChoiceMap:
-        if self._rho is None:
-            self._rho = linearize(self.f, self.family)
-        return self._rho
+        return linearize(self.f, self.family)
 
-    @property
+    @cached_property
     def covered(self) -> frozenset[int]:
         return frozenset(self.rho.covered_cells())
 

@@ -120,7 +120,7 @@ def _averages_int64(fam: RectangleFamily, f: GridFunction) -> list[int]:
     pref = np.zeros((n, n + 1), dtype=np.int64)  # per-column prefix sums
     pref[:, 1:] = np.array(f.nums, dtype=np.int64).reshape(n, n)
     np.cumsum(pref, axis=1, out=pref)
-    out = np.empty(len(fam.members), dtype=np.int64)
+    out = np.empty(len(fam), dtype=np.int64)
     for part, c, lo, k in _blocks(fam):
         # the slab [lo, hi) touches rows a..b, each 2^sh units high: all of
         # them whole, less the part of row a below lo and of row b above hi
@@ -212,7 +212,7 @@ def linearize(f: GridFunction, fam: RectangleFamily) -> ChoiceMap:
 
 
 def _check_entries(rho: ChoiceMap) -> None:
-    if max(rho.entries) >= len(rho.fam.members):
+    if max(rho.entries) >= len(rho.fam):
         raise ValueError("corrupt choice map")
 
 
@@ -239,7 +239,7 @@ def apply_T_adjoint(rho: ChoiceMap, g: GridFunction) -> GridFunction:
     if spec != g.spec:
         raise ValueError("incompatible grids")
     _check_entries(rho)
-    mass = [0] * len(fam.members)  # scaled by 2^(g.scale + 2m)
+    mass = [0] * len(fam)  # scaled by 2^(g.scale + 2m)
     for e, n in zip(rho.entries, g.nums):
         if e >= 0:
             mass[e] += n
@@ -280,7 +280,7 @@ def nu(rho: ChoiceMap, cells, member) -> DyadicRational:
 
 def nu_all(rho: ChoiceMap, cells) -> list[int]:
     """Chooser cell counts for every member (scaled nu: count per member)."""
-    counts = [0] * len(rho.fam.members)
+    counts = [0] * len(rho.fam)
     entries = rho.entries
     for idx in cells:
         e = entries[idx]
@@ -487,4 +487,4 @@ def estimate_norm(
             del nxt
             if f is None:
                 break
-    return NormReport(len(fam.members), tuple(rows), best)
+    return NormReport(len(fam), tuple(rows), best)

@@ -11,6 +11,7 @@ is (column << m) + row.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -54,6 +55,26 @@ def integrate(m: int, m_w: int, member: Member, f: Sequence[Fraction]) -> Fracti
             if o_hi > o_lo:
                 total += (o_hi - o_lo) * cell * f[(c << m) + r]
     return total
+
+
+def weighted_count(
+    m: int, m_w: int, members: Sequence[Member], counts: Sequence[int]
+) -> list[Fraction]:
+    """T* of an indicator whose cells chose each member counts times: per cell,
+    the sum of counts * cell area / |R| * (share of the cell R's slab covers)."""
+    n = 1 << m
+    cell = Fraction(1, n)
+    out = [Fraction(0)] * (n * n)
+    for r, cnt in zip(members, counts):
+        if not cnt:
+            continue
+        coef = cnt * cell / member_measure(m_w, r)  # cell area / (|R| * cell height)
+        for c in columns(m, m_w, r):
+            lo, hi = slab(m, m_w, r, c)
+            for row in range(math.floor(lo * n), math.ceil(hi * n)):
+                seg = min(hi, (row + 1) * cell) - max(lo, row * cell)
+                out[(c << m) + row] += coef * seg
+    return out
 
 
 def pair_overlap(m: int, m_w: int, a: Member, b: Member) -> Fraction:

@@ -99,7 +99,7 @@ def random_point(
     rng = random.Random(seed)
     v = random_field(spec, rng)
     fam = enumerate_family(FamilyParams(spec, delta), v)
-    if not fam.members:
+    if not fam:
         return None
     report = estimate_norm(fam, [random_grid(spec, rng)], ascent_iters)
     return report.best_ratio

@@ -29,7 +29,7 @@ from .family import is_good_collection
 from .geometry import DyadicInterval
 from .grids import GridFunction
 from .instances import CorpusInstance, build_corpus, random_grid
-from .maximal import apply_T, apply_T_adjoint, maximal_apply, nu_all
+from .maximal import apply_T, apply_T_adjoint, maximal_apply
 from .stopping_time import (
     carleson_sum,
     compute_assignments,
@@ -73,10 +73,8 @@ class VerifyReport:
 
 
 def _raw(inst: CorpusInstance):
-    members = [
-        (r.k, r.base.index, r.slope.index, r.offset.as_fraction())
-        for r in inst.family.members
-    ]
+    step = 1 << inst.spec.offset_exp
+    members = [(k, i, j, Fraction(t, step)) for k, i, j, t in inst.family.sort_keys.tolist()]
     vvals = [x.as_fraction() for x in inst.field.values()]
     return members, vvals
 
@@ -200,6 +198,7 @@ def check_exact_identities(report: VerifyReport, corpus: list[CorpusInstance]) -
     """Adjointness, weighted count, mass bound, and the badness split."""
     ok_adj = ok_count = ok_mass = ok_split = True
     for inst in corpus:
+        members, _ = _raw(inst)
         spec = inst.spec
         rho = inst.rho
         rng = random.Random(inst.seed + 1)
@@ -215,18 +214,18 @@ def check_exact_identities(report: VerifyReport, corpus: list[CorpusInstance]) -
         cells = [i for i in range(spec.n_cells) if rng.random() < 0.5]
         ind = GridFunction.indicator(spec, cells)
         ta = apply_T_adjoint(rho, ind)
-        counts = nu_all(rho, cells)
-        rhs = _weighted_count_grid(rho, counts)
-        if ta != rhs:
+        counts = oracle.nu_counts(members, rho.entries, cells)
+        want = oracle.weighted_count(spec.m, spec.m_w, members, counts)
+        if [x.as_fraction() for x in ta.values()] != want:
             ok_count = False
         total = sum(counts)
         if ta.integral() != DyadicRational(total, 2 * spec.m) or total > len(cells):
             ok_mass = False
 
         E = inst.covered
-        if inst.family.members and E:
+        if members and E:
             tab = badness_table(E, rho)
-            mi = max(range(len(inst.family.members)), key=lambda i: tab.badness[i].as_fraction())
+            mi = max(range(len(members)), key=lambda i: tab.badness[i].as_fraction())
             R = inst.family.members[mi]
             for K in (DyadicInterval(1, 0), DyadicInterval(2, 3), DyadicInterval(spec.m, 1)):
                 b_in, b_out = badness_components(R, K, E, rho)
@@ -236,30 +235,6 @@ def check_exact_identities(report: VerifyReport, corpus: list[CorpusInstance]) -
     report.add("identity weighted-count", ok_count)
     report.add("identity mass bound", ok_mass)
     report.add("identity badness split", ok_split)
-
-
-def _weighted_count_grid(rho, counts) -> GridFunction:
-    spec = rho.fam.spec
-    m = spec.m
-    out = [0] * spec.n_cells
-    scale = 2 * m + 2
-    for mi, r in enumerate(rho.fam.members):
-        if counts[mi] == 0:
-            continue
-        coef = counts[mi] << (2 * (spec.m_w - r.k))
-        u = 1 << (r.y_scale - m)
-        for c in range(r.col_lo, r.col_hi):
-            lo, hi = r.slab_scaled(c)
-            r0, r1 = lo // u, (hi - 1) // u
-            base = c << m
-            if r0 == r1:
-                out[base + r0] += coef * (hi - lo)
-                continue
-            out[base + r0] += coef * ((r0 + 1) * u - lo)
-            out[base + r1] += coef * (hi - r1 * u)
-            for rr in range(r0 + 1, r1):
-                out[base + rr] += coef * u
-    return GridFunction(spec, scale, out)
 
 
 def check_stopping_theorems(report: VerifyReport, corpus: list[CorpusInstance]) -> None:
@@ -365,7 +340,7 @@ def check_domination(
     """
     from .calibration import DOMINATION_FACTOR
 
-    n_viol = n_checked = 0
+    n_viol = n_checked = n_zero = 0
     worst = Fraction(0)
     for inst in corpus:
         if inst.spec.m > max_m:
@@ -374,15 +349,17 @@ def check_domination(
         violations, checked, worst_i = domination_check(res, inst.rho, inst.f)
         n_viol += len(violations)
         n_checked += checked
+        n_zero += sum(1 for v in violations if v.vertical_max == "0")
         worst = max(worst, worst_i)
     detail = f"{n_viol}/{n_checked} tuples exceed, worst x{float(worst):.3f}"
     # The constant-1 comparison is informational: the staircase cell
     # resampling costs a bounded factor (see the calibrated line below).
     report.add("vertical maximal domination (exact)", n_viol == 0, detail, note=True)
+    # no factor covers an excess over a vertical maximum of 0
     report.add(
         "vertical maximal domination (within calibrated factor)",
-        worst >= 0 and float(worst) <= DOMINATION_FACTOR,
-        detail,
+        n_zero == 0 and float(worst) <= DOMINATION_FACTOR,
+        detail + (f", {n_zero} over a vertical maximum of 0" if n_zero else ""),
     )
 
 

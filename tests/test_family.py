@@ -20,7 +20,9 @@ from dirmax.family import (
     v_measure,
 )
 from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell
-from dirmax.instances import constant_field, identity_field, random_field
+from dirmax.instances import cascade_field, constant_field, identity_field, random_field, random_grid
+from dirmax.maximal import linearize
+from dirmax.stopping_time import decomposition_to_json, run_generations
 
 
 def test_theta_is_the_slope_cell():
@@ -99,6 +101,9 @@ def test_enumerate_matches_bruteforce():
             [x.as_fraction() for x in v.values()],
         )
         assert got == want
+        assert fam.sort_keys.tolist() == [
+            [k, i, j, int(b * (1 << spec.offset_exp))] for k, i, j, b in want
+        ]
     del rng
 
 
@@ -275,3 +280,48 @@ def test_family_union_dedup():
     assert len(u) == 1
     b = RectangleFamily(params, (Parallelogram(spec, base, SlopeCell(2, 1), D(0)),))
     assert len(a.union(b)) == 2
+
+
+def test_family_validation():
+    spec = GridSpec(4, 2, False)
+    params = FamilyParams(spec, D(1, 1))
+    R = Parallelogram(spec, DyadicInterval(0, 0), SlopeCell(2, 0), D(0))
+    with pytest.raises(ValueError, match="must be distinct"):
+        RectangleFamily(params, (R, R))
+    other = Parallelogram(GridSpec(4, 2, True), DyadicInterval(0, 0), SlopeCell(2, 1), D(0))
+    with pytest.raises(ValueError, match="grid spec mismatch"):
+        RectangleFamily(params, (R, other))
+    lines = RectangleFamily(params, (R,), "enumerated").export_lines()
+    assert RectangleFamily.from_lines(lines) == RectangleFamily(params, (R,), "enumerated")
+    with pytest.raises(ValueError, match="missing family params header"):
+        RectangleFamily.from_lines(lines[1:])
+    # slope 7/8 over [0, 1) plus the width 1/4 reaches above 1
+    with pytest.raises(ValueError, match="leaves the unit square"):
+        RectangleFamily.from_lines([lines[0], "k 2 base 0 slope 3 off 0"])
+    with pytest.raises(ValueError, match="must be distinct"):
+        RectangleFamily.from_lines(lines + lines[1:])
+
+
+def test_family_rows_build_no_parallelograms(monkeypatch):
+    """Enumeration, linearization, the generations and their JSON read rows only."""
+    built = []
+    post_init = Parallelogram.__post_init__
+
+    def spy(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Parallelogram, "__post_init__", spy)
+    spec = GridSpec(7, 5, False)
+    v = cascade_field(spec)
+    fam = enumerate_family(FamilyParams(spec, D(1, 1)), v)
+    rho = linearize(random_grid(spec, random.Random(0)), fam)
+    decomposition_to_json(run_generations(v, spec.w, D(1, 1), rho))
+    assert built == []
+    want = oracle.enumerate_family(
+        spec.m, spec.m_w, spec.offset_exp, D(1, 1).as_fraction(),
+        [x.as_fraction() for x in v.values()],
+    )
+    got = [(r.k, r.base.index, r.slope.index, r.offset.as_fraction()) for r in fam.members]
+    assert got == want
+    assert len(built) == len(fam)

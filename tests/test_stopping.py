@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dirmax import oracle
+from dirmax import oracle, stopping_time, verify
 from dirmax.calibration import DIAGONAL_RATIO_COEFF
 from dirmax.dyadic import DyadicRational as D
 from dirmax.family import (
@@ -22,7 +22,7 @@ from dirmax.family import (
     v_measure,
 )
 from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell
-from dirmax.grids import OneVarField
+from dirmax.grids import OneVarField, RationalGrid
 from dirmax.instances import (
     cascade_field,
     constant_field,
@@ -425,3 +425,16 @@ def test_popularity_counts_match_oracle(spec_args, seed, delta, root_seed):
                     continue
                 assert v_measure(R, v).as_fraction() == Fraction(count, 1 << (m + m_w))
                 assert is_dense(R, v, delta) is dense[j]
+
+
+def test_calibrated_domination_fails_on_zero_vertical_max(corpus, monkeypatch):
+    # no factor covers an average above a vertical maximum of 0
+    def zero(g):
+        return RationalGrid(g.spec, [Fraction(0)] * g.spec.n_cells)
+
+    monkeypatch.setattr(stopping_time, "m2_vertical", zero)
+    report = verify.VerifyReport()
+    verify.check_domination(report, [i for i in corpus if i.name == "m5_cascade_d1"])
+    exact, calibrated = report.results
+    assert not exact.ok
+    assert calibrated.line().startswith("FAIL vertical maximal domination (within calibrated factor)")
