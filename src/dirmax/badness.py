@@ -30,7 +30,8 @@ import numpy as np
 
 from .dyadic import DyadicRational
 from .family import RectangleFamily, is_good_collection
-from .geometry import DyadicInterval, Parallelogram, Window, slab_cover, slab_overlap, union_measure
+from .geometry import DyadicInterval, Parallelogram, Window
+from .geometry import slab_cover, slab_overlap, slab_run, slab_union
 from .grids import GridFunction
 from .maximal import ChoiceMap, apply_T_adjoint, estimate_norm, maximal_apply, nu_all
 
@@ -50,32 +51,47 @@ def _coerce_lambda(lam0) -> DyadicRational:
 class BadnessEngine:
     """One integer table over a linearization's members for every badness scan.
 
-    Each member is tabulated once at the scale 2^S, S = m + m_w + 2 (the
-    grid's largest y_scale): its slab run (first column, first slab bottom,
-    step, columns, slab height), its pi_2 ends and its base level.  A member
-    weighs (nu_Q / |Q|) = counts[Q] << level_Q over 4^m / 2^m_w.
+    Each member's key row is tabulated once at the scale 2^S,
+    S = m + m_w + 2 (the grid's largest y_scale): its slab run (first column,
+    first slab bottom, step, columns, slab height), its pi_2 ends and its
+    base (level, index).  A member weighs (nu_Q / |Q|) = counts[Q] << level_Q
+    over 4^m / 2^m_w.
     """
 
     def __init__(self, rho: ChoiceMap):
-        self.fam = rho.fam
         self.spec = spec = rho.fam.spec
         self.scale = S = spec.m + spec.m_w + 2
-        self.runs: list[tuple[int, int, int, int, int]] = []
-        self.ends: list[tuple[int, int]] = []  # pi_2 = [lo, hi) over 2^S
-        self.levels: list[int] = []
-        self._inside: dict[tuple[int, int], list[int]] = {}
-        for mi, R in enumerate(self.fam.members):
-            start, step, cols, height = R.slabs(S)
-            self.runs.append((R.col_lo, start, step, cols, height))
-            self.ends.append((start, start + (cols - 1) * step + height))
-            level, index = R.base.level, R.base.index
-            self.levels.append(level)
+        keys = rho.fam.sort_keys.T
+        c0, lo, step = slab_run(spec, *keys)
+        i, d = keys[1], spec.m_w - keys[0]  # from the scale 2^(k + m + 2) up to 2^S
+        cols, height = 1 << (spec.m - d), 1 << (S - spec.m_w)
+        lo, step = lo << d, step << d
+        hi = lo + (cols - 1) * step + height
+        self.runs: list[tuple[int, int, int, int, int]] = [
+            (*row, height) for row in zip(c0.tolist(), lo.tolist(), step.tolist(), cols.tolist())
+        ]
+        self.ends: list[tuple[int, int]] = list(zip(lo.tolist(), hi.tolist()))  # pi_2 over 2^S
+        self.levels: list[int] = d.tolist()
+        self.bases: list[tuple[int, int]] = list(zip(self.levels, i.tolist()))
+        self._inside: dict[tuple[int, int], list[int]] = {}  # by every interval over the base
+        for mi, (level, index) in enumerate(self.bases):
             for up in range(level + 1):
                 self._inside.setdefault((up, index >> (level - up)), []).append(mi)
 
-    def inside_base(self, I: DyadicInterval) -> list[int]:
-        """Member indices whose horizontal projection sits inside I, ascending."""
-        return self._inside.get((I.level, I.index), [])
+    def inside_base(self, base: tuple[int, int]) -> list[int]:
+        """Member indices whose base sits inside the interval (level, index), ascending."""
+        return self._inside.get(base, [])
+
+    def touched_cells(self, mi: int) -> set[int]:
+        """All cells with positive overlap with member mi's staircase."""
+        m = self.spec.m
+        u = self.scale - m  # rows are 2^u units high
+        c0, lo, step, cols, height = self.runs[mi]
+        out = set()
+        for c in range(c0, c0 + cols):
+            out.update(range((c << m) + (lo >> u), (c << m) + ((lo + height - 1) >> u) + 1))
+            lo += step
+        return out
 
     def fits(self, W: Window) -> list[bool]:
         """Per member: pi_2 lies inside W."""
@@ -88,7 +104,7 @@ class BadnessEngine:
         """B_R: (1/|R|) integral over R of T*(1 restricted to pi_1(R)-choosers)."""
         run, runs, levels = self.runs[mi], self.runs, self.levels
         total = 0
-        for qi in self.inside_base(self.fam.members[mi].base):
+        for qi in self.inside_base(self.bases[mi]):
             cnt = counts[qi]
             if cnt and (member_filter is None or member_filter(qi)):
                 total += (cnt << levels[qi]) * slab_overlap(run, runs[qi])
@@ -99,7 +115,6 @@ class BadnessEngine:
     def box_mass(
         self,
         counts: Sequence[int],
-        members: Sequence[int],
         I: DyadicInterval,
         W: Window,
         keep: Callable[[int], bool],
@@ -110,7 +125,7 @@ class BadnessEngine:
         a = W.lo.num << (t - W.lo.exp)
         b = W.hi.num << (t - W.hi.exp)
         total = 0
-        for qi in members:
+        for qi in self.inside_base((I.level, I.index)):
             if counts[qi] and keep(qi):
                 _, start, step, cols, height = self.runs[qi]
                 slabs = start << d, step << d, cols, height << d
@@ -123,13 +138,7 @@ class BadnessEngine:
 
 def badness(R: Parallelogram, cells: Iterable[int], rho: ChoiceMap) -> DyadicRational:
     """Badness of R against the chooser set: exact weighted intersection count."""
-    fam = rho.fam
-    try:
-        mi = fam.members.index(R)
-    except ValueError:
-        raise ValueError("rectangle is not a family member") from None
-    eng = BadnessEngine(rho)
-    return eng.badness_of(mi, nu_all(rho, cells))
+    return BadnessEngine(rho).badness_of(rho.fam.index(R), nu_all(rho, cells))
 
 
 def badness_table(cells: Iterable[int], rho: ChoiceMap) -> "BadnessTable":
@@ -173,7 +182,7 @@ def reformulate_check(
         if not ca:
             continue
         wa = ca << levels[a]
-        for b in eng.inside_base(rho.fam.members[a].base):
+        for b in eng.inside_base(eng.bases[a]):
             if counts[b]:
                 x = wa * (counts[b] << levels[b]) * slab_overlap(runs[a], runs[b])
                 rhs += x
@@ -201,10 +210,9 @@ def in_out_split(
     W = _window_of(K)
     if W.lo == W.hi:
         return Fraction(0), Fraction(0)
-    members = eng.inside_base(I)
     inside = eng.fits(W.triple())
-    mass_in = eng.box_mass(counts, members, I, W, inside.__getitem__)
-    mass_out = eng.box_mass(counts, members, I, W, lambda qi: not inside[qi])
+    mass_in = eng.box_mass(counts, I, W, inside.__getitem__)
+    mass_out = eng.box_mass(counts, I, W, lambda qi: not inside[qi])
     denom = I.length.as_fraction() * W.length.as_fraction()
     return mass_in.as_fraction() / denom, mass_out.as_fraction() / denom
 
@@ -220,8 +228,7 @@ def badness_components(
     rho: ChoiceMap,
 ) -> tuple[DyadicRational, DyadicRational]:
     """Split of B_R by in/out choosers over the window K: parts sum to B_R."""
-    fam = rho.fam
-    mi = fam.members.index(R)
+    mi = rho.fam.index(R)
     eng = BadnessEngine(rho)
     counts = nu_all(rho, cells)
     inside = eng.fits(_window_of(K).triple())
@@ -262,7 +269,7 @@ def _select_bad_windows(
     spec = eng.spec
     m = spec.m
     n = 1 << m
-    active = [qi for qi in eng.inside_base(I) if counts[qi]]
+    active = [qi for qi in eng.inside_base((I.level, I.index)) if counts[qi]]
     if not active:
         return ()
     u = eng.scale - m  # grid point p sits at p << u
@@ -317,16 +324,6 @@ class ShrinkDiagnostics:
     dichotomy_failures: tuple[DichotomyRecord, ...]
 
 
-def _member_inside_cells(R: Parallelogram) -> set[int]:
-    """All cells with positive overlap with the staircase."""
-    m = R.spec.m
-    out = set()
-    for c in range(R.col_lo, R.col_hi):
-        r0, r1 = R.touched_rows(c)
-        out.update(range((c << m) + r0, (c << m) + r1))
-    return out
-
-
 def shrink_once(
     cells: Iterable[int],
     rho: ChoiceMap,
@@ -373,25 +370,19 @@ def shrink_once(
         mg = maximal_apply(g, rho.fam)
         # F = {M g >= lam0/2}: n / 2^scale >= num / 2^(exp + 1), in integers
         half_lam = lam0.num << mg.scale
-        f_cells = frozenset(
-            idx for idx, n in enumerate(mg.nums) if n << (lam0.exp + 1) >= half_lam
-        )
+        f_cells = frozenset(idx for idx, n in enumerate(mg.nums) if n << (lam0.exp + 1) >= half_lam)
         cap = DyadicRational(UNIVERSAL_BADNESS_FACTOR) * lam0
         counts_after = nu_all(rho, shrunk_f)
         for mi in range(len(rho.fam)):
             b = eng.badness_of(mi, counts)
             if b <= cap:
                 continue
-            inside = _member_inside_cells(rho.fam.members[mi]) <= shrunk_f
+            inside = eng.touched_cells(mi) <= shrunk_f
             b_after = eng.badness_of(mi, counts_after)
             if inside and b <= cap + b_after:
                 continue
-            failures.append(
-                DichotomyRecord(mi, b.render(), inside, b_after.render())
-            )
-    return shrunk_f, ShrinkDiagnostics(
-        lam0, tuple(windows), f_cells, halved, tuple(failures)
-    )
+            failures.append(DichotomyRecord(mi, b.render(), inside, b_after.render()))
+    return shrunk_f, ShrinkDiagnostics(lam0, tuple(windows), f_cells, halved, tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -474,23 +465,19 @@ def shrink_iterate(
         contained = True
         if k >= 2:
             target = steps[k - 1] if k - 1 < len(steps) else frozenset()
-            contained = all(
-                _member_inside_cells(rho.fam.members[mi]) <= target for mi in members
-            )
+            contained = all(eng.touched_cells(mi) <= target for mi in members)
         bands.append(
             BandRow(
                 k,
                 members,
-                union_measure([rho.fam.members[mi] for mi in members]),
+                DyadicRational(slab_union(eng.runs[mi] for mi in members), eng.scale + spec.m),
                 DyadicRational(e0_measure.num, e0_measure.exp + k),
                 contained,
             )
         )
         k += 1
     measures = tuple(DyadicRational(len(s), area_exp) for s in steps)
-    return ShrinkTrace(
-        lam0, tuple(steps), measures, tuple(diags), tuple(bands), truncated
-    )
+    return ShrinkTrace(lam0, tuple(steps), measures, tuple(diags), tuple(bands), truncated)
 
 
 # -- many good collections: the log N growth experiment -----------------------
@@ -521,13 +508,6 @@ def multi_collection_experiment(
     anything else is rejected with its witness.  seeds(union) supplies the
     test functions.  The report fits ratio against 1 + log2 N.
     """
-    if isinstance(n_values, int):
-        vals = []
-        n = 2
-        while n <= n_values:
-            vals.append(n)
-            n *= 2
-        n_values = vals
     measured = []
     for n in n_values:
         collections = list(builder(n))

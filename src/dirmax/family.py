@@ -21,7 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .dyadic import DyadicRational
-from .geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell, Window, spec_from_offstep
+from .geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell, Window
+from .geometry import dyadic_inside, max_offset_steps, spec_from_offstep
 from .grids import OneVarField
 
 ENUM_M_CAP = 12
@@ -106,8 +107,17 @@ class RectangleFamily:
     def spec(self) -> GridSpec:
         return self.params.spec
 
+    def index(self, R: Parallelogram) -> int:
+        """The index of member R, by a lookup of its key row."""
+        hit = np.flatnonzero((self.sort_keys == R.sort_key()).all(axis=1))
+        if R.spec != self.spec or not len(hit):
+            raise ValueError("rectangle is not a family member")
+        return int(hit[0])
+
     def subfamily(self, indices) -> "RectangleFamily":
         rows = np.array(sorted(set(indices)), dtype=np.int64)
+        if len(rows) and (rows[0] < 0 or rows[-1] >= len(self)):
+            raise ValueError("member index out of range")
         return RectangleFamily._adopt(self.params, self.sort_keys[rows], "subfamily")
 
     def union(self, other: "RectangleFamily") -> "RectangleFamily":
@@ -173,14 +183,6 @@ def is_dense(R: Parallelogram, v: OneVarField, delta: DyadicRational) -> bool:
     return R.slope.index in _popular_counts(R.base, v, delta)
 
 
-def _max_offset_steps(spec: GridSpec, i, j):
-    """Largest t with t*step + slope*sup(base) + w <= 1, negative if none, for
-    base index i and slope index j of one length level (ints or arrays)."""
-    # 1 - w - slope*sup(base) = room / 2^(m_w + 1), since |base| = 2^k * w
-    room = (2 << spec.m_w) - 2 - (2 * j + 1) * (i + 1)
-    return room >> (spec.m_w + 1 - spec.offset_exp)
-
-
 def enumerate_family(
     params: FamilyParams,
     v: OneVarField,
@@ -210,7 +212,7 @@ def enumerate_family(
 def _offset_rows(spec: GridSpec, runs) -> np.ndarray:
     """Key rows (k, i, j, t) for t = 0..tmax of each run (k, i, j), in run order."""
     runs = np.array(runs, dtype=np.int64).reshape(-1, 3)
-    size = np.maximum(_max_offset_steps(spec, runs[:, 1], runs[:, 2]) + 1, 0)
+    size = np.maximum(max_offset_steps(spec, runs[:, 1], runs[:, 2]) + 1, 0)
     t = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
     return np.column_stack([np.repeat(runs, size, axis=0), t])
 
@@ -283,47 +285,45 @@ class GoodnessWitness:
     conflict: tuple[Parallelogram, Parallelogram] | None = None
 
 
-def _finest_chain(cells: list[SlopeCell]) -> SlopeCell | None:
-    """The finest cell if the cells form a containment chain, else None."""
-    uniq = sorted(set(cells), key=lambda s: (s.level, s.index))
-    for a, b in zip(uniq, uniq[1:]):
-        if not a.contains(b):
-            return None
-    return uniq[-1] if uniq else None
+def _finest_chain(cells: np.ndarray) -> tuple[int, int] | None:
+    """The finest (level, index) row if the rows form a containment chain, else None."""
+    uniq = np.unique(cells, axis=0)
+    if not len(uniq) or not dyadic_inside(*uniq[1:].T, *uniq[:-1].T).all():
+        return None
+    return tuple(uniq[-1].tolist())
 
 
 def is_good_collection(fam: RectangleFamily) -> tuple[bool, GoodnessWitness]:
     """Equal horizontal projections must force equal slopes; witness organization."""
-    by_base: dict[DyadicInterval, list[Parallelogram]] = {}
-    for r in fam.members:
-        by_base.setdefault(r.base, []).append(r)
-    good = True
-    conflict = None
-    for members in by_base.values():
-        slopes = {r.slope for r in members}
-        if len(slopes) > 1:
-            good = False
-            a = members[0]
-            b = next(r for r in members if r.slope != a.slope)
-            conflict = (a, b)
-            break
-
-    if not fam.members:
-        return good, GoodnessWitness(True, ())
+    if not len(fam):
+        return True, GoodnessWitness(True, ())
+    k, i, j, _ = fam.sort_keys.T
+    level = fam.spec.m_w - k
+    bases, first, group = np.unique(
+        np.column_stack([level, i]), axis=0, return_index=True, return_inverse=True
+    )
+    # a conflict: the first member of the first base (in member order) with
+    # two slopes, and that base's first member of another slope
+    head = first[group.ravel()]
+    split = np.flatnonzero(j != j[head])
+    good, conflict = not len(split), None
+    if not good:
+        a = head[split].min()
+        conflict = fam.subfamily([a, split[head[split] == a][0]]).members
 
     # One global direction chain first, else one chain per maximal base.
-    all_cells = [r.slope for r in fam.members]
-    top = _finest_chain(all_cells)
+    slopes = np.column_stack([k, j])
+    top = _finest_chain(slopes)
     if top is not None:
-        return good, GoodnessWitness(True, ((DyadicInterval(0, 0), top),), conflict)
-
-    bases = sorted(by_base, key=lambda J: (J.level, J.index))
-    maximal = [J for J in bases if not any(K.strictly_contains(J) for K in bases)]
+        return good, GoodnessWitness(True, ((DyadicInterval(0, 0), SlopeCell(*top)),), conflict)
     pairs = []
-    for J in maximal:
-        cells = [r.slope for r in fam.members if J.contains(r.base)]
-        s = _finest_chain(cells)
+    for row, (lv, ix) in enumerate(bases.tolist()):
+        over = dyadic_inside(lv, ix, bases[:, 0], bases[:, 1])
+        over[row] = False
+        if over.any():
+            continue
+        s = _finest_chain(slopes[dyadic_inside(level, i, lv, ix)])
         if s is None:
             return good, GoodnessWitness(False, (), conflict)
-        pairs.append((J, s))
+        pairs.append((DyadicInterval(lv, ix), SlopeCell(*s)))
     return good, GoodnessWitness(True, tuple(pairs), conflict)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dyadic import DyadicRational
 
 
@@ -219,6 +221,38 @@ def spec_from_offstep(m: int, m_w: int, code: str) -> GridSpec:
     raise ValueError(f"unknown offset step code {code!r}")
 
 
+# -- staircase formulas of key rows (k, i, j, t), elementwise on ints or int64 arrays
+
+
+def slab_run(spec: GridSpec, k, i, j, t):
+    """(first column, first slab bottom, step): over 2^(k + m + 2), column c's
+    slab starts at slope * x_c + offset = (2j + 1)(2c + 1) + t * 2^(k + m + 2 -
+    offset_exp), so the bottoms step by 2(2j + 1) a column."""
+    c0 = i << (spec.m - spec.m_w + k)
+    lift = t << (k + spec.m + 2 - spec.offset_exp)
+    return c0, (2 * j + 1) * (2 * c0 + 1) + lift, 2 * (2 * j + 1)
+
+
+def max_offset_steps(spec: GridSpec, i, j):
+    """Largest t with t*step + slope*sup(base) + w <= 1, negative if none, for
+    base index i and slope index j of one length level."""
+    # 1 - w - slope*sup(base) = room / 2^(m_w + 1), since |base| = 2^k * w
+    room = (2 << spec.m_w) - 2 - (2 * j + 1) * (i + 1)
+    return room >> (spec.m_w + 1 - spec.offset_exp)
+
+
+def dyadic_inside(level, index, outer_level, outer_index):
+    """Dyadic [index/2^level) inside [outer_index/2^outer_level), elementwise."""
+    d = level - outer_level
+    return (d >= 0) & ((index >> np.maximum(d, 0)) == outer_index)
+
+
+def first_center_row(k, lo):
+    """The first row whose center is at or above the slab bottom lo (scaled by
+    2^(k + m + 2), so rows are 2^(k + 2) units high)."""
+    return (lo + (1 << (k + 1)) - 1) >> (k + 2)
+
+
 @dataclass(frozen=True)
 class Parallelogram:
     """Width-w staircase parallelogram: base interval, slope cell, offset.
@@ -244,14 +278,7 @@ class Parallelogram:
             raise ValueError("offset must be nonnegative")
         if self.offset.exp > self.spec.offset_exp:
             raise ValueError("offset is not a multiple of the offset step")
-        # top = slope center * sup(base) + offset + w, all over 2^(m_w + 1)
-        e = self.spec.m_w + 1
-        top = (
-            (2 * self.slope.index + 1) * (self.base.index + 1)
-            + (self.offset.num << (e - self.offset.exp))
-            + 2
-        )
-        if top > 1 << e:
+        if self.sort_key()[3] > max_offset_steps(self.spec, self.base.index, self.slope.index):
             raise ValueError("parallelogram leaves the unit square")
 
     @property
@@ -288,19 +315,16 @@ class Parallelogram:
         """All slab endpoints are integers over 2^y_scale."""
         return self.slope.level + self.spec.m + 2
 
-    def slab_scaled(self, c: int) -> tuple[int, int]:
-        """(lo, hi) of the column-c slab, scaled by 2^y_scale."""
-        s = self.y_scale
-        lo = (2 * self.slope.index + 1) * (2 * c + 1) + (
-            self.offset.num << (s - self.offset.exp)
-        )
-        return lo, lo + (1 << (s - self.spec.m_w))
-
     def slab_lows(self) -> range:
         """slab_scaled(c)[0] for every column c of the base, in column order."""
-        step = 2 * (2 * self.slope.index + 1)
-        lo, _ = self.slab_scaled(self.col_lo)
-        return range(lo, lo + step * (self.col_hi - self.col_lo), step)
+        c0, lo, step = slab_run(self.spec, *self.sort_key())
+        return range(lo, lo + step * (self.col_hi - c0), step)
+
+    def slab_scaled(self, c: int) -> tuple[int, int]:
+        """(lo, hi) of the column-c slab, scaled by 2^y_scale."""
+        lows = self.slab_lows()
+        lo = lows.start + (c - self.col_lo) * lows.step
+        return lo, lo + (1 << (self.y_scale - self.spec.m_w))
 
     def slabs(self, scale: int) -> tuple[int, int, int, int]:
         """(first slab bottom, step, columns, slab height) scaled by 2^scale.
@@ -326,9 +350,7 @@ class Parallelogram:
         The count is always 2^(m - m_w): the slab is half-open of height w.
         """
         lo, _ = self.slab_scaled(c)
-        d = 1 << (self.y_scale - self.spec.m - 1)
-        r0 = (lo + d - 1) // (2 * d)
-        return r0, 1 << (self.spec.m - self.spec.m_w)
+        return first_center_row(self.k, lo), 1 << (self.spec.m - self.spec.m_w)
 
     def touched_rows(self, c: int) -> tuple[int, int]:
         """(first, one-past-last) rows with positive overlap with the slab."""
@@ -409,19 +431,12 @@ def overlap_measure(a: Parallelogram, b: Parallelogram) -> DyadicRational:
     return DyadicRational(total, s + a.spec.m)
 
 
-def union_measure(members) -> DyadicRational:
-    """Exact area of the union of staircase parallelograms (same grid)."""
-    members = list(members)
-    if not members:
-        return DyadicRational(0)
-    spec = members[0].spec
-    s = max(r.y_scale for r in members)
+def slab_union(runs) -> int:
+    """Length of the union of slab runs at one scale, summed over columns; a
+    run is (first column, *Parallelogram.slabs(scale)), as in slab_overlap."""
     by_col: dict[int, list[tuple[int, int]]] = {}
-    for r in members:
-        if r.spec != spec:
-            raise ValueError("incompatible grids")
-        lo, step, n, height = r.slabs(s)
-        for c in range(r.col_lo, r.col_lo + n):
+    for c0, lo, step, n, height in runs:
+        for c in range(c0, c0 + n):
             by_col.setdefault(c, []).append((lo, lo + height))
             lo += step
     total = 0
@@ -435,4 +450,16 @@ def union_measure(members) -> DyadicRational:
             elif hi > cur_hi:
                 cur_hi = hi
         total += cur_hi - cur_lo
-    return DyadicRational(total, s + spec.m)
+    return total
+
+
+def union_measure(members) -> DyadicRational:
+    """Exact area of the union of staircase parallelograms (same grid)."""
+    members = list(members)
+    if not members:
+        return DyadicRational(0)
+    spec = members[0].spec
+    if any(r.spec != spec for r in members):
+        raise ValueError("incompatible grids")
+    s = max(r.y_scale for r in members)
+    return DyadicRational(slab_union((r.col_lo, *r.slabs(s)) for r in members), s + spec.m)

@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .dyadic import DyadicRational
-from .family import FamilyParams, RectangleFamily, _max_offset_steps, _offset_rows, enumerate_family
-from .geometry import GridSpec
+from .family import FamilyParams, RectangleFamily, _offset_rows, enumerate_family
+from .geometry import GridSpec, first_center_row, max_offset_steps, slab_run
 from .grids import GridFunction, OneVarField
 from .maximal import ChoiceMap, linearize
 
@@ -37,9 +37,9 @@ def random_field(spec: GridSpec, rng: random.Random) -> OneVarField:
     return OneVarField(spec, spec.m, [rng.randrange(n) for _ in range(n)])
 
 
-def random_grid(spec: GridSpec, rng: random.Random, top: int = 8) -> GridFunction:
-    """Random nonnegative test function with small integer numerators."""
-    return GridFunction(spec, 0, [rng.randrange(top) for _ in range(spec.n_cells)])
+def random_grid(spec: GridSpec, rng: random.Random) -> GridFunction:
+    """Random nonnegative test function with integer numerators in [0, 8)."""
+    return GridFunction(spec, 0, [rng.randrange(8) for _ in range(spec.n_cells)])
 
 
 def cascade_field(spec: GridSpec) -> OneVarField:
@@ -120,38 +120,25 @@ def make_kakeya_bundle(m: int, delta: DyadicRational, depth: int | None = None) 
     for i in range(n):
         m0 = m0 + DyadicRational(1 << i, n) * t[i]  # 2^i * delta * t_i
     # one full-length tail rectangle per direction that has one (every slope
-    # but the topmost), its offset quantized to the family grid and clamped
-    offsets: list[DyadicRational] = []
+    # but the topmost), its offset quantized to the family grid and clamped;
+    # the support piece is the cell centers in (n, 0, j, tn)'s slabs on [0, 1/2)
     rows: list[tuple[int, int, int, int]] = []  # key rows over the base [0, 1)
+    nums = np.zeros(spec.n_cells, dtype=np.int64)
+    cols = np.arange(1 << (m - 1))
     for j in range(nslopes):
         b = m0
         for i in range(n):
             if (j >> i) & 1:
                 b = b - DyadicRational(1 << i, n) * t[i]
         tn = ((b.num << (n + 1)) + (1 << b.exp)) >> (b.exp + 1)
-        t_max = _max_offset_steps(spec, 0, j)
+        t_max = max_offset_steps(spec, 0, j)
         if t_max >= 0:
             tn = min(max(tn, 0), t_max)
             rows.append((n, 0, j, tn))
-        offsets.append(DyadicRational(tn, n))
-
-    # rasterize the support by cell-center membership
-    ncols_tree = 1 << (m - 1)
-    nums = [0] * spec.n_cells
-    row_top = spec.n
-    cnt = 1 << (m - n)
-    for j in range(nslopes):
-        s_num = 2 * j + 1  # slope center = s_num / 2^(n+1)
-        b = offsets[j]
-        for c in range(ncols_tree):
-            # lo = s * x_c + b at scale n + m + 2
-            sc = n + m + 2
-            lo = s_num * (2 * c + 1) + (b.num << (sc - b.exp))
-            d = 1 << (sc - m - 1)
-            r0 = (lo + d - 1) // (2 * d)
-            for r in range(r0, min(r0 + cnt, row_top)):
-                nums[(c << m) + r] = 1
-    indicator = GridFunction(spec, 0, nums)
+        _, lo, step = slab_run(spec, n, 0, j, tn)
+        r = first_center_row(n, lo + step * cols)[:, None] + np.arange(1 << (m - n))
+        nums[((cols[:, None] << m) + r)[r < spec.n]] = 1
+    indicator = GridFunction(spec, 0, nums.tolist())
 
     keys = np.array(rows, dtype=np.int64).reshape(-1, 4)
     tails = RectangleFamily._adopt(FamilyParams(spec, delta), keys, "constructed")
@@ -192,15 +179,13 @@ def organized_collections(spec: GridSpec, count: int) -> list[RectangleFamily]:
     offset for its (base, slope) pair.
     """
     params = FamilyParams(spec, DyadicRational(1, spec.m_w))
-    runs: list[tuple[int, int, int]] = []  # (k, base index, slope index)
-    level = 0
-    while len(runs) < count and level <= spec.m_w:
-        k = spec.m_w - level
-        for index in range(1 << level):
-            for j in range(1 << k):
-                if _max_offset_steps(spec, index, j) >= 0:
-                    runs.append((k, index, j))
-        level += 1
+    runs = [  # (k, base index, slope index) with at least one offset
+        (k, i, j)
+        for k in range(spec.m_w, -1, -1)
+        for i in range(1 << (spec.m_w - k))
+        for j in range(1 << k)
+        if max_offset_steps(spec, i, j) >= 0
+    ][:count]
     if len(runs) < count:
         raise ValueError("grid too small for that many collections")
     return [RectangleFamily._adopt(params, _offset_rows(spec, [r]), "constructed") for r in runs[:count]]

@@ -14,9 +14,9 @@ among equal averages, the lowest index.  So Mf is exactly T_rho f at its own
 linearization, at the same scale, and the T*T ascent feeds Mf to T* with no
 second averaging pass.
 
-T* is computed against the exact staircase geometry: the indicator of a
-member enters as its per-cell coverage fractions, which is precisely what
-makes <Tf, g> = <f, T*g> an exact identity on the grid.
+T* is that kernel's transpose: over the same blocks, each member's chooser
+mass goes back onto the rows the kernel reads, with the same coverage
+fractions, through one difference array, so <Tf, g> = <f, T*g> is exact.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .dyadic import DyadicRational
 from .family import RectangleFamily
-from .geometry import GridSpec
+from .geometry import GridSpec, first_center_row, slab_run
 from .grids import GridFunction, RationalGrid, integrate_scaled
 
 
@@ -62,9 +62,9 @@ class ChoiceMap:
             for idx in r.cell_indices():
                 covered[idx] = True
         for idx, e in enumerate(self.entries):
+            if not -1 <= e < len(members):
+                raise ValueError("corrupt choice map")
             if e >= 0:
-                if not (0 <= e < len(members)):
-                    raise ValueError("corrupt choice map")
                 c, row = self.spec.cell_coords(idx)
                 if not members[e].contains_cell(c, row):
                     raise ValueError("choice map entry outside its rectangle")
@@ -80,6 +80,16 @@ class ChoiceMap:
 # 2^(b + 2m + 2).  Partial sums of nonnegative column integrals stay below
 # their total.  So b + 2m + 3 <= 62 keeps every value below 2^61, inside an
 # int64 with room to spare.
+#
+# Its transpose, the T* splat, has its own bound.  With M the largest |mass|
+# and N the member count, a slab's coefficient mass << (2(m_w - k) + sh) and
+# each of its four difference entries (rows a, a + 1, b, b + 1) are below
+# 2^(bits(M) + 2m_w + 2).  A slab spans at least 4 rows, so one flat index
+# takes at most two entries of a member: from its slab in that column and
+# from closing the one in the column before.  Every partial sum np.add.at
+# leaves is below 2^(bits(M) + bits(N) + 2m_w + 3) in absolute value, the
+# prefix sums (the output) below half that.  So bits(M) + 2m_w + 3 + bits(N)
+# <= 62 keeps all below 2^62; otherwise the same code runs on Python ints.
 _INT64_BITS = 62
 _BLOCK = 1 << 15  # member-columns per numpy block
 
@@ -89,25 +99,37 @@ def _int64_exact(f: GridFunction) -> bool:
     return max(f.nums).bit_length() + 2 * f.spec.m + 3 <= _INT64_BITS
 
 
-def _blocks(fam: RectangleFamily):
+def _splat_dtype(mass: list[int], fam: RectangleFamily):
+    """np.int64 where the T* splat of these member masses is provably exact, else object."""
+    bits = max((x.bit_length() for x in mass), default=0) + len(fam).bit_length()
+    return np.int64 if bits + 2 * fam.spec.m_w + 3 <= _INT64_BITS else object
+
+
+def _blocks(fam: RectangleFamily, size: int):
     """(member indices, columns, slab bottoms, k) per block of one k level.
 
-    Columns and slab bottoms (scaled by 2^y_scale) are int64 arrays of shape
-    (members, columns of a level-k member), about _BLOCK entries per block.
+    Columns and slab bottoms (over 2^(k + m + 2), as geometry.slab_run) are
+    int64 arrays of shape (members, columns of a member), about size entries.
     """
-    spec = fam.spec
-    m, keys = spec.m, fam.sort_keys
+    spec, keys = fam.spec, fam.sort_keys
     for k in range(spec.m_w + 1):
         sel = np.flatnonzero(keys[:, 0] == k)
         cols = spec.m - spec.m_w + k  # log2 of the columns per member
         span = np.arange(1 << cols)
-        step = max(1, _BLOCK >> cols)
+        step = max(1, size >> cols)
         for a in range(0, len(sel), step):
             part = sel[a : a + step]
-            _, base, slope, t = keys[part].T
-            c = (base << cols)[:, None] + span
-            lift = t << (k + m + 2 - spec.offset_exp)
-            yield part, c, (2 * slope + 1)[:, None] * (2 * c + 1) + lift[:, None], k
+            c0, lo, dlo = (x[:, None] for x in slab_run(spec, *keys[part].T))
+            yield part, c0 + span, lo + dlo * span, k
+
+
+def _slab_rows(spec: GridSpec, lo, k: int):
+    """(a, b, below, above, sh): the level-k slab [lo, hi) touches rows a..b, each
+    2^sh units high; below is the part of row a under lo, above that of row b over hi."""
+    sh = k + 2
+    mask = (1 << sh) - 1
+    hi = lo + (1 << (k + spec.m + 2 - spec.m_w))
+    return lo >> sh, (hi - 1) >> sh, lo & mask, -hi & mask, sh
 
 
 def _averages_int64(fam: RectangleFamily, f: GridFunction) -> list[int]:
@@ -116,22 +138,17 @@ def _averages_int64(fam: RectangleFamily, f: GridFunction) -> list[int]:
     Only valid where _int64_exact(f) holds.
     """
     spec = fam.spec
-    m, m_w, n = spec.m, spec.m_w, spec.n
+    n = spec.n
     pref = np.zeros((n, n + 1), dtype=np.int64)  # per-column prefix sums
     pref[:, 1:] = np.array(f.nums, dtype=np.int64).reshape(n, n)
     np.cumsum(pref, axis=1, out=pref)
     out = np.empty(len(fam), dtype=np.int64)
-    for part, c, lo, k in _blocks(fam):
-        # the slab [lo, hi) touches rows a..b, each 2^sh units high: all of
-        # them whole, less the part of row a below lo and of row b above hi
-        sh = k + 2
-        mask = (1 << sh) - 1
-        hi = lo + (1 << (k + m + 2 - m_w))
-        a, b = lo >> sh, (hi - 1) >> sh
+    for part, c, lo, k in _blocks(fam, _BLOCK):
+        # rows a..b whole, less the part of row a below lo and of row b above hi
+        a, b, below, above, sh = _slab_rows(spec, lo, k)
         pa, pb = pref[c, a], pref[c, b + 1]
-        cols = ((pb - pa) << sh) - (lo & mask) * (pref[c, a + 1] - pa)
-        cols -= (-hi & mask) * (pb - pref[c, b])
-        out[part] = cols.sum(axis=1) << (2 * (m_w - k))
+        cols = ((pb - pa) << sh) - below * (pref[c, a + 1] - pa) - above * (pb - pref[c, b])
+        out[part] = cols.sum(axis=1) << (2 * (spec.m_w - k))
     return out.tolist()
 
 
@@ -168,9 +185,8 @@ def _rank_grid(fam: RectangleFamily, avgs: list[int]) -> tuple[np.ndarray, list[
     rank = np.empty(len(avgs), dtype=np.int32)
     rank[order] = np.arange(1, len(avgs) + 1, dtype=np.int32)
     top = np.zeros(spec.n_cells, dtype=np.int32)
-    for part, c, lo, k in _blocks(fam):
-        sh = k + 2  # rows are 2^sh units high; r0 is the first center >= lo
-        r0 = (lo + ((1 << (sh - 1)) - 1)) >> sh
+    for part, c, lo, k in _blocks(fam, _BLOCK):
+        r0 = first_center_row(k, lo)
         np.maximum.at(top, ((c << m) + r0).ravel(), np.repeat(rank[part], c.shape[1]))
     grid = top.reshape(spec.n, spec.n)
     d = 1
@@ -212,7 +228,7 @@ def linearize(f: GridFunction, fam: RectangleFamily) -> ChoiceMap:
 
 
 def _check_entries(rho: ChoiceMap) -> None:
-    if max(rho.entries) >= len(rho.fam):
+    if min(rho.entries) < -1 or max(rho.entries) >= len(rho.fam):
         raise ValueError("corrupt choice map")
 
 
@@ -231,8 +247,10 @@ def apply_T(rho: ChoiceMap, f: GridFunction) -> GridFunction:
 def apply_T_adjoint(rho: ChoiceMap, g: GridFunction) -> GridFunction:
     """T* g = sum over members of (mass of g on the choosers) * 1_R / |R|.
 
-    1_R enters with exact per-cell coverage fractions of the staircase, so
-    adjointness against apply_T holds exactly.
+    The transpose of _averages_int64 over the same _blocks: each slab adds
+    its member's coefficient to its rows a..b whole and takes off the parts
+    of rows a and b outside the slab, the per-cell coverage fractions that
+    kernel weighs f by.  So <Tf, g> = <f, T*g> is exact on the grid.
     """
     fam = rho.fam
     spec = fam.spec
@@ -244,26 +262,23 @@ def apply_T_adjoint(rho: ChoiceMap, g: GridFunction) -> GridFunction:
         if e >= 0:
             mass[e] += n
     m = spec.m
-    out = [0] * spec.n_cells
-    for r, w in zip(fam.members, mass):
-        if not w:
-            continue
-        # per cell: mass * overlap(slab, cell)/cell / |R|, as in integrate_scaled
-        coef = w << (2 * (spec.m_w - r.k))
-        sh = r.y_scale - m
-        mask = (1 << sh) - 1
-        height = 1 << (r.y_scale - spec.m_w)
+    dtype = _splat_dtype(mass, fam)
+    mass = np.array(mass, dtype=dtype)
+    # one column-major difference array: a slab that ends on its column's
+    # last row closes at the next column's first index, hence n^2 + 1 entries;
+    # the parts of rows a and b outside the slab enter as point pairs
+    diff = np.zeros(spec.n_cells + 1, dtype=dtype)
+    for part, c, lo, k in _blocks(fam, _BLOCK >> 3):  # Python-int temporaries stay small
+        a, b, below, above, sh = _slab_rows(spec, lo, k)
+        a, b = a + (c << m), b + (c << m)
+        coef = (mass[part] << 2 * (spec.m_w - k))[:, None]
         full = coef << sh
-        base = r.col_lo << m
-        for lo in r.slab_lows():
-            hi = lo + height
-            a = base + (lo >> sh)
-            b = base + ((hi - 1) >> sh) + 1
-            out[a:b] = [x + full for x in out[a:b]]
-            out[a] -= coef * (lo & mask)
-            out[b - 1] -= coef * (-hi & mask)
-            base += 1 << m
-    return GridFunction._adopt(spec, g.scale + 2 * m + 2, out)
+        np.add.at(diff, a, full - coef * below)
+        np.add.at(diff, a + 1, coef * below)
+        np.subtract.at(diff, b, coef * above)
+        np.add.at(diff, b + 1, coef * above - full)
+    np.cumsum(diff, out=diff)
+    return GridFunction._adopt(spec, g.scale + 2 * m + 2, diff[:-1].tolist())
 
 
 def nu(rho: ChoiceMap, cells, member) -> DyadicRational:
@@ -272,7 +287,7 @@ def nu(rho: ChoiceMap, cells, member) -> DyadicRational:
     The member may be given as its index or as the parallelogram itself.
     """
     if not isinstance(member, int):
-        member = rho.fam.members.index(member)
+        member = rho.fam.index(member)
     entries = rho.entries
     count = sum(1 for idx in cells if entries[idx] == member)
     return DyadicRational(count, 2 * rho.spec.m)

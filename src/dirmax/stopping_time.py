@@ -22,7 +22,7 @@ import numpy as np
 
 from .dyadic import DyadicRational
 from .family import RectangleFamily, _popular_counts
-from .geometry import DyadicInterval, SlopeCell
+from .geometry import DyadicInterval, SlopeCell, dyadic_inside
 from .grids import GridFunction, OneVarField
 from .maximal import ChoiceMap, apply_T, apply_T_adjoint, ascent_iterate, m2_vertical
 from .maximal import _scaled_averages
@@ -198,12 +198,6 @@ class ClassifyResult:
     collections: tuple[RectangleFamily, ...]
 
 
-def _inside(level, index, outer_level, outer_index):
-    """Dyadic [index/2^level) inside [outer_index/2^outer_level), elementwise."""
-    d = level - outer_level
-    return (d >= 0) & ((index >> np.maximum(d, 0)) == outer_index)
-
-
 def classify_points(
     cells: Iterable[int],
     rho: ChoiceMap,
@@ -223,13 +217,14 @@ def classify_points(
     uniq, which = np.unique(chosen, return_inverse=True)
     k, base, slope, _ = fam.sort_keys[uniq].T
     level = fam.spec.m_w - k
-    if not _inside(level, base, I.level, I.index).all():
+    if not dyadic_inside(level, base, I.level, I.index).all():
         raise ValueError("choice escapes interval")
     hit = np.zeros((len(omegas), len(uniq)), dtype=bool)
     for n, layer in enumerate(omegas):
         for p in layer:
             J, s = p.interval, p.slope
-            hit[n] |= _inside(level, base, J.level, J.index) & _inside(s.level, s.index, k, slope)
+            under = dyadic_inside(level, base, J.level, J.index)
+            hit[n] |= under & dyadic_inside(s.level, s.index, k, slope)
     # the sets keep the callers' int objects; fresh ones add about 20 MB at m = 9
     f_sets = tuple(frozenset(compress(cells, row[which].tolist())) for row in hit)
     good = hit.any(axis=0)[which]

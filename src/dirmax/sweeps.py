@@ -32,22 +32,21 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
+P_VALUES = (1.0, 1.5, 2.0)  # the L^p exponents of sweep_lp
+RANDOM_M = 6  # grid exponent of sweep_delta's random-field spot checks
+LOGN_M, LOGN_MW = 7, 5  # the grid of sweep_logn
+LOGN_VALUES = (2, 4, 8, 16, 32, 64)  # the collection counts N of sweep_logn
+
+
 @dataclass
 class ExperimentConfig:
     """Knobs for the sweep harness; every run is a pure function of these."""
 
-    deltas: tuple[DyadicRational, ...] = tuple(
-        DyadicRational(1, e) for e in range(3, 7)
-    )
-    p_values: tuple[float, ...] = (1.0, 1.5, 2.0)
+    deltas: tuple[DyadicRational, ...] = tuple(DyadicRational(1, e) for e in range(3, 7))
     seed: int = 0
     ascent_iters: int = 1
     m_override: int | None = None
-    random_m: int = 6
     random_count: int = 2
-    logn_m: int = 7
-    logn_mw: int = 5
-    logn_values: tuple[int, ...] = (2, 4, 8, 16, 32, 64)
 
 
 def kakeya_grid_m(delta: DyadicRational) -> int:
@@ -89,13 +88,11 @@ def kakeya_point(
     return report.best_ratio
 
 
-def random_point(
-    delta: DyadicRational, m: int, seed: int, ascent_iters: int
-) -> float | None:
+def random_point(delta: DyadicRational, seed: int, ascent_iters: int) -> float | None:
     """Best ratio over the full density family of a random field, if it fits."""
-    if delta.exp > m - 2:
+    if delta.exp > RANDOM_M - 2:
         return None
-    spec = GridSpec(m, delta.exp, False)
+    spec = GridSpec(RANDOM_M, delta.exp, False)
     rng = random.Random(seed)
     v = random_field(spec, rng)
     fam = enumerate_family(FamilyParams(spec, delta), v)
@@ -121,7 +118,7 @@ def sweep_delta(cfg: ExperimentConfig) -> DeltaSweep:
         rows.append(DeltaRow(delta, "kakeya", ratio))
         best.append((delta, ratio))
         for i in range(cfg.random_count):
-            r = random_point(delta, cfg.random_m, cfg.seed + 31 * i + delta.exp, cfg.ascent_iters)
+            r = random_point(delta, cfg.seed + 31 * i + delta.exp, cfg.ascent_iters)
             if r is not None:
                 rows.append(DeltaRow(delta, f"random{i}", r))
     if len(best) >= 2:
@@ -155,7 +152,7 @@ class LpSweep:
         return "\n".join(lines) + "\n"
 
 
-def square_ratios(delta: DyadicRational, p_values, m: int | None = None) -> list[LpRow]:
+def square_ratios(delta: DyadicRational, m: int | None = None) -> list[LpRow]:
     """||Mf||_p / ||f||_p for the corner-square indicator, vs delta^(1 - 2/p)."""
     m = m if m is not None else delta.exp + 4
     v, f = make_square_instance(m, delta)
@@ -163,7 +160,7 @@ def square_ratios(delta: DyadicRational, p_values, m: int | None = None) -> list
     fam = enumerate_family(FamilyParams(spec, delta), v, max_m=max(12, m))
     mf = maximal_apply(f, fam)
     out = []
-    for p in p_values:
+    for p in P_VALUES:
         ratio = mf.lp_norm(p) / f.lp_norm(p)
         ref = float(delta.as_fraction()) ** (1.0 - 2.0 / p)
         out.append(LpRow(delta, p, ratio, ref))
@@ -173,13 +170,13 @@ def square_ratios(delta: DyadicRational, p_values, m: int | None = None) -> list
 def sweep_lp(cfg: ExperimentConfig) -> LpSweep:
     rows: list[LpRow] = []
     for delta in cfg.deltas:
-        rows.extend(square_ratios(delta, cfg.p_values, cfg.m_override))
+        rows.extend(square_ratios(delta, cfg.m_override))
     return LpSweep(tuple(rows))
 
 
 def sweep_logn(cfg: ExperimentConfig) -> GrowthReport:
     """Growth of the best ratio for unions of N organized collections."""
-    spec = GridSpec(cfg.logn_m, cfg.logn_mw, False)
+    spec = GridSpec(LOGN_M, LOGN_MW, False)
 
     def builder(n: int):
         return organized_collections(spec, n)
@@ -193,6 +190,4 @@ def sweep_logn(cfg: ExperimentConfig) -> GrowthReport:
         )
         return [block, random_grid(spec, rng)]
 
-    return multi_collection_experiment(
-        list(cfg.logn_values), builder, seeds, cfg.ascent_iters
-    )
+    return multi_collection_experiment(list(LOGN_VALUES), builder, seeds, cfg.ascent_iters)

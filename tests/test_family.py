@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -21,8 +22,9 @@ from dirmax.family import (
 )
 from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell
 from dirmax.instances import cascade_field, constant_field, identity_field, random_field, random_grid
-from dirmax.maximal import linearize
-from dirmax.stopping_time import decomposition_to_json, run_generations
+from dirmax.badness import badness_table, reformulate_check, shrink_iterate
+from dirmax.maximal import apply_T_adjoint, linearize
+from dirmax.stopping_time import decomposition_to_json, domination_check, run_generations
 
 
 def test_theta_is_the_slope_cell():
@@ -315,8 +317,25 @@ def test_family_rows_build_no_parallelograms(monkeypatch):
     spec = GridSpec(7, 5, False)
     v = cascade_field(spec)
     fam = enumerate_family(FamilyParams(spec, D(1, 1)), v)
-    rho = linearize(random_grid(spec, random.Random(0)), fam)
-    decomposition_to_json(run_generations(v, spec.w, D(1, 1), rho))
+    f = random_grid(spec, random.Random(0))
+    rho = linearize(f, fam)
+    res = run_generations(v, spec.w, D(1, 1), rho)
+    decomposition_to_json(res)
+    apply_T_adjoint(rho, f)
+    domination_check(res, rho, f, max_pieces=1)
+    cols = [col for g in res.generations for rec in g.records for col in rec.classify.collections]
+    assert cols and all(is_good_collection(col)[0] for col in cols)
+    # the badness layer on a smaller grid; no instance here reaches B_R >= 20 * lambda0,
+    # so a factor of 1 makes the audit and the bands (union measures) run
+    small = GridSpec(5, 3, False)
+    sfam = enumerate_family(FamilyParams(small, D(1, 1)), cascade_field(small))
+    srho = linearize(random_grid(small, random.Random(1)), sfam)
+    E = frozenset(srho.covered_cells())
+    monkeypatch.setattr(sys.modules["dirmax.badness"], "UNIVERSAL_BADNESS_FACTOR", 1)
+    badness_table(E, srho)
+    reformulate_check(E, srho)
+    trace = shrink_iterate(E, srho, D(5, 2))
+    assert trace.bands and trace.diagnostics[0].dichotomy_failures
     assert built == []
     want = oracle.enumerate_family(
         spec.m, spec.m_w, spec.offset_exp, D(1, 1).as_fraction(),
@@ -325,3 +344,17 @@ def test_family_rows_build_no_parallelograms(monkeypatch):
     got = [(r.k, r.base.index, r.slope.index, r.offset.as_fraction()) for r in fam.members]
     assert got == want
     assert len(built) == len(fam)
+
+
+def test_subfamily_rejects_out_of_range_indices_and_index_reads_rows():
+    spec = GridSpec(4, 2, False)
+    fam = enumerate_family(FamilyParams(spec, D(1, 1)), identity_field(spec))
+    for bad in ([-1], [len(fam)], [0, len(fam) + 3]):
+        with pytest.raises(ValueError, match="member index out of range"):
+            fam.subfamily(bad)
+    assert fam.subfamily([len(fam) - 1, 0]).members == (fam.members[0], fam.members[-1])
+    assert [fam.index(R) for R in fam.members] == list(range(len(fam)))
+    other = Parallelogram(GridSpec(4, 2, True), DyadicInterval(2, 0), SlopeCell(0, 0), D(0))
+    for R in (other, fam.members[0]):
+        with pytest.raises(ValueError, match="not a family member"):
+            fam.subfamily(range(1, len(fam))).index(R)

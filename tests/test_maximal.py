@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -294,6 +295,78 @@ def test_corrupt_choice_map():
         apply_T(bad, f)
     with pytest.raises(ValueError, match="corrupt choice map"):
         apply_T_adjoint(bad, f)
+
+
+def test_choice_map_entries_below_minus_one_are_corrupt():
+    spec, fam, f = _setup(seed=12)
+    rho = linearize(f, fam)
+    x = rho.entries.index(-1)  # an uncovered cell
+    bad = ChoiceMap(fam, rho.entries[:x] + (-7,) + rho.entries[x + 1 :])
+    for call in (bad.check, lambda: apply_T(bad, f), lambda: apply_T_adjoint(bad, f)):
+        with pytest.raises(ValueError, match="corrupt choice map"):
+            call()
+
+
+def _raw_members(fam):
+    step = 1 << fam.spec.offset_exp
+    return [(k, i, j, Fraction(t, step)) for k, i, j, t in fam.sort_keys.tolist()]
+
+
+def _oracle_adjoint(rho, g) -> list[Fraction]:
+    """oracle.weighted_count with each member's mass: g summed over its choosers."""
+    mass = [Fraction(0)] * len(rho.fam)
+    for e, x in zip(rho.entries, g.values()):
+        if e >= 0:
+            mass[e] += x.as_fraction()
+    spec = rho.spec
+    return oracle.weighted_count(spec.m, spec.m_w, _raw_members(rho.fam), mass)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    spec_args=_SPECS,
+    seed=st.integers(0, 1 << 16),
+    bits=st.integers(1, 200),
+    block=st.sampled_from([1, 8, 1 << 15]),
+    empty=st.booleans(),
+)
+def test_adjoint_matches_oracle_weighted_count(spec_args, seed, bits, block, empty):
+    spec = GridSpec(*spec_args)
+    fam = enumerate_family(FamilyParams(spec, D(1, 3)), random_field(spec, random.Random(seed)))
+    if empty:
+        fam = fam.subfamily([])
+    rng = random.Random(seed + 1)
+    rho = linearize(random_grid(spec, rng), fam)
+    # numerators of up to `bits` bits, one of exactly `bits`; member 0 gets no mass
+    nums = [0 if e == 0 else rng.getrandbits(bits) for e in rho.entries]
+    nums[next((i for i, e in enumerate(rho.entries) if e), 0)] |= 1 << (bits - 1)
+    g = GridFunction(spec, rng.randrange(70), nums)
+    with mock.patch.object(maximal, "_BLOCK", block):
+        tg = apply_T_adjoint(rho, g)
+    assert [x.as_fraction() for x in tg.values()] == _oracle_adjoint(rho, g)
+
+
+def test_adjoint_dtype_bound_both_sides(monkeypatch):
+    spec, fam, _ = _setup(seed=21, m=4)
+    rho = linearize(random_grid(spec, random.Random(23)), fam)
+    a = next(i for i, e in enumerate(rho.entries) if e >= 0)
+    b = next(i for i, e in enumerate(rho.entries) if e >= 0 and e != rho.entries[a])
+    bound = 62 - 3 - 2 * spec.m_w - len(fam).bit_length()  # mass bits the int64 splat takes
+    picked = []
+    inner = maximal._splat_dtype
+
+    def spy(mass, fam):
+        picked.append(inner(mass, fam))
+        return picked[-1]
+
+    monkeypatch.setattr(maximal, "_splat_dtype", spy)
+    for top, dtype in (((1 << bound) - 1, np.int64), (1 << bound, object)):
+        nums = [0] * spec.n_cells
+        nums[a], nums[b] = top, 5
+        g = GridFunction(spec, 3, nums)
+        tg = apply_T_adjoint(rho, g)
+        assert picked[-1] is dtype
+        assert [x.as_fraction() for x in tg.values()] == _oracle_adjoint(rho, g)
 
 
 def test_adjointness_exact():

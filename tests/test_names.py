@@ -7,8 +7,10 @@ name it never imports (say ``Fraction``) fails only when that line runs.
 
 from __future__ import annotations
 
+import ast
 import builtins
 import symtable
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -61,3 +63,32 @@ def test_package_exports_no_modules():
     assert [name for name, value in exported.items() if isinstance(value, ModuleType)] == []
     assert {"maximal_apply", "GridFunction", "cli_main", "run_verify"} <= set(exported)
     assert "maximal" not in exported and "ModuleType" not in exported
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Modules a source imports that are not in the standard library; a
+    relative import names its dots, so any package-internal import counts."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        else:
+            continue
+        stdlib = sys.stdlib_module_names
+        found += [n for n in names if n.startswith(".") or n.split(".")[0] not in stdlib]
+    return found
+
+
+def test_import_checker_flags_package_and_third_party_imports():
+    assert non_stdlib_imports("from .geometry import slab_run\n") == [".geometry"]
+    src = "import numpy as np\nfrom dirmax import grids\n"
+    assert non_stdlib_imports(src) == ["numpy", "dirmax"]
+    assert non_stdlib_imports("from __future__ import annotations\nimport math, os.path\n") == []
+
+
+def test_oracle_imports_only_the_standard_library():
+    """The oracle referees the fast code, so it shares none of it."""
+    path = Path(dirmax.__file__).parent / "oracle.py"
+    assert non_stdlib_imports(path.read_text()) == []

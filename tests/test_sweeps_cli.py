@@ -35,7 +35,7 @@ def test_sweep_delta_rows_and_fit():
 
 
 def test_sweep_delta_random_rows_recorded():
-    cfg = ExperimentConfig(deltas=(D(1, 3),), random_count=1, random_m=6)
+    cfg = ExperimentConfig(deltas=(D(1, 3),), random_count=1)
     sweep = sweep_delta(cfg)
     kinds = {row.kind for row in sweep.rows}
     assert kinds == {"kakeya", "random0"}
@@ -46,7 +46,7 @@ def test_sweep_delta_random_rows_recorded():
 
 
 def test_sweep_lp_rows():
-    cfg = ExperimentConfig(deltas=(D(1, 3),), p_values=(1.0, 1.5, 2.0))
+    cfg = ExperimentConfig(deltas=(D(1, 3),))
     sweep = sweep_lp(cfg)
     assert len(sweep.rows) == 3
     csv = sweep.to_csv()
