@@ -31,7 +31,7 @@ import numpy as np
 from .dyadic import DyadicRational
 from .family import RectangleFamily, is_good_collection
 from .geometry import DyadicInterval, Parallelogram, Window
-from .geometry import slab_cover, slab_overlap, slab_run, slab_union
+from .geometry import slab_cover, slab_overlap, slab_rows, slab_run, slab_union
 from .grids import GridFunction
 from .maximal import ChoiceMap, apply_T_adjoint, estimate_norm, maximal_apply, nu_all
 
@@ -84,12 +84,12 @@ class BadnessEngine:
 
     def touched_cells(self, mi: int) -> set[int]:
         """All cells with positive overlap with member mi's staircase."""
-        m = self.spec.m
-        u = self.scale - m  # rows are 2^u units high
-        c0, lo, step, cols, height = self.runs[mi]
+        spec = self.spec
+        c0, lo, step, cols, _ = self.runs[mi]
         out = set()
         for c in range(c0, c0 + cols):
-            out.update(range((c << m) + (lo >> u), (c << m) + ((lo + height - 1) >> u) + 1))
+            a, b, _, _ = slab_rows(spec, spec.m_w, lo)  # S is the scale of level m_w
+            out.update(range((c << spec.m) + a, (c << spec.m) + b + 1))
             lo += step
         return out
 

@@ -253,6 +253,17 @@ def first_center_row(k, lo):
     return (lo + (1 << (k + 1)) - 1) >> (k + 2)
 
 
+def slab_rows(spec: GridSpec, k, lo):
+    """(a, b, below, above): the slab with bottom lo (over 2^(k + m + 2), rows
+    2^(k + 2) high) touches rows a..b = a + 2^(m - m_w); below is the part of
+    row a under it, above that of row b over it.  lo is odd, as slab_run's
+    offset lift is even, so it sits on no row line and below + above is one
+    row; a bottom lifted to a finer scale keeps this, with k read off it."""
+    row = 1 << (k + 2)
+    a, below = lo >> (k + 2), lo & (row - 1)
+    return a, a + (1 << (spec.m - spec.m_w)), below, row - below
+
+
 @dataclass(frozen=True)
 class Parallelogram:
     """Width-w staircase parallelogram: base interval, slope cell, offset.
@@ -354,9 +365,8 @@ class Parallelogram:
 
     def touched_rows(self, c: int) -> tuple[int, int]:
         """(first, one-past-last) rows with positive overlap with the slab."""
-        lo, hi = self.slab_scaled(c)
-        u = 1 << (self.y_scale - self.spec.m)
-        return lo // u, (hi - 1) // u + 1
+        a, b, _, _ = slab_rows(self.spec, self.k, self.slab_scaled(c)[0])
+        return a, b + 1
 
     def contains_cell(self, c: int, r: int) -> bool:
         if not self.col_lo <= c < self.col_hi:

@@ -14,7 +14,7 @@ from operator import mul, or_, rshift
 from typing import Iterable, Sequence
 
 from .dyadic import DyadicRational
-from .geometry import DyadicInterval, GridSpec, Parallelogram, Window, spec_from_offstep
+from .geometry import DyadicInterval, GridSpec, Parallelogram, Window, slab_rows, spec_from_offstep
 
 
 def _to_scaled(values, what: str) -> tuple[int, list[int]]:
@@ -258,28 +258,22 @@ class RationalGrid:
 def integrate_scaled(R: Parallelogram, f: GridFunction) -> tuple[int, int]:
     """Exact integral of f over R as (numerator, exponent).
 
-    The slab [lo, hi) of a column touches rows r0..r1, each 2^sh scaled units
-    high: all of them enter whole, then the parts of row r0 below lo and of
-    row r1 above hi are taken off again.
+    Each column's slab enters as its rows a..b whole, less the parts of rows a
+    and b outside it (geometry.slab_rows), each row 2^(k + 2) scaled units high.
     """
     spec = R.spec
     if spec != f.spec:
         raise ValueError("incompatible grids")
-    m = spec.m
-    s = R.y_scale
-    sh = s - m
-    mask = (1 << sh) - 1
-    height = 1 << (s - spec.m_w)
+    m, k = spec.m, R.k
     nums = f.nums
     total = 0
     base = R.col_lo << m
     for lo in R.slab_lows():
-        hi = lo + height
-        a = base + (lo >> sh)
-        b = base + ((hi - 1) >> sh)
-        total += (sum(nums[a : b + 1]) << sh) - (lo & mask) * nums[a] - (-hi & mask) * nums[b]
+        a, b, below, above = slab_rows(spec, k, lo)
+        a, b = base + a, base + b
+        total += (sum(nums[a : b + 1]) << (k + 2)) - below * nums[a] - above * nums[b]
         base += 1 << m
-    return total, s + m + f.scale
+    return total, R.y_scale + m + f.scale
 
 
 def integrate(R: Parallelogram, f: GridFunction) -> DyadicRational:

@@ -5,10 +5,13 @@ point and takes the supremum.  On a finite family the supremum is attained,
 so the linearization rho picks the argmax member per cell (canonical-order
 tie-break) and the linear operator T averages over rho(x).
 
-Member averages come from one exact int64 numpy kernel over all members at
-once wherever a proven bit bound allows it (_int64_exact), and otherwise,
-as for the wide T*T ascent iterates, from the Python-int integrate_scaled
-member by member.  One rank painter gives Mf and rho: each cell keeps the
+Member averages come from one exact numpy kernel for every numerator width:
+a slab's column integral is its rows summed less the parts of its end rows
+outside it (geometry.slab_rows), with the rows read from an int64 prefix
+table where a proven bit bound allows it (_int64_exact) and otherwise, as
+for the wide T*T ascent iterates, from f's Python ints.  Only ChoiceMap.check
+walks the family's Parallelogram objects, to check the painter without
+sharing its code.  One rank painter gives Mf and rho: each cell keeps the
 member of highest (average, -index) rank, that is the largest average and,
 among equal averages, the lowest index.  So Mf is exactly T_rho f at its own
 linearization, at the same scale, and the T*T ascent feeds Mf to T* with no
@@ -26,11 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dyadic import DyadicRational
 from .family import RectangleFamily
-from .geometry import GridSpec, first_center_row, slab_run
-from .grids import GridFunction, RationalGrid, integrate_scaled
+from .geometry import GridSpec, first_center_row, slab_rows, slab_run
+from .grids import GridFunction, RationalGrid
 
 
 @dataclass(frozen=True)
@@ -72,19 +76,19 @@ class ChoiceMap:
                 raise ValueError("uncovered mark on a covered cell")
 
 
-# The int64 kernel.  With b the bit length of f's largest numerator, every
-# intermediate stays below 2^(b + 2m + 2): a column prefix sum is below
-# 2^(b + m); a slab's row sum shifted to y units (sh = k + 2 bits, k <= m - 2)
-# below 2^(b + 2m); a member's integral below 2^(b + 2k + 2m + 2 - 2m_w), and
-# its average, shifted up by 2(m_w - k) to the common scale, below
-# 2^(b + 2m + 2).  Partial sums of nonnegative column integrals stay below
-# their total.  So b + 2m + 3 <= 62 keeps every value below 2^61, inside an
-# int64 with room to spare.
+# The member kernel.  By the row rule (geometry.slab_rows) a slab's column
+# integral is (rows a..b summed) << (k + 2) - below * row a - above * row b,
+# at most its first term.  With B the bit length of f's largest numerator:
+# a column prefix sum is below 2^(B + m); the first term, 2^(m - m_w) + 1
+# rows shifted by k + 2 <= m_w + 2, below 2^(B + m + 3); a member's column
+# integrals, 2^(m - m_w + k) slabs of 2^(m - m_w + k + 2) units, summed and
+# shifted up by 2(m_w - k) to the common scale, below 2^(B + 2m + 2).  So
+# B + 2m + 3 <= 62 keeps all below 2^61 on int64; otherwise f's ints are read.
 #
 # Its transpose, the T* splat, has its own bound.  With M the largest |mass|
-# and N the member count, a slab's coefficient mass << (2(m_w - k) + sh) and
+# and N the member count, a slab's coefficient mass << (2m_w - k + 2) and
 # each of its four difference entries (rows a, a + 1, b, b + 1) are below
-# 2^(bits(M) + 2m_w + 2).  A slab spans at least 4 rows, so one flat index
+# 2^(bits(M) + 2m_w + 2).  A slab touches at least 5 rows, so one flat index
 # takes at most two entries of a member: from its slab in that column and
 # from closing the one in the column before.  Every partial sum np.add.at
 # leaves is below 2^(bits(M) + bits(N) + 2m_w + 3) in absolute value, the
@@ -95,7 +99,7 @@ _BLOCK = 1 << 15  # member-columns per numpy block
 
 
 def _int64_exact(f: GridFunction) -> bool:
-    """True when the int64 kernel provably computes f's averages exactly."""
+    """True when the kernel's int64 side provably computes f's averages exactly."""
     return max(f.nums).bit_length() + 2 * f.spec.m + 3 <= _INT64_BITS
 
 
@@ -123,44 +127,34 @@ def _blocks(fam: RectangleFamily, size: int):
             yield part, c0 + span, lo + dlo * span, k
 
 
-def _slab_rows(spec: GridSpec, lo, k: int):
-    """(a, b, below, above, sh): the level-k slab [lo, hi) touches rows a..b, each
-    2^sh units high; below is the part of row a under lo, above that of row b over hi."""
-    sh = k + 2
-    mask = (1 << sh) - 1
-    hi = lo + (1 << (k + spec.m + 2 - spec.m_w))
-    return lo >> sh, (hi - 1) >> sh, lo & mask, -hi & mask, sh
+def _scaled_averages(fam: RectangleFamily, f: GridFunction) -> tuple[list[int], int]:
+    """Per-member averages over the common scale 2^(2m + 2 + f.scale).
 
-
-def _averages_int64(fam: RectangleFamily, f: GridFunction) -> list[int]:
-    """integrate_scaled over every member at once, at the common scale.
-
-    Only valid where _int64_exact(f) holds.
+    Each slab reads its rows a..b summed, row a and row b: from one int64 table
+    of column prefix sums under _int64_exact, else gathered from f's own ints,
+    about _BLOCK >> 3 at a time, so no table of new ints is built.
     """
     spec = fam.spec
-    n = spec.n
-    pref = np.zeros((n, n + 1), dtype=np.int64)  # per-column prefix sums
-    pref[:, 1:] = np.array(f.nums, dtype=np.int64).reshape(n, n)
-    np.cumsum(pref, axis=1, out=pref)
-    out = np.empty(len(fam), dtype=np.int64)
-    for part, c, lo, k in _blocks(fam, _BLOCK):
-        # rows a..b whole, less the part of row a below lo and of row b above hi
-        a, b, below, above, sh = _slab_rows(spec, lo, k)
-        pa, pb = pref[c, a], pref[c, b + 1]
-        cols = ((pb - pa) << sh) - below * (pref[c, a + 1] - pa) - above * (pb - pref[c, b])
+    n, rows = spec.n, (1 << (spec.m - spec.m_w)) + 1  # rows a slab touches
+    narrow = _int64_exact(f)
+    if narrow:
+        pref = np.zeros((n, n + 1), dtype=np.int64)
+        pref[:, 1:] = np.array(f.nums, dtype=np.int64).reshape(n, n)
+        np.cumsum(pref, axis=1, out=pref)
+    else:  # win[c, a]: the rows from a on of column c
+        win = sliding_window_view(np.array(f.nums, dtype=object).reshape(n, n), rows, axis=1)
+    out = np.empty(len(fam), dtype=np.int64 if narrow else object)
+    for part, c, lo, k in _blocks(fam, _BLOCK if narrow else (_BLOCK >> 3) // rows):
+        a, b, below, above = slab_rows(spec, k, lo)
+        if narrow:
+            pa, pb = pref[c, a], pref[c, b + 1]
+            whole, first, last = pb - pa, pref[c, a + 1] - pa, pb - pref[c, b]
+        else:
+            g = win[c, a]
+            whole, first, last = g.sum(axis=2), g[..., 0], g[..., -1]
+        cols = (whole << (k + 2)) - below * first - above * last
         out[part] = cols.sum(axis=1) << (2 * (spec.m_w - k))
-    return out.tolist()
-
-
-def _scaled_averages(fam: RectangleFamily, f: GridFunction) -> tuple[list[int], int]:
-    """Per-member averages over the common scale 2^(2m + 2 + f.scale)."""
-    spec = fam.spec
-    if _int64_exact(f):
-        vals = _averages_int64(fam, f)
-    else:
-        # average = integral / 2^(level + m_w); level = m_w - k
-        vals = [integrate_scaled(r, f)[0] << 2 * (spec.m_w - r.k) for r in fam.members]
-    return vals, 2 * spec.m + 2 + f.scale
+    return out.tolist(), 2 * spec.m + 2 + f.scale
 
 
 def _require_nonneg(f: GridFunction) -> None:
@@ -247,7 +241,7 @@ def apply_T(rho: ChoiceMap, f: GridFunction) -> GridFunction:
 def apply_T_adjoint(rho: ChoiceMap, g: GridFunction) -> GridFunction:
     """T* g = sum over members of (mass of g on the choosers) * 1_R / |R|.
 
-    The transpose of _averages_int64 over the same _blocks: each slab adds
+    The transpose of _scaled_averages over the same _blocks: each slab adds
     its member's coefficient to its rows a..b whole and takes off the parts
     of rows a and b outside the slab, the per-cell coverage fractions that
     kernel weighs f by.  So <Tf, g> = <f, T*g> is exact on the grid.
@@ -269,10 +263,10 @@ def apply_T_adjoint(rho: ChoiceMap, g: GridFunction) -> GridFunction:
     # the parts of rows a and b outside the slab enter as point pairs
     diff = np.zeros(spec.n_cells + 1, dtype=dtype)
     for part, c, lo, k in _blocks(fam, _BLOCK >> 3):  # Python-int temporaries stay small
-        a, b, below, above, sh = _slab_rows(spec, lo, k)
+        a, b, below, above = slab_rows(spec, k, lo)
         a, b = a + (c << m), b + (c << m)
         coef = (mass[part] << 2 * (spec.m_w - k))[:, None]
-        full = coef << sh
+        full = coef << (k + 2)
         np.add.at(diff, a, full - coef * below)
         np.add.at(diff, a + 1, coef * below)
         np.subtract.at(diff, b, coef * above)
@@ -284,9 +278,10 @@ def apply_T_adjoint(rho: ChoiceMap, g: GridFunction) -> GridFunction:
 def nu(rho: ChoiceMap, cells, member) -> DyadicRational:
     """nu_R^F: measure of the F-cells whose choice is the given member.
 
-    The member may be given as its index or as the parallelogram itself.
+    The member may be given as its index (any integer) or as the
+    parallelogram itself.
     """
-    if not isinstance(member, int):
+    if not isinstance(member, (int, np.integer)):
         member = rho.fam.index(member)
     entries = rho.entries
     count = sum(1 for idx in cells if entries[idx] == member)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from dirmax.geometry import (
     SlopeCell,
     overlap_measure,
     slab_cover,
+    slab_rows,
+    slab_run,
     union_measure,
 )
 from dirmax.instances import random_field
@@ -214,3 +217,31 @@ def test_overlap_and_union_against_oracle():
             want += cur[1] - cur[0] if cur else 0
         got = union_measure(fam.members[i] for i in pick).as_fraction()
         assert got == want * Fraction(1, 1 << m)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+def test_slab_rows_against_oracle_slab(m):
+    """Every slab touches 2^(m - m_w) + 1 rows, its bottom sits on no row line,
+    and the parts of its end rows outside it sum to one row; slab_rows names
+    those rows and parts, read off oracle.slab."""
+    n, slabs = 1 << m, 0
+    for m_w in range(m - 1):
+        for half in (False, True):
+            spec = GridSpec(m, m_w, half)
+            v = random_field(spec, random.Random(m * 16 + m_w))
+            fam = enumerate_family(FamilyParams(spec, D(1, 1)), v)
+            step = 1 << spec.offset_exp
+            for k, i, j, t in fam.sort_keys.tolist():
+                member = (k, i, j, Fraction(t, step))
+                c0, lo, dlo = slab_run(spec, k, i, j, t)
+                row = 1 << (k + 2)  # a row, scaled as lo is
+                for c in oracle.columns(m, m_w, member):
+                    bottom, top = (y * n for y in oracle.slab(m, m_w, member, c))  # in rows
+                    first, last = math.floor(bottom), math.ceil(top) - 1
+                    assert last - first == 1 << (m - m_w)
+                    assert bottom != first
+                    below, above = (bottom - first) * row, (last + 1 - top) * row
+                    assert below + above == row
+                    assert slab_rows(spec, k, lo + dlo * (c - c0)) == (first, last, below, above)
+                    slabs += 1
+    assert slabs

@@ -124,7 +124,8 @@ def _oracle_max(spec, fam, f):
 
 
 def _exact_path():
-    """Run the Python-int averages (integrate_scaled per member) whatever f is."""
+    """Run the Python-int side of the averaging kernel, rows gathered from f's
+    own ints, whatever f is."""
     return mock.patch.object(maximal, "_int64_exact", lambda f: False)
 
 
@@ -152,29 +153,40 @@ def test_int64_kernel_matches_oracle_and_exact_path(spec_args, seed, delta, bits
         tf = apply_T(rho, f)
     assert [x.as_fraction() for x in mf.values()] == _oracle_max(spec, fam, f)
     rho.check()
-    with _exact_path():
+    with mock.patch.object(maximal, "_BLOCK", block), _exact_path():
         assert linearize(f, fam).entries == rho.entries
         want = maximal_apply(f, fam)
         assert (mf.scale, mf.nums) == (want.scale, want.nums)
         want = apply_T(rho, f)
         assert (tf.scale, tf.nums) == (want.scale, want.nums)
+        avgs, scale = maximal._scaled_averages(fam, f)
+    # the gathered side against the per-member Python-int integral of grids
+    assert [D(x, scale) for x in avgs] == [average(r, f) for r in fam.members]
 
 
 @pytest.mark.parametrize("half", [False, True])
-def test_int64_guard_bound_both_sides(half):
+def test_int64_guard_bound_both_sides(monkeypatch, half):
     spec, fam, _ = _setup(seed=21, m=4, half=half)
     bound = 62 - 2 * spec.m - 3  # numerator bits the int64 kernel accepts at m = 4
     rng = random.Random(22)
     at = [(1 << bound) - 1 - rng.getrandbits(12) for _ in range(spec.n_cells)]
     at[5] = (1 << bound) - 1
     above = at[:5] + [1 << bound] + at[6:]
+    picked = []  # the side each kernel call runs: True for int64
+    inner = maximal._int64_exact
+
+    def spy(f):
+        picked.append(inner(f))
+        return picked[-1]
+
     for nums, fits in ((at, True), (above, False)):
         f = GridFunction(spec, 7, nums)
         assert maximal._int64_exact(f) is fits
-        kernel = mock.patch.object(maximal, "_averages_int64", wraps=maximal._averages_int64)
-        with kernel as spy:
+        picked.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(maximal, "_int64_exact", spy)
             mf, rho = maximal_apply(f, fam), linearize(f, fam)
-        assert spy.called is fits
+        assert picked == [fits, fits]
         assert [x.as_fraction() for x in mf.values()] == _oracle_max(spec, fam, f)
         assert apply_T(rho, f) == mf
         with _exact_path():
@@ -394,6 +406,15 @@ def test_nu_and_mass_bound():
     # equality iff F avoids the exceptional set
     inside = [i for i in cells if rho.entries[i] >= 0]
     assert sum(nu_all(rho, inside)) == len(inside)
+
+
+def test_nu_takes_numpy_integer_indices():
+    spec, fam, f = _setup(seed=14)
+    rho = linearize(f, fam)
+    cells = range(spec.n_cells)
+    for e in np.unique([e for e in rho.entries if e >= 0]):
+        assert nu(rho, cells, e) == nu(rho, cells, int(e)) == nu(rho, cells, fam.members[e])
+        assert nu(rho, cells, e).num > 0
 
 
 def test_m2_constant_and_indicator():

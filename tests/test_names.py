@@ -92,3 +92,57 @@ def test_oracle_imports_only_the_standard_library():
     """The oracle referees the fast code, so it shares none of it."""
     path = Path(dirmax.__file__).parent / "oracle.py"
     assert non_stdlib_imports(path.read_text()) == []
+
+
+def attribute_scopes(source: str, attr: str) -> list[str]:
+    """The dotted class/function scope of each use of ``.attr`` in a source."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def name_lines(source: str, name: str) -> list[int]:
+    """Lines where a source imports, binds or reads ``name``, bare or as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            hit = any(name in (alias.name, alias.asname) for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            hit = node.name == name
+        else:
+            hit = getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scope_and_name_checkers_flag_probes():
+    src = (
+        "class ChoiceMap:\n    def check(self):\n        return self.fam.members\n\n"
+        "def f(fam):\n    return [r.k for r in fam.members]\n"
+    )
+    assert attribute_scopes(src, "members") == ["ChoiceMap.check", "f"]
+    assert attribute_scopes("x = fam.members\n", "members") == ["<module>"]
+    name = "integrate_scaled"
+    assert name_lines("from .grids import GridFunction, integrate_scaled\n", name) == [1]
+    assert name_lines("from . import grids\nx = grids.integrate_scaled\n", name) == [2]
+    assert name_lines("from .grids import integrate_scaled as g\n", name) == [1]
+    assert name_lines("from .grids import GridFunction\n", name) == []
+
+
+def test_maximal_reads_members_only_in_the_choice_map_check():
+    """The operators read family key rows; only ChoiceMap.check walks the
+    Parallelogram objects, and no per-member integral path is left."""
+    source = (Path(dirmax.__file__).parent / "maximal.py").read_text()
+    assert set(attribute_scopes(source, "members")) == {"ChoiceMap.check"}
+    assert name_lines(source, "integrate_scaled") == []
