@@ -26,10 +26,10 @@ class DyadicRational:
             exp = 0
         if num == 0:
             exp = 0
-        else:
-            while exp > 0 and num & 1 == 0:
-                num >>= 1
-                exp -= 1
+        elif exp > 0 and num & 1 == 0:
+            shift = min(exp, (num & -num).bit_length() - 1)  # trailing zero bits, at most exp
+            num >>= shift
+            exp -= shift
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
 

@@ -7,6 +7,14 @@ The verify harness compares the two sides for exact equality on a corpus.
 Raw conventions: a member is (k, base_index, slope_index, offset) with the
 offset a Fraction; grids and fields are flat lists of Fractions; cell index
 is (column << m) + row.
+
+Each call builds what it reuses as local tables: every member's slabs
+(column, bottom, top) once, and in ``shrink_once`` each member's weight
+area / |Q| * cell once, before the window loops.  A slab [lo, hi) meets
+only rows floor(lo * 2^m) .. ceil(hi * 2^m) - 1; every other row has no
+overlap with it and no center in it, so integrals, maximal values and T*
+read only those rows.  Nothing is cached across calls: each call answers
+from its own arguments alone.
 """
 
 from __future__ import annotations
@@ -16,13 +24,14 @@ from fractions import Fraction
 from typing import Sequence
 
 Member = tuple[int, int, int, Fraction]
+SlabTable = list[tuple[int, Fraction, Fraction]]  # (column, bottom, top), left to right
 
 
 def slab(m: int, m_w: int, member: Member, c: int) -> tuple[Fraction, Fraction]:
+    """[slope center * column center + offset, + 1 / 2^m_w): the slope center
+    is (2j + 1) / 2^(k + 1) and the column center (2c + 1) / 2^(m + 1)."""
     k, _i, j, b = member
-    s = Fraction(2 * j + 1, 1 << (k + 1))
-    x = Fraction(2 * c + 1, 1 << (m + 1))
-    lo = s * x + b
+    lo = Fraction((2 * j + 1) * (2 * c + 1), 1 << (k + m + 2)) + b
     return lo, lo + Fraction(1, 1 << m_w)
 
 
@@ -44,17 +53,29 @@ def contains_cell(m: int, m_w: int, member: Member, c: int, r: int) -> bool:
     return lo <= Fraction(2 * r + 1, 1 << (m + 1)) < hi
 
 
-def integrate(m: int, m_w: int, member: Member, f: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
+def _slab_table(m: int, m_w: int, member: Member) -> SlabTable:
+    """(column, bottom, top) of the member's slab in each column it spans, left to right."""
+    return [(c, *slab(m, m_w, member, c)) for c in columns(m, m_w, member)]
+
+
+def _rows(m: int, lo: Fraction, hi: Fraction) -> range:
+    """The rows that [lo, hi) meets: row r does iff r / 2^m < hi and lo < (r + 1) / 2^m."""
+    n = 1 << m
+    return range(max(0, math.floor(lo * n)), min(n, math.ceil(hi * n)))
+
+
+def _integrate(m: int, table: SlabTable, f: Sequence[Fraction]) -> Fraction:
     cell = Fraction(1, 1 << m)
-    for c in columns(m, m_w, member):
-        lo, hi = slab(m, m_w, member, c)
-        for r in range(1 << m):
-            o_lo = max(lo, Fraction(r, 1 << m))
-            o_hi = min(hi, Fraction(r + 1, 1 << m))
-            if o_hi > o_lo:
-                total += (o_hi - o_lo) * cell * f[(c << m) + r]
-    return total
+    total = Fraction(0)
+    for c, lo, hi in table:
+        for r in _rows(m, lo, hi):
+            seg = min(hi, (r + 1) * cell) - max(lo, r * cell)
+            total += seg * f[(c << m) + r]
+    return total * cell
+
+
+def integrate(m: int, m_w: int, member: Member, f: Sequence[Fraction]) -> Fraction:
+    return _integrate(m, _slab_table(m, m_w, member), f)
 
 
 def weighted_count(
@@ -69,24 +90,29 @@ def weighted_count(
         if not cnt:
             continue
         coef = cnt * cell / member_measure(m_w, r)  # cell area / (|R| * cell height)
-        for c in columns(m, m_w, r):
-            lo, hi = slab(m, m_w, r, c)
-            for row in range(math.floor(lo * n), math.ceil(hi * n)):
+        for c, lo, hi in _slab_table(m, m_w, r):
+            for row in _rows(m, lo, hi):
                 seg = min(hi, (row + 1) * cell) - max(lo, row * cell)
                 out[(c << m) + row] += coef * seg
     return out
 
 
-def pair_overlap(m: int, m_w: int, a: Member, b: Member) -> Fraction:
+def _overlap(m: int, m_w: int, spans: dict[int, tuple[Fraction, Fraction]], b: Member) -> Fraction:
+    """|A cap B|, with A given as its column -> (bottom, top) table."""
     total = Fraction(0)
-    cols = set(columns(m, m_w, a)) & set(columns(m, m_w, b))
-    for c in cols:
-        alo, ahi = slab(m, m_w, a, c)
-        blo, bhi = slab(m, m_w, b, c)
-        lo, hi = max(alo, blo), min(ahi, bhi)
-        if hi > lo:
-            total += hi - lo
+    for c in columns(m, m_w, b):
+        if c in spans:
+            alo, ahi = spans[c]
+            blo, bhi = slab(m, m_w, b, c)
+            lo, hi = max(alo, blo), min(ahi, bhi)
+            if hi > lo:
+                total += hi - lo
     return total * Fraction(1, 1 << m)
+
+
+def pair_overlap(m: int, m_w: int, a: Member, b: Member) -> Fraction:
+    spans = {c: (lo, hi) for c, lo, hi in _slab_table(m, m_w, a)}
+    return _overlap(m, m_w, spans, b)
 
 
 def pi2_extent(m: int, m_w: int, member: Member) -> tuple[Fraction, Fraction]:
@@ -124,17 +150,20 @@ def enumerate_family(
 def maximal_apply(
     m: int, m_w: int, members: Sequence[Member], f: Sequence[Fraction]
 ) -> list[Fraction]:
-    """Cell-by-member double loop over precomputed exact averages."""
-    avgs = [integrate(m, m_w, r, f) / member_measure(m_w, r) for r in members]
-    out = [Fraction(0)] * (1 << (2 * m))
-    for mi, r in enumerate(members):
-        for c in columns(m, m_w, r):
-            lo, hi = slab(m, m_w, r, c)
-            for row in range(1 << m):
-                if lo <= Fraction(2 * row + 1, 1 << (m + 1)) < hi:
+    """Cell-by-member double loop: each member's exact average raises the
+    cells whose centers its slabs hold."""
+    n = 1 << m
+    centers = [Fraction(2 * row + 1, 2 * n) for row in range(n)]
+    out = [Fraction(0)] * (n * n)
+    for r in members:
+        table = _slab_table(m, m_w, r)
+        avg = _integrate(m, table, f) / member_measure(m_w, r)
+        for c, lo, hi in table:
+            for row in _rows(m, lo, hi):
+                if lo <= centers[row] < hi:
                     idx = (c << m) + row
-                    if avgs[mi] > out[idx]:
-                        out[idx] = avgs[mi]
+                    if avg > out[idx]:
+                        out[idx] = avg
     return out
 
 
@@ -303,16 +332,13 @@ def badness(
     base = (m_w - k, i)
     keep = [idx for idx in cells if rho[idx] >= 0 and base_contains(m_w, base, members[rho[idx]])]
     counts = nu_counts(members, rho, keep)
+    spans = {c: (lo, hi) for c, lo, hi in _slab_table(m, m_w, members[mi])}
     area = Fraction(1, 1 << (2 * m))
     total = Fraction(0)
     for qi, cnt in enumerate(counts):
         if cnt:
-            total += (
-                cnt
-                * area
-                / member_measure(m_w, members[qi])
-                * pair_overlap(m, m_w, members[mi], members[qi])
-            )
+            q = members[qi]
+            total += cnt * area / member_measure(m_w, q) * _overlap(m, m_w, spans, q)
     return total / member_measure(m_w, members[mi])
 
 
@@ -322,32 +348,36 @@ def _triple(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
 
 
 def _box_average(
-    m: int,
-    m_w: int,
-    members: Sequence[Member],
+    tables: Sequence[SlabTable],
+    weights: Sequence[Fraction],
     counts: Sequence[int],
-    keep: Sequence[bool],
+    keep: Sequence[int],
     i_level: int,
-    i_index: int,
     wlo: Fraction,
     whi: Fraction,
 ) -> Fraction:
-    area = Fraction(1, 1 << (2 * m))
-    cell = Fraction(1, 1 << m)
+    """B over I x [wlo, whi) from the members in keep: the sum of count * area
+    / |Q| * cell * (Q's slab length inside the window), over |I| (whi - wlo)."""
     total = Fraction(0)
-    for qi, cnt in enumerate(counts):
-        if not cnt or not keep[qi]:
-            continue
-        q = members[qi]
+    for qi in keep:
+        table = tables[qi]
+        if not counts[qi] or table[0][1] >= whi or table[-1][2] <= wlo:
+            continue  # no chooser, or Q's pi2 extent misses the window
         acc = Fraction(0)
-        for c in columns(m, m_w, q):
-            lo, hi = slab(m, m_w, q, c)
+        for _c, lo, hi in table:
             seg = min(hi, whi) - max(lo, wlo)
             if seg > 0:
                 acc += seg
-        total += cnt * area / member_measure(m_w, q) * acc * cell
+        total += counts[qi] * weights[qi] * acc
     denom = Fraction(1, 1 << i_level) * (whi - wlo)
     return total / denom if denom else Fraction(0)
+
+
+def _box_weights(m: int, m_w: int, members: Sequence[Member]) -> list[Fraction]:
+    """area / |Q| * cell for each member Q: one chooser's mass per unit slab length."""
+    area = Fraction(1, 1 << (2 * m))
+    cell = Fraction(1, 1 << m)
+    return [area / member_measure(m_w, q) * cell for q in members]
 
 
 def shrink_once(
@@ -359,35 +389,31 @@ def shrink_once(
     lam0: Fraction,
 ) -> set[int]:
     """Definition replay of the shrunken set E' as a set of cell indices."""
-    counts_all = nu_counts(members, rho, cells)
+    counts = nu_counts(members, rho, cells)
+    tables = [_slab_table(m, m_w, r) for r in members]
+    weights = _box_weights(m, m_w, members)
     pi2 = [pi2_extent(m, m_w, r) for r in members]
     shrunk: set[int] = set()
     for i_level in range(m_w + 1):
         for i_index in range(1 << i_level):
-            inside = [base_contains(m_w, (i_level, i_index), r) for r in members]
-            if not any(c and ins for c, ins in zip(counts_all, inside)):
+            active = [
+                qi for qi, r in enumerate(members)
+                if counts[qi] and base_contains(m_w, (i_level, i_index), r)
+            ]
+            if not active:
                 continue
-            counts = [c if ins else 0 for c, ins in zip(counts_all, inside)]
             for k_level in range(m + 1):
                 for k_index in range(1 << k_level):
                     klo = Fraction(k_index, 1 << k_level)
                     khi = Fraction(k_index + 1, 1 << k_level)
                     tlo, thi = _triple(klo, khi)
-                    out_flags = [
-                        not (tlo <= lo and hi <= thi) for lo, hi in pi2
-                    ]
-                    b_out = _box_average(
-                        m, m_w, members, counts, out_flags, i_level, i_index, klo, khi
-                    )
+                    out = [qi for qi in active if not (tlo <= pi2[qi][0] and pi2[qi][1] <= thi)]
+                    b_out = _box_average(tables, weights, counts, out, i_level, klo, khi)
                     if b_out < lam0:
                         continue
                     t2lo, t2hi = _triple(tlo, thi)
-                    out_flags3 = [
-                        not (t2lo <= lo and hi <= t2hi) for lo, hi in pi2
-                    ]
-                    b_out3 = _box_average(
-                        m, m_w, members, counts, out_flags3, i_level, i_index, tlo, thi
-                    )
+                    out3 = [qi for qi in active if not (t2lo <= pi2[qi][0] and pi2[qi][1] <= t2hi)]
+                    b_out3 = _box_average(tables, weights, counts, out3, i_level, tlo, thi)
                     if b_out3 >= lam0:
                         continue
                     c0 = i_index << (m - i_level)

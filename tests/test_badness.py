@@ -210,12 +210,16 @@ def _oracle_split(spec, raw, rho, E, I, lo, hi):
         c if oracle.base_contains(m_w, (I.level, I.index), r) else 0
         for c, r in zip(oracle.nu_counts(raw, rho.entries, E), raw)
     ]
+    tables = [oracle._slab_table(m, m_w, r) for r in raw]
+    weights = oracle._box_weights(m, m_w, raw)
     tlo, thi = oracle._triple(lo, hi)
     inside = [tlo <= a and b <= thi for a, b in (oracle.pi2_extent(m, m_w, r) for r in raw)]
-    outside = [not x for x in inside]
     return tuple(
-        oracle._box_average(m, m_w, raw, counts, keep, I.level, I.index, lo, hi)
-        for keep in (inside, outside)
+        oracle._box_average(tables, weights, counts, keep, I.level, lo, hi)
+        for keep in (
+            [qi for qi, x in enumerate(inside) if x],
+            [qi for qi, x in enumerate(inside) if not x],
+        )
     )
 
 

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirmax.dyadic import DyadicRational as D
 
@@ -18,6 +20,35 @@ def test_canonical_form():
     assert (D(5, 3).num, D(5, 3).exp) == (5, 3)
     # negative exponent folds into the numerator
     assert D(3, -2) == D(12)
+
+
+def _canonical_by_bits(num: int, exp: int) -> tuple[int, int]:
+    """The canonical form by the definition: halve while even and exp > 0."""
+    if exp < 0:
+        num, exp = num << -exp, 0
+    if num == 0:
+        return 0, 0
+    while exp > 0 and num & 1 == 0:
+        num, exp = num >> 1, exp - 1
+    return num, exp
+
+
+def test_canonical_form_of_a_long_run_of_zero_bits():
+    x = D(3 << 5000, 6000)
+    assert (x.num, x.exp) == (3, 1000)
+    assert (D(-3 << 5000, 4000).num, D(-3 << 5000, 4000).exp) == (-3 << 1000, 0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    base=st.integers(-(1 << 80), 1 << 80),
+    zeros=st.integers(0, 200),
+    exp=st.integers(-40, 260),
+)
+def test_canonical_form_matches_bitwise_halving(base, zeros, exp):
+    num = base << zeros
+    x = D(num, exp)
+    assert (x.num, x.exp) == _canonical_by_bits(num, exp)
 
 
 def test_arithmetic_exact():

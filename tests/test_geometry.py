@@ -245,3 +245,42 @@ def test_slab_rows_against_oracle_slab(m):
                     assert slab_rows(spec, k, lo + dlo * (c - c0)) == (first, last, below, above)
                     slabs += 1
     assert slabs
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_oracle_row_ranges_match_the_definitions(m):
+    """oracle.integrate and oracle.maximal_apply read only the rows a slab
+    meets; the definitions below read every row of every column: the integral
+    sums each row's overlap with the slab, and M takes, per cell, the largest
+    average over the members that contain its center (contains_cell)."""
+    n = 1 << m
+    cell = Fraction(1, n)
+    rng = random.Random(100 + m)
+    for m_w in range(1, m - 1):
+        for offset_exp in (m_w, m_w + 1):  # both offset steps
+            every = oracle.enumerate_family(m, m_w, offset_exp, Fraction(0), [Fraction(0)] * n)
+            lowest = [r for r in every if oracle.pi2_extent(m, m_w, r)[0] < cell]  # meet row 0
+            highest = [r for r in every if oracle.pi2_extent(m, m_w, r)[1] > 1 - cell]  # the top row
+            assert lowest and highest
+            members = rng.sample(every, min(6, len(every))) + lowest[:2] + highest[-2:]
+            f = [Fraction(rng.randrange(-5, 40), 1 << rng.randrange(4)) for _ in range(n * n)]
+
+            avgs = []
+            for r in members:
+                want = Fraction(0)
+                for c in oracle.columns(m, m_w, r):
+                    lo, hi = oracle.slab(m, m_w, r, c)
+                    for row in range(n):
+                        seg = min(hi, (row + 1) * cell) - max(lo, row * cell)
+                        want += max(seg, Fraction(0)) * cell * f[(c << m) + row]
+                assert oracle.integrate(m, m_w, r, f) == want
+                avgs.append(want / oracle.member_measure(m_w, r))
+
+            want_max = [
+                max([Fraction(0)] + [
+                    a for r, a in zip(members, avgs) if oracle.contains_cell(m, m_w, r, c, row)
+                ])
+                for c in range(n)
+                for row in range(n)
+            ]
+            assert oracle.maximal_apply(m, m_w, members, f) == want_max

@@ -94,6 +94,35 @@ def test_oracle_imports_only_the_standard_library():
     assert non_stdlib_imports(path.read_text()) == []
 
 
+def call_state_hooks(source: str) -> list[str]:
+    """Ways a source could carry answers from one call into the next: each
+    decorated function (a cache is a decorator) and each functools import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.decorator_list:
+            found.append(f"decorated {node.name}")
+        elif isinstance(node, ast.Import):
+            found += [f"import {a.name}" for a in node.names if a.name.split(".")[0] == "functools"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "functools":
+            found.append("from functools")
+    return found
+
+
+def test_state_checker_flags_caches_and_functools():
+    src = "import functools\n\n@functools.lru_cache\ndef slab(c):\n    return c\n"
+    assert call_state_hooks(src) == ["import functools", "decorated slab"]
+    src = "from functools import cache\n\nclass C:\n    @staticmethod\n    def f():\n        pass\n"
+    assert call_state_hooks(src) == ["from functools", "decorated f"]
+    assert call_state_hooks("import math\n\ndef f(x):\n    return math.floor(x)\n") == []
+
+
+def test_oracle_keeps_no_state_between_calls():
+    """No oracle function is decorated and nothing comes from functools, so no
+    call can answer from a table another instance filled."""
+    path = Path(dirmax.__file__).parent / "oracle.py"
+    assert call_state_hooks(path.read_text()) == []
+
+
 def attribute_scopes(source: str, attr: str) -> list[str]:
     """The dotted class/function scope of each use of ``.attr`` in a source."""
     found = []
