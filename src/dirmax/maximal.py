@@ -94,6 +94,12 @@ class ChoiceMap:
 # leaves is below 2^(bits(M) + bits(N) + 2m_w + 3) in absolute value, the
 # prefix sums (the output) below half that.  So bits(M) + 2m_w + 3 + bits(N)
 # <= 62 keeps all below 2^62; otherwise the same code runs on Python ints.
+#
+# m2_vertical's recurrence has a third.  With b the bit length of g's largest
+# numerator and n = 2^m rows, a column prefix sum, and so a segment sum, is at
+# most n (2^b - 1) < 2^(b + m); the cross-products compare such a sum with a
+# segment length of at most n, so each is below 2^(b + 2m).  b + 2m <= 62
+# keeps all below 2^62; otherwise the same code runs on Python ints.
 _INT64_BITS = 62
 _BLOCK = 1 << 15  # member-columns per numpy block
 
@@ -107,6 +113,11 @@ def _splat_dtype(mass: list[int], fam: RectangleFamily):
     """np.int64 where the T* splat of these member masses is provably exact, else object."""
     bits = max((x.bit_length() for x in mass), default=0) + len(fam).bit_length()
     return np.int64 if bits + 2 * fam.spec.m_w + 3 <= _INT64_BITS else object
+
+
+def _vertical_dtype(g: GridFunction):
+    """np.int64 where m2_vertical's recurrence on g is provably exact, else object."""
+    return np.int64 if max(g.nums).bit_length() + 2 * g.spec.m <= _INT64_BITS else object
 
 
 def _blocks(fam: RectangleFamily, size: int):
@@ -299,87 +310,11 @@ def nu_all(rho: ChoiceMap, cells) -> list[int]:
     return counts
 
 
-def _cross(o, a, b) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _max_slope_to_hull(hull, x: int, y: int, hull_on_left: bool) -> tuple[int, int]:
-    """Steepest chord between fixed point (x, y) and a convex chain.
-
-    `hull` lists prefix-sum points sorted by x; the chord slope is computed
-    left-to-right so the returned (num, den) has den > 0.  Slope along the
-    chain is unimodal, so a binary search on consecutive comparisons finds
-    the peak; comparisons are exact integer cross-multiplications.
-    """
-
-    def slope(i: int) -> tuple[int, int]:
-        ax, ay = hull[i]
-        if hull_on_left:
-            return y - ay, x - ax
-        return ay - y, ax - x
-
-    lo, hi = 0, len(hull) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        n1, d1 = slope(mid)
-        n2, d2 = slope(mid + 1)
-        if n1 * d2 >= n2 * d1:
-            hi = mid
-        else:
-            lo = mid + 1
-    n1, d1 = slope(lo)
-    if hi != lo:
-        n2, d2 = slope(hi)
-        if n2 * d1 > n1 * d2:
-            return n2, d2
-    return n1, d1
-
-
-def _column_vertical_max(pref: list[int], n: int) -> list[Fraction]:
-    """Per cell, the max average of the column over segments containing it.
-
-    best(r) maximizes (P[r1]-P[r0])/(r1-r0) over r0 <= r < r1: the steepest
-    chord of the prefix-sum graph crossing position r.  Divide and conquer
-    on the cell range: chords inside a half recurse; crossing chords query
-    the static hull of the far side once per endpoint, with a running max.
-    """
-    best = [(pref[r + 1] - pref[r], 1) for r in range(n)]  # single cells
-
-    def better(cur, cand):
-        return cand if cand[0] * cur[1] > cur[0] * cand[1] else cur
-
-    def solve(lo: int, hi: int) -> None:
-        if hi - lo <= 1:
-            return
-        mid = (lo + hi) // 2
-        solve(lo, mid)
-        solve(mid, hi)
-        # crossing chords: r0 in [lo, mid-1], r1 in [mid+1, hi]
-        left = [(i, pref[i]) for i in range(lo, mid)]
-        lower = []
-        for p in left:
-            while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-                lower.pop()
-            lower.append(p)
-        run = None
-        for r in range(hi - 1, mid - 1, -1):  # cells right of the split
-            cand = _max_slope_to_hull(lower, r + 1, pref[r + 1], True)
-            run = cand if run is None else better(run, cand)
-            best[r] = better(best[r], run)
-        right = [(i, pref[i]) for i in range(mid + 1, hi + 1)]
-        upper = []
-        for p in right:
-            while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) >= 0:
-                upper.pop()
-            upper.append(p)
-        run = None
-        for r in range(lo, mid):  # cells left of the split
-            cand = _max_slope_to_hull(upper, r, pref[r], False)
-            run = cand if run is None else better(run, cand)
-            best[r] = better(best[r], run)
-
-    solve(0, n)
-    return [Fraction(a, b) for a, b in best]
+def _raise_to(num: np.ndarray, den: np.ndarray, cnum: np.ndarray, cden: np.ndarray) -> None:
+    """num/den <- cnum/cden wherever the candidate average is larger (dens > 0)."""
+    take = cnum * den > num * cden
+    np.copyto(num, cnum, where=take)
+    np.copyto(den, cden, where=take)
 
 
 def m2_vertical(g: GridFunction) -> RationalGrid:
@@ -388,23 +323,35 @@ def m2_vertical(g: GridFunction) -> RationalGrid:
     Exact: per cell, the best average of g over the column segments through
     it.  Averages over odd segment lengths are not dyadic, hence the
     Fraction-valued grid.
+
+    One recurrence over segment lengths L = n .. 1 runs on all columns at
+    once.  C_L[c, a] is the best average of column c over the segments that
+    contain rows [a, a + L).  A longer segment containing [a, a + L) contains
+    [a - 1, a + L) or [a, a + L + 1), so C_L[a] = max(S_L[a] / L, C_{L+1}[a - 1],
+    C_{L+1}[a]), with S_L[a] the column sum over [a, a + L) from prefix sums
+    and C_n[0] the whole column's average; M2 g at row r is C_1[r].  Each C_L
+    is a (numerator, length) pair compared only by integer cross-products.
+    With b the bit length of g's largest numerator, every cross-product is
+    below 2^(b + 2m), so the recurrence runs in int64 when b + 2m <= 62
+    (_vertical_dtype) and on Python ints otherwise.
     """
     _require_nonneg(g)
     spec = g.spec
-    m = spec.m
     n = spec.n
-    nums = g.nums
-    out: list[Fraction] = [Fraction(0)] * spec.n_cells
-    sc = 1 << g.scale
-    for c in range(n):
-        base = c << m
-        pref = [0] * (n + 1)
-        for r in range(n):
-            pref[r + 1] = pref[r] + nums[base + r]
-        col = _column_vertical_max(pref, n)
-        for r in range(n):
-            out[base + r] = col[r] / sc
-    return RationalGrid(spec, out)
+    dtype = _vertical_dtype(g)
+    pref = np.zeros((n, n + 1), dtype=dtype)
+    pref[:, 1:] = np.array(g.nums, dtype=dtype).reshape(n, n)  # [column, row]
+    np.cumsum(pref, axis=1, out=pref)
+    num = pref[:, n:] - pref[:, :1]
+    den = np.full_like(num, n)
+    for L in range(n - 1, 0, -1):
+        seg = pref[:, L:] - pref[:, :-L]
+        lens = np.full_like(seg, L)
+        _raise_to(seg[:, :-1], lens[:, :-1], num, den)  # C_{L+1}[a]
+        _raise_to(seg[:, 1:], lens[:, 1:], num, den)  # C_{L+1}[a - 1]
+        num, den = seg, lens
+    num, den = num.ravel().tolist(), den.ravel().tolist()
+    return RationalGrid(spec, [Fraction(x, d << g.scale) for x, d in zip(num, den)])
 
 
 # -- norm estimation ----------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 Member = tuple[int, int, int, Fraction]
@@ -164,6 +165,26 @@ def maximal_apply(
                     idx = (c << m) + row
                     if avg > out[idx]:
                         out[idx] = avg
+    return out
+
+
+def m2_vertical(m: int, values: Sequence[Fraction]) -> list[Fraction]:
+    """Per cell (c, r), the largest average of column c over the row segments
+    [r0, r1) with r0 <= r < r1.  For each r0, walking r1 down from the top
+    with a running maximum gives, at r = r1 - 1, the best segment from r0
+    containing r."""
+    n = 1 << m
+    out = []
+    for c in range(n):
+        pre = list(accumulate(values[c << m : (c + 1) << m], initial=Fraction(0)))
+        best = [None] * n
+        for r0 in range(n):
+            run = None
+            for r1 in range(n, r0, -1):
+                avg = (pre[r1] - pre[r0]) / (r1 - r0)
+                run = avg if run is None else max(run, avg)
+                best[r1 - 1] = run if best[r1 - 1] is None else max(best[r1 - 1], run)
+        out.extend(best)
     return out
 
 

@@ -4,7 +4,8 @@ Runs every check the package promises on the shipped corpus: brute-force
 oracle equality for the core operations, the exact operator identities, the
 stopping-time theorems, the shrinking dichotomy at the calibrated threshold,
 and the vertical-maximal domination test.  Any oracle mismatch dumps a
-minimal reproducer file and fails the run.
+minimal reproducer file and fails the run; a check that raises fails its own
+line, with the exception as the detail, and the other checks still run.
 """
 
 from __future__ import annotations
@@ -103,47 +104,54 @@ def _dump_reproducer(out_dir: Path | None, inst: CorpusInstance, op: str, detail
 
 ORACLE_BADNESS_SAMPLE = 48  # members per instance whose B_R the oracle replays
 
+# The oracle shrink_once line runs below DEFAULT_LAMBDA0: at 2 the fast scan
+# selects no window on any corpus instance it checks, so both sides would
+# return the empty set, while at 1 every one of them selects a window.
+ORACLE_SHRINK_LAMBDA0 = DyadicRational(1)
 
-def check_oracle_equivalence(
-    report: VerifyReport,
-    corpus: list[CorpusInstance],
-    out_dir: Path | None = None,
-) -> None:
-    """Criterion-style oracle equality for the six core operations."""
+_ORACLE_LINES = {  # reproducer op -> the operation its report line names
+    "enumerate": "enumerate_family", "maximal": "maximal_apply", "stops": "stopping_intervals",
+    "omegas": "omega_levels", "badness": "badness", "shrink": "shrink_once",
+}
+
+
+def _raised(exc: Exception) -> str:
+    """An exception as a check detail: its type, text and innermost frame."""
+    tb = exc.__traceback__
+    while tb.tb_next:
+        tb = tb.tb_next
+    code = tb.tb_frame.f_code
+    where = f"{Path(code.co_filename).name}:{tb.tb_lineno} in {code.co_name}"
+    return f"raised {type(exc).__name__}: {exc} ({where})"
+
+
+def _oracle_checks(inst: CorpusInstance, members, vvals):
+    """(op, check) per operation the oracle referees on inst, in _ORACLE_LINES
+    order; a check returns None when the fast side equals the oracle, else why not."""
+    spec = inst.spec
+    m, m_w, delta = spec.m, spec.m_w, inst.delta.as_fraction()
     root = DyadicInterval(0, 0)
-    ok_enum = ok_max = ok_stop = ok_omega = ok_bad = ok_shrink = True
-    detail = {}
-    for inst in corpus:
-        members, vvals = _raw(inst)
-        spec = inst.spec
-        o_members = oracle.enumerate_family(
-            spec.m, spec.m_w, spec.offset_exp, inst.delta.as_fraction(), vvals
-        )
+
+    def enumerate_():
+        o_members = oracle.enumerate_family(m, m_w, spec.offset_exp, delta, vvals)
         if members != o_members:
-            ok_enum = False
-            detail["enumerate"] = _dump_reproducer(
-                out_dir, inst, "enumerate", f"{len(members)} vs {len(o_members)} members"
-            )
-            continue
+            return f"{len(members)} vs {len(o_members)} members"
 
-        fvals = [x.as_fraction() for x in inst.f.values()]
+    def maximal():
         mf = maximal_apply(inst.f, inst.family)
-        if [x.as_fraction() for x in mf.values()] != oracle.maximal_apply(
-            spec.m, spec.m_w, members, fvals
-        ):
-            ok_max = False
-            detail["maximal"] = _dump_reproducer(out_dir, inst, "maximal", "value mismatch")
+        fvals = [x.as_fraction() for x in inst.f.values()]
+        if [x.as_fraction() for x in mf.values()] != oracle.maximal_apply(m, m_w, members, fvals):
+            return "value mismatch"
 
-        assign = compute_assignments(root, inst.field, spec.w, inst.delta)
-        stops = stopping_intervals(assign)
-        o_stops = oracle.stopping_intervals(
-            spec.m, spec.m_w, inst.delta.as_fraction(), vvals, (0, 0)
-        )
+    def stops():
+        stops = stopping_intervals(compute_assignments(root, inst.field, spec.w, inst.delta))
+        o_stops = oracle.stopping_intervals(m, m_w, delta, vvals, (0, 0))
         if sorted((J.level, J.index) for J in stops) != o_stops:
-            ok_stop = False
-            detail["stops"] = _dump_reproducer(out_dir, inst, "stops", f"{stops} vs {o_stops}")
+            return f"{stops} vs {o_stops}"
 
-        th_good, _ = partition_theta(assign, stops)
+    def omegas():
+        assign = compute_assignments(root, inst.field, spec.w, inst.delta)
+        th_good, _ = partition_theta(assign, stopping_intervals(assign))
         to_pair = lambda p: (
             (p.interval.level, p.interval.index),
             (p.slope.level, p.slope.index),
@@ -153,41 +161,56 @@ def check_oracle_equivalence(
             [to_pair(p) for p in th_good], [to_pair(p) for p in assign.theta()]
         )
         if [sorted(map(to_pair, layer)) for layer in om] != [sorted(l) for l in o_om]:
-            ok_omega = False
-            detail["omegas"] = _dump_reproducer(out_dir, inst, "omegas", "layer mismatch")
+            return "layer mismatch"
 
-        E = inst.covered
-        tab = badness_table(E, inst.rho)
+    def badness():
+        tab = badness_table(inst.covered, inst.rho)
         idxs = range(len(members))
         if len(members) > ORACLE_BADNESS_SAMPLE:
             rng = random.Random(inst.seed)
             idxs = sorted(rng.sample(range(len(members)), ORACLE_BADNESS_SAMPLE))
         for mi in idxs:
-            ob = oracle.badness(spec.m, spec.m_w, members, inst.rho.entries, E, mi)
+            ob = oracle.badness(m, m_w, members, inst.rho.entries, inst.covered, mi)
             if tab.badness[mi].as_fraction() != ob:
-                ok_bad = False
-                detail["badness"] = _dump_reproducer(
-                    out_dir, inst, "badness", f"member {mi}"
-                )
-                break
+                return f"member {mi}"
 
-        if spec.m <= 4 or inst.name.startswith("m5_cascade"):
-            ep, _ = shrink_once(E, inst.rho, DEFAULT_LAMBDA0, audit=False)
-            o_ep = oracle.shrink_once(
-                spec.m, spec.m_w, members, inst.rho.entries, E,
-                DEFAULT_LAMBDA0.as_fraction(),
-            )
-            if set(ep) != o_ep:
-                ok_shrink = False
-                detail["shrink"] = _dump_reproducer(
-                    out_dir, inst, "shrink", f"{len(ep)} vs {len(o_ep)} cells"
-                )
-    report.add("oracle enumerate_family", ok_enum, detail.get("enumerate", ""))
-    report.add("oracle maximal_apply", ok_max, detail.get("maximal", ""))
-    report.add("oracle stopping_intervals", ok_stop, detail.get("stops", ""))
-    report.add("oracle omega_levels", ok_omega, detail.get("omegas", ""))
-    report.add("oracle badness", ok_bad, detail.get("badness", ""))
-    report.add("oracle shrink_once", ok_shrink, detail.get("shrink", ""))
+    def shrink():
+        if m > 4 and not inst.name.startswith("m5_cascade"):
+            return None
+        ep, _ = shrink_once(inst.covered, inst.rho, ORACLE_SHRINK_LAMBDA0, audit=False)
+        o_ep = oracle.shrink_once(
+            m, m_w, members, inst.rho.entries, inst.covered, ORACLE_SHRINK_LAMBDA0.as_fraction()
+        )
+        if set(ep) != o_ep:
+            return f"{len(ep)} vs {len(o_ep)} cells"
+
+    return zip(_ORACLE_LINES, (enumerate_, maximal, stops, omegas, badness, shrink))
+
+
+def check_oracle_equivalence(
+    report: VerifyReport,
+    corpus: list[CorpusInstance],
+    out_dir: Path | None = None,
+) -> None:
+    """Criterion-style oracle equality for the six core operations.
+
+    A check that raises fails its operation's line, with the exception as
+    the reproducer's detail; the other operations and instances still run.
+    """
+    detail: dict[str, str] = {}
+    for inst in corpus:
+        members, vvals = _raw(inst)
+        for op, check in _oracle_checks(inst, members, vvals):
+            try:
+                text = check()
+            except Exception as exc:  # a fault is a FAIL line, not a stopped run
+                text = _raised(exc)
+            if text is not None:
+                detail[op] = _dump_reproducer(out_dir, inst, op, text)
+                if op == "enumerate":
+                    break  # every other check reads the member list
+    for op, name in _ORACLE_LINES.items():
+        report.add(f"oracle {name}", op not in detail, detail.get(op, ""))
 
 
 def _inner(a: GridFunction, b: GridFunction) -> tuple[int, int]:
@@ -374,9 +397,12 @@ def run_verify(
         corpus = [inst for inst in corpus if inst.spec.m <= 4][:12]
     report = VerifyReport()
     check_oracle_equivalence(report, corpus, out_dir)
-    check_exact_identities(report, corpus)
-    check_stopping_theorems(report, corpus)
-    check_shrinking(report, corpus)
-    check_reformulation(report, corpus)
-    check_domination(report, corpus)
+    for check in (
+        check_exact_identities, check_stopping_theorems, check_shrinking,
+        check_reformulation, check_domination,
+    ):
+        try:
+            check(report, corpus)
+        except Exception as exc:  # a check that raises fails, and the rest still run
+            report.add(check.__name__, False, _raised(exc))
     return report

@@ -460,6 +460,52 @@ def test_m2_translation_invariance():
             assert b.value(c, r) == a.value((c - 2) % spec.n, r)
 
 
+def _oracle_m2(g):
+    return oracle.m2_vertical(g.spec.m, [x.as_fraction() for x in g.values()])
+
+
+@settings(max_examples=14, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(3, 6),
+    bits=st.sampled_from([0, 3, 40, 70, 130]),
+    seed=st.integers(0, 1 << 16),
+    scale=st.integers(0, 70),
+)
+def test_m2_vertical_matches_oracle(m, bits, seed, scale):
+    spec = GridSpec(m, m - 2, False)
+    n = spec.n
+    rng = random.Random(seed)
+    nums = [rng.getrandbits(bits) for _ in range(spec.n_cells)]
+    top = (1 << bits) - 1
+    nums[:n] = [0] * n  # a zero column
+    nums[n : 2 * n] = [top] * n  # a constant column at the largest numerator
+    nums[2 * n : 3 * n] = [(top, top >> 1)[r & 1] for r in range(n)]  # ties
+    nums[3 * n : 4 * n] = [rng.choice((0, top)) for _ in range(n)]
+    g = GridFunction(spec, scale, nums)
+    assert m2_vertical(g).values == _oracle_m2(g)
+
+
+def test_m2_vertical_dtype_bound_both_sides(monkeypatch):
+    spec = GridSpec(4, 2, False)
+    bound = 62 - 2 * spec.m  # numerator bits the int64 recurrence takes
+    picked = []
+    inner = maximal._vertical_dtype
+
+    def spy(g):
+        picked.append(inner(g))
+        return picked[-1]
+
+    monkeypatch.setattr(maximal, "_vertical_dtype", spy)
+    rng = random.Random(24)
+    for top, dtype in (((1 << bound) - 1, np.int64), (1 << bound, object)):
+        nums = [rng.getrandbits(bound) for _ in range(spec.n_cells)]
+        nums[: spec.n] = [top] * spec.n  # a column whose sums reach n * top
+        g = GridFunction(spec, 5, nums)
+        got = m2_vertical(g).values
+        assert picked[-1] is dtype
+        assert got == _oracle_m2(g)
+
+
 def test_estimate_norm_single_member_optimum():
     spec, fam, f = _setup(seed=17)
     sub = fam.subfamily([1])

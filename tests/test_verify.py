@@ -1,0 +1,43 @@
+"""The verify harness itself: what its oracle lines exercise, and how it
+reports a fast call that raises."""
+
+from __future__ import annotations
+
+from dirmax import maximal
+from dirmax.badness import shrink_once
+from dirmax.instances import build_corpus
+from dirmax.verify import ORACLE_SHRINK_LAMBDA0, run_verify
+
+
+def test_oracle_shrink_lambda_selects_windows(corpus):
+    # at this lambda0 the oracle shrink_once line compares non-empty sets
+    small = [inst for inst in corpus if inst.spec.m <= 4]
+    assert len(small) == 50
+    for inst in small:
+        shrunk, _ = shrink_once(inst.covered, inst.rho, ORACLE_SHRINK_LAMBDA0, audit=False)
+        assert shrunk, inst.name
+
+
+def test_fast_call_that_raises_is_a_fail_line(tmp_path, monkeypatch):
+    corpus = [inst for inst in build_corpus() if inst.spec.m == 3][:4]
+    for inst in corpus:
+        inst.rho  # built before the fault
+
+    def broken(fam, f):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(maximal, "_scaled_averages", broken)
+    report = run_verify(corpus=corpus, out_dir=tmp_path)
+    lines = report.to_text().splitlines()
+    assert not report.ok
+    maximal_line = next(line for line in lines if line.startswith("FAIL oracle maximal_apply"))
+    assert "reproducer:" in maximal_line
+    repro = sorted(p.name for p in tmp_path.iterdir())
+    assert repro == sorted(f"mismatch_maximal_{inst.name}.txt" for inst in corpus)
+    text = (tmp_path / repro[0]).read_text()
+    assert "raised RuntimeError: injected fault" in text and "in broken" in text
+    # the other operations still ran on every instance
+    for name in ("enumerate_family", "stopping_intervals", "omega_levels", "badness", "shrink_once"):
+        assert f"PASS oracle {name}" in lines
+    # a later check that calls the broken kernel fails its own line
+    assert any(line.startswith("FAIL check_exact_identities (raised RuntimeError") for line in lines)
