@@ -13,6 +13,8 @@ from itertools import repeat
 from operator import mul, or_, rshift
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .dyadic import DyadicRational
 from .geometry import DyadicInterval, GridSpec, Parallelogram, Window, slab_rows, spec_from_offstep
 
@@ -33,6 +35,17 @@ def _to_scaled(values, what: str) -> tuple[int, list[int]]:
         pairs.append(d)
         scale = max(scale, d.exp)
     return scale, [d.num << (scale - d.exp) for d in pairs]
+
+
+def cell_array(spec: GridSpec, cells) -> np.ndarray:
+    """Cell indices (an integer array, or any iterable of ints) as an integer
+    array, each checked to lie in [0, n_cells)."""
+    cells = cells if isinstance(cells, np.ndarray) else np.fromiter(cells, dtype=np.int64)
+    if cells.dtype.kind not in "iu":
+        raise TypeError("cell indices must be integers")
+    if len(cells) and (cells.min() < 0 or cells.max() >= spec.n_cells):
+        raise ValueError("cell index out of range")
+    return cells
 
 
 def _check_grid(spec: GridSpec, scale: int, nums: Sequence[int]) -> None:
@@ -82,10 +95,7 @@ class GridFunction:
 
     @classmethod
     def indicator(cls, spec: GridSpec, cells: Iterable[int]) -> "GridFunction":
-        nums = [0] * spec.n_cells
-        for idx in cells:
-            nums[idx] = 1
-        return cls._adopt(spec, 0, nums)
+        return cls.constant(spec, 1).masked(cells)
 
     # -- access ------------------------------------------------------------
 
@@ -129,8 +139,9 @@ class GridFunction:
 
     def masked(self, cells: Iterable[int]) -> "GridFunction":
         """Pointwise product with the indicator of a cell set."""
-        keep = set(cells)
-        nums = [n if i in keep else 0 for i, n in enumerate(self.nums)]
+        nums, src = [0] * self.spec.n_cells, self.nums
+        for i in cell_array(self.spec, cells).tolist():
+            nums[i] = src[i]
         return GridFunction._adopt(self.spec, self.scale, nums)
 
     def __eq__(self, other):

@@ -15,7 +15,8 @@ sharing its code.  One rank painter gives Mf and rho: each cell keeps the
 member of highest (average, -index) rank, that is the largest average and,
 among equal averages, the lowest index.  So Mf is exactly T_rho f at its own
 linearization, at the same scale, and the T*T ascent feeds Mf to T* with no
-second averaging pass.
+second averaging pass.  rho is a read-only int32 array over the cells: T is
+one gather, T*'s chooser masses one np.add.at and the nu counts one bincount.
 
 T* is that kernel's transpose: over the same blocks, each member's chooser
 mass goes back onto the rows the kernel reads, with the same coverage
@@ -34,29 +35,35 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dyadic import DyadicRational
 from .family import RectangleFamily
 from .geometry import GridSpec, first_center_row, slab_rows, slab_run
-from .grids import GridFunction, RationalGrid
+from .grids import GridFunction, RationalGrid, cell_array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiceMap:
-    """Per-cell argmax member index; -1 exactly on the exceptional set X."""
+    """Per-cell argmax member index, -1 exactly on the exceptional set X: a
+    read-only int32 array over the cells, checked once here to lie in [-1, N)."""
 
     fam: RectangleFamily
-    entries: tuple[int, ...]
+    entries: np.ndarray
 
     def __post_init__(self):
-        if len(self.entries) != self.fam.spec.n_cells:
-            raise ValueError("choice map entry count mismatch")
+        e = np.asarray(self.entries)
+        if (e.dtype.kind not in "iu" or e.shape != (self.fam.spec.n_cells,)
+                or e.min() < -1 or e.max() >= len(self.fam)):
+            raise ValueError("corrupt choice map")
+        e = e.astype(np.int32)
+        e.flags.writeable = False
+        object.__setattr__(self, "entries", e)
 
     @property
     def spec(self) -> GridSpec:
         return self.fam.spec
 
     def covered_cells(self) -> list[int]:
-        return [i for i, e in enumerate(self.entries) if e >= 0]
+        return np.flatnonzero(self.entries >= 0).tolist()
 
     def exceptional_cells(self) -> list[int]:
-        return [i for i, e in enumerate(self.entries) if e < 0]
+        return np.flatnonzero(self.entries < 0).tolist()
 
     def check(self) -> None:
         """Validate cell-center containment and that -1 marks exactly X."""
@@ -65,9 +72,7 @@ class ChoiceMap:
         for r in members:
             for idx in r.cell_indices():
                 covered[idx] = True
-        for idx, e in enumerate(self.entries):
-            if not -1 <= e < len(members):
-                raise ValueError("corrupt choice map")
+        for idx, e in enumerate(self.entries.tolist()):
             if e >= 0:
                 c, row = self.spec.cell_coords(idx)
                 if not members[e].contains_cell(c, row):
@@ -99,7 +104,8 @@ class ChoiceMap:
 # numerator and n = 2^m rows, a column prefix sum, and so a segment sum, is at
 # most n (2^b - 1) < 2^(b + m); the cross-products compare such a sum with a
 # segment length of at most n, so each is below 2^(b + 2m).  b + 2m <= 62
-# keeps all below 2^62; otherwise the same code runs on Python ints.
+# keeps all below 2^62; otherwise the same code runs on Python ints.  T*'s
+# chooser masses, sums of at most n^2 numerators, share this bound.
 _INT64_BITS = 62
 _BLOCK = 1 << 15  # member-columns per numpy block
 
@@ -116,7 +122,7 @@ def _splat_dtype(mass: list[int], fam: RectangleFamily):
 
 
 def _vertical_dtype(g: GridFunction):
-    """np.int64 where m2_vertical's recurrence on g is provably exact, else object."""
+    """np.int64 where m2_vertical on g, or any sum of g's cells, is provably exact, else object."""
     return np.int64 if max(g.nums).bit_length() + 2 * g.spec.m <= _INT64_BITS else object
 
 
@@ -208,16 +214,16 @@ def _cells(table: list, top: np.ndarray) -> list:
 
 def _paint(
     f: GridFunction, fam: RectangleFamily
-) -> tuple[np.ndarray, list[int], list[int], int]:
-    """(rank grid, Mf numerators by rank, member by rank, scale).
+) -> tuple[np.ndarray, list[int], np.ndarray, int]:
+    """(rank grid, Mf numerators by rank, member by rank as int32, scale).
 
-    _cells of the two tables gives Mf and rho; rank 0 maps to 0 and -1 on X.
+    _cells(vals, top) gives Mf and members[top] rho; rank 0 maps to 0 and -1 on X.
     """
     if fam.spec != f.spec:
         raise ValueError("incompatible grids")
     avgs, scale = _scaled_averages(fam, f)
     top, order = _rank_grid(fam, avgs)
-    return top, [0] + [avgs[i] for i in order], [-1] + order, scale
+    return top, [0] + [avgs[i] for i in order], np.array([-1] + order, dtype=np.int32), scale
 
 
 def maximal_apply(f: GridFunction, fam: RectangleFamily) -> GridFunction:
@@ -229,12 +235,7 @@ def maximal_apply(f: GridFunction, fam: RectangleFamily) -> GridFunction:
 def linearize(f: GridFunction, fam: RectangleFamily) -> ChoiceMap:
     """Argmax member per covered cell; ties broken by canonical member order."""
     top, _, members, _ = _paint(f, fam)
-    return ChoiceMap(fam, tuple(_cells(members, top)))
-
-
-def _check_entries(rho: ChoiceMap) -> None:
-    if min(rho.entries) < -1 or max(rho.entries) >= len(rho.fam):
-        raise ValueError("corrupt choice map")
+    return ChoiceMap(fam, members[top])
 
 
 def apply_T(rho: ChoiceMap, f: GridFunction) -> GridFunction:
@@ -243,10 +244,8 @@ def apply_T(rho: ChoiceMap, f: GridFunction) -> GridFunction:
     spec = fam.spec
     if spec != f.spec:
         raise ValueError("incompatible grids")
-    _check_entries(rho)
     avgs, scale = _scaled_averages(fam, f)
-    out = [avgs[e] if e >= 0 else 0 for e in rho.entries]
-    return GridFunction._adopt(spec, scale, out)
+    return GridFunction._adopt(spec, scale, _cells(avgs + [0], rho.entries))  # X reads the 0
 
 
 def apply_T_adjoint(rho: ChoiceMap, g: GridFunction) -> GridFunction:
@@ -261,18 +260,17 @@ def apply_T_adjoint(rho: ChoiceMap, g: GridFunction) -> GridFunction:
     spec = fam.spec
     if spec != g.spec:
         raise ValueError("incompatible grids")
-    _check_entries(rho)
-    mass = [0] * len(fam)  # scaled by 2^(g.scale + 2m)
-    for e, n in zip(rho.entries, g.nums):
-        if e >= 0:
-            mass[e] += n
+    chosen = rho.entries >= 0
+    nums = np.array(g.nums, dtype=_vertical_dtype(g))[chosen]
+    mass = np.zeros(len(fam), dtype=nums.dtype)  # scaled by 2^(g.scale + 2m)
+    np.add.at(mass, rho.entries[chosen], nums)
+    mass = mass.tolist()
+    mass = np.array(mass, dtype=_splat_dtype(mass, fam))
     m = spec.m
-    dtype = _splat_dtype(mass, fam)
-    mass = np.array(mass, dtype=dtype)
     # one column-major difference array: a slab that ends on its column's
     # last row closes at the next column's first index, hence n^2 + 1 entries;
     # the parts of rows a and b outside the slab enter as point pairs
-    diff = np.zeros(spec.n_cells + 1, dtype=dtype)
+    diff = np.zeros(spec.n_cells + 1, dtype=mass.dtype)
     for part, c, lo, k in _blocks(fam, _BLOCK >> 3):  # Python-int temporaries stay small
         a, b, below, above = slab_rows(spec, k, lo)
         a, b = a + (c << m), b + (c << m)
@@ -289,25 +287,20 @@ def apply_T_adjoint(rho: ChoiceMap, g: GridFunction) -> GridFunction:
 def nu(rho: ChoiceMap, cells, member) -> DyadicRational:
     """nu_R^F: measure of the F-cells whose choice is the given member.
 
-    The member may be given as its index (any integer) or as the
+    The member may be given as its index (any integer in [0, N)) or as the
     parallelogram itself.
     """
     if not isinstance(member, (int, np.integer)):
         member = rho.fam.index(member)
-    entries = rho.entries
-    count = sum(1 for idx in cells if entries[idx] == member)
-    return DyadicRational(count, 2 * rho.spec.m)
+    elif not 0 <= member < len(rho.fam):
+        raise ValueError("member index out of range")
+    return DyadicRational(nu_all(rho, cells)[member], 2 * rho.spec.m)
 
 
 def nu_all(rho: ChoiceMap, cells) -> list[int]:
     """Chooser cell counts for every member (scaled nu: count per member)."""
-    counts = [0] * len(rho.fam)
-    entries = rho.entries
-    for idx in cells:
-        e = entries[idx]
-        if e >= 0:
-            counts[e] += 1
-    return counts
+    chosen = rho.entries[cell_array(rho.spec, cells)]
+    return np.bincount(chosen[chosen >= 0], minlength=len(rho.fam)).tolist()
 
 
 def _raise_to(num: np.ndarray, den: np.ndarray, cnum: np.ndarray, cden: np.ndarray) -> None:
@@ -436,7 +429,7 @@ def estimate_norm(
                 best = ratio
             if it == ascent_iters:
                 break
-            rho = ChoiceMap(fam, tuple(_cells(members, top)))
+            rho = ChoiceMap(fam, members[top])
             del f, top, members
             nxt = apply_T_adjoint(rho, mf)
             del rho, mf

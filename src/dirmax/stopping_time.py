@@ -6,7 +6,9 @@ by a longer ancestor.  Chosen popularity sets are then pairwise disjoint,
 which gives the exact packing bound sum mu_J <= |I| and the halving of the
 stopping-interval shadow.  Point classes come from antichain layers of the
 (interval, slope) order; iterating over generations produces the pairwise
-disjoint sets that decompose the linearized operator.
+disjoint sets that decompose the linearized operator.  Cell sets are sorted
+read-only int32 arrays of column-major cell indices, so the cells under an
+interval are one np.searchsorted slice.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import compress
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -23,7 +24,7 @@ import numpy as np
 from .dyadic import DyadicRational
 from .family import RectangleFamily, _popular_counts
 from .geometry import DyadicInterval, SlopeCell, dyadic_inside
-from .grids import GridFunction, OneVarField
+from .grids import GridFunction, OneVarField, cell_array
 from .maximal import ChoiceMap, apply_T, apply_T_adjoint, ascent_iterate, m2_vertical
 from .maximal import _scaled_averages
 
@@ -188,13 +189,31 @@ def omega_levels(
     return tuple(levels)
 
 
-@dataclass(frozen=True)
+def _cell_set(cells: np.ndarray) -> np.ndarray:
+    """A cell set: the distinct indices of cells, sorted, as a read-only int32
+    array.  (np.unique would do, but numpy 2.4's hashes first: about 70x slower
+    on the 2^18 cells of m = 9.)"""
+    out = cells.astype(np.int32)
+    out.sort()
+    out = out[np.diff(out, prepend=-1) != 0]
+    out.flags.writeable = False
+    return out
+
+
+def _under(cells: np.ndarray, J: DyadicInterval, m: int) -> np.ndarray:
+    """The cells of a cell set whose column lies under J: one index range."""
+    cols = J.columns(m)
+    lo, hi = np.searchsorted(cells, (cols.start << m, cols.stop << m))
+    return cells[lo:hi]
+
+
+@dataclass(frozen=True, eq=False)
 class ClassifyResult:
     """Point classes over one interval: F_n layers, good/bad cells, collections."""
 
-    f_sets: tuple[frozenset[int], ...]
-    good_cells: frozenset[int]
-    bad_cells: frozenset[int]
+    f_sets: tuple[np.ndarray, ...]
+    good_cells: np.ndarray
+    bad_cells: np.ndarray
     collections: tuple[RectangleFamily, ...]
 
 
@@ -210,29 +229,27 @@ def classify_points(
     contains s for some (J, s) of layer n: one test per chosen key row.
     """
     fam = rho.fam
-    cells = sorted(set(cells))
-    chosen = np.array([rho.entries[idx] for idx in cells], dtype=np.int64)
+    cells = _cell_set(cell_array(fam.spec, cells))
+    chosen = rho.entries[cells]
     if (chosen < 0).any():
         raise ValueError("cell without a choice cannot be classified")
-    uniq, which = np.unique(chosen, return_inverse=True)
+    uniq = np.flatnonzero(np.bincount(chosen, minlength=len(fam)))
     k, base, slope, _ = fam.sort_keys[uniq].T
     level = fam.spec.m_w - k
     if not dyadic_inside(level, base, I.level, I.index).all():
         raise ValueError("choice escapes interval")
-    hit = np.zeros((len(omegas), len(uniq)), dtype=bool)
+    hit = np.zeros((len(omegas), len(fam)), dtype=bool)  # per layer, per member
     for n, layer in enumerate(omegas):
         for p in layer:
             J, s = p.interval, p.slope
             under = dyadic_inside(level, base, J.level, J.index)
-            hit[n] |= under & dyadic_inside(s.level, s.index, k, slope)
-    # the sets keep the callers' int objects; fresh ones add about 20 MB at m = 9
-    f_sets = tuple(frozenset(compress(cells, row[which].tolist())) for row in hit)
-    good = hit.any(axis=0)[which]
+            hit[n, uniq] |= under & dyadic_inside(s.level, s.index, k, slope)
+    good = hit.any(axis=0)[chosen]
     return ClassifyResult(
-        f_sets,
-        frozenset(compress(cells, good.tolist())),
-        frozenset(compress(cells, (~good).tolist())),
-        tuple(fam.subfamily(uniq[row]) for row in hit),
+        tuple(_cell_set(cells[row[chosen]]) for row in hit),
+        _cell_set(cells[good]),
+        _cell_set(cells[~good]),
+        tuple(fam.subfamily(np.flatnonzero(row)) for row in hit),
     )
 
 
@@ -249,13 +266,13 @@ class IntervalRecord:
     classify: ClassifyResult
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenerationRecord:
     index: int
     intervals: tuple[DyadicInterval, ...]
     records: tuple[IntervalRecord, ...]
-    good_cells: frozenset[int]
-    bad_cells: frozenset[int]
+    good_cells: np.ndarray
+    bad_cells: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -263,13 +280,11 @@ class DecompositionResult:
     generations: tuple[GenerationRecord, ...]
     truncated: bool
 
-    def a_sets(self) -> list[frozenset[int]]:
+    def a_sets(self) -> list[np.ndarray]:
         return [g.good_cells for g in self.generations]
 
-    def final_bad(self) -> frozenset[int]:
-        if not self.generations:
-            return frozenset()
-        return self.generations[-1].bad_cells
+    def final_bad(self) -> np.ndarray:
+        return self.generations[-1].bad_cells if self.generations else _cell_set(np.empty(0))
 
 
 def run_generations(
@@ -285,60 +300,44 @@ def run_generations(
         raise ValueError("interval/width mismatch")
     m = spec.m
     intervals = [DyadicInterval(0, 0)]
-    e_cells = frozenset(rho.covered_cells())
+    e_cells = _cell_set(np.flatnonzero(rho.entries >= 0))
     generations: list[GenerationRecord] = []
     truncated = False
-    gen = 0
-    while intervals and e_cells:
-        if gen >= max_gen:
+    while intervals and len(e_cells):
+        if len(generations) >= max_gen:
             truncated = True
             break
         records = []
-        good_all: set[int] = set()
-        bad_all: set[int] = set()
         next_intervals: list[DyadicInterval] = []
         for I in intervals:
-            cols = I.columns(m)
-            cells_I = [idx for idx in e_cells if (idx >> m) in cols]
             assign = compute_assignments(I, v, w, delta)
             stops = stopping_intervals(assign)
             th_good, th_bad = partition_theta(assign, stops)
             omegas = omega_levels(th_good, assign.theta())
-            cl = classify_points(cells_I, rho, omegas, I)
-            records.append(
-                IntervalRecord(I, assign, stops, th_good, th_bad, omegas, cl)
-            )
-            good_all.update(cl.good_cells)
-            bad_all.update(cl.bad_cells)
+            cl = classify_points(_under(e_cells, I, m), rho, omegas, I)
+            records.append(IntervalRecord(I, assign, stops, th_good, th_bad, omegas, cl))
             next_intervals.extend(stops)
+        good_all = _cell_set(np.concatenate([r.classify.good_cells for r in records]))
+        e_cells = _cell_set(np.concatenate([r.classify.bad_cells for r in records]))
         generations.append(
-            GenerationRecord(
-                gen,
-                tuple(intervals),
-                tuple(records),
-                frozenset(good_all),
-                frozenset(bad_all),
-            )
+            GenerationRecord(len(generations), tuple(intervals), tuple(records), good_all, e_cells)
         )
         intervals = sorted(next_intervals, key=lambda J: (J.level, J.index))
-        e_cells = frozenset(bad_all)
-        gen += 1
     return DecompositionResult(tuple(generations), truncated)
 
 
 # -- generation pieces and the vertical-maximal domination test ----------------
 
 
-def piece_cells(result: DecompositionResult, j: int) -> list[tuple[DyadicInterval, int, frozenset[int]]]:
+def piece_cells(result: DecompositionResult, j: int) -> list[tuple[DyadicInterval, int, np.ndarray]]:
     """(J, n, cells) pieces of generation j; cells take their first matching layer."""
     out = []
-    g = result.generations[j]
-    for rec in g.records:
-        seen: set[int] = set()
+    for rec in result.generations[j].records:
+        seen = np.empty(0, dtype=np.int32)
         for n, fs in enumerate(rec.classify.f_sets):
-            fresh = frozenset(fs - seen)
-            seen |= fs
-            if fresh:
+            fresh = _cell_set(np.setdiff1d(fs, seen, assume_unique=True))
+            seen = np.concatenate((seen, fresh))
+            if len(fresh):
                 out.append((rec.interval, n, fresh))
     return out
 
@@ -372,9 +371,7 @@ def domination_check(
     checked = 0
     worst = Fraction(0)
     a_sets = result.a_sets()
-    for j in range(len(result.generations)):
-        if j + 1 >= len(result.generations):
-            break
+    for j in range(len(result.generations) - 1):
         pieces = piece_cells(result, j)
         if max_pieces is not None:
             pieces = pieces[:max_pieces]
@@ -382,13 +379,11 @@ def domination_check(
             g = apply_T_adjoint(rho, f.masked(cells))
             vert = m2_vertical(g)
             avgs, scale = _scaled_averages(rho.fam, g)
-            cols = J.columns(m)
             for k in range(j + 1, len(result.generations)):
-                for idx in a_sets[k]:
-                    if (idx >> m) not in cols:
-                        continue
-                    checked += 1
-                    avg = Fraction(avgs[rho.entries[idx]], 1 << scale)
+                cells = _under(a_sets[k], J, m)
+                checked += len(cells)
+                for idx, e in zip(cells.tolist(), rho.entries[cells].tolist()):
+                    avg = Fraction(avgs[e], 1 << scale)
                     rhs = vert.value_at(idx)
                     if avg > rhs:
                         violations.append(
@@ -478,14 +473,10 @@ def cotlar_stein_bound(a: Sequence[float]) -> float:
 # -- structured text export ----------------------------------------------------
 
 
-def _runs(cells: Iterable[int]) -> list[list[int]]:
-    runs = []
-    for idx in sorted(cells):
-        if runs and runs[-1][0] + runs[-1][1] == idx:
-            runs[-1][1] += 1
-        else:
-            runs.append([idx, 1])
-    return runs
+def _runs(cells: np.ndarray) -> list[list[int]]:
+    """[start, length] of each run of consecutive indices in a cell set."""
+    starts = np.flatnonzero(np.diff(cells, prepend=-2) != 1)
+    return np.stack([cells[starts], np.diff(starts, append=len(cells))], axis=1).tolist()
 
 
 def decomposition_to_json(result: DecompositionResult) -> str:

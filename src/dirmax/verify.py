@@ -169,8 +169,9 @@ def _oracle_checks(inst: CorpusInstance, members, vvals):
         if len(members) > ORACLE_BADNESS_SAMPLE:
             rng = random.Random(inst.seed)
             idxs = sorted(rng.sample(range(len(members)), ORACLE_BADNESS_SAMPLE))
+        entries = inst.rho.entries.tolist()  # the oracle reads Python ints only
         for mi in idxs:
-            ob = oracle.badness(m, m_w, members, inst.rho.entries, inst.covered, mi)
+            ob = oracle.badness(m, m_w, members, entries, inst.covered, mi)
             if tab.badness[mi].as_fraction() != ob:
                 return f"member {mi}"
 
@@ -179,7 +180,8 @@ def _oracle_checks(inst: CorpusInstance, members, vvals):
             return None
         ep, _ = shrink_once(inst.covered, inst.rho, ORACLE_SHRINK_LAMBDA0, audit=False)
         o_ep = oracle.shrink_once(
-            m, m_w, members, inst.rho.entries, inst.covered, ORACLE_SHRINK_LAMBDA0.as_fraction()
+            m, m_w, members, inst.rho.entries.tolist(), inst.covered,
+            ORACLE_SHRINK_LAMBDA0.as_fraction(),
         )
         if set(ep) != o_ep:
             return f"{len(ep)} vs {len(o_ep)} cells"
@@ -237,7 +239,7 @@ def check_exact_identities(report: VerifyReport, corpus: list[CorpusInstance]) -
         cells = [i for i in range(spec.n_cells) if rng.random() < 0.5]
         ind = GridFunction.indicator(spec, cells)
         ta = apply_T_adjoint(rho, ind)
-        counts = oracle.nu_counts(members, rho.entries, cells)
+        counts = oracle.nu_counts(members, rho.entries.tolist(), cells)
         want = oracle.weighted_count(spec.m, spec.m_w, members, counts)
         if [x.as_fraction() for x in ta.values()] != want:
             ok_count = False

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dirmax.dyadic import DyadicRational as D
@@ -186,6 +187,24 @@ def test_masked_and_support():
     g = f.masked([0, 1, 2])
     assert g.support_cells() == [0, 1, 2]
     assert g.support_measure() == D(3, 6)
+
+
+def test_indicator_and_masked_take_only_cells_of_the_grid():
+    spec = GridSpec(3, 1, False)
+    f = GridFunction.from_values(spec, range(1, spec.n_cells + 1))
+    for cells in ([-1], [spec.n_cells], [10**6], [0, -1], np.array([-1])):
+        with pytest.raises(ValueError, match="cell index out of range"):
+            GridFunction.indicator(spec, cells)
+        with pytest.raises(ValueError, match="cell index out of range"):
+            f.masked(cells)
+    with pytest.raises(TypeError):
+        f.masked(np.array([0.0]))
+    # any iterable or integer array of cells, in any order, repeats allowed
+    for cells in ([5, 0, 5], frozenset({0, 5}), range(0, 6, 5), np.array([5, 0], dtype=np.int32)):
+        assert GridFunction.indicator(spec, cells).support_cells() == [0, 5]
+        g = f.masked(cells)
+        assert g.support_cells() == [0, 5] and (g.value_at(0), g.value_at(5)) == (D(1), D(6))
+    assert f.masked([]).is_zero() and GridFunction.indicator(spec, []).is_zero()
 
 
 def test_from_values_accepts_dyadic_fractions_only():

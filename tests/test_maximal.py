@@ -154,7 +154,7 @@ def test_int64_kernel_matches_oracle_and_exact_path(spec_args, seed, delta, bits
     assert [x.as_fraction() for x in mf.values()] == _oracle_max(spec, fam, f)
     rho.check()
     with mock.patch.object(maximal, "_BLOCK", block), _exact_path():
-        assert linearize(f, fam).entries == rho.entries
+        assert np.array_equal(linearize(f, fam).entries, rho.entries)
         want = maximal_apply(f, fam)
         assert (mf.scale, mf.nums) == (want.scale, want.nums)
         want = apply_T(rho, f)
@@ -190,7 +190,7 @@ def test_int64_guard_bound_both_sides(monkeypatch, half):
         assert [x.as_fraction() for x in mf.values()] == _oracle_max(spec, fam, f)
         assert apply_T(rho, f) == mf
         with _exact_path():
-            assert linearize(f, fam).entries == rho.entries
+            assert np.array_equal(linearize(f, fam).entries, rho.entries)
         if fits:  # the kernel near its largest inputs: averages of 61 bits
             assert max(maximal._scaled_averages(fam, f)[0]).bit_length() == 61
 
@@ -216,7 +216,7 @@ def test_painter_many_ties():
     mf = maximal_apply(f, fam)
     assert mf.values() == [avgs[w] if w >= 0 else D(0) for w in want]
     with _exact_path():
-        assert linearize(f, fam).entries == rho.entries
+        assert np.array_equal(linearize(f, fam).entries, rho.entries)
 
 
 def _composed_ascent(fam, seeds, iters):
@@ -302,19 +302,21 @@ def test_apply_T_bounded_by_maximal():
 
 def test_corrupt_choice_map():
     spec, fam, f = _setup(seed=12)
-    bad = ChoiceMap(fam, tuple([len(fam.members)] + [-1] * (spec.n_cells - 1)))
+    entries = [len(fam.members)] + [-1] * (spec.n_cells - 1)
     with pytest.raises(ValueError, match="corrupt choice map"):
-        apply_T(bad, f)
+        apply_T(ChoiceMap(fam, entries), f)
     with pytest.raises(ValueError, match="corrupt choice map"):
-        apply_T_adjoint(bad, f)
+        apply_T_adjoint(ChoiceMap(fam, entries), f)
 
 
 def test_choice_map_entries_below_minus_one_are_corrupt():
     spec, fam, f = _setup(seed=12)
     rho = linearize(f, fam)
-    x = rho.entries.index(-1)  # an uncovered cell
-    bad = ChoiceMap(fam, rho.entries[:x] + (-7,) + rho.entries[x + 1 :])
-    for call in (bad.check, lambda: apply_T(bad, f), lambda: apply_T_adjoint(bad, f)):
+    entries = rho.entries.tolist()
+    x = entries.index(-1)  # an uncovered cell
+    entries[x] = -7
+    bad = lambda: ChoiceMap(fam, entries)
+    for call in (lambda: bad().check(), lambda: apply_T(bad(), f), lambda: apply_T_adjoint(bad(), f)):
         with pytest.raises(ValueError, match="corrupt choice map"):
             call()
 
@@ -415,6 +417,64 @@ def test_nu_takes_numpy_integer_indices():
     for e in np.unique([e for e in rho.entries if e >= 0]):
         assert nu(rho, cells, e) == nu(rho, cells, int(e)) == nu(rho, cells, fam.members[e])
         assert nu(rho, cells, e).num > 0
+
+
+def test_nu_rejects_member_outside_range():
+    # unchecked, member -1 measured the exceptional cells (5/2^5 here) and
+    # member N measured nothing
+    spec = GridSpec(4, 2, False)
+    fam = enumerate_family(FamilyParams(spec, D(1, 3)), random_field(spec, random.Random(1)))
+    rho = linearize(random_grid(spec, random.Random(2)), fam)
+    cells = range(spec.n_cells)
+    assert len(rho.exceptional_cells()) == 40
+    for member in (-1, len(fam), np.int32(-1), np.int64(len(fam))):
+        with pytest.raises(ValueError, match="member index out of range"):
+            nu(rho, cells, member)
+    last = len(fam) - 1
+    assert nu(rho, cells, last) == D(nu_all(rho, cells)[last], 2 * spec.m)
+
+
+def test_cell_indices_outside_the_grid_are_rejected():
+    spec, fam, f = _setup(seed=14)
+    rho = linearize(f, fam)
+    for cells in ([-1], [spec.n_cells], [0, 10**6], np.array([3, -1])):
+        with pytest.raises(ValueError, match="cell index out of range"):
+            nu_all(rho, cells)
+        with pytest.raises(ValueError, match="cell index out of range"):
+            nu(rho, cells, 0)
+
+
+def test_choice_map_entries_are_a_read_only_int32_copy():
+    spec, fam, f = _setup(seed=12)
+    rho = linearize(f, fam)
+    assert rho.entries.dtype == np.int32 and rho.entries.shape == (spec.n_cells,)
+    with pytest.raises(ValueError, match="read-only"):
+        rho.entries[0] = 0
+    mine = rho.entries.astype(np.int64)
+    copies = [ChoiceMap(fam, x) for x in (mine, rho.entries.tolist(), tuple(rho.entries.tolist()))]
+    mine[:] = -1  # each map keeps its own copy
+    for copy in copies:
+        assert copy.entries.dtype == np.int32 and not copy.entries.flags.writeable
+        assert np.array_equal(copy.entries, rho.entries)
+        assert copy.covered_cells() == rho.covered_cells()
+    assert all(type(i) is int for i in rho.covered_cells() + rho.exceptional_cells())
+
+
+def test_choice_map_rejects_non_integer_or_misshapen_entries():
+    spec, fam, f = _setup(seed=12)
+    good = linearize(f, fam).entries
+    for bad in (
+        good.astype(float),
+        [float(e) for e in good],
+        good >= 0,
+        [True] * spec.n_cells,
+        good.reshape(spec.n, spec.n),
+        good[:-1],
+        np.append(good, -1),
+        [],
+    ):
+        with pytest.raises(ValueError, match="corrupt choice map"):
+            ChoiceMap(fam, bad)
 
 
 def test_m2_constant_and_indicator():

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,6 +34,7 @@ from dirmax.instances import (
 )
 from dirmax.maximal import linearize
 from dirmax.stopping_time import (
+    DecompositionResult,
     ThetaPair,
     carleson_sum,
     classify_points,
@@ -208,8 +211,8 @@ def test_classify_points_errors_and_empty():
     good, _ = partition_theta(assign, stopping_intervals(assign))
     om = omega_levels(good, assign.theta())
     res = classify_points([], rho, om, ROOT)
-    assert res.good_cells == frozenset() and res.bad_cells == frozenset()
-    assert all(not fs for fs in res.f_sets)
+    assert set(res.good_cells) == frozenset() and set(res.bad_cells) == frozenset()
+    assert all(len(fs) == 0 for fs in res.f_sets)
     # a cell whose chosen base escapes a small interval
     half = DyadicInterval(1, 1)
     cell = next(i for i in rho.covered_cells()
@@ -234,7 +237,7 @@ def test_run_generations_constant_field_frozen():
     res = run_generations(v, spec.w, D(1, 3), rho)
     assert len(res.generations) == 1
     assert not res.truncated
-    assert res.final_bad() == frozenset()
+    assert set(res.final_bad()) == frozenset()
 
 
 def test_run_generations_partition_and_decay():
@@ -247,9 +250,9 @@ def test_run_generations_partition_and_decay():
     assert len(res.generations) == 2
     seen: set[int] = set()
     for a in res.a_sets():
-        assert not (seen & a)
-        seen |= a
-    assert seen | res.final_bad() | set(rho.exceptional_cells()) == set(
+        assert not (seen & set(a))
+        seen |= set(a)
+    assert seen | set(res.final_bad()) | set(rho.exceptional_cells()) == set(
         range(spec.n_cells)
     )
     gens = res.generations
@@ -279,14 +282,14 @@ def test_run_generations_three_deep_nesting():
         (DyadicInterval(3, 0),),
         (DyadicInterval(5, 0),),
     ]
-    assert res.final_bad() == frozenset()
+    assert set(res.final_bad()) == frozenset()
     # decay: |I ∩ shad(I_k)| <= 2^(j-k) |I| with strict room at gap 2
     assert D(1, 5) <= D(1, 2)  # gen0 -> gen2: 1/32 <= 1/4
     assert D(1, 5) <= D(1, 3 + 1)  # gen1 -> gen2: 1/32 <= 1/16
     seen: set[int] = set()
     for a in res.a_sets():
-        assert not (seen & a)
-        seen |= a
+        assert not (seen & set(a))
+        seen |= set(a)
     # deep off-diagonal domination stays within the calibrated factor
     # (measured at freeze time: 507/6694 exceed, worst x1.794)
     from dirmax.calibration import DOMINATION_FACTOR
@@ -316,9 +319,117 @@ def test_piece_cells_first_match_disjoint():
     for j in range(len(res.generations)):
         seen: set[int] = set()
         for J, n, cells in piece_cells(res, j):
-            assert not (seen & cells)
-            seen |= cells
+            assert not (seen & set(cells))
+            seen |= set(cells)
         assert seen == set(res.generations[j].good_cells)
+
+
+def _py_runs(cells: set[int]) -> list[list[int]]:
+    runs = []
+    for idx in sorted(cells):
+        if runs and runs[-1][0] + runs[-1][1] == idx:
+            runs[-1][1] += 1
+        else:
+            runs.append([idx, 1])
+    return runs
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_decomposition_cell_sets_match_the_definition(m):
+    # per cell, from the members and the interval and slope-cell containment
+    # tests: F_n holds x when rho(x)'s base lies in J and its slope cell
+    # contains s for some (J, s) of layer n, and collection n is the members
+    # rho takes on F_n; good cells are in some F_n; the next generation's E
+    # is the bad cells; a piece keeps its first layer.  Two side-by-side
+    # cascades stop on two intervals at m = 6.
+    generations = records = 0
+    for half, max_gen in ((False, 64), (True, 64), (False, 1)):
+        spec = GridSpec(m, m - 2, half)
+        twin = cascade_field(GridSpec(m - 1, m - 3, half))
+        for field in (
+            cascade_field(spec),
+            identity_field(spec),
+            random_field(spec, random.Random(m)),
+            OneVarField(spec, twin.scale, twin.nums * 2),
+        ):
+            fam = enumerate_family(FamilyParams(spec, D(1, 1)), field)
+            rho = linearize(random_grid(spec, random.Random(m + 10)), fam)
+            res = run_generations(field, spec.w, D(1, 1), rho, max_gen)
+            payload = json.loads(decomposition_to_json(res))
+            choice = {i: fam.members[e] for i, e in enumerate(rho.entries.tolist()) if e >= 0}
+            e_cells = set(choice)
+            for j, g in enumerate(res.generations):
+                good_all, bad_all, pieces = set(), set(), []
+                for rec, rec_json in zip(g.records, payload["generations"][j]["records"]):
+                    cols = rec.interval.columns(m)
+                    cells = {x for x in e_cells if x >> m in cols}
+                    f_sets = [
+                        {
+                            x for x in cells
+                            if any(
+                                p.interval.contains(choice[x].base)
+                                and choice[x].slope.contains(p.slope)
+                                for p in layer
+                            )
+                        }
+                        for layer in rec.omegas
+                    ]
+                    good = set().union(*f_sets)
+                    assert [set(fs) for fs in rec.classify.f_sets] == f_sets
+                    assert [set(c.members) for c in rec.classify.collections] == [
+                        {choice[x] for x in fs} for fs in f_sets
+                    ]
+                    assert set(rec.classify.good_cells) == good
+                    assert set(rec.classify.bad_cells) == cells - good
+                    assert rec_json["f_sets"] == [_py_runs(fs) for fs in f_sets]
+                    seen = set()
+                    for n, fs in enumerate(f_sets):
+                        if fs - seen:
+                            pieces.append((rec.interval, n, fs - seen))
+                        seen |= fs
+                    good_all |= good
+                    bad_all |= cells - good
+                assert [(J, n, set(c)) for J, n, c in piece_cells(res, j)] == pieces
+                assert set(g.good_cells) == good_all and set(g.bad_cells) == bad_all
+                gen_json = payload["generations"][j]
+                assert gen_json["good_cells"] == _py_runs(good_all)
+                assert gen_json["bad_cells"] == _py_runs(bad_all)
+                e_cells = bad_all
+            assert set(res.final_bad()) == (e_cells if res.generations else set())
+            generations += len(res.generations)
+            records += sum(len(g.records) for g in res.generations)
+    # at m = 6: two generations on both cascades, the twin's second over two intervals
+    assert (generations, records) == ((12, 12), (14, 14), (16, 18))[m - 4]
+
+
+def test_cell_sets_are_sorted_read_only_int32_arrays():
+    spec = GridSpec(5, 3, False)
+    v = cascade_field(spec)
+    fam = enumerate_family(FamilyParams(spec, D(1, 1)), v)
+    rho = linearize(random_grid(spec, random.Random(7)), fam)
+    res = run_generations(v, spec.w, D(1, 1), rho)
+    arrays = [res.final_bad(), DecompositionResult((), False).final_bad()]
+    for j, g in enumerate(res.generations):
+        arrays += [g.good_cells, g.bad_cells, *(cells for _, _, cells in piece_cells(res, j))]
+        for rec in g.records:
+            arrays += [rec.classify.good_cells, rec.classify.bad_cells, *rec.classify.f_sets]
+    assert sum(len(a) for a in arrays) > 1000
+    # classify_points takes the cells in any order, repeats allowed
+    rec = res.generations[0].records[0]
+    cells = np.concatenate((rec.classify.bad_cells, rec.classify.good_cells))
+    for given in (cells[::-1], cells.tolist() * 2):
+        again = classify_points(given, rho, rec.omegas, rec.interval)
+        for got, want in zip(
+            (again.good_cells, again.bad_cells, *again.f_sets),
+            (rec.classify.good_cells, rec.classify.bad_cells, *rec.classify.f_sets),
+        ):
+            assert np.array_equal(got, want)
+    for a in arrays:
+        assert a.dtype == np.int32 and a.ndim == 1 and not a.flags.writeable
+        assert (np.diff(a) > 0).all()
+        if len(a):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
 
 
 def test_generation_ratio_and_orthogonality_report():
