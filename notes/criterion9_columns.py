@@ -1,0 +1,78 @@
+"""Criterion 9 column by column: where the excess of avg_R(g) over M2 g(x) comes from.
+
+Runs the criterion-9 domination loop of stopping_time.domination_check on the
+corpus instance m5_cascade_d1 (m 5, m_w 3, delta 1/2): for every piece g =
+T*(f on the piece) and every cell x of a later generation under the piece's
+interval, R is rho's member at x.  For each such tuple it prints
+
+- own: whether the average of g over R's slab in x's own column exceeds
+  M2 g(x), the vertical maximal function at x;
+- spread: avg_R(g) / the largest M2 g over the cells whose centers R holds,
+
+then how many tuples have avg_R(g) > M2 g(x), how many have own set, and the
+largest spread.  All values are exact Fractions.
+
+    PYTHONPATH=src python notes/criterion9_columns.py
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from dirmax.grids import average
+from dirmax.instances import build_corpus
+from dirmax.maximal import apply_T_adjoint, m2_vertical
+from dirmax.stopping_time import piece_cells, run_generations
+
+
+def own_column_average(R, g, c: int) -> Fraction:
+    """The average of g over R's slab [lo, hi) in column c."""
+    lo, hi = (y.as_fraction() for y in R.column_segment(c))
+    m = g.spec.m
+    cell = Fraction(1, 1 << m)
+    total = Fraction(0)
+    for r in range(1 << m):
+        seg = min(hi, (r + 1) * cell) - max(lo, r * cell)
+        if seg > 0:
+            total += seg * g.value_at((c << m) + r).as_fraction()
+    return total / (hi - lo)
+
+
+def main() -> None:
+    inst = next(i for i in build_corpus() if i.name == "m5_cascade_d1")
+    rho, f, m = inst.rho, inst.f, inst.spec.m
+    members = rho.fam.members
+    res = run_generations(inst.field, inst.spec.w, inst.delta, rho)
+    a_sets = res.a_sets()
+    tuples = exceed = own_exceed = 0
+    worst_spread = Fraction(0)
+    for j in range(len(res.generations) - 1):
+        for J, n, cells in piece_cells(res, j):
+            g = apply_T_adjoint(rho, f.masked(cells))
+            vert = m2_vertical(g)
+            cols = J.columns(m)
+            for k in range(j + 1, len(res.generations)):
+                for idx in a_sets[k].tolist():
+                    if not cols.start <= idx >> m < cols.stop:
+                        continue
+                    R = members[rho.entries[idx]]
+                    m2x = vert.value_at(idx)
+                    avg = average(R, g).as_fraction()
+                    own = own_column_average(R, g, idx >> m) > m2x
+                    spread = avg / max(vert.value_at(i) for i in R.cell_indices())
+                    tuples += 1
+                    exceed += avg > m2x
+                    own_exceed += own
+                    worst_spread = max(worst_spread, spread)
+                    print(
+                        f"j {j} J {J} n {n} cell {idx} member {rho.entries[idx]}: "
+                        f"avg>M2 {avg > m2x} own>M2 {own} spread {float(spread):.4f}"
+                    )
+    print(
+        f"{tuples} tuples: {exceed} have avg_R(g) > M2 g(x), {own_exceed} have an "
+        f"own-column average above M2 g(x); largest spread {float(worst_spread):.4f}"
+    )
+
+
+if __name__ == "__main__":
+    main()

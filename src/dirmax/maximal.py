@@ -21,6 +21,11 @@ one gather, T*'s chooser masses one np.add.at and the nu counts one bincount.
 T* is that kernel's transpose: over the same blocks, each member's chooser
 mass goes back onto the rows the kernel reads, with the same coverage
 fractions, through one difference array, so <Tf, g> = <f, T*g> is exact.
+
+estimate_norm's squared norms are sums over the members, not the cells:
+||Mf||^2 from the cells each member wins, and ||T* Mf||^2 = <Mf, T T* Mf> by
+that exact adjointness.  Seeds, iterates the scale cap rounds down, and
+rayleigh_ratio, the reference, square cell by cell.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -214,28 +220,40 @@ def _cells(table: list, top: np.ndarray) -> list:
 
 def _paint(
     f: GridFunction, fam: RectangleFamily
-) -> tuple[np.ndarray, list[int], np.ndarray, int]:
-    """(rank grid, Mf numerators by rank, member by rank as int32, scale).
+) -> tuple[np.ndarray, list[int], list[int], int]:
+    """(rank grid, member averages, members by rank, scale).
 
-    _cells(vals, top) gives Mf and members[top] rho; rank 0 maps to 0 and -1 on X.
+    The cells of rank r take member order[r - 1] and its average; rank 0 is X.
     """
     if fam.spec != f.spec:
         raise ValueError("incompatible grids")
     avgs, scale = _scaled_averages(fam, f)
     top, order = _rank_grid(fam, avgs)
-    return top, [0] + [avgs[i] for i in order], np.array([-1] + order, dtype=np.int32), scale
+    return top, avgs, order, scale
+
+
+def _mf(
+    spec: GridSpec, top: np.ndarray, avgs: list[int], order: list[int], scale: int
+) -> GridFunction:
+    """Mf from a paint: every cell reads its chooser's average, X reads 0."""
+    return GridFunction._adopt(spec, scale, _cells([0] + [avgs[i] for i in order], top))
+
+
+def _rho(fam: RectangleFamily, top: np.ndarray, order: list[int]) -> ChoiceMap:
+    """rho from a paint: every cell names its chooser, X names -1."""
+    return ChoiceMap(fam, np.array([-1] + order, dtype=np.int32)[top])
 
 
 def maximal_apply(f: GridFunction, fam: RectangleFamily) -> GridFunction:
     """Mf: per cell, the largest member average among members containing it."""
-    top, vals, _, scale = _paint(f, fam)
-    return GridFunction._adopt(fam.spec, scale, _cells(vals, top))
+    top, avgs, order, scale = _paint(f, fam)
+    return _mf(fam.spec, top, avgs, order, scale)
 
 
 def linearize(f: GridFunction, fam: RectangleFamily) -> ChoiceMap:
     """Argmax member per covered cell; ties broken by canonical member order."""
-    top, _, members, _ = _paint(f, fam)
-    return ChoiceMap(fam, members[top])
+    top, _, order, _ = _paint(f, fam)
+    return _rho(fam, top, order)
 
 
 def apply_T(rho: ChoiceMap, f: GridFunction) -> GridFunction:
@@ -377,11 +395,11 @@ def rayleigh_ratio(f: GridFunction, fam: RectangleFamily) -> float:
     """||Mf||_2 / ||f||_2 from exact squared norms."""
     if f.is_zero():
         raise ValueError("degenerate seed")
-    return _ratio(maximal_apply(f, fam), f)
+    return _ratio(maximal_apply(f, fam).l2_sq(), f.l2_sq())
 
 
-def _ratio(mf: GridFunction, f: GridFunction) -> float:
-    return math.sqrt(float(mf.l2_sq().as_fraction() / f.l2_sq().as_fraction()))
+def _ratio(mf_sq: DyadicRational, f_sq: DyadicRational) -> float:
+    return math.sqrt(float(mf_sq.as_fraction() / f_sq.as_fraction()))
 
 
 _MAX_ASCENT_SCALE = 96
@@ -408,8 +426,22 @@ def estimate_norm(
     all reported ratios are genuine Rayleigh quotients, so the best ratio is
     a certified lower estimate, never an upper bound.  One painter pass per
     iterate gives both Mf and rho, and Mf is T_rho f at that rho.
+
+    Both squared norms are exact sums over the N members, not the cells.
+    With wins_R the cells rho gives to R and a_R = avg_R(f), Mf's mass on R's
+    choosers is mass_R = wins_R a_R, and ||Mf||^2 = sum_R mass_R a_R.  The
+    next iterate f' = T* Mf has ||f'||^2 = <Mf, T_rho f'> = sum_R mass_R avg_R(f'),
+    the averages the next painter pass computes anyway, since T* is the exact
+    transpose of the member kernel.  A seed, and an iterate the 96-bit cap
+    rounded down (so no longer T* Mf), takes f.l2_sq() instead.  Mf and rho
+    become grids only for the T* step that follows them.
     """
+    if ascent_iters < 0:
+        raise ValueError("ascent_iters must be nonnegative")
+    if not seeds:
+        raise ValueError("no seeds")
     spec = fam.spec
+    m2 = 2 * spec.m
     rows = []
     best = 0.0
     for sid, seed in enumerate(seeds):
@@ -417,22 +449,30 @@ def estimate_norm(
             raise ValueError("incompatible grids")
         if seed.is_zero():
             raise ValueError("degenerate seed")
-        f = seed
+        f, mass = seed, None
         # each grid is dropped once used: memory, not time, bounds m here
         for it in range(ascent_iters + 1):
-            top, vals, members, scale = _paint(f, fam)
-            mf = GridFunction._adopt(spec, scale, _cells(vals, top))
-            del vals
-            ratio = _ratio(mf, f)
+            top, avgs, order, scale = _paint(f, fam)
+            if mass is None:
+                f_sq = f.l2_sq()
+            else:  # <Mf, T_rho f> over the last step's Mf, at its scale mf_scale
+                f_sq = DyadicRational(sum(map(mul, mass, avgs)), mf_scale + scale + m2)
+            wins = np.zeros(len(fam), dtype=np.int64)
+            wins[order] = np.bincount(top, minlength=len(fam) + 1)[1:]
+            mass = list(map(mul, wins.tolist(), avgs))
+            ratio = _ratio(DyadicRational(sum(map(mul, mass, avgs)), 2 * scale + m2), f_sq)
             rows.append((sid, it, ratio))
             if ratio > best:
                 best = ratio
             if it == ascent_iters:
                 break
-            rho = ChoiceMap(fam, members[top])
-            del f, top, members
+            mf, rho = _mf(spec, top, avgs, order, scale), _rho(fam, top, order)
+            del f, top, avgs
             nxt = apply_T_adjoint(rho, mf)
             del rho, mf
+            if nxt.scale > _MAX_ASCENT_SCALE:
+                mass = None  # rescaled rounds down: f is no longer T* Mf
+            mf_scale = scale
             f = ascent_iterate(nxt)
             del nxt
             if f is None:

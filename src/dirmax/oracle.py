@@ -150,22 +150,26 @@ def enumerate_family(
 
 def maximal_apply(
     m: int, m_w: int, members: Sequence[Member], f: Sequence[Fraction]
-) -> list[Fraction]:
+) -> tuple[list[Fraction], list[int]]:
     """Cell-by-member double loop: each member's exact average raises the
-    cells whose centers its slabs hold."""
+    cells whose centers its slabs hold.  Returns (Mf, choosers): a cell's
+    chooser is the lowest-index member holding its center among those of
+    largest average, and -1 where no member holds it."""
     n = 1 << m
     centers = [Fraction(2 * row + 1, 2 * n) for row in range(n)]
     out = [Fraction(0)] * (n * n)
-    for r in members:
+    chooser = [-1] * (n * n)
+    for i, r in enumerate(members):
         table = _slab_table(m, m_w, r)
         avg = _integrate(m, table, f) / member_measure(m_w, r)
         for c, lo, hi in table:
             for row in _rows(m, lo, hi):
                 if lo <= centers[row] < hi:
                     idx = (c << m) + row
-                    if avg > out[idx]:
+                    if chooser[idx] < 0 or avg > out[idx]:
                         out[idx] = avg
-    return out
+                        chooser[idx] = i
+    return out, chooser
 
 
 def m2_vertical(m: int, values: Sequence[Fraction]) -> list[Fraction]:

@@ -140,8 +140,11 @@ def _oracle_checks(inst: CorpusInstance, members, vvals):
     def maximal():
         mf = maximal_apply(inst.f, inst.family)
         fvals = [x.as_fraction() for x in inst.f.values()]
-        if [x.as_fraction() for x in mf.values()] != oracle.maximal_apply(m, m_w, members, fvals):
+        o_mf, o_rho = oracle.maximal_apply(m, m_w, members, fvals)
+        if [x.as_fraction() for x in mf.values()] != o_mf:
             return "value mismatch"
+        if inst.rho.entries.tolist() != o_rho:
+            return "chooser mismatch"
 
     def stops():
         stops = stopping_intervals(compute_assignments(root, inst.field, spec.w, inst.delta))

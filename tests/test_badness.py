@@ -334,7 +334,7 @@ def test_shrink_once_large_maximal_set():
     # F = {M T* 1_E >= lam0 / 2}, with M taken from the oracle
     spec, fam, rho, E = _setup(seed=29)
     g = apply_T_adjoint(rho, GridFunction.indicator(spec, E))
-    mg = oracle.maximal_apply(
+    mg, _ = oracle.maximal_apply(
         spec.m, spec.m_w, _raw(fam), [Fraction(n, 1 << g.scale) for n in g.nums]
     )
     for lam in (D(1), D(3, 1)):

@@ -283,4 +283,4 @@ def test_oracle_row_ranges_match_the_definitions(m):
                 for c in range(n)
                 for row in range(n)
             ]
-            assert oracle.maximal_apply(m, m_w, members, f) == want_max
+            assert oracle.maximal_apply(m, m_w, members, f)[0] == want_max

@@ -81,7 +81,7 @@ def test_maximal_against_oracle_and_workers():
     spec, fam, f = _setup(seed=8)
     mf = maximal_apply(f, fam)
     raw = [(r.k, r.base.index, r.slope.index, r.offset.as_fraction()) for r in fam.members]
-    want = oracle.maximal_apply(spec.m, spec.m_w, raw, [x.as_fraction() for x in f.values()])
+    want, _ = oracle.maximal_apply(spec.m, spec.m_w, raw, [x.as_fraction() for x in f.values()])
     assert [x.as_fraction() for x in mf.values()] == want
     assert maximal_apply(f, fam) == mf
 
@@ -92,7 +92,7 @@ def test_maximal_against_oracle_above_62_bits():
     big = GridFunction(spec, f.scale + 70, [(n << 70) | rng.getrandbits(70) for n in f.nums])
     assert max(big.nums).bit_length() > 62
     raw = [(r.k, r.base.index, r.slope.index, r.offset.as_fraction()) for r in fam.members]
-    want = oracle.maximal_apply(spec.m, spec.m_w, raw, [x.as_fraction() for x in big.values()])
+    want, _ = oracle.maximal_apply(spec.m, spec.m_w, raw, [x.as_fraction() for x in big.values()])
     assert [x.as_fraction() for x in maximal_apply(big, fam).values()] == want
 
 
@@ -120,7 +120,7 @@ def test_painter_equal_and_zero_averages():
 
 def _oracle_max(spec, fam, f):
     raw = [(r.k, r.base.index, r.slope.index, r.offset.as_fraction()) for r in fam.members]
-    return oracle.maximal_apply(spec.m, spec.m_w, raw, [x.as_fraction() for x in f.values()])
+    return oracle.maximal_apply(spec.m, spec.m_w, raw, [x.as_fraction() for x in f.values()])[0]
 
 
 def _exact_path():
@@ -257,6 +257,79 @@ def test_fused_ascent_matches_composition(monkeypatch, m, half, delta):
     monkeypatch.setattr(maximal, "apply_T_adjoint", spy)
     assert estimate_norm(fam, seeds, 6) == want
     assert [(g.scale, g.nums) for g in outs] == [(g.scale, g.nums) for g in want_outs]
+
+
+@pytest.mark.parametrize("m, half, delta", [(4, True, D(1, 2)), (5, False, D(1, 3)), (6, False, D(1, 2))])
+def test_ascent_squares_cells_only_for_seeds_and_capped_steps(monkeypatch, m, half, delta):
+    # every other squared norm of estimate_norm comes from member-space sums
+    spec, fam, f = _setup(seed=30 + m, delta=delta, m=m, half=half)
+    seeds = [f, random_grid(spec, random.Random(90 + m))]
+    want, _, capped = _composed_ascent(fam, seeds, 6)
+    squared = []
+    inner = GridFunction.l2_sq
+
+    def spy(g):
+        squared.append(g)
+        return inner(g)
+
+    monkeypatch.setattr(GridFunction, "l2_sq", spy)
+    assert estimate_norm(fam, seeds, 6) == want
+    assert len(squared) == len(seeds) + capped
+    assert squared[0] is seeds[0] and any(g is seeds[1] for g in squared)
+
+
+def _at_int64_bounds(m):
+    # numerator bits one either side of _int64_exact's and _vertical_dtype's bounds
+    return st.sampled_from([59 - 2 * m, 60 - 2 * m, 62 - 2 * m, 63 - 2 * m])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    spec_args=st.integers(3, 6).flatmap(
+        lambda m: st.tuples(
+            st.just(m), st.integers(1, m - 2), st.booleans(),
+            st.integers(0, 200) | _at_int64_bounds(m),
+        )
+    ),
+    seed=st.integers(0, 1 << 16),
+    delta=st.sampled_from([D(1, 3), D(1, 2), D(1, 1)]),
+    constant=st.booleans(),
+    keep=st.sampled_from([None, 1, 5]),
+)
+def test_norms_from_member_sums(spec_args, seed, delta, constant, keep):
+    # ||Mf||^2 = sum_R wins_R a_R^2 and ||T* Mf||^2 = sum_R mass_R avg_R(T* Mf),
+    # mass_R = wins_R a_R: what estimate_norm sums instead of squaring cells
+    m, m_w, half, bits = spec_args
+    spec = GridSpec(m, m_w, half)
+    fam = enumerate_family(FamilyParams(spec, delta), random_field(spec, random.Random(seed)))
+    if keep is not None:  # a few members leave most cells in X
+        fam = fam.subfamily(range(min(keep, len(fam))))
+    rng = random.Random(seed + 1)
+    if constant:  # every member averages the same value: ties everywhere
+        f = GridFunction.constant(spec, D(rng.getrandbits(bits), rng.randrange(70)))
+    else:
+        nums = [rng.getrandbits(bits) for _ in range(spec.n_cells)]
+        f = GridFunction(spec, rng.randrange(70), nums)
+    rho, mf = linearize(f, fam), maximal_apply(f, fam)
+    if keep is not None:
+        assert (rho.entries < 0).any()
+    chosen = rho.entries[rho.entries >= 0]
+    wins = np.bincount(chosen, minlength=len(fam)).tolist()
+    avgs, scale = maximal._scaled_averages(fam, f)
+    assert mf.scale == scale
+    mass = [w * a for w, a in zip(wins, avgs)]
+    assert D(sum(x * a for x, a in zip(mass, avgs)), 2 * scale + 2 * m) == mf.l2_sq()
+    g = apply_T_adjoint(rho, mf)
+    g_avgs, g_scale = maximal._scaled_averages(fam, g)
+    assert D(sum(x * a for x, a in zip(mass, g_avgs)), scale + g_scale + 2 * m) == g.l2_sq()
+
+
+def test_estimate_norm_rejects_what_it_cannot_run():
+    spec, fam, f = _setup(seed=20)
+    with pytest.raises(ValueError, match="ascent_iters must be nonnegative"):
+        estimate_norm(fam, [f], -1)
+    with pytest.raises(ValueError, match="no seeds"):
+        estimate_norm(fam, [], 2)
 
 
 def test_maximal_sublinear_and_homogeneous():

@@ -272,3 +272,9 @@ def test_cli_rejects_delta_list_outside_sweep(argv, tmp_path):
     assert not out.exists() and not (tmp_path / "out.field").exists()
     rc, _, _ = _run(argv + ["--delta", "1/2^3", "--out", str(out)])
     assert rc == 0
+
+
+def test_sweep_delta_rejects_negative_ascent_steps():
+    rc, out, err = _run(["sweep", "delta", "--delta", "1/8", "--iters", "-1"])
+    assert rc == 2
+    assert err == "error: ascent_iters must be nonnegative\n"

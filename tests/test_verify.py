@@ -6,7 +6,7 @@ from __future__ import annotations
 from dirmax import maximal
 from dirmax.badness import shrink_once
 from dirmax.instances import build_corpus
-from dirmax.verify import ORACLE_SHRINK_LAMBDA0, run_verify
+from dirmax.verify import ORACLE_SHRINK_LAMBDA0, VerifyReport, check_oracle_equivalence, run_verify
 
 
 def test_oracle_shrink_lambda_selects_windows(corpus):
@@ -41,3 +41,30 @@ def test_fast_call_that_raises_is_a_fail_line(tmp_path, monkeypatch):
         assert f"PASS oracle {name}" in lines
     # a later check that calls the broken kernel fails its own line
     assert any(line.startswith("FAIL check_exact_identities (raised RuntimeError") for line in lines)
+
+
+def test_flipped_tie_order_fails_the_maximal_line(monkeypatch):
+    # the painter ranks members with sorted(); fed the indices the other way
+    # round, ties go to the highest index: Mf stays, the choosers move
+    names = {"m4_w2_const0_d0", "m4_w2_const0_d1", "m4_w2_rand_d0"}
+    corpus = [inst for inst in build_corpus() if inst.name in names]
+    assert len(corpus) == 3
+    fair = VerifyReport()
+    check_oracle_equivalence(fair, corpus)
+    assert fair.ok
+    flipped = [inst for inst in build_corpus() if inst.name in names]
+    monkeypatch.setattr(
+        maximal, "sorted", lambda items, key: sorted(reversed(list(items)), key=key), raising=False
+    )
+    for inst, was in zip(flipped, corpus):
+        assert (inst.f, inst.family.sort_keys.tobytes()) == (was.f, was.family.sort_keys.tobytes())
+        assert inst.rho.entries.tolist() != was.rho.entries.tolist()
+        assert maximal.maximal_apply(inst.f, inst.family) == maximal.maximal_apply(
+            was.f, was.family
+        )
+    report = VerifyReport()
+    check_oracle_equivalence(report, flipped)
+    lines = report.to_text().splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL oracle maximal_apply (chooser mismatch)"
+    ]
