@@ -8,14 +8,15 @@ exact dyadic equalities.
 
 Everything runs in integers over one member table (``BadnessEngine``): each
 member's slab progression at the scale 2^S, S = m + m_w + 2, its pi_2 ends
-and its base level, so nu_Q / |Q| is counts[Q] << level_Q over a fixed
-power of two.  Overlaps are ``geometry.slab_overlap`` of two progressions;
+and its base level.  Every scan reads one weight vector, counts[Q] << level_Q
+(nu_Q / |Q| over a fixed power of two) per member Q, zeroed for the members
+it leaves out.  Overlaps are ``geometry.slab_overlap`` of two progressions;
 a member's mass below height y, G(y), is ``geometry.slab_cover``, and its
 mass in [a, b) is G(b) - G(a).  B_R, the reformulation sums and box masses
 build one DyadicRational at return.  The bad-window scan of a shrinking
 step tabulates G once per base I and compares B_out with lambda0 by
 cross-multiplying integers, so it builds no DyadicRational or Fraction per
-window.
+window.  Cell sets are sorted read-only int32 arrays, as in stopping_time.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .dyadic import DyadicRational
 from .family import RectangleFamily, is_good_collection
 from .geometry import DyadicInterval, Parallelogram, Window
 from .geometry import slab_cover, slab_overlap, slab_rows, slab_run, slab_union
-from .grids import GridFunction
+from .grids import GridFunction, _cell_set, cell_array
 from .maximal import ChoiceMap, apply_T_adjoint, estimate_norm, maximal_apply, nu_all
 
 UNIVERSAL_BADNESS_FACTOR = 20  # dichotomy constant: C_key = 20 * lambda0
@@ -54,8 +55,9 @@ class BadnessEngine:
     Each member's key row is tabulated once at the scale 2^S,
     S = m + m_w + 2 (the grid's largest y_scale): its slab run (first column,
     first slab bottom, step, columns, slab height), its pi_2 ends and its
-    base (level, index).  A member weighs (nu_Q / |Q|) = counts[Q] << level_Q
-    over 4^m / 2^m_w.
+    base (level, index).  A scan passes one weight per member, nu_Q / |Q| =
+    counts[Q] << level_Q over 4^m / 2^m_w (``weights``) or 0, as Python ints
+    so that no product wraps.
     """
 
     def __init__(self, rho: ChoiceMap):
@@ -71,6 +73,7 @@ class BadnessEngine:
             (*row, height) for row in zip(c0.tolist(), lo.tolist(), step.tolist(), cols.tolist())
         ]
         self.ends: list[tuple[int, int]] = list(zip(lo.tolist(), hi.tolist()))  # pi_2 over 2^S
+        self._level_shift = d
         self.levels: list[int] = d.tolist()
         self.bases: list[tuple[int, int]] = list(zip(self.levels, i.tolist()))
         self._inside: dict[tuple[int, int], list[int]] = {}  # by every interval over the base
@@ -82,72 +85,68 @@ class BadnessEngine:
         """Member indices whose base sits inside the interval (level, index), ascending."""
         return self._inside.get(base, [])
 
-    def touched_cells(self, mi: int) -> set[int]:
-        """All cells with positive overlap with member mi's staircase."""
+    def weights(self, counts: Sequence[int]) -> np.ndarray:
+        """Per member Q, counts[Q] << level_Q (int64: at most 2^(2m + m_w))."""
+        return np.asarray(counts, dtype=np.int64) << self._level_shift
+
+    def touched_cells(self, mi: int) -> np.ndarray:
+        """The cells with positive overlap with member mi's staircase, ascending."""
         spec = self.spec
         c0, lo, step, cols, _ = self.runs[mi]
-        out = set()
-        for c in range(c0, c0 + cols):
-            a, b, _, _ = slab_rows(spec, spec.m_w, lo)  # S is the scale of level m_w
-            out.update(range((c << spec.m) + a, (c << spec.m) + b + 1))
-            lo += step
-        return out
+        c = np.arange(cols)
+        a, b, _, _ = slab_rows(spec, spec.m_w, lo + c * step)  # S is the scale of level m_w
+        first = ((c0 + c) << spec.m) + a  # rows a .. b, and b - a is the same in every column
+        return (first[:, None] + np.arange(b[0] - a[0] + 1)).ravel()
 
-    def fits(self, W: Window) -> list[bool]:
-        """Per member: pi_2 lies inside W."""
+    def fits(self, W: Window) -> np.ndarray:
+        """Per member: pi_2 lies inside W (compared in Python ints: W's ends
+        may sit at any scale)."""
         lo, hi = W.lo.num << self.scale, W.hi.num << self.scale
-        return [lo <= a << W.lo.exp and b << W.hi.exp <= hi for a, b in self.ends]
+        return np.array([lo <= a << W.lo.exp and b << W.hi.exp <= hi for a, b in self.ends], bool)
 
-    def badness_of(
-        self, mi: int, counts: Sequence[int], member_filter: Callable[[int], bool] | None = None
-    ) -> DyadicRational:
-        """B_R: (1/|R|) integral over R of T*(1 restricted to pi_1(R)-choosers)."""
-        run, runs, levels = self.runs[mi], self.runs, self.levels
+    def badness_of(self, mi: int, weights: list[int]) -> DyadicRational:
+        """B_R: (1/|R|) integral over R of T* of the weighted choosers under pi_1(R)."""
+        run, runs = self.runs[mi], self.runs
         total = 0
         for qi in self.inside_base(self.bases[mi]):
-            cnt = counts[qi]
-            if cnt and (member_filter is None or member_filter(qi)):
-                total += (cnt << levels[qi]) * slab_overlap(run, runs[qi])
+            w = weights[qi]
+            if w:
+                total += w * slab_overlap(run, runs[qi])
         # |R cap Q| is slab_overlap over 2^(S + m), and 1/|R| = 2^(level_R + m_w)
         spec = self.spec
-        return DyadicRational(total << levels[mi], 3 * spec.m + self.scale - 2 * spec.m_w)
+        return DyadicRational(total << self.levels[mi], 3 * spec.m + self.scale - 2 * spec.m_w)
 
-    def box_mass(
-        self,
-        counts: Sequence[int],
-        I: DyadicInterval,
-        W: Window,
-        keep: Callable[[int], bool],
-    ) -> DyadicRational:
-        """Integral over I x W of T* of the indicator of the kept choosers."""
+    def box_mass(self, weights: list[int], I: DyadicInterval, W: Window) -> DyadicRational:
+        """Integral over I x W of T* of the weighted choosers."""
         t = max(self.scale, W.lo.exp, W.hi.exp)
         d = t - self.scale
         a = W.lo.num << (t - W.lo.exp)
         b = W.hi.num << (t - W.hi.exp)
         total = 0
         for qi in self.inside_base((I.level, I.index)):
-            if counts[qi] and keep(qi):
+            w = weights[qi]
+            if w:
                 _, start, step, cols, height = self.runs[qi]
                 slabs = start << d, step << d, cols, height << d
-                total += (counts[qi] << self.levels[qi]) * (
-                    slab_cover(*slabs, b) - slab_cover(*slabs, a)
-                )
+                total += w * (slab_cover(*slabs, b) - slab_cover(*slabs, a))
         # slab mass over 2^t, times the cell width 2^-m
         return DyadicRational(total, 3 * self.spec.m + t - self.spec.m_w)
 
 
 def badness(R: Parallelogram, cells: Iterable[int], rho: ChoiceMap) -> DyadicRational:
     """Badness of R against the chooser set: exact weighted intersection count."""
-    return BadnessEngine(rho).badness_of(rho.fam.index(R), nu_all(rho, cells))
+    eng = BadnessEngine(rho)
+    return eng.badness_of(rho.fam.index(R), eng.weights(nu_all(rho, cells)).tolist())
 
 
 def badness_table(cells: Iterable[int], rho: ChoiceMap) -> "BadnessTable":
     """nu and badness for every member against one chooser set."""
     eng = BadnessEngine(rho)
     counts = nu_all(rho, cells)
+    weights = eng.weights(counts).tolist()
     area = eng.spec.cell_area
     nus = tuple(DyadicRational(c, 0) * area for c in counts)
-    bs = tuple(eng.badness_of(mi, counts) for mi in range(len(rho.fam)))
+    bs = tuple(eng.badness_of(mi, weights) for mi in range(len(rho.fam)))
     return BadnessTable(nus, bs)
 
 
@@ -175,16 +174,15 @@ def reformulate_check(
     the bases differ.
     """
     eng = BadnessEngine(rho)
-    counts = nu_all(rho, cells)
+    weights = eng.weights(nu_all(rho, cells)).tolist()
     runs, levels = eng.runs, eng.levels
     lhs = rhs = 0
-    for a, ca in enumerate(counts):
-        if not ca:
+    for a, wa in enumerate(weights):
+        if not wa:
             continue
-        wa = ca << levels[a]
         for b in eng.inside_base(eng.bases[a]):
-            if counts[b]:
-                x = wa * (counts[b] << levels[b]) * slab_overlap(runs[a], runs[b])
+            if weights[b]:
+                x = wa * weights[b] * slab_overlap(runs[a], runs[b])
                 rhs += x
                 lhs += x if levels[b] == levels[a] else 2 * x
     spec = eng.spec
@@ -206,13 +204,13 @@ def in_out_split(
     hence the Fraction return.
     """
     eng = BadnessEngine(rho)
-    counts = nu_all(rho, cells)
+    w = eng.weights(nu_all(rho, cells))
     W = _window_of(K)
     if W.lo == W.hi:
         return Fraction(0), Fraction(0)
     inside = eng.fits(W.triple())
-    mass_in = eng.box_mass(counts, I, W, inside.__getitem__)
-    mass_out = eng.box_mass(counts, I, W, lambda qi: not inside[qi])
+    mass_in = eng.box_mass((w * inside).tolist(), I, W)
+    mass_out = eng.box_mass((w * ~inside).tolist(), I, W)
     denom = I.length.as_fraction() * W.length.as_fraction()
     return mass_in.as_fraction() / denom, mass_out.as_fraction() / denom
 
@@ -230,11 +228,9 @@ def badness_components(
     """Split of B_R by in/out choosers over the window K: parts sum to B_R."""
     mi = rho.fam.index(R)
     eng = BadnessEngine(rho)
-    counts = nu_all(rho, cells)
+    w = eng.weights(nu_all(rho, cells))
     inside = eng.fits(_window_of(K).triple())
-    b_in = eng.badness_of(mi, counts, inside.__getitem__)
-    b_out = eng.badness_of(mi, counts, lambda qi: not inside[qi])
-    return b_in, b_out
+    return eng.badness_of(mi, (w * inside).tolist()), eng.badness_of(mi, (w * ~inside).tolist())
 
 
 def select_bad_windows(
@@ -246,14 +242,13 @@ def select_bad_windows(
     """Vertical dyadic K with B_out(I,K) >= lambda0 but B_out(I,3K) < lambda0."""
     lam0 = _coerce_lambda(lam0)
     eng = BadnessEngine(rho)
-    counts = nu_all(rho, cells)
-    return _select_bad_windows(eng, I, counts, lam0)
+    return _select_bad_windows(eng, I, eng.weights(nu_all(rho, cells)).tolist(), lam0)
 
 
 def _select_bad_windows(
     eng: BadnessEngine,
     I: DyadicInterval,
-    counts: Sequence[int],
+    weights: list[int],
     lam0: DyadicRational,
 ) -> tuple[DyadicInterval, ...]:
     """The bad-window scan over one base I, in scaled integers.
@@ -269,14 +264,14 @@ def _select_bad_windows(
     spec = eng.spec
     m = spec.m
     n = 1 << m
-    active = [qi for qi in eng.inside_base((I.level, I.index)) if counts[qi]]
+    active = [qi for qi in eng.inside_base((I.level, I.index)) if weights[qi]]
     if not active:
         return ()
     u = eng.scale - m  # grid point p sits at p << u
     rows = []
     for qi in active:
         _, start, step, cols, height = eng.runs[qi]
-        w = counts[qi] << eng.levels[qi]
+        w = weights[qi]
         cover = [w * slab_cover(start, step, cols, height, p << u) for p in range(n + 1)]
         rows.append((*eng.ends[qi], cover))
     total = [sum(col) for col in zip(*(cover for _, _, cover in rows))]
@@ -315,11 +310,11 @@ class DichotomyRecord:
     badness_after: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShrinkDiagnostics:
     lam0: DyadicRational
     windows: tuple[tuple[DyadicInterval, tuple[DyadicInterval, ...]], ...]
-    f_cells: frozenset[int]
+    f_cells: np.ndarray
     halved: bool
     dichotomy_failures: tuple[DichotomyRecord, ...]
 
@@ -329,7 +324,7 @@ def shrink_once(
     rho: ChoiceMap,
     lam0,
     audit: bool = True,
-) -> tuple[frozenset[int], ShrinkDiagnostics]:
+) -> tuple[np.ndarray, ShrinkDiagnostics]:
     """One shrinking step: E' is the union of I x 3K over the bad windows.
 
     The diagnostics carry the auxiliary large-maximal set F and the dichotomy
@@ -341,48 +336,47 @@ def shrink_once(
     eng = BadnessEngine(rho)
     spec = eng.spec
     m = spec.m
-    cells = frozenset(cells)
-    counts = nu_all(rho, cells)
+    cells = _cell_set(cell_array(spec, cells))
+    weights = eng.weights(nu_all(rho, cells)).tolist()
 
     windows = []
-    shrunk: set[int] = set()
+    grid = np.zeros((spec.n, spec.n), dtype=bool)  # grid[c, r] is cell (c << m) + r
     for level in range(spec.m_w + 1):
         for index in range(1 << level):
             I = DyadicInterval(level, index)
-            cal = _select_bad_windows(eng, I, counts, lam0)
+            cal = _select_bad_windows(eng, I, weights, lam0)
             if not cal:
                 continue
             windows.append((I, cal))
+            cols = I.columns(m)
             for K in cal:
                 TW = K.triple()
-                r0 = TW.lo.num << (m - TW.lo.exp)
-                r1 = TW.hi.num << (m - TW.hi.exp)
-                for c in I.columns(m):
-                    base = c << m
-                    shrunk.update(range(base + r0, base + r1))
-    shrunk_f = frozenset(shrunk)
+                rows = slice(TW.lo.num << (m - TW.lo.exp), TW.hi.num << (m - TW.hi.exp))
+                grid[cols.start : cols.stop, rows] = True
+    in_shrunk = grid.ravel()
+    shrunk = _cell_set(np.flatnonzero(in_shrunk))
 
-    halved = 2 * len(shrunk_f) <= len(cells)
+    halved = 2 * len(shrunk) <= len(cells)
     failures: list[DichotomyRecord] = []
-    f_cells: frozenset[int] = frozenset()
+    f_cells = _cell_set(np.empty(0))
     if audit:
         g = apply_T_adjoint(rho, GridFunction.indicator(spec, cells))
         mg = maximal_apply(g, rho.fam)
-        # F = {M g >= lam0/2}: n / 2^scale >= num / 2^(exp + 1), in integers
+        # F = {M g >= lam0/2}: num / 2^scale >= lam0.num / 2^(lam0.exp + 1), in integers
         half_lam = lam0.num << mg.scale
-        f_cells = frozenset(idx for idx, n in enumerate(mg.nums) if n << (lam0.exp + 1) >= half_lam)
+        f_cells = _cell_set(np.flatnonzero([num << (lam0.exp + 1) >= half_lam for num in mg.nums]))
         cap = DyadicRational(UNIVERSAL_BADNESS_FACTOR) * lam0
-        counts_after = nu_all(rho, shrunk_f)
+        weights_after = eng.weights(nu_all(rho, shrunk)).tolist()
         for mi in range(len(rho.fam)):
-            b = eng.badness_of(mi, counts)
+            b = eng.badness_of(mi, weights)
             if b <= cap:
                 continue
-            inside = eng.touched_cells(mi) <= shrunk_f
-            b_after = eng.badness_of(mi, counts_after)
+            inside = bool(in_shrunk[eng.touched_cells(mi)].all())
+            b_after = eng.badness_of(mi, weights_after)
             if inside and b <= cap + b_after:
                 continue
             failures.append(DichotomyRecord(mi, b.render(), inside, b_after.render()))
-    return shrunk_f, ShrinkDiagnostics(lam0, tuple(windows), f_cells, halved, tuple(failures))
+    return shrunk, ShrinkDiagnostics(lam0, tuple(windows), f_cells, halved, tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -394,10 +388,10 @@ class BandRow:
     contained: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShrinkTrace:
     lam0: DyadicRational
-    steps: tuple[frozenset[int], ...]  # E_0, E_1, ...
+    steps: tuple[np.ndarray, ...]  # E_0, E_1, ...
     measures: tuple[DyadicRational, ...]
     diagnostics: tuple[ShrinkDiagnostics, ...]
     bands: tuple[BandRow, ...]
@@ -432,10 +426,10 @@ def shrink_iterate(
     lam0 = _coerce_lambda(lam0)
     spec = rho.fam.spec
     area_exp = 2 * spec.m
-    steps = [frozenset(cells)]
+    steps = [_cell_set(cell_array(spec, cells))]
     diags: list[ShrinkDiagnostics] = []
     truncated = False
-    while steps[-1]:
+    while len(steps[-1]):
         if len(steps) > max_steps:
             truncated = True
             break
@@ -447,14 +441,11 @@ def shrink_iterate(
             raise ShrinkHalvingError(
                 ShrinkTrace(lam0, tuple(steps), measures, tuple(diags), (), False)
             )
-        if not nxt:
-            break
 
     eng = BadnessEngine(rho)
-    counts0 = nu_all(rho, steps[0])
+    weights0 = eng.weights(nu_all(rho, steps[0])).tolist()
     cap = DyadicRational(UNIVERSAL_BADNESS_FACTOR) * lam0
-    b0 = [eng.badness_of(mi, counts0) for mi in range(len(rho.fam))]
-    e0_measure = DyadicRational(len(steps[0]), area_exp)
+    b0 = [eng.badness_of(mi, weights0) for mi in range(len(rho.fam))]
     bands: list[BandRow] = []
     k = 1
     while True:
@@ -464,17 +455,13 @@ def shrink_iterate(
             break
         contained = True
         if k >= 2:
-            target = steps[k - 1] if k - 1 < len(steps) else frozenset()
-            contained = all(eng.touched_cells(mi) <= target for mi in members)
-        bands.append(
-            BandRow(
-                k,
-                members,
-                DyadicRational(slab_union(eng.runs[mi] for mi in members), eng.scale + spec.m),
-                DyadicRational(e0_measure.num, e0_measure.exp + k),
-                contained,
-            )
-        )
+            in_target = np.zeros(spec.n_cells, dtype=bool)  # E_{k-1}, empty past the trace
+            if k - 1 < len(steps):
+                in_target[steps[k - 1]] = True
+            contained = all(in_target[eng.touched_cells(mi)].all() for mi in members)
+        union = DyadicRational(slab_union(eng.runs[mi] for mi in members), eng.scale + spec.m)
+        reference = DyadicRational(len(steps[0]), area_exp + k)
+        bands.append(BandRow(k, members, union, reference, contained))
         k += 1
     measures = tuple(DyadicRational(len(s), area_exp) for s in steps)
     return ShrinkTrace(lam0, tuple(steps), measures, tuple(diags), tuple(bands), truncated)

@@ -87,6 +87,7 @@ _FLAGS = {
     "offstep": dict(choices=["w", "w2"], default="w"),
     "seed": dict(type=int, default=0),
     "field": dict(type=str, default="identity"),
+    "iters": dict(type=int, default=1),
 }
 _FAMILY_FLAGS = ("m", "mw", "delta", "offstep", "seed", "field")
 
@@ -122,9 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, _FAMILY_FLAGS + ("lambda0",))
 
     p = sub.add_parser("sweep", help="run a parameter sweep, write CSV")
-    p.add_argument("kind", choices=["delta", "logn", "lp"])
-    _add_flags(p, ("m", "delta", "seed"))
-    p.add_argument("--iters", type=int, default=1)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    _add_flags(kinds.add_parser("delta", help="density scaling"), ("m", "delta", "seed", "iters"))
+    _add_flags(kinds.add_parser("lp", help="L^p sharpness"), ("m", "delta"))
+    _add_flags(kinds.add_parser("logn", help="log N growth"), ("seed", "iters"))
 
     p = sub.add_parser("kakeya", help="emit a compression-tree instance")
     _add_flags(p, ("m", "delta"))
@@ -241,11 +243,11 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "sweep":
-        cfg = ExperimentConfig(seed=args.seed, ascent_iters=args.iters)
-        if args.delta:
+        given = vars(args)  # each kind declares only the flags it reads
+        cfg = ExperimentConfig(seed=given.get("seed", 0), m_override=given.get("m"))
+        cfg.ascent_iters = given.get("iters", cfg.ascent_iters)
+        if given.get("delta"):
             cfg.deltas = _parse_deltas(args.delta)
-        if args.m is not None:
-            cfg.m_override = args.m
         if args.kind == "delta":
             sweep = sweep_delta(cfg)
             _write(args.out, sweep.to_csv())

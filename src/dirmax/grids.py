@@ -48,6 +48,17 @@ def cell_array(spec: GridSpec, cells) -> np.ndarray:
     return cells
 
 
+def _cell_set(cells: np.ndarray) -> np.ndarray:
+    """A cell set: the distinct indices of cells, sorted, as a read-only int32
+    array.  (np.unique would do, but numpy 2.4's hashes first: about 70x slower
+    on the 2^18 cells of m = 9; np.diff(prepend=) adds about 10 us a call.)"""
+    out = cells.astype(np.int32)
+    out.sort()
+    out = np.concatenate((out[:1], out[1:][out[1:] != out[:-1]]))
+    out.flags.writeable = False
+    return out
+
+
 def _check_grid(spec: GridSpec, scale: int, nums: Sequence[int]) -> None:
     if len(nums) != spec.n_cells:
         raise ValueError("grid value count mismatch")

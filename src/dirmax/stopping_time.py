@@ -24,7 +24,7 @@ import numpy as np
 from .dyadic import DyadicRational
 from .family import RectangleFamily, _popular_counts
 from .geometry import DyadicInterval, SlopeCell, dyadic_inside
-from .grids import GridFunction, OneVarField, cell_array
+from .grids import GridFunction, OneVarField, _cell_set, cell_array
 from .maximal import ChoiceMap, apply_T, apply_T_adjoint, ascent_iterate, m2_vertical
 from .maximal import _scaled_averages
 
@@ -189,17 +189,6 @@ def omega_levels(
     return tuple(levels)
 
 
-def _cell_set(cells: np.ndarray) -> np.ndarray:
-    """A cell set: the distinct indices of cells, sorted, as a read-only int32
-    array.  (np.unique would do, but numpy 2.4's hashes first: about 70x slower
-    on the 2^18 cells of m = 9.)"""
-    out = cells.astype(np.int32)
-    out.sort()
-    out = out[np.diff(out, prepend=-1) != 0]
-    out.flags.writeable = False
-    return out
-
-
 def _under(cells: np.ndarray, J: DyadicInterval, m: int) -> np.ndarray:
     """The cells of a cell set whose column lies under J: one index range."""
     cols = J.columns(m)
@@ -298,6 +287,8 @@ def run_generations(
     spec = v.spec
     if w != spec.w:
         raise ValueError("interval/width mismatch")
+    if max_gen < 0:
+        raise ValueError("max_gen must be nonnegative")
     m = spec.m
     intervals = [DyadicInterval(0, 0)]
     e_cells = _cell_set(np.flatnonzero(rho.entries >= 0))

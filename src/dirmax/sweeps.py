@@ -104,7 +104,8 @@ def random_point(delta: DyadicRational, seed: int, ascent_iters: int) -> float |
 
 def sweep_delta(cfg: ExperimentConfig) -> DeltaSweep:
     """Per-density ratios for the compression series plus random-field spot
-    checks, with the power-law fit ratio ~ a * (log2(1/delta))^b.
+    checks, with the power-law fit ratio ~ a * (log2(1/delta))^b.  Both run
+    cfg.ascent_iters T*T steps.
 
     The fit (and the best_ratio column) uses the compression series only:
     its points share the canonical grid law m = log2(1/delta) + 3, whereas
@@ -114,7 +115,7 @@ def sweep_delta(cfg: ExperimentConfig) -> DeltaSweep:
     rows: list[DeltaRow] = []
     best: list[tuple[DyadicRational, float]] = []
     for delta in cfg.deltas:
-        ratio = kakeya_point(delta, cfg.m_override)
+        ratio = kakeya_point(delta, cfg.m_override, ascent_iters=cfg.ascent_iters)
         rows.append(DeltaRow(delta, "kakeya", ratio))
         best.append((delta, ratio))
         for i in range(cfg.random_count):

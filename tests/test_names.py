@@ -175,3 +175,34 @@ def test_maximal_reads_members_only_in_the_choice_map_check():
     source = (Path(dirmax.__file__).parent / "maximal.py").read_text()
     assert set(attribute_scopes(source, "members")) == {"ChoiceMap.check"}
     assert name_lines(source, "integrate_scaled") == []
+
+
+def method_annotations(source: str, cls: str) -> dict[str, list[str]]:
+    """Per method of a class in a source, the source text of each argument annotation."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for fn in node.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+                    found[fn.name] = [ast.unparse(a.annotation) for a in args if a.annotation]
+    return found
+
+
+def test_annotation_checker_reads_each_method():
+    src = (
+        "class E:\n    def f(self, w: list[int], keep: Callable[[int], bool] | None = None):\n"
+        "        pass\n\n    def g(self, *, I: int):\n        pass\n"
+    )
+    assert method_annotations(src, "E") == {"f": ["list[int]", "Callable[[int], bool] | None"], "g": ["int"]}
+    assert method_annotations(src, "F") == {}
+
+
+def test_badness_builds_no_frozensets_and_takes_no_member_callbacks():
+    """Badness scans read one weight vector and its cell sets are int32
+    arrays: no BadnessEngine method takes a callable, and no frozenset is left."""
+    source = (Path(dirmax.__file__).parent / "badness.py").read_text()
+    assert name_lines(source, "frozenset") == []
+    methods = method_annotations(source, "BadnessEngine")
+    assert {"badness_of", "box_mass", "fits", "touched_cells"} <= set(methods)
+    assert {name: a for name, a in methods.items() if any("Callable" in t for t in a)} == {}

@@ -76,6 +76,16 @@ def test_assignment_errors():
         compute_assignments(ROOT, v, D(1, 3), D(1))
 
 
+def test_run_generations_rejects_negative_max_gen():
+    spec = GridSpec(4, 2, False)
+    v = cascade_field(spec)
+    rho = linearize(random_grid(spec, random.Random(0)), enumerate_family(FamilyParams(spec, D(1, 1)), v))
+    with pytest.raises(ValueError, match="max_gen must be nonnegative"):
+        run_generations(v, spec.w, D(1, 1), rho, -1)
+    res = run_generations(v, spec.w, D(1, 1), rho, 0)
+    assert res.generations == () and res.truncated
+
+
 def test_chosen_popularity_sets_disjoint():
     spec = GridSpec(5, 3, False)
     for seed in range(20):

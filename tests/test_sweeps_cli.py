@@ -31,7 +31,7 @@ def test_sweep_delta_rows_and_fit():
     solo = sweep_delta(ExperimentConfig(deltas=(D(1, 3),), random_count=0))
     assert solo.to_csv().splitlines()[1] == lines[1]
     assert solo.fit_b == 0.0  # degenerate fit flagged as zero exponent
-    assert solo.best[0][1] == kakeya_point(D(1, 3))
+    assert solo.best[0][1] == kakeya_point(D(1, 3), ascent_iters=1)
 
 
 def test_sweep_delta_random_rows_recorded():
@@ -278,3 +278,50 @@ def test_sweep_delta_rejects_negative_ascent_steps():
     rc, out, err = _run(["sweep", "delta", "--delta", "1/8", "--iters", "-1"])
     assert rc == 2
     assert err == "error: ascent_iters must be nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "lp", "--seed", "1"],
+        ["sweep", "lp", "--iters", "7"],
+        ["sweep", "logn", "--m", "3"],
+        ["sweep", "logn", "--delta", "1/2"],
+        ["sweep", "delta", "--lambda0", "2"],
+    ],
+)
+def test_sweep_kinds_reject_flags_they_ignore(argv):
+    with pytest.raises(SystemExit) as exc:
+        _run(argv)
+    assert exc.value.code == 2
+
+
+def test_sweep_config_key_the_kind_ignores(tmp_path):
+    for kind, key, value in (("lp", "seed", "1"), ("lp", "iters", "7"), ("logn", "m", "3"),
+                             ("logn", "delta", "1/2")):
+        cfg = tmp_path / f"{kind}-{key}.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        rc, out, err = _run(["sweep", kind, "--config", str(cfg)])
+        assert rc == 2 and out == ""
+        assert err == f"config error: unknown key '{key}'\n"
+
+
+def test_sweep_delta_kakeya_series_runs_the_ascent_steps(tmp_path):
+    cfg = tmp_path / "steps.cfg"
+    cfg.write_text("iters = 1\n")
+    runs = [_run(["sweep", "delta", "--delta", "1/8", *extra])
+            for extra in (["--iters", "0"], ["--iters", "1"], ["--config", str(cfg)])]
+    assert [rc for rc, _, _ in runs] == [0, 0, 0]
+    assert runs[0][1] != runs[1][1] == runs[2][1]
+    for (_, csv, _), steps in zip(runs, (0, 1)):
+        ratio = kakeya_point(D(1, 3), ascent_iters=steps)
+        assert csv.splitlines()[1].split(",")[1] == format(ratio, ".12g")
+
+
+def test_decompose_rejects_negative_max_gen(tmp_path):
+    out = tmp_path / "dec.json"
+    rc, _, err = _run(["decompose", "--m", "4", "--max-gen", "-1", "--out", str(out)])
+    assert rc == 2 and err == "error: max_gen must be nonnegative\n"
+    assert not out.exists()
+    rc, _, _ = _run(["decompose", "--m", "4", "--max-gen", "0", "--out", str(out)])
+    assert rc == 0 and '"truncated": true' in out.read_text()

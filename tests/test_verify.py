@@ -15,7 +15,7 @@ def test_oracle_shrink_lambda_selects_windows(corpus):
     assert len(small) == 50
     for inst in small:
         shrunk, _ = shrink_once(inst.covered, inst.rho, ORACLE_SHRINK_LAMBDA0, audit=False)
-        assert shrunk, inst.name
+        assert len(shrunk), inst.name
 
 
 def test_fast_call_that_raises_is_a_fail_line(tmp_path, monkeypatch):
