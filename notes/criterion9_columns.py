@@ -38,6 +38,12 @@ def own_column_average(R, g, c: int) -> Fraction:
     return total / (hi - lo)
 
 
+def m2_fractions(g) -> list[Fraction]:
+    """M2 g per cell, from m2_vertical's (num, den) arrays."""
+    num, den = m2_vertical(g)
+    return [Fraction(x, d << g.scale) for x, d in zip(num.tolist(), den.tolist())]
+
+
 def main() -> None:
     inst = next(i for i in build_corpus() if i.name == "m5_cascade_d1")
     rho, f, m = inst.rho, inst.f, inst.spec.m
@@ -49,17 +55,17 @@ def main() -> None:
     for j in range(len(res.generations) - 1):
         for J, n, cells in piece_cells(res, j):
             g = apply_T_adjoint(rho, f.masked(cells))
-            vert = m2_vertical(g)
+            vert = m2_fractions(g)
             cols = J.columns(m)
             for k in range(j + 1, len(res.generations)):
                 for idx in a_sets[k].tolist():
                     if not cols.start <= idx >> m < cols.stop:
                         continue
                     R = members[rho.entries[idx]]
-                    m2x = vert.value_at(idx)
+                    m2x = vert[idx]
                     avg = average(R, g).as_fraction()
                     own = own_column_average(R, g, idx >> m) > m2x
-                    spread = avg / max(vert.value_at(i) for i in R.cell_indices())
+                    spread = avg / max(vert[i] for i in R.cell_indices())
                     tuples += 1
                     exceed += avg > m2x
                     own_exceed += own

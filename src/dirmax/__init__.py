@@ -20,7 +20,6 @@ from .geometry import (
 from .grids import (
     GridFunction,
     OneVarField,
-    RationalGrid,
     average,
     integrate,
     parse_field,
@@ -70,7 +69,6 @@ from .stopping_time import (
 from .badness import (
     BadnessTable,
     ShrinkTrace,
-    badness,
     badness_table,
     in_out_split,
     multi_collection_experiment,

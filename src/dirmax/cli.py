@@ -90,6 +90,7 @@ _FLAGS = {
     "iters": dict(type=int, default=1),
 }
 _FAMILY_FLAGS = ("m", "mw", "delta", "offstep", "seed", "field")
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _add_flags(p: argparse.ArgumentParser, names) -> None:
@@ -174,7 +175,9 @@ def _apply_config(args, argv: list[str]) -> None:
         if any(tok == f"--{key}" or tok.startswith(f"--{key}=") for tok in argv):
             continue
         if key == "quick":
-            value = value.lower() in ("1", "true", "yes")
+            if value.lower() not in _BOOLEANS:
+                raise ValueError(f"'{key}' takes true or false, not {value!r}")
+            value = _BOOLEANS[value.lower()]
         elif key in ("m", "mw", "seed", "iters", "max-gen", "depth"):
             try:
                 value = int(value)

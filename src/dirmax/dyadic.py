@@ -38,14 +38,6 @@ class DyadicRational:
 
     # -- conversions --------------------------------------------------
 
-    @property
-    def numerator(self) -> int:
-        return self.num
-
-    @property
-    def exponent(self) -> int:
-        return self.exp
-
     @classmethod
     def from_fraction(cls, fr: Fraction) -> "DyadicRational":
         den = fr.denominator
@@ -201,7 +193,3 @@ def _coerce(value) -> DyadicRational | None:
     if isinstance(value, int):
         return DyadicRational(value)
     return None
-
-
-ZERO = DyadicRational(0)
-ONE = DyadicRational(1)

@@ -94,9 +94,6 @@ class Window:
     def length(self) -> DyadicRational:
         return self.hi - self.lo
 
-    def contains_value(self, x) -> bool:
-        return self.lo <= x < self.hi
-
     def triple(self) -> "Window":
         ln = self.length
         lo = self.lo - ln
@@ -202,9 +199,6 @@ class GridSpec:
 
     def x_center(self, c: int) -> DyadicRational:
         return DyadicRational(2 * c + 1, self.m + 1)
-
-    def y_center(self, r: int) -> DyadicRational:
-        return DyadicRational(2 * r + 1, self.m + 1)
 
     def cell_index(self, c: int, r: int) -> int:
         return (c << self.m) + r

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dyadic import DyadicRational
-from .geometry import DyadicInterval, GridSpec, Parallelogram, Window, slab_rows, spec_from_offstep
+from .geometry import GridSpec, Parallelogram, slab_rows, spec_from_offstep
 
 
 def _to_scaled(values, what: str) -> tuple[int, list[int]]:
@@ -185,21 +185,6 @@ class GridFunction:
         sc = 2.0 ** self.scale
         return (sum((n / sc) ** p for n in self.nums) * area) ** (1.0 / p)
 
-    def integrate_box(self, horiz: DyadicInterval, vert: Window) -> DyadicRational:
-        """Exact integral over an axis-parallel, cell-aligned box."""
-        m = self.spec.m
-        if vert.lo.exp > m or vert.hi.exp > m:
-            raise ValueError("box is not cell-aligned")
-        if horiz.level > m:
-            raise ValueError("box is not cell-aligned")
-        r0 = vert.lo.num << (m - vert.lo.exp)
-        r1 = vert.hi.num << (m - vert.hi.exp)
-        total = 0
-        for c in horiz.columns(m):
-            base = c << m
-            total += sum(self.nums[base + r0 : base + r1])
-        return DyadicRational(total, self.scale + 2 * m)
-
 
 class OneVarField:
     """Slope field v with v(a, b) = v(a): one dyadic value in [0,1] per column."""
@@ -254,24 +239,6 @@ class OneVarField:
             if j < top:
                 counts[j] = counts.get(j, 0) + 1
         return counts
-
-
-class RationalGrid:
-    """Per-cell exact rationals (not necessarily dyadic); vertical maximal output."""
-
-    __slots__ = ("spec", "values")
-
-    def __init__(self, spec: GridSpec, values: Sequence[Fraction]):
-        if len(values) != spec.n_cells:
-            raise ValueError("grid value count mismatch")
-        self.spec = spec
-        self.values = list(values)
-
-    def value(self, c: int, r: int) -> Fraction:
-        return self.values[self.spec.cell_index(c, r)]
-
-    def value_at(self, idx: int) -> Fraction:
-        return self.values[idx]
 
 
 # -- exact integration over staircase parallelograms ------------------------

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 import numpy as np
@@ -41,7 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dyadic import DyadicRational
 from .family import RectangleFamily
 from .geometry import GridSpec, first_center_row, slab_rows, slab_run
-from .grids import GridFunction, RationalGrid, cell_array
+from .grids import GridFunction, cell_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,12 +327,14 @@ def _raise_to(num: np.ndarray, den: np.ndarray, cnum: np.ndarray, cden: np.ndarr
     np.copyto(den, cden, where=take)
 
 
-def m2_vertical(g: GridFunction) -> RationalGrid:
+def m2_vertical(g: GridFunction) -> tuple[np.ndarray, np.ndarray]:
     """Hardy-Littlewood maximal function along vertical cell-aligned segments.
 
     Exact: per cell, the best average of g over the column segments through
-    it.  Averages over odd segment lengths are not dyadic, hence the
-    Fraction-valued grid.
+    it, as two 1-D integer arrays (num, den) over the cells in cell-index
+    order: M2 g at cell i is num[i] / (den[i] << g.scale), den[i] the length
+    of a best segment.  Averages over odd segment lengths are not dyadic,
+    hence the pair; callers compare them by integer cross-products.
 
     One recurrence over segment lengths L = n .. 1 runs on all columns at
     once.  C_L[c, a] is the best average of column c over the segments that
@@ -344,11 +345,10 @@ def m2_vertical(g: GridFunction) -> RationalGrid:
     is a (numerator, length) pair compared only by integer cross-products.
     With b the bit length of g's largest numerator, every cross-product is
     below 2^(b + 2m), so the recurrence runs in int64 when b + 2m <= 62
-    (_vertical_dtype) and on Python ints otherwise.
+    (_vertical_dtype) and on Python ints otherwise; the arrays keep that dtype.
     """
     _require_nonneg(g)
-    spec = g.spec
-    n = spec.n
+    n = g.spec.n
     dtype = _vertical_dtype(g)
     pref = np.zeros((n, n + 1), dtype=dtype)
     pref[:, 1:] = np.array(g.nums, dtype=dtype).reshape(n, n)  # [column, row]
@@ -361,8 +361,7 @@ def m2_vertical(g: GridFunction) -> RationalGrid:
         _raise_to(seg[:, :-1], lens[:, :-1], num, den)  # C_{L+1}[a]
         _raise_to(seg[:, 1:], lens[:, 1:], num, den)  # C_{L+1}[a - 1]
         num, den = seg, lens
-    num, den = num.ravel().tolist(), den.ravel().tolist()
-    return RationalGrid(spec, [Fraction(x, d << g.scale) for x, d in zip(num, den)])
+    return num.ravel(), den.ravel()
 
 
 # -- norm estimation ----------------------------------------------------------

@@ -356,6 +356,9 @@ def domination_check(
     operates (the diagonal k = j is controlled by the good-collection bound
     instead).  Returns (violations, tuples checked, worst excess ratio where
     m2_vertical > 0); an empty violation list means the domination held exactly.
+    Each tuple is decided by one cross-product of Python ints: avg_R(g) is
+    avgs[e] / 2^scale and M2 g(x) is num / (den << g.scale), with scale - g.scale
+    = 2m + 2, so nothing wraps; Fractions are built only for the violations.
     """
     m = rho.spec.m
     violations = []
@@ -368,15 +371,17 @@ def domination_check(
             pieces = pieces[:max_pieces]
         for J, n, cells in pieces:
             g = apply_T_adjoint(rho, f.masked(cells))
-            vert = m2_vertical(g)
+            num, den = m2_vertical(g)
             avgs, scale = _scaled_averages(rho.fam, g)
+            shift = scale - g.scale
             for k in range(j + 1, len(result.generations)):
                 cells = _under(a_sets[k], J, m)
                 checked += len(cells)
-                for idx, e in zip(cells.tolist(), rho.entries[cells].tolist()):
-                    avg = Fraction(avgs[e], 1 << scale)
-                    rhs = vert.value_at(idx)
-                    if avg > rhs:
+                for idx, e, x, d in zip(
+                    cells.tolist(), rho.entries[cells].tolist(), num[cells].tolist(), den[cells].tolist()
+                ):
+                    if avgs[e] * d > x << shift:
+                        avg, rhs = Fraction(avgs[e], 1 << scale), Fraction(x, d << g.scale)
                         violations.append(
                             DominationViolation(j, J, n, idx, str(avg), str(rhs))
                         )

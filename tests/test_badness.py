@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dirmax.badness
 from dirmax import oracle
 from dirmax.badness import (
     BadnessEngine,
@@ -422,7 +422,7 @@ def test_dichotomy_audit_and_bands_match_the_oracle(monkeypatch, m, half, seed, 
     lambda0) every audit record and band row is replayed from the oracle:
     B_R from oracle.badness, the cells R touches from its slab table and
     row rule, and the band unions as per-column interval unions."""
-    monkeypatch.setattr(sys.modules["dirmax.badness"], "UNIVERSAL_BADNESS_FACTOR", 1)
+    monkeypatch.setattr(dirmax.badness, "UNIVERSAL_BADNESS_FACTOR", 1)
     spec = GridSpec(m, m - 2, half)
     fam = enumerate_family(FamilyParams(spec, D(1, 1)), random_field(spec, random.Random(m)))
     rho = linearize(random_grid(spec, random.Random(seed)), fam)

@@ -138,7 +138,7 @@ def test_center_rows_count():
         assert cnt == 1 << (spec.m - spec.m_w)
         lo, hi = R.column_segment(c)
         for r in range(r0, r0 + cnt):
-            y = spec.y_center(r)
+            y = D(2 * r + 1, spec.m + 1)  # row r's center
             assert lo <= y < hi
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dirmax.dyadic import DyadicRational as D
-from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell, Window
+from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell
 from dirmax.grids import (
     GridFunction,
     OneVarField,
@@ -141,17 +141,6 @@ def test_integrate_spec_mismatch():
     R = Parallelogram(spec, DyadicInterval(2, 0), SlopeCell(0, 0), D(0))
     with pytest.raises(ValueError, match="incompatible grids"):
         integrate(R, GridFunction.zeros(other))
-
-
-def test_integrate_box():
-    spec = GridSpec(3, 1, False)
-    rng = random.Random(5)
-    f = GridFunction(spec, 0, [rng.randrange(4) for _ in range(64)])
-    box = f.integrate_box(DyadicInterval(1, 1), Window(D(1, 2), D(3, 2)))
-    manual = sum(
-        f.nums[(c << 3) + r] for c in range(4, 8) for r in range(2, 6)
-    )
-    assert box == D(manual, 6)
 
 
 def test_maxgrid_round_trip():

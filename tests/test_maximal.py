@@ -550,24 +550,30 @@ def test_choice_map_rejects_non_integer_or_misshapen_entries():
             ChoiceMap(fam, bad)
 
 
+def _m2(g) -> list[Fraction]:
+    """m2_vertical's (num, den) arrays as one Fraction per cell."""
+    num, den = m2_vertical(g)
+    return [Fraction(x, d << g.scale) for x, d in zip(num.tolist(), den.tolist())]
+
+
 def test_m2_constant_and_indicator():
     spec = GridSpec(4, 2, False)
     c = GridFunction.constant(spec, D(3, 1))
-    m2 = m2_vertical(c)
-    assert all(x == Fraction(3, 2) for x in m2.values)
+    m2 = _m2(c)
+    assert all(x == Fraction(3, 2) for x in m2)
     point = GridFunction.indicator(spec, [spec.cell_index(5, 9)])
-    m2p = m2_vertical(point)
-    assert m2p.value(5, 9) == 1
+    m2p = _m2(point)
+    assert m2p[spec.cell_index(5, 9)] == 1
     for r in range(spec.n):
         d = abs(r - 9)
-        assert m2p.value(5, r) >= Fraction(1, d + 1)
-        assert m2p.value(4, r) == 0
+        assert m2p[spec.cell_index(5, r)] >= Fraction(1, d + 1)
+        assert m2p[spec.cell_index(4, r)] == 0
 
 
 def test_m2_against_all_segments():
     spec = GridSpec(3, 1, False)
     g = random_grid(spec, random.Random(15))
-    m2 = m2_vertical(g)
+    m2 = _m2(g)
     n = spec.n
     for c in range(n):
         col = [g.value(c, r).as_fraction() for r in range(n)]
@@ -577,7 +583,7 @@ def test_m2_against_all_segments():
                 for r1 in range(r + 1, n + 1):
                     avg = sum(col[r0:r1], Fraction(0)) / (r1 - r0)
                     best = max(best, avg)
-            assert m2.value(c, r) == best
+            assert m2[spec.cell_index(c, r)] == best
 
 
 def test_m2_translation_invariance():
@@ -587,10 +593,10 @@ def test_m2_translation_invariance():
         spec, g.scale,
         [g.nums[((c - 2) % spec.n) << spec.m | r] for c in range(spec.n) for r in range(spec.n)],
     )
-    a, b = m2_vertical(g), m2_vertical(shifted)
+    a, b = _m2(g), _m2(shifted)
     for c in range(spec.n):
         for r in range(spec.n):
-            assert b.value(c, r) == a.value((c - 2) % spec.n, r)
+            assert b[spec.cell_index(c, r)] == a[spec.cell_index((c - 2) % spec.n, r)]
 
 
 def _oracle_m2(g):
@@ -615,7 +621,7 @@ def test_m2_vertical_matches_oracle(m, bits, seed, scale):
     nums[2 * n : 3 * n] = [(top, top >> 1)[r & 1] for r in range(n)]  # ties
     nums[3 * n : 4 * n] = [rng.choice((0, top)) for _ in range(n)]
     g = GridFunction(spec, scale, nums)
-    assert m2_vertical(g).values == _oracle_m2(g)
+    assert _m2(g) == _oracle_m2(g)
 
 
 def test_m2_vertical_dtype_bound_both_sides(monkeypatch):
@@ -634,9 +640,11 @@ def test_m2_vertical_dtype_bound_both_sides(monkeypatch):
         nums = [rng.getrandbits(bound) for _ in range(spec.n_cells)]
         nums[: spec.n] = [top] * spec.n  # a column whose sums reach n * top
         g = GridFunction(spec, 5, nums)
-        got = m2_vertical(g).values
+        got = _m2(g)
         assert picked[-1] is dtype
         assert got == _oracle_m2(g)
+        # the (num, den) arrays come back in the dtype the recurrence ran in
+        assert [a.dtype for a in m2_vertical(g)] == [np.dtype(dtype)] * 2
 
 
 def test_estimate_norm_single_member_optimum():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import builtins
+import pkgutil
 import symtable
 import sys
 from pathlib import Path
@@ -63,6 +64,15 @@ def test_package_exports_no_modules():
     assert [name for name, value in exported.items() if isinstance(value, ModuleType)] == []
     assert {"maximal_apply", "GridFunction", "cli_main", "run_verify"} <= set(exported)
     assert "maximal" not in exported and "ModuleType" not in exported
+
+
+def test_package_attributes_are_its_loaded_submodules():
+    """``import dirmax.badness as b`` binds the module: no public name of the
+    package shadows a submodule of the same name."""
+    names = [info.name for info in pkgutil.iter_modules(dirmax.__path__)]
+    loaded = [name for name in names if "dirmax." + name in sys.modules]
+    assert {"badness", "grids", "maximal", "stopping_time"} <= set(loaded)
+    assert [name for name in loaded if getattr(dirmax, name) is not sys.modules["dirmax." + name]] == []
 
 
 def non_stdlib_imports(source: str) -> list[str]:
@@ -175,6 +185,15 @@ def test_maximal_reads_members_only_in_the_choice_map_check():
     source = (Path(dirmax.__file__).parent / "maximal.py").read_text()
     assert set(attribute_scopes(source, "members")) == {"ChoiceMap.check"}
     assert name_lines(source, "integrate_scaled") == []
+
+
+def test_vertical_maximal_builds_no_fractions():
+    """m2_vertical returns integer (num, den) arrays: maximal.py names no
+    Fraction, and no module names the per-cell Fraction grid it once built."""
+    root = Path(dirmax.__file__).parent
+    assert name_lines((root / "maximal.py").read_text(), "Fraction") == []
+    found = {p.name: name_lines(p.read_text(), "RationalGrid") for p in sorted(root.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def method_annotations(source: str, cls: str) -> dict[str, list[str]]:

@@ -23,24 +23,27 @@ from dirmax.family import (
     is_dense,
     v_measure,
 )
-from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell
-from dirmax.grids import OneVarField, RationalGrid
+from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell, spec_from_offstep
+from dirmax.grids import GridFunction, OneVarField
 from dirmax.instances import (
+    CorpusInstance,
     cascade_field,
     constant_field,
     identity_field,
     random_field,
     random_grid,
 )
-from dirmax.maximal import linearize
+from dirmax.maximal import apply_T_adjoint, linearize
 from dirmax.stopping_time import (
     DecompositionResult,
+    DominationViolation,
     ThetaPair,
     carleson_sum,
     classify_points,
     compute_assignments,
     cotlar_stein_bound,
     decomposition_to_json,
+    domination_check,
     generation_operator_ratio,
     omega_levels,
     orthogonality_table,
@@ -551,7 +554,8 @@ def test_popularity_counts_match_oracle(spec_args, seed, delta, root_seed):
 def test_calibrated_domination_fails_on_zero_vertical_max(corpus, monkeypatch):
     # no factor covers an average above a vertical maximum of 0
     def zero(g):
-        return RationalGrid(g.spec, [Fraction(0)] * g.spec.n_cells)
+        n = g.spec.n_cells
+        return np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
 
     monkeypatch.setattr(stopping_time, "m2_vertical", zero)
     report = verify.VerifyReport()
@@ -559,3 +563,52 @@ def test_calibrated_domination_fails_on_zero_vertical_max(corpus, monkeypatch):
     exact, calibrated = report.results
     assert not exact.ok
     assert calibrated.line().startswith("FAIL vertical maximal domination (within calibrated factor)")
+
+
+def _oracle_domination(res, rho, f):
+    """domination_check replayed tuple by tuple: for every piece g = T*(f on the
+    piece) and every cell x of a later generation under J, avg_R(g) is the
+    oracle's integral over R's measure and M2 g(x) the oracle's m2_vertical."""
+    m, m_w = rho.spec.m, rho.spec.m_w
+    step = 1 << rho.spec.offset_exp
+    members = [(k, i, j, Fraction(t, step)) for k, i, j, t in rho.fam.sort_keys.tolist()]
+    gens = res.generations
+    violations, checked, worst = [], 0, Fraction(0)
+    for j in range(len(gens) - 1):
+        for J, n, cells in piece_cells(res, j):
+            g = [x.as_fraction() for x in apply_T_adjoint(rho, f.masked(cells)).values()]
+            m2 = oracle.m2_vertical(m, g)
+            for k in range(j + 1, len(gens)):
+                for idx in gens[k].good_cells.tolist():
+                    if idx >> m not in J.columns(m):
+                        continue
+                    checked += 1
+                    R = members[rho.entries[idx]]
+                    avg = oracle.integrate(m, m_w, R, g) / oracle.member_measure(m_w, R)
+                    if avg > m2[idx]:
+                        violations.append(DominationViolation(j, J, n, idx, str(avg), str(m2[idx])))
+                        if m2[idx]:
+                            worst = max(worst, avg / m2[idx])
+    return violations, checked, worst
+
+
+def test_domination_check_matches_the_oracle_tuple_by_tuple(corpus):
+    named = {i.name: i for i in corpus}
+    # the m 4 corpus instances decompose into one generation, so they check no tuple
+    cases = [named[name] for name in ("m5_cascade_d1", "m4_w_rand_d1", "m4_w2_ident_d1")]
+    # two cascades with tuples on both sides of the comparison: 18 of 44 exceed, 0 of 52
+    for offstep, seed in (("w2", 3), ("w", 1)):
+        spec = spec_from_offstep(5, 3, offstep)
+        cases.append(CorpusInstance(f"cascade_{offstep}_{seed}", spec, D(1, 1), cascade_field(spec), seed))
+    seen = []
+    for inst in cases:
+        res = run_generations(inst.field, inst.spec.w, inst.delta, inst.rho)
+        got = domination_check(res, inst.rho, inst.f)
+        assert got == _oracle_domination(res, inst.rho, inst.f), inst.name
+        seen.append((len(got[0]), got[1]))
+    assert seen == [(36, 88), (0, 0), (0, 0), (18, 44), (0, 52)]
+    # a tie is not a violation: with f = 0 every tuple compares 0 with 0
+    inst = cases[0]
+    res = run_generations(inst.field, inst.spec.w, inst.delta, inst.rho)
+    zero = GridFunction.zeros(inst.spec)
+    assert domination_check(res, inst.rho, zero) == _oracle_domination(res, inst.rho, zero) == ([], 88, 0)

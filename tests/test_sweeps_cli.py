@@ -7,7 +7,7 @@ import io
 
 import pytest
 
-from dirmax.cli import cli_main
+from dirmax.cli import _apply_config, build_parser, cli_main
 from dirmax.dyadic import DyadicRational as D
 from dirmax.grids import parse_field, parse_grid
 from dirmax.sweeps import ExperimentConfig, kakeya_point, sweep_delta, sweep_lp
@@ -193,6 +193,22 @@ def test_cli_config_unknown_key(tmp_path):
         assert rc == 2
         assert err == f"config error: unknown key '{key}'\n"
         assert not out.exists()
+
+
+def test_cli_config_quick_takes_a_boolean(tmp_path):
+    cfg = tmp_path / "q.cfg"
+    for text, want in (("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False)):
+        cfg.write_text(f"quick = {text}\n")
+        argv = ["verify", "--config", str(cfg)]
+        args = build_parser().parse_args(argv)
+        _apply_config(args, argv)
+        assert args.quick is want
+    # anything else is rejected before verify runs, not read as false
+    for text in ("banana", "2", "on", ""):
+        cfg.write_text(f"quick = {text}\n")
+        rc, out, err = _run(["verify", "--m", "3", "--config", str(cfg)])
+        assert (rc, out) == (2, "")
+        assert err == f"config error: 'quick' takes true or false, not {text!r}\n"
 
 
 def test_cli_verify_quick(tmp_path):
