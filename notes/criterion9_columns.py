@@ -10,7 +10,8 @@ interval, R is rho's member at x.  For each such tuple it prints
 - spread: avg_R(g) / the largest M2 g over the cells whose centers R holds,
 
 then how many tuples have avg_R(g) > M2 g(x), how many have own set, and the
-largest spread.  All values are exact Fractions.
+largest spread.  All values are exact Fractions from the brute-force oracle:
+R's slabs from oracle.slab and avg_R(g) from oracle.integrate.
 
     PYTHONPATH=src python notes/criterion9_columns.py
 """
@@ -19,23 +20,32 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from dirmax.grids import average
+from dirmax import oracle
 from dirmax.instances import build_corpus
 from dirmax.maximal import apply_T_adjoint, m2_vertical
 from dirmax.stopping_time import piece_cells, run_generations
 
 
-def own_column_average(R, g, c: int) -> Fraction:
+def own_column_average(m: int, m_w: int, R, g: list[Fraction], c: int) -> Fraction:
     """The average of g over R's slab [lo, hi) in column c."""
-    lo, hi = (y.as_fraction() for y in R.column_segment(c))
-    m = g.spec.m
+    lo, hi = oracle.slab(m, m_w, R, c)
     cell = Fraction(1, 1 << m)
     total = Fraction(0)
     for r in range(1 << m):
         seg = min(hi, (r + 1) * cell) - max(lo, r * cell)
         if seg > 0:
-            total += seg * g.value_at((c << m) + r).as_fraction()
+            total += seg * g[(c << m) + r]
     return total / (hi - lo)
+
+
+def center_cells(m: int, m_w: int, R) -> list[int]:
+    """The cells whose centers R holds."""
+    return [
+        (c << m) + r
+        for c in oracle.columns(m, m_w, R)
+        for r in range(1 << m)
+        if oracle.contains_cell(m, m_w, R, c, r)
+    ]
 
 
 def m2_fractions(g) -> list[Fraction]:
@@ -46,8 +56,9 @@ def m2_fractions(g) -> list[Fraction]:
 
 def main() -> None:
     inst = next(i for i in build_corpus() if i.name == "m5_cascade_d1")
-    rho, f, m = inst.rho, inst.f, inst.spec.m
-    members = rho.fam.members
+    rho, f, m, m_w = inst.rho, inst.f, inst.spec.m, inst.spec.m_w
+    step = 1 << inst.spec.offset_exp
+    members = [(k, i, j, Fraction(t, step)) for k, i, j, t in rho.fam.sort_keys.tolist()]
     res = run_generations(inst.field, inst.spec.w, inst.delta, rho)
     a_sets = res.a_sets()
     tuples = exceed = own_exceed = 0
@@ -56,6 +67,7 @@ def main() -> None:
         for J, n, cells in piece_cells(res, j):
             g = apply_T_adjoint(rho, f.masked(cells))
             vert = m2_fractions(g)
+            values = [x.as_fraction() for x in g.values()]
             cols = J.columns(m)
             for k in range(j + 1, len(res.generations)):
                 for idx in a_sets[k].tolist():
@@ -63,9 +75,9 @@ def main() -> None:
                         continue
                     R = members[rho.entries[idx]]
                     m2x = vert[idx]
-                    avg = average(R, g).as_fraction()
-                    own = own_column_average(R, g, idx >> m) > m2x
-                    spread = avg / max(vert[i] for i in R.cell_indices())
+                    avg = oracle.integrate(m, m_w, R, values) / oracle.member_measure(m_w, R)
+                    own = own_column_average(m, m_w, R, values, idx >> m) > m2x
+                    spread = avg / max(vert[i] for i in center_cells(m, m_w, R))
                     tuples += 1
                     exceed += avg > m2x
                     own_exceed += own

@@ -14,14 +14,10 @@ from .geometry import (
     Parallelogram,
     SlopeCell,
     Window,
-    overlap_measure,
-    union_measure,
 )
 from .grids import (
     GridFunction,
     OneVarField,
-    average,
-    integrate,
     parse_field,
     parse_grid,
     render_field,

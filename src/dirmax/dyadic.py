@@ -2,12 +2,30 @@
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from fractions import Fraction
 
 _PARSE_RE = re.compile(r"^(-?\d+)(?:/2\^(\d+))?$")
 _HASH_MODULUS = sys.hash_info.modulus
+
+
+def _ordering(op):
+    """An order comparison of a DyadicRational with a DyadicRational, int or
+    Fraction, exact: numerators at a common exponent, or as Fractions.  Any
+    other operand gives NotImplemented, so Python raises TypeError."""
+
+    def compare(self, other):
+        if isinstance(other, Fraction):
+            return op(self.as_fraction(), other)
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        e = max(self.exp, other.exp)
+        return op(self.num << (e - self.exp), other.num << (e - other.exp))
+
+    return compare
 
 
 class DyadicRational:
@@ -132,12 +150,6 @@ class DyadicRational:
 
     # -- comparisons (total order; Fraction comparisons supported) ------
 
-    def _cmp(self, other) -> int:
-        e = max(self.exp, other.exp)
-        a = self.num << (e - self.exp)
-        b = other.num << (e - other.exp)
-        return (a > b) - (a < b)
-
     def __eq__(self, other):
         if isinstance(other, Fraction):
             return self.as_fraction() == other
@@ -146,37 +158,10 @@ class DyadicRational:
             return NotImplemented
         return self.num == other.num and self.exp == other.exp
 
-    def __lt__(self, other):
-        if isinstance(other, Fraction):
-            return self.as_fraction() < other
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        if isinstance(other, Fraction):
-            return self.as_fraction() <= other
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        if isinstance(other, Fraction):
-            return self.as_fraction() > other
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        if isinstance(other, Fraction):
-            return self.as_fraction() >= other
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._cmp(other) >= 0
+    __lt__ = _ordering(operator.lt)
+    __le__ = _ordering(operator.le)
+    __gt__ = _ordering(operator.gt)
+    __ge__ = _ordering(operator.ge)
 
     def __hash__(self):
         # Python's numeric hash of num / 2^exp, so that equal ints and

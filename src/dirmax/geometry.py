@@ -3,7 +3,8 @@
 All geometry lives on the unit square.  A "parallelogram" here is the discrete
 staircase model: the union, over the grid columns of its base interval, of
 vertical slabs of height w anchored at slope*x_center + offset.  Every length,
-measure and overlap below is an exact dyadic rational.
+measure and overlap below is exact: a dyadic rational, or an integer over a
+stated power of two.
 """
 
 from __future__ import annotations
@@ -320,34 +321,11 @@ class Parallelogram:
         """All slab endpoints are integers over 2^y_scale."""
         return self.slope.level + self.spec.m + 2
 
-    def slab_lows(self) -> range:
-        """slab_scaled(c)[0] for every column c of the base, in column order."""
-        c0, lo, step = slab_run(self.spec, *self.sort_key())
-        return range(lo, lo + step * (self.col_hi - c0), step)
-
     def slab_scaled(self, c: int) -> tuple[int, int]:
-        """(lo, hi) of the column-c slab, scaled by 2^y_scale."""
-        lows = self.slab_lows()
-        lo = lows.start + (c - self.col_lo) * lows.step
+        """(lo, hi) of the column-c slab, scaled by 2^y_scale (slab_run's row)."""
+        c0, lo, step = slab_run(self.spec, *self.sort_key())
+        lo += (c - c0) * step
         return lo, lo + (1 << (self.y_scale - self.spec.m_w))
-
-    def slabs(self, scale: int) -> tuple[int, int, int, int]:
-        """(first slab bottom, step, columns, slab height) scaled by 2^scale.
-
-        The slab bottoms form an arithmetic progression (``slab_lows``);
-        scale must be at least y_scale.
-        """
-        lows = self.slab_lows()
-        d = scale - self.y_scale
-        return lows.start << d, lows.step << d, len(lows), 1 << (scale - self.spec.m_w)
-
-    def column_segment(self, c: int) -> tuple[DyadicRational, DyadicRational]:
-        """The vertical slab [s*x_c + b, s*x_c + b + w) over column c."""
-        if not self.col_lo <= c < self.col_hi:
-            raise ValueError("column out of range")
-        lo, hi = self.slab_scaled(c)
-        s = self.y_scale
-        return DyadicRational(lo, s), DyadicRational(hi, s)
 
     def center_rows(self, c: int) -> tuple[int, int]:
         """(first row, count) of rows whose centers lie in the column-c slab.
@@ -376,13 +354,6 @@ class Parallelogram:
             base = (c << m) + r0
             yield from range(base, base + cnt)
 
-    def pi2(self) -> Window:
-        """Vertical extent of the slab union (slabs sit at column centers)."""
-        lo, _ = self.slab_scaled(self.col_lo)
-        _, hi = self.slab_scaled(self.col_hi - 1)
-        s = self.y_scale
-        return Window(DyadicRational(lo, s), DyadicRational(hi, s))
-
     def __str__(self) -> str:
         return f"R(k={self.k}, base={self.base}, s={self.slope.center}, b={self.offset})"
 
@@ -409,8 +380,10 @@ def slab_cover(start: int, step: int, n: int, height: int, y: int) -> int:
 def slab_overlap(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     """Overlap length, summed over shared columns, of two slab runs at one scale.
 
-    A run is (first column, *Parallelogram.slabs(scale)).  Over a shared
-    column the two slabs overlap in
+    A run is (first column, first slab bottom, step, columns, slab height),
+    as ``badness.BadnessEngine.runs`` holds one per member: the slab bottoms
+    form an arithmetic progression over the columns.  Over a shared column
+    the two slabs overlap in
     clamp(b_lo + h_b - a_lo, 0, h_a) - clamp(b_lo - a_lo, 0, h_a), and
     a_lo - b_lo runs through an arithmetic progression, so the sum over the
     shared columns is a difference of two slab_cover values.
@@ -426,18 +399,10 @@ def slab_overlap(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return slab_cover(start, step, n, ah, bh) - slab_cover(start, step, n, ah, 0)
 
 
-def overlap_measure(a: Parallelogram, b: Parallelogram) -> DyadicRational:
-    """Exact area of the intersection of two staircase parallelograms."""
-    if a.spec != b.spec:
-        raise ValueError("incompatible grids")
-    s = max(a.y_scale, b.y_scale)
-    total = slab_overlap((a.col_lo, *a.slabs(s)), (b.col_lo, *b.slabs(s)))
-    return DyadicRational(total, s + a.spec.m)
-
-
 def slab_union(runs) -> int:
     """Length of the union of slab runs at one scale, summed over columns; a
-    run is (first column, *Parallelogram.slabs(scale)), as in slab_overlap."""
+    run is (first column, first slab bottom, step, columns, slab height), as
+    in slab_overlap."""
     by_col: dict[int, list[tuple[int, int]]] = {}
     for c0, lo, step, n, height in runs:
         for c in range(c0, c0 + n):
@@ -455,15 +420,3 @@ def slab_union(runs) -> int:
                 cur_hi = hi
         total += cur_hi - cur_lo
     return total
-
-
-def union_measure(members) -> DyadicRational:
-    """Exact area of the union of staircase parallelograms (same grid)."""
-    members = list(members)
-    if not members:
-        return DyadicRational(0)
-    spec = members[0].spec
-    if any(r.spec != spec for r in members):
-        raise ValueError("incompatible grids")
-    s = max(r.y_scale for r in members)
-    return DyadicRational(slab_union((r.col_lo, *r.slabs(s)) for r in members), s + spec.m)

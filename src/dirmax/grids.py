@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dyadic import DyadicRational
-from .geometry import GridSpec, Parallelogram, slab_rows, spec_from_offstep
+from .geometry import GridSpec, spec_from_offstep
 
 
 def _to_scaled(values, what: str) -> tuple[int, list[int]]:
@@ -239,42 +239,6 @@ class OneVarField:
             if j < top:
                 counts[j] = counts.get(j, 0) + 1
         return counts
-
-
-# -- exact integration over staircase parallelograms ------------------------
-
-
-def integrate_scaled(R: Parallelogram, f: GridFunction) -> tuple[int, int]:
-    """Exact integral of f over R as (numerator, exponent).
-
-    Each column's slab enters as its rows a..b whole, less the parts of rows a
-    and b outside it (geometry.slab_rows), each row 2^(k + 2) scaled units high.
-    """
-    spec = R.spec
-    if spec != f.spec:
-        raise ValueError("incompatible grids")
-    m, k = spec.m, R.k
-    nums = f.nums
-    total = 0
-    base = R.col_lo << m
-    for lo in R.slab_lows():
-        a, b, below, above = slab_rows(spec, k, lo)
-        a, b = base + a, base + b
-        total += (sum(nums[a : b + 1]) << (k + 2)) - below * nums[a] - above * nums[b]
-        base += 1 << m
-    return total, R.y_scale + m + f.scale
-
-
-def integrate(R: Parallelogram, f: GridFunction) -> DyadicRational:
-    """Exact integral of the piecewise-constant f over the staircase R."""
-    num, exp = integrate_scaled(R, f)
-    return DyadicRational(num, exp)
-
-
-def average(R: Parallelogram, f: GridFunction) -> DyadicRational:
-    """(1/|R|) * integral of f over R, exact."""
-    num, exp = integrate_scaled(R, f)
-    return DyadicRational(num, exp - R.base.level - R.spec.m_w)
 
 
 # -- MAXGRID v1 file format --------------------------------------------------

@@ -30,9 +30,23 @@ from dirmax.badness import (
 from dirmax.calibration import DEFAULT_LAMBDA0, REFORMULATE_FACTOR
 from dirmax.dyadic import DyadicRational as D
 from dirmax.family import FamilyParams, RectangleFamily, enumerate_family
-from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell, Window
+from dirmax.geometry import (
+    DyadicInterval,
+    GridSpec,
+    Parallelogram,
+    SlopeCell,
+    Window,
+    spec_from_offstep,
+)
 from dirmax.grids import GridFunction
-from dirmax.instances import build_corpus, organized_collections, random_field, random_grid
+from dirmax.instances import (
+    CorpusInstance,
+    build_corpus,
+    cascade_field,
+    organized_collections,
+    random_field,
+    random_grid,
+)
 from dirmax.maximal import apply_T_adjoint, linearize, nu, nu_all
 
 
@@ -412,6 +426,33 @@ def _oracle_union(m, tables) -> Fraction:
     return total / (1 << m)
 
 
+def _touched(m: int, m_w: int, raw) -> list[set[int]]:
+    """Per member, the cells its staircase overlaps: from its slab table and row rule."""
+    tables = [oracle._slab_table(m, m_w, q) for q in raw]
+    return [{(c << m) + r for c, lo, hi in table for r in oracle._rows(m, lo, hi)} for table in tables]
+
+
+def _records(diag) -> list[tuple]:
+    return [(r.member, r.badness, r.inside_shrunk, r.badness_after) for r in diag.dichotomy_failures]
+
+
+def _oracle_records(m, m_w, raw, entries, touched, E, E_next, cap: Fraction) -> list[tuple]:
+    """The dichotomy audit of one shrinking step E -> E_next from oracle.badness:
+    a record for every R with B_R > cap that is not inside E_next with
+    B_R <= cap + B_R^{E_next}."""
+    want = []
+    for mi in range(len(raw)):
+        b = oracle.badness(m, m_w, raw, entries, E, mi)
+        if b <= cap:
+            continue
+        inside = touched[mi] <= set(E_next)
+        b_after = oracle.badness(m, m_w, raw, entries, E_next, mi)
+        if inside and b <= cap + b_after:
+            continue
+        want.append((mi, D.from_fraction(b).render(), inside, D.from_fraction(b_after).render()))
+    return want
+
+
 @pytest.mark.parametrize(
     "m, half, seed, lam",
     [(4, False, 3, D(5, 2)), (4, True, 2, D(5, 2)), (5, False, 0, D(5, 2)),
@@ -429,9 +470,7 @@ def test_dichotomy_audit_and_bands_match_the_oracle(monkeypatch, m, half, seed, 
     trace = shrink_iterate(frozenset(rho.covered_cells()), rho, lam)
     raw, entries, m_w = _raw(fam), rho.entries.tolist(), spec.m_w
     tables = [oracle._slab_table(m, m_w, q) for q in raw]
-    touched = [
-        {(c << m) + r for c, lo, hi in table for r in oracle._rows(m, lo, hi)} for table in tables
-    ]
+    touched = _touched(m, m_w, raw)
     eng = BadnessEngine(rho)
     for mi, R in enumerate(fam.members):
         want = [(c << m) + r for c in range(R.col_lo, R.col_hi) for r in range(*R.touched_rows(c))]
@@ -444,18 +483,8 @@ def test_dichotomy_audit_and_bands_match_the_oracle(monkeypatch, m, half, seed, 
     steps = [[int(i) for i in step] for step in trace.steps]
     records = 0
     for E, E_next, diag in zip(steps, steps[1:], trace.diagnostics):
-        want = []
-        for mi in range(len(raw)):
-            b = b_of(E, mi)
-            if b <= cap:
-                continue
-            inside = touched[mi] <= set(E_next)
-            b_after = b_of(E_next, mi)
-            if inside and b <= cap + b_after:
-                continue
-            want.append((mi, D.from_fraction(b).render(), inside, D.from_fraction(b_after).render()))
-        got = [(r.member, r.badness, r.inside_shrunk, r.badness_after) for r in diag.dichotomy_failures]
-        assert got == want
+        got = _records(diag)
+        assert got == _oracle_records(m, m_w, raw, entries, touched, E, E_next, cap)
         records += len(got)
     b0 = [b_of(steps[0], mi) for mi in range(len(raw))]
     want_bands = []
@@ -474,6 +503,27 @@ def test_dichotomy_audit_and_bands_match_the_oracle(monkeypatch, m, half, seed, 
     ]
     assert got_bands == want_bands
     assert records and got_bands  # the replay is not vacuous
+
+
+def test_dichotomy_audit_inside_shrunk_matches_the_oracle(monkeypatch):
+    """The audit's "R inside E'" branch: at dichotomy factor 0 and lambda0 1,
+    one shrinking step of the m 4 cascade (m_w 2, delta 1/2, random_grid seed
+    0) audits every member of positive badness.  It gives 12 records, 2 of
+    them for members inside E' whose badness after the step is too small,
+    and each record is replayed from the oracle.  (shrink_iterate is not run
+    at factor 0: its band loop would not end.)"""
+    monkeypatch.setattr(dirmax.badness, "UNIVERSAL_BADNESS_FACTOR", 0)
+    spec = spec_from_offstep(4, 2, "w")
+    inst = CorpusInstance("cascade_m4", spec, D(1, 1), cascade_field(spec), 0)
+    rho = inst.rho
+    E = rho.covered_cells()
+    shrunk, diag = shrink_once(E, rho, D(1))
+    raw = _raw(inst.family)
+    touched = _touched(spec.m, spec.m_w, raw)
+    got = _records(diag)
+    entries = rho.entries.tolist()
+    assert got == _oracle_records(spec.m, spec.m_w, raw, entries, touched, E, shrunk.tolist(), Fraction(0))
+    assert len(got) == 12 and sum(inside for _, _, inside, _ in got) == 2
 
 
 def test_multi_collection_experiment():

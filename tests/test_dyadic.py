@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -77,6 +78,44 @@ def test_ordering_and_fraction_interop():
     assert D(1, 3) == Fraction(1, 8)
     assert D(1, 3) < Fraction(1, 3)
     assert sorted([D(3, 2), D(1, 3), D(1)]) == [D(1, 3), D(3, 2), D(1)]
+
+
+def _operand_pairs(bound: int, exps: tuple[int, int]):
+    """(DyadicRational, DyadicRational | int | Fraction) pairs; a small bound makes ties common."""
+    dyadic = st.builds(D, st.integers(-bound, bound), st.integers(*exps))
+    other = st.one_of(
+        dyadic,
+        st.integers(-bound, bound),
+        st.builds(Fraction, st.integers(-bound, bound), st.integers(1, bound)),
+        dyadic.map(D.as_fraction),
+    )
+    return st.tuples(dyadic, other)
+
+
+_COMPARISONS = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
+
+
+def _exact(x) -> Fraction:
+    return x.as_fraction() if isinstance(x, D) else Fraction(x)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(pair=st.one_of(_operand_pairs(8, (-2, 4)), _operand_pairs(1 << 70, (-8, 80))))
+def test_comparisons_match_fraction_in_both_orders(pair):
+    a, b = pair
+    for op in _COMPARISONS:
+        assert op(a, b) is op(_exact(a), _exact(b))
+        assert op(b, a) is op(_exact(b), _exact(a))
+
+
+def test_order_comparisons_reject_float_and_str():
+    for other in (0.5, 1.0, "1"):
+        for op in _COMPARISONS[:4]:
+            with pytest.raises(TypeError):
+                op(D(1), other)
+            with pytest.raises(TypeError):
+                op(other, D(1))
+    assert D(1, 1).__lt__(0.5) is NotImplemented
 
 
 def test_parse_render_round_trip():

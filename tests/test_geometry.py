@@ -9,20 +9,23 @@ from fractions import Fraction
 import pytest
 
 from dirmax import oracle
+from dirmax.badness import BadnessEngine
 from dirmax.dyadic import DyadicRational as D
-from dirmax.family import FamilyParams, enumerate_family
+from dirmax.family import FamilyParams, RectangleFamily, enumerate_family
 from dirmax.geometry import (
     DyadicInterval,
     GridSpec,
     Parallelogram,
     SlopeCell,
-    overlap_measure,
     slab_cover,
+    slab_overlap,
     slab_rows,
     slab_run,
-    union_measure,
+    slab_union,
 )
-from dirmax.instances import random_field
+from dirmax.grids import GridFunction
+from dirmax.instances import random_field, random_grid
+from dirmax.maximal import linearize
 
 
 def test_interval_containment_partial_order():
@@ -75,18 +78,31 @@ def test_grid_spec_validation():
         GridSpec(4, -1)
 
 
+def _raw(R: Parallelogram):
+    """R as the oracle's raw member (k, base index, slope index, offset)."""
+    return R.k, R.base.index, R.slope.index, R.offset.as_fraction()
+
+
+def _slab(R: Parallelogram, c: int) -> tuple[D, D]:
+    """R's slab over column c, from its scaled-integer row."""
+    lo, hi = R.slab_scaled(c)
+    return D(lo, R.y_scale), D(hi, R.y_scale)
+
+
 def test_column_segment_known_value():
     # base [0,1/2), slope cell (k=1, j=1) so s=3/4, b=1/8, column 3 on the
     # m=4 grid: slab is [3/4 * 7/32 + 1/8, ... + 1/4) = [37/128, 69/128)
     spec = GridSpec(4, 2, True)
     R = Parallelogram(spec, DyadicInterval(1, 0), SlopeCell(1, 1), D(1, 3))
-    lo, hi = R.column_segment(3)
+    lo, hi = _slab(R, 3)
     assert lo == D(37, 7) and hi == D(69, 7)
+    assert (lo, hi) == oracle.slab(spec.m, spec.m_w, _raw(R), 3)
     # float cross-check
     assert abs(float(lo) - (0.75 * 7 / 32 + 0.125)) < 1e-12
     assert hi - lo == spec.w  # slab height is exactly w
-    with pytest.raises(ValueError):
-        R.column_segment(8)  # column out of range
+    # column 8 is outside the base: R holds no cell there
+    assert R.col_hi == 8 and 8 not in oracle.columns(spec.m, spec.m_w, _raw(R))
+    assert not any(R.contains_cell(8, r) for r in range(spec.n))
 
 
 def test_column_segment_formula():
@@ -95,10 +111,11 @@ def test_column_segment_formula():
     spec = GridSpec(4, 2, False)
     R = Parallelogram(spec, DyadicInterval(2, 0), SlopeCell(0, 0), D(0))
     for c in range(R.col_lo, R.col_hi):
-        lo, hi = R.column_segment(c)
+        lo, hi = _slab(R, c)
         x_c = spec.x_center(c)
         assert lo == D(1, 1) * x_c
         assert hi == lo + spec.w
+        assert (lo, hi) == oracle.slab(spec.m, spec.m_w, _raw(R), c)
 
 
 def test_measure_and_slab_partition():
@@ -110,9 +127,9 @@ def test_measure_and_slab_partition():
     for P in (R, full):
         total = D(0)
         for c in range(P.col_lo, P.col_hi):
-            lo, hi = P.column_segment(c)
+            lo, hi = _slab(P, c)
             total = total + (hi - lo) * spec.cell
-        assert total == P.measure
+        assert total == P.measure == oracle.member_measure(spec.m_w, _raw(P))
 
 
 def test_containment_enforced():
@@ -136,34 +153,56 @@ def test_center_rows_count():
     for c in range(R.col_lo, R.col_hi):
         r0, cnt = R.center_rows(c)
         assert cnt == 1 << (spec.m - spec.m_w)
-        lo, hi = R.column_segment(c)
+        lo, hi = _slab(R, c)
         for r in range(r0, r0 + cnt):
             y = D(2 * r + 1, spec.m + 1)  # row r's center
             assert lo <= y < hi
 
 
 def test_pi2_extent():
-    spec = GridSpec(4, 2, False)
-    R = Parallelogram(spec, DyadicInterval(1, 0), SlopeCell(1, 0), D(1, 2))
-    w = R.pi2()
-    lo0, _ = R.column_segment(R.col_lo)
-    _, hi1 = R.column_segment(R.col_hi - 1)
-    assert w.lo == lo0 and w.hi == hi1
+    """BadnessEngine.ends, each member's pi_2 extent over 2^S, against the
+    oracle: from the bottom of its first slab to the top of its last."""
+    for m, m_w, half in ((4, 2, False), (5, 3, True)):
+        spec = GridSpec(m, m_w, half)
+        fam = enumerate_family(FamilyParams(spec, D(1, 2)), random_field(spec, random.Random(m)))
+        eng = BadnessEngine(linearize(GridFunction.zeros(spec), fam))
+        assert len(eng.ends) == len(fam) > 0
+        for (lo, hi), R in zip(eng.ends, fam.members):
+            ends = D(lo, eng.scale), D(hi, eng.scale)
+            assert ends == oracle.pi2_extent(m, m_w, _raw(R))
+            assert ends == (_slab(R, R.col_lo)[0], _slab(R, R.col_hi - 1)[1])
+
+
+def _measures(spec: GridSpec, members):
+    """|A cap B| and |union| from the badness engine's slab runs: lengths over
+    2^S summed over columns 2^-m wide."""
+    fam = RectangleFamily(FamilyParams(spec, D(1)), members)
+    eng = BadnessEngine(linearize(GridFunction.zeros(spec), fam))
+    exp = eng.scale + spec.m
+
+    def overlap(a, b):
+        return D(slab_overlap(eng.runs[a], eng.runs[b]), exp)
+
+    def union(picked):
+        return D(slab_union(eng.runs[i] for i in picked), exp)
+
+    return overlap, union
 
 
 def test_overlap_and_union_measures():
     spec = GridSpec(4, 2, False)
     a = Parallelogram(spec, DyadicInterval(0, 0), SlopeCell(2, 0), D(0))
     b = Parallelogram(spec, DyadicInterval(0, 0), SlopeCell(2, 1), D(0))
-    assert overlap_measure(a, a) == a.measure
-    assert overlap_measure(a, b) == overlap_measure(b, a)
-    inter = overlap_measure(a, b)
-    assert union_measure([a, b]) == a.measure + b.measure - inter
-    assert union_measure([]) == D(0)
-    # disjoint columns -> zero overlap
     c = Parallelogram(spec, DyadicInterval(2, 0), SlopeCell(0, 0), D(0))
     d = Parallelogram(spec, DyadicInterval(2, 3), SlopeCell(0, 0), D(0))
-    assert overlap_measure(c, d) == D(0)
+    overlap, union = _measures(spec, (a, b, c, d))
+    assert overlap(0, 0) == a.measure
+    assert overlap(0, 1) == overlap(1, 0)
+    inter = overlap(0, 1)
+    assert union([0, 1]) == a.measure + b.measure - inter
+    assert union([]) == D(0)
+    # disjoint columns -> zero overlap
+    assert overlap(2, 3) == D(0)
 
 
 def test_containment_boundary_top_exactly_one():
@@ -195,11 +234,13 @@ def test_overlap_and_union_against_oracle():
     for m, m_w, half in ((4, 2, False), (5, 3, True), (5, 1, False)):
         spec = GridSpec(m, m_w, half)
         fam = enumerate_family(FamilyParams(spec, D(1, 3)), random_field(spec, random.Random(m + m_w)))
-        raw = [(r.k, r.base.index, r.slope.index, r.offset.as_fraction()) for r in fam.members]
+        raw = [_raw(r) for r in fam.members]
+        eng = BadnessEngine(linearize(random_grid(spec, random.Random(m)), fam))
+        unit = Fraction(1, 1 << (eng.scale + m))
         rng = random.Random(m * m_w)
         for _ in range(150):
             i, j = rng.randrange(len(raw)), rng.randrange(len(raw))
-            got = overlap_measure(fam.members[i], fam.members[j]).as_fraction()
+            got = slab_overlap(eng.runs[i], eng.runs[j]) * unit
             assert got == oracle.pair_overlap(m, m_w, raw[i], raw[j])
         pick = sorted(rng.sample(range(len(raw)), min(12, len(raw))))
         want = Fraction(0)
@@ -215,7 +256,7 @@ def test_overlap_and_union_against_oracle():
                 else:
                     cur[1] = max(cur[1], hi)
             want += cur[1] - cur[0] if cur else 0
-        got = union_measure(fam.members[i] for i in pick).as_fraction()
+        got = slab_union(eng.runs[i] for i in pick) * unit
         assert got == want * Fraction(1, 1 << m)
 
 

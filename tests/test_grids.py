@@ -1,4 +1,8 @@
-"""Grid functions, exact integration, and the MAXGRID text format."""
+"""Grid functions, exact integration over members, and the MAXGRID text format.
+
+Integrals over staircase members come from the member kernel
+(maximal._scaled_averages: the average times |R|), refereed by the oracle.
+"""
 
 from __future__ import annotations
 
@@ -8,13 +12,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dirmax import maximal, oracle
 from dirmax.dyadic import DyadicRational as D
+from dirmax.family import FamilyParams, RectangleFamily
 from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell
 from dirmax.grids import (
     GridFunction,
     OneVarField,
-    average,
-    integrate,
     parse_field,
     parse_grid,
     render_field,
@@ -34,6 +38,30 @@ def _random_R(spec: GridSpec, rng: random.Random) -> Parallelogram:
         q = spec.offset_exp
         tmax = (top.num << (q - top.exp)) if q >= top.exp else (top.num >> (top.exp - q))
         return Parallelogram(spec, base, s, D(rng.randrange(tmax + 1), q))
+
+
+def _random_family(spec: GridSpec, rng: random.Random, count: int) -> RectangleFamily:
+    """count distinct random members, in the order drawn."""
+    members: list[Parallelogram] = []
+    while len(members) < count:
+        R = _random_R(spec, rng)
+        if R not in members:
+            members.append(R)
+    return RectangleFamily(FamilyParams(spec, D(1)), members)
+
+
+def _averages(fam: RectangleFamily, f: GridFunction) -> list[D]:
+    """Per member the exact average of f over it, from the member kernel."""
+    avgs, scale = maximal._scaled_averages(fam, f)
+    return [D(a, scale) for a in avgs]
+
+
+def _integrals(fam: RectangleFamily, f: GridFunction) -> list[D]:
+    return [a * R.measure for a, R in zip(_averages(fam, f), fam.members)]
+
+
+def _raw(R: Parallelogram):
+    return R.k, R.base.index, R.slope.index, R.offset.as_fraction()
 
 
 def test_grid_construction_and_validation():
@@ -93,12 +121,14 @@ def test_grid_equality_across_scales():
 
 def test_integrate_constants():
     spec = GridSpec(4, 2, False)
-    rng = random.Random(2)
-    for _ in range(10):
-        R = _random_R(spec, rng)
-        assert integrate(R, GridFunction.constant(spec, 1)) == R.measure
-        assert integrate(R, GridFunction.zeros(spec)) == D(0)
-        assert average(R, GridFunction.constant(spec, D(5, 1))) == D(5, 1)
+    fam = _random_family(spec, random.Random(2), 10)
+    ones = [Fraction(1)] * spec.n_cells
+    assert _integrals(fam, GridFunction.constant(spec, 1)) == [R.measure for R in fam.members]
+    assert [oracle.integrate(spec.m, spec.m_w, _raw(R), ones) for R in fam.members] == [
+        R.measure for R in fam.members
+    ]
+    assert _integrals(fam, GridFunction.zeros(spec)) == [D(0)] * len(fam)
+    assert _averages(fam, GridFunction.constant(spec, D(5, 1))) == [D(5, 1)] * len(fam)
 
 
 def test_integrate_linear_and_monotone():
@@ -107,11 +137,12 @@ def test_integrate_linear_and_monotone():
     f = GridFunction(spec, 0, [rng.randrange(8) for _ in range(spec.n_cells)])
     g = GridFunction(spec, 1, [rng.randrange(16) for _ in range(spec.n_cells)])
     fg = GridFunction(spec, 1, [2 * a + b for a, b in zip(f.nums, g.nums)])
-    for _ in range(8):
-        R = _random_R(spec, rng)
-        assert integrate(R, fg) == integrate(R, f) + integrate(R, g)
-        bigger = GridFunction(spec, f.scale, [n + 1 for n in f.nums])
-        assert integrate(R, f) < integrate(R, bigger)
+    fam = _random_family(spec, rng, 8)
+    bigger = GridFunction(spec, f.scale, [n + 1 for n in f.nums])
+    sums = zip(*(_integrals(fam, h) for h in (f, g, fg, bigger)))
+    for a, b, ab, up in sums:
+        assert ab == a + b
+        assert a < up
 
 
 def test_integrate_subsampling_oracle():
@@ -124,23 +155,31 @@ def test_integrate_subsampling_oracle():
     per_col = (1 << 12) // ncols
     total = Fraction(0)
     for c in range(R.col_lo, R.col_hi):
-        lo, hi = R.column_segment(c)
-        lo_f, w_f = lo.as_fraction(), (hi - lo).as_fraction()
+        lo_f, hi_f = oracle.slab(spec.m, spec.m_w, _raw(R), c)
+        w_f = hi_f - lo_f
         for i in range(per_col):
             y = lo_f + w_f * Fraction(2 * i + 1, 2 * per_col)
             r = min(int(y * spec.n), spec.n - 1)
             total += f.value(c, r).as_fraction()
     approx = total / (ncols * per_col) * R.measure.as_fraction()
-    exact = integrate(R, f).as_fraction()
-    assert abs(exact - approx) <= Fraction(1, 1 << 10) * R.measure.as_fraction()
+    [exact] = _integrals(RectangleFamily(FamilyParams(spec, D(1)), [R]), f)
+    assert exact == oracle.integrate(spec.m, spec.m_w, _raw(R), [x.as_fraction() for x in f.values()])
+    assert abs(exact.as_fraction() - approx) <= Fraction(1, 1 << 10) * R.measure.as_fraction()
 
 
 def test_integrate_spec_mismatch():
     spec = GridSpec(4, 2, False)
     other = GridSpec(5, 3, False)
     R = Parallelogram(spec, DyadicInterval(2, 0), SlopeCell(0, 0), D(0))
-    with pytest.raises(ValueError, match="incompatible grids"):
-        integrate(R, GridFunction.zeros(other))
+    fam = RectangleFamily(FamilyParams(spec, D(1)), [R])
+    rho = maximal.linearize(GridFunction.zeros(spec), fam)
+    foreign = GridFunction.zeros(other)
+    for op in (maximal.maximal_apply, maximal.linearize):
+        with pytest.raises(ValueError, match="incompatible grids"):
+            op(foreign, fam)
+    for op in (maximal.apply_T, maximal.apply_T_adjoint):
+        with pytest.raises(ValueError, match="incompatible grids"):
+            op(rho, foreign)
 
 
 def test_maxgrid_round_trip():

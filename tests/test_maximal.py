@@ -16,7 +16,7 @@ from dirmax import maximal, oracle
 from dirmax.dyadic import DyadicRational as D
 from dirmax.family import FamilyParams, enumerate_family
 from dirmax.geometry import GridSpec
-from dirmax.grids import GridFunction, average
+from dirmax.grids import GridFunction
 from dirmax.instances import random_field, random_grid
 from dirmax.maximal import (
     ChoiceMap,
@@ -41,6 +41,14 @@ def _setup(seed=7, delta=D(1, 3), m=4, half=False):
     return spec, fam, f
 
 
+def _oracle_averages(fam, f) -> list[Fraction]:
+    """Per member the exact average of f: the oracle's integral over its measure."""
+    m, m_w = fam.spec.m, fam.spec.m_w
+    values = [x.as_fraction() for x in f.values()]
+    raw = [(r.k, r.base.index, r.slope.index, r.offset.as_fraction()) for r in fam.members]
+    return [oracle.integrate(m, m_w, r, values) / oracle.member_measure(m_w, r) for r in raw]
+
+
 def test_maximal_constant_one():
     spec, fam, _ = _setup()
     mf = maximal_apply(GridFunction.constant(spec, 1), fam)
@@ -56,7 +64,7 @@ def test_maximal_single_member():
     sub = fam.subfamily([0])
     R = sub.members[0]
     mf = maximal_apply(f, sub)
-    avg = average(R, f)
+    [avg] = _oracle_averages(sub, f)
     cells = set(R.cell_indices())
     for idx in range(spec.n_cells):
         assert mf.value_at(idx) == (avg if idx in cells else D(0))
@@ -102,7 +110,7 @@ def test_painter_equal_and_zero_averages():
     spec = GridSpec(4, 2, True)
     fam = enumerate_family(FamilyParams(spec, D(1, 2)), random_field(spec, random.Random(0)))
     f = GridFunction.indicator(spec, [i for i in range(spec.n_cells) if i < spec.n_cells // 2])
-    avgs = [average(r, f) for r in fam.members]
+    avgs = _oracle_averages(fam, f)
     rho, mf = linearize(f, fam), maximal_apply(f, fam)
     tied = zero = 0
     for idx in range(spec.n_cells):
@@ -160,8 +168,8 @@ def test_int64_kernel_matches_oracle_and_exact_path(spec_args, seed, delta, bits
         want = apply_T(rho, f)
         assert (tf.scale, tf.nums) == (want.scale, want.nums)
         avgs, scale = maximal._scaled_averages(fam, f)
-    # the gathered side against the per-member Python-int integral of grids
-    assert [D(x, scale) for x in avgs] == [average(r, f) for r in fam.members]
+    # the gathered side against the oracle's integrals
+    assert [Fraction(x, 1 << scale) for x in avgs] == _oracle_averages(fam, f)
 
 
 @pytest.mark.parametrize("half", [False, True])
@@ -203,7 +211,7 @@ def test_painter_many_ties():
     rng = random.Random(4)
     col = [rng.randrange(3) for _ in range(spec.n)]
     f = GridFunction(spec, 0, [col[i >> spec.m] for i in range(spec.n_cells)])
-    avgs = [average(r, f) for r in fam.members]
+    avgs = _oracle_averages(fam, f)
     assert len(set(avgs)) * 10 < len(avgs)
     cands = [[] for _ in range(spec.n_cells)]
     for i, r in enumerate(fam.members):

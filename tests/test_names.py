@@ -187,6 +187,29 @@ def test_maximal_reads_members_only_in_the_choice_map_check():
     assert name_lines(source, "integrate_scaled") == []
 
 
+def test_one_staircase_outside_the_oracle():
+    """Member integrals come from the key-row kernel (maximal._scaled_averages)
+    and overlaps and unions from BadnessEngine's slab runs: the per-member
+    copies of both are gone, and no module or note names them."""
+    from dirmax import geometry, grids
+
+    gone = [
+        (grids, ("integrate_scaled", "integrate", "average")),
+        (geometry, ("overlap_measure", "union_measure")),
+        (geometry.Parallelogram, ("slabs", "slab_lows", "column_segment", "pi2")),
+    ]
+    assert [(o.__name__, n) for o, names in gone for n in names if hasattr(o, n)] == []
+    root = Path(dirmax.__file__).parent
+    sources = sorted(root.glob("*.py")) + sorted((root.parents[1] / "notes").glob("*.py"))
+    found = {
+        (p.name, name): lines
+        for p in sources
+        for name in ("integrate_scaled", "overlap_measure", "column_segment", "slab_lows")
+        if (lines := name_lines(p.read_text(), name))
+    }
+    assert found == {}
+
+
 def test_vertical_maximal_builds_no_fractions():
     """m2_vertical returns integer (num, den) arrays: maximal.py names no
     Fraction, and no module names the per-cell Fraction grid it once built."""

@@ -551,13 +551,15 @@ def test_popularity_counts_match_oracle(spec_args, seed, delta, root_seed):
                 assert is_dense(R, v, delta) is dense[j]
 
 
+def _zero_vertical_max(g):
+    """m2_vertical's (num, den) arrays for M2 g = 0 on every cell."""
+    n = g.spec.n_cells
+    return np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+
+
 def test_calibrated_domination_fails_on_zero_vertical_max(corpus, monkeypatch):
     # no factor covers an average above a vertical maximum of 0
-    def zero(g):
-        n = g.spec.n_cells
-        return np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
-
-    monkeypatch.setattr(stopping_time, "m2_vertical", zero)
+    monkeypatch.setattr(stopping_time, "m2_vertical", _zero_vertical_max)
     report = verify.VerifyReport()
     verify.check_domination(report, [i for i in corpus if i.name == "m5_cascade_d1"])
     exact, calibrated = report.results
@@ -612,3 +614,22 @@ def test_domination_check_matches_the_oracle_tuple_by_tuple(corpus):
     res = run_generations(inst.field, inst.spec.w, inst.delta, inst.rho)
     zero = GridFunction.zeros(inst.spec)
     assert domination_check(res, inst.rho, zero) == _oracle_domination(res, inst.rho, zero) == ([], 88, 0)
+
+
+def test_domination_check_on_an_m6_cascade(monkeypatch):
+    """Criterion 9's loop beyond m5_cascade_d1, the one corpus instance with
+    tuples: the cascade at m 6, m_w 3, delta 1/2 (random_grid seed 0) splits
+    into two generations and gives 176 (piece, later cell) tuples, 8 of them
+    above M2 g(x).  With M2 g patched to 0 every tuple is a violation, so the
+    loop compares each tuple it counts."""
+    spec = spec_from_offstep(6, 3, "w")
+    inst = CorpusInstance("cascade_m6", spec, D(1, 1), cascade_field(spec), 0)
+    res = run_generations(inst.field, spec.w, inst.delta, inst.rho)
+    assert len(res.generations) == 2
+    violations, checked, worst = domination_check(res, inst.rho, inst.f)
+    assert (len(violations), checked) == (8, 176)
+    assert 1 < worst < Fraction(11, 10)
+    monkeypatch.setattr(stopping_time, "m2_vertical", _zero_vertical_max)
+    violations, again, _ = domination_check(res, inst.rho, inst.f)
+    assert again == checked == len(violations)
+    assert {v.vertical_max for v in violations} == {"0"}
