@@ -6,17 +6,19 @@ pi_1(R).  All quadratic pairings here use true staircase intersections, so
 identities like the in/out split and the single-rectangle reformulation are
 exact dyadic equalities.
 
-Everything runs in integers over one member table (``BadnessEngine``): each
-member's slab progression at the scale 2^S, S = m + m_w + 2, its pi_2 ends
-and its base level.  Every scan reads one weight vector, counts[Q] << level_Q
-(nu_Q / |Q| over a fixed power of two) per member Q, zeroed for the members
-it leaves out.  Overlaps are ``geometry.slab_overlap`` of two progressions;
-a member's mass below height y, G(y), is ``geometry.slab_cover``, and its
-mass in [a, b) is G(b) - G(a).  B_R, the reformulation sums and box masses
-build one DyadicRational at return.  The bad-window scan of a shrinking
-step tabulates G once per base I and compares B_out with lambda0 by
-cross-multiplying integers, so it builds no DyadicRational or Fraction per
-window.  Cell sets are sorted read-only int32 arrays, as in stopping_time.
+Everything runs in integers over one member table built from the family
+(``BadnessEngine``): each member's slab progression at the scale 2^S,
+S = m + m_w + 2, its pi_2 ends and its base level.  Every scan reads one
+weight vector, counts[Q] << level_Q (nu_Q / |Q| over a fixed power of two)
+per member Q, zeroed for the members it leaves out.  Overlaps are
+``geometry.slab_overlap`` of two progressions; a member's mass below height
+y, G(y), is ``geometry.slab_cover``, and its mass in [a, b) is G(b) - G(a).
+B_R, the reformulation sums and box masses build one DyadicRational at
+return.  A shrinking step tabulates w * G at the grid points and B_R once
+per member, for the bad-window scan under every base I, the audit and the
+bands.  The scan compares B_out with lambda0 by cross-multiplying integers,
+so it builds no DyadicRational or Fraction per window.  Cell sets are
+sorted read-only int32 arrays, as in stopping_time.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .grids import GridFunction, _cell_set, cell_array
 from .maximal import ChoiceMap, apply_T_adjoint, estimate_norm, maximal_apply, nu_all
 
 UNIVERSAL_BADNESS_FACTOR = 20  # dichotomy constant: C_key = 20 * lambda0
+MAX_SHRINK_STEPS = 32  # shrink_iterate stops a longer trace and marks it truncated
 
 
 def _coerce_lambda(lam0) -> DyadicRational:
@@ -50,7 +53,7 @@ def _coerce_lambda(lam0) -> DyadicRational:
 
 
 class BadnessEngine:
-    """One integer table over a linearization's members for every badness scan.
+    """One integer table over a family's members for every badness scan.
 
     Each member's key row is tabulated once at the scale 2^S,
     S = m + m_w + 2 (the grid's largest y_scale): its slab run (first column,
@@ -60,10 +63,10 @@ class BadnessEngine:
     so that no product wraps.
     """
 
-    def __init__(self, rho: ChoiceMap):
-        self.spec = spec = rho.fam.spec
+    def __init__(self, fam: RectangleFamily):
+        self.spec = spec = fam.spec
         self.scale = S = spec.m + spec.m_w + 2
-        keys = rho.fam.sort_keys.T
+        keys = fam.sort_keys.T
         c0, lo, step = slab_run(spec, *keys)
         i, d = keys[1], spec.m_w - keys[0]  # from the scale 2^(k + m + 2) up to 2^S
         cols, height = 1 << (spec.m - d), 1 << (S - spec.m_w)
@@ -135,13 +138,13 @@ class BadnessEngine:
 
 def badness(R: Parallelogram, cells: Iterable[int], rho: ChoiceMap) -> DyadicRational:
     """Badness of R against the chooser set: exact weighted intersection count."""
-    eng = BadnessEngine(rho)
+    eng = BadnessEngine(rho.fam)
     return eng.badness_of(rho.fam.index(R), eng.weights(nu_all(rho, cells)).tolist())
 
 
 def badness_table(cells: Iterable[int], rho: ChoiceMap) -> "BadnessTable":
     """nu and badness for every member against one chooser set."""
-    eng = BadnessEngine(rho)
+    eng = BadnessEngine(rho.fam)
     counts = nu_all(rho, cells)
     weights = eng.weights(counts).tolist()
     area = eng.spec.cell_area
@@ -173,7 +176,7 @@ def reformulate_check(
     also takes the reversed pair (b, a), which the pass does not visit when
     the bases differ.
     """
-    eng = BadnessEngine(rho)
+    eng = BadnessEngine(rho.fam)
     weights = eng.weights(nu_all(rho, cells)).tolist()
     runs, levels = eng.runs, eng.levels
     lhs = rhs = 0
@@ -203,7 +206,7 @@ def in_out_split(
     Averages over tripled (length 3/2^l) windows are exact but not dyadic,
     hence the Fraction return.
     """
-    eng = BadnessEngine(rho)
+    eng = BadnessEngine(rho.fam)
     w = eng.weights(nu_all(rho, cells))
     W = _window_of(K)
     if W.lo == W.hi:
@@ -227,7 +230,7 @@ def badness_components(
 ) -> tuple[DyadicRational, DyadicRational]:
     """Split of B_R by in/out choosers over the window K: parts sum to B_R."""
     mi = rho.fam.index(R)
-    eng = BadnessEngine(rho)
+    eng = BadnessEngine(rho.fam)
     w = eng.weights(nu_all(rho, cells))
     inside = eng.fits(_window_of(K).triple())
     return eng.badness_of(mi, (w * inside).tolist()), eng.badness_of(mi, (w * ~inside).tolist())
@@ -241,39 +244,51 @@ def select_bad_windows(
 ) -> tuple[DyadicInterval, ...]:
     """Vertical dyadic K with B_out(I,K) >= lambda0 but B_out(I,3K) < lambda0."""
     lam0 = _coerce_lambda(lam0)
-    eng = BadnessEngine(rho)
-    return _select_bad_windows(eng, I, eng.weights(nu_all(rho, cells)).tolist(), lam0)
+    eng = BadnessEngine(rho.fam)
+    weights = eng.weights(nu_all(rho, cells)).tolist()
+    covers = _cover_rows(eng, weights, eng.inside_base((I.level, I.index)))
+    return _select_bad_windows(eng, I, covers, lam0)
+
+
+def _cover_rows(
+    eng: BadnessEngine, weights: list[int], members: Iterable[int]
+) -> dict[int, tuple[int, int, list[int]]]:
+    """Per member with choosers among members: its pi_2 ends and its weight
+    times the slab mass below each of the 2^m + 1 grid points (over 2^S)."""
+    u = eng.scale - eng.spec.m  # grid point p sits at p << u
+    grid = range((1 << eng.spec.m) + 1)
+    rows = {}
+    for qi in members:
+        if w := weights[qi]:
+            _, start, step, cols, height = eng.runs[qi]
+            rows[qi] = (*eng.ends[qi], [w * slab_cover(start, step, cols, height, p << u) for p in grid])
+    return rows
 
 
 def _select_bad_windows(
     eng: BadnessEngine,
     I: DyadicInterval,
-    weights: list[int],
+    covers: dict[int, tuple[int, int, list[int]]],
     lam0: DyadicRational,
 ) -> tuple[DyadicInterval, ...]:
     """The bad-window scan over one base I, in scaled integers.
 
     Every vertical window at level <= m, its triple and the triple of that
-    run over the 2^m + 1 grid points p (p / 2^m).  One table per I holds,
-    for each member under I with choosers, its weight times the slab mass
+    run over the 2^m + 1 grid points p (p / 2^m).  covers holds, for each
+    member with choosers, its pi_2 ends and its weight times the slab mass
     below every grid point (slab_cover, at the common scale 2^S), so the
-    mass in [a, b) is cover[b] - cover[a].  The out-mass of a window is
-    the total mass minus that of the members whose pi_2 fits the triple,
-    and only members no taller than the triple can fit.
+    mass in [a, b) is cover[b] - cover[a]; a shrinking step builds it once
+    and the scan reads the rows of the members under I.  The out-mass of a
+    window is the total mass minus that of the members whose pi_2 fits the
+    triple, and only members no taller than the triple can fit.
     """
     spec = eng.spec
     m = spec.m
     n = 1 << m
-    active = [qi for qi in eng.inside_base((I.level, I.index)) if weights[qi]]
-    if not active:
+    rows = [covers[qi] for qi in eng.inside_base((I.level, I.index)) if qi in covers]
+    if not rows:
         return ()
     u = eng.scale - m  # grid point p sits at p << u
-    rows = []
-    for qi in active:
-        _, start, step, cols, height = eng.runs[qi]
-        w = weights[qi]
-        cover = [w * slab_cover(start, step, cols, height, p << u) for p in range(n + 1)]
-        rows.append((*eng.ends[qi], cover))
     total = [sum(col) for col in zip(*(cover for _, _, cover in rows))]
     rows.sort(key=lambda r: r[1] - r[0])
     heights = [hi - lo for lo, hi, _ in rows]
@@ -317,6 +332,7 @@ class ShrinkDiagnostics:
     f_cells: np.ndarray
     halved: bool
     dichotomy_failures: tuple[DichotomyRecord, ...]
+    badness: tuple[DyadicRational, ...]  # B_R against the step's input; empty without the audit
 
 
 def shrink_once(
@@ -333,18 +349,19 @@ def shrink_once(
     never silently dropped.
     """
     lam0 = _coerce_lambda(lam0)
-    eng = BadnessEngine(rho)
+    eng = BadnessEngine(rho.fam)
     spec = eng.spec
     m = spec.m
     cells = _cell_set(cell_array(spec, cells))
     weights = eng.weights(nu_all(rho, cells)).tolist()
+    covers = _cover_rows(eng, weights, range(len(weights)))
 
     windows = []
     grid = np.zeros((spec.n, spec.n), dtype=bool)  # grid[c, r] is cell (c << m) + r
     for level in range(spec.m_w + 1):
         for index in range(1 << level):
             I = DyadicInterval(level, index)
-            cal = _select_bad_windows(eng, I, weights, lam0)
+            cal = _select_bad_windows(eng, I, covers, lam0)
             if not cal:
                 continue
             windows.append((I, cal))
@@ -359,6 +376,7 @@ def shrink_once(
     halved = 2 * len(shrunk) <= len(cells)
     failures: list[DichotomyRecord] = []
     f_cells = _cell_set(np.empty(0))
+    bs: tuple[DyadicRational, ...] = ()
     if audit:
         g = apply_T_adjoint(rho, GridFunction.indicator(spec, cells))
         mg = maximal_apply(g, rho.fam)
@@ -367,8 +385,8 @@ def shrink_once(
         f_cells = _cell_set(np.flatnonzero([num << (lam0.exp + 1) >= half_lam for num in mg.nums]))
         cap = DyadicRational(UNIVERSAL_BADNESS_FACTOR) * lam0
         weights_after = eng.weights(nu_all(rho, shrunk)).tolist()
-        for mi in range(len(rho.fam)):
-            b = eng.badness_of(mi, weights)
+        bs = tuple(eng.badness_of(mi, weights) for mi in range(len(rho.fam)))
+        for mi, b in enumerate(bs):
             if b <= cap:
                 continue
             inside = bool(in_shrunk[eng.touched_cells(mi)].all())
@@ -376,7 +394,7 @@ def shrink_once(
             if inside and b <= cap + b_after:
                 continue
             failures.append(DichotomyRecord(mi, b.render(), inside, b_after.render()))
-    return shrunk, ShrinkDiagnostics(lam0, tuple(windows), f_cells, halved, tuple(failures))
+    return shrunk, ShrinkDiagnostics(lam0, tuple(windows), f_cells, halved, tuple(failures), bs)
 
 
 @dataclass(frozen=True)
@@ -410,18 +428,13 @@ class ShrinkHalvingError(RuntimeError):
         self.trace = trace
 
 
-def shrink_iterate(
-    cells: Iterable[int],
-    rho: ChoiceMap,
-    lam0,
-    max_steps: int = 32,
-    audit: bool = True,
-) -> ShrinkTrace:
+def shrink_iterate(cells: Iterable[int], rho: ChoiceMap, lam0) -> ShrinkTrace:
     """Iterated shrinking with the badness-band decay report.
 
     Bands S_{Ck} = {R : B_R^{E_0} >= C*k} with C = 20*lam0 must satisfy the
     containment chain R in S_{Ck} => R inside E_{k-1} (k >= 2), and each step
     must at least halve; a halving failure raises with the trace attached.
+    B_R^{E_0} is the first step's audit table.
     """
     lam0 = _coerce_lambda(lam0)
     spec = rho.fam.spec
@@ -430,10 +443,10 @@ def shrink_iterate(
     diags: list[ShrinkDiagnostics] = []
     truncated = False
     while len(steps[-1]):
-        if len(steps) > max_steps:
+        if len(steps) > MAX_SHRINK_STEPS:
             truncated = True
             break
-        nxt, diag = shrink_once(steps[-1], rho, lam0, audit=audit)
+        nxt, diag = shrink_once(steps[-1], rho, lam0)
         diags.append(diag)
         steps.append(nxt)
         if not diag.halved:
@@ -442,10 +455,9 @@ def shrink_iterate(
                 ShrinkTrace(lam0, tuple(steps), measures, tuple(diags), (), False)
             )
 
-    eng = BadnessEngine(rho)
-    weights0 = eng.weights(nu_all(rho, steps[0])).tolist()
+    eng = BadnessEngine(rho.fam)
     cap = DyadicRational(UNIVERSAL_BADNESS_FACTOR) * lam0
-    b0 = [eng.badness_of(mi, weights0) for mi in range(len(rho.fam))]
+    b0 = diags[0].badness if diags else ()  # no step, no bands: E_0 is empty
     bands: list[BandRow] = []
     k = 1
     while True:

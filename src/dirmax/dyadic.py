@@ -151,7 +151,7 @@ class DyadicRational:
     # -- comparisons (total order; Fraction comparisons supported) ------
 
     def __eq__(self, other):
-        if isinstance(other, Fraction):
+        if isinstance(other, (Fraction, float)):  # exact, as Fraction compares a float
             return self.as_fraction() == other
         other = _coerce(other)
         if other is None:

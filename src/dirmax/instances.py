@@ -100,7 +100,6 @@ def make_kakeya_bundle(m: int, delta: DyadicRational, depth: int | None = None) 
     """
     n = _log2_delta(delta)
     spec = GridSpec(m, n, False)
-    nslopes = 1 << n
     if depth is None:
         depth = n
     if not 0 <= depth <= n:
@@ -108,39 +107,28 @@ def make_kakeya_bundle(m: int, delta: DyadicRational, depth: int | None = None) 
 
     # merge point per digit: fixed schedule t_i = 2^-(n-i) for the top `depth`
     # digits (finer slope gaps fold earlier), 0 below -- so deeper compression
-    # strictly refines and the support measure is nonincreasing in depth
-    t: list[DyadicRational] = []
-    for i in range(n):
-        if i >= n - depth:
-            t.append(DyadicRational(1, n - i))
-        else:
-            t.append(DyadicRational(0))
-
-    m0 = DyadicRational(0)
-    for i in range(n):
-        m0 = m0 + DyadicRational(1 << i, n) * t[i]  # 2^i * delta * t_i
+    # strictly refines and the support measure is nonincreasing in depth.
+    # Slope j's offset, m0 = sum_i 2^i delta t_i less the terms of its set
+    # digits, is B_j / 4^n with B_j the sum of 4^i over the staggered digits i
+    # clear in j; rounded half up to the step w it is (2 B_j + 2^n) >> (n + 1)
+    j = np.arange(1 << n, dtype=np.int64)
+    B = sum(((1 - (j >> i & 1)) << (2 * i) for i in range(n - depth, n)), np.zeros_like(j))
+    tn = (2 * B + (1 << n)) >> (n + 1)
     # one full-length tail rectangle per direction that has one (every slope
-    # but the topmost), its offset quantized to the family grid and clamped;
-    # the support piece is the cell centers in (n, 0, j, tn)'s slabs on [0, 1/2)
-    rows: list[tuple[int, int, int, int]] = []  # key rows over the base [0, 1)
+    # but the topmost), its offset clamped to the family grid (tn >= 0); the
+    # support piece is the cell centers in (n, 0, j, tn)'s slabs on [0, 1/2)
+    t_max = max_offset_steps(spec, 0, j)
+    has_tail = t_max >= 0
+    tn = np.where(has_tail, np.minimum(tn, t_max), tn)
+    keys = np.stack([np.full_like(j, n), np.zeros_like(j), j, tn], axis=1)[has_tail]
     nums = np.zeros(spec.n_cells, dtype=np.int64)
     cols = np.arange(1 << (m - 1))
-    for j in range(nslopes):
-        b = m0
-        for i in range(n):
-            if (j >> i) & 1:
-                b = b - DyadicRational(1 << i, n) * t[i]
-        tn = ((b.num << (n + 1)) + (1 << b.exp)) >> (b.exp + 1)
-        t_max = max_offset_steps(spec, 0, j)
-        if t_max >= 0:
-            tn = min(max(tn, 0), t_max)
-            rows.append((n, 0, j, tn))
-        _, lo, step = slab_run(spec, n, 0, j, tn)
-        r = first_center_row(n, lo + step * cols)[:, None] + np.arange(1 << (m - n))
+    _, lo, step = slab_run(spec, n, 0, j, tn)
+    for lo_j, step_j in zip(lo.tolist(), step.tolist()):
+        r = first_center_row(n, lo_j + step_j * cols)[:, None] + np.arange(1 << (m - n))
         nums[((cols[:, None] << m) + r)[r < spec.n]] = 1
     indicator = GridFunction(spec, 0, nums.tolist())
 
-    keys = np.array(rows, dtype=np.int64).reshape(-1, 4)
     tails = RectangleFamily._adopt(FamilyParams(spec, delta), keys, "constructed")
 
     return KakeyaBundle(

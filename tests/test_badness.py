@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from dirmax import oracle
 from dirmax.badness import (
     BadnessEngine,
     ShrinkHalvingError,
+    _cover_rows,
     _select_bad_windows,
     badness,
     badness_components,
@@ -278,8 +280,8 @@ def test_select_bad_windows_at_threshold():
         fam = enumerate_family(FamilyParams(spec, delta), random_field(spec, random.Random(seed)))
         rho = linearize(random_grid(spec, random.Random(seed + 1)), fam)
         E = frozenset(rho.covered_cells())
-        eng = BadnessEngine(rho)
-        weights = eng.weights(nu_all(rho, E)).tolist()
+        eng = BadnessEngine(fam)
+        covers = _cover_rows(eng, eng.weights(nu_all(rho, E)).tolist(), range(len(fam)))
         raw = _raw(fam)
         for i_level in range(m_w + 1):
             for I in (DyadicInterval(i_level, 0), DyadicInterval(i_level, (1 << i_level) - 1)):
@@ -290,7 +292,7 @@ def test_select_bad_windows_at_threshold():
                         b3 = _oracle_split(spec, raw, rho, E, I, *oracle._triple(lo, hi))[1]
                         K = DyadicInterval(level, index)
                         for lam in _dyadics_around(b1) + _dyadics_around(b3):
-                            got = K in _select_bad_windows(eng, I, weights, lam)
+                            got = K in _select_bad_windows(eng, I, covers, lam)
                             assert got == (b1 >= lam > b3), (spec, I, K, lam)
                             probes += 1
     assert probes > 1000
@@ -400,14 +402,38 @@ def test_shrink_cell_sets_are_sorted_read_only_int32_arrays():
 
 
 def test_shrink_halving_error_carries_trace():
-    # lambda0 = 1 fails halving on many corpus-like instances
+    # lambda0 = 1 fails halving on this instance (and at every seed 0..39)
     spec, fam, rho, E = _setup(seed=7, m=4)
-    try:
+    with pytest.raises(ShrinkHalvingError) as info:
         shrink_iterate(E, rho, 1)
-    except ShrinkHalvingError as exc:
-        assert exc.trace.steps
-    else:
-        pass  # some instances halve even at 1; nothing to assert
+    trace = info.value.trace
+    assert not trace.diagnostics[-1].halved
+    assert len(trace.diagnostics) == len(trace.steps) - 1
+    assert trace.bands == ()
+    assert 2 * len(trace.steps[-1]) > len(trace.steps[-2])
+
+
+def test_shrink_iterate_computes_badness_once_per_member_and_step(monkeypatch):
+    """Each step's audit computes B_R once per member, and the bands read the
+    first step's table (B_R against E_0) instead of computing it again.  On
+    the m 5 cascade no member passes the cap 20 * lambda0, so the audit makes
+    no B_R^{E'} calls either."""
+    spec = spec_from_offstep(5, 3, "w")
+    inst = CorpusInstance("cascade_m5", spec, D(1, 1), cascade_field(spec), 0)
+    calls = []
+    badness_of = BadnessEngine.badness_of
+
+    def counted(eng, mi, weights):
+        calls.append(mi)
+        return badness_of(eng, mi, weights)
+
+    monkeypatch.setattr(BadnessEngine, "badness_of", counted)
+    trace = shrink_iterate(inst.covered, inst.rho, D(5, 2))
+    assert len(trace.diagnostics) == 2 and trace.bands == ()
+    assert len(calls) == len(inst.family) * len(trace.diagnostics)
+    assert trace.diagnostics[0].badness == badness_table(inst.covered, inst.rho).badness
+    assert list(inspect.signature(shrink_iterate).parameters) == ["cells", "rho", "lam0"]
+    assert list(inspect.signature(BadnessEngine).parameters) == ["fam"]
 
 
 def _oracle_union(m, tables) -> Fraction:
@@ -471,7 +497,7 @@ def test_dichotomy_audit_and_bands_match_the_oracle(monkeypatch, m, half, seed, 
     raw, entries, m_w = _raw(fam), rho.entries.tolist(), spec.m_w
     tables = [oracle._slab_table(m, m_w, q) for q in raw]
     touched = _touched(m, m_w, raw)
-    eng = BadnessEngine(rho)
+    eng = BadnessEngine(fam)
     for mi, R in enumerate(fam.members):
         want = [(c << m) + r for c in range(R.col_lo, R.col_hi) for r in range(*R.touched_rows(c))]
         assert sorted(map(int, eng.touched_cells(mi))) == sorted(want) == sorted(touched[mi])

@@ -152,3 +152,15 @@ def test_hash_agrees_with_fraction_and_int():
         assert hash(D(n, e)) == hash(Fraction(n, 2**e))
     assert hash(D(-1)) == hash(-1) == -2
     assert hash(D(big)) == hash(big)
+
+
+def test_equality_with_float_is_exact():
+    # as Fraction compares a float: by its exact binary value, both ways
+    assert D(1) == 1.0 and 1.0 == D(1)
+    assert D(1, 3) == 0.125 and 0.125 == D(1, 3)
+    assert D(1, 3) != 0.1 and D(-3, 2) == -0.75
+    assert D(0) != float("nan") and not D(0) == float("nan")
+    assert D(1 << 80) == float(1 << 80) and D(1) != float("inf")
+    # the hash already is Python's numeric hash, so sets and dicts agree
+    assert 0.5 in {D(1, 1)} and D(1, 1) in {0.5}
+    assert {D(1, 1): 1}[0.5] == 1

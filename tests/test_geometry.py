@@ -23,9 +23,7 @@ from dirmax.geometry import (
     slab_run,
     slab_union,
 )
-from dirmax.grids import GridFunction
-from dirmax.instances import random_field, random_grid
-from dirmax.maximal import linearize
+from dirmax.instances import random_field
 
 
 def test_interval_containment_partial_order():
@@ -165,7 +163,7 @@ def test_pi2_extent():
     for m, m_w, half in ((4, 2, False), (5, 3, True)):
         spec = GridSpec(m, m_w, half)
         fam = enumerate_family(FamilyParams(spec, D(1, 2)), random_field(spec, random.Random(m)))
-        eng = BadnessEngine(linearize(GridFunction.zeros(spec), fam))
+        eng = BadnessEngine(fam)
         assert len(eng.ends) == len(fam) > 0
         for (lo, hi), R in zip(eng.ends, fam.members):
             ends = D(lo, eng.scale), D(hi, eng.scale)
@@ -177,7 +175,7 @@ def _measures(spec: GridSpec, members):
     """|A cap B| and |union| from the badness engine's slab runs: lengths over
     2^S summed over columns 2^-m wide."""
     fam = RectangleFamily(FamilyParams(spec, D(1)), members)
-    eng = BadnessEngine(linearize(GridFunction.zeros(spec), fam))
+    eng = BadnessEngine(fam)
     exp = eng.scale + spec.m
 
     def overlap(a, b):
@@ -235,7 +233,7 @@ def test_overlap_and_union_against_oracle():
         spec = GridSpec(m, m_w, half)
         fam = enumerate_family(FamilyParams(spec, D(1, 3)), random_field(spec, random.Random(m + m_w)))
         raw = [_raw(r) for r in fam.members]
-        eng = BadnessEngine(linearize(random_grid(spec, random.Random(m)), fam))
+        eng = BadnessEngine(fam)
         unit = Fraction(1, 1 << (eng.scale + m))
         rng = random.Random(m * m_w)
         for _ in range(150):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -32,8 +34,6 @@ def test_kakeya_requires_dyadic_delta():
 def test_kakeya_minimal_depth_one():
     # delta = 1/2: two directions, support is the union of the two pieces,
     # recomputed here independently with Fractions from the digit scheme
-    from fractions import Fraction
-
     bundle = make_kakeya_bundle(4, D(1, 1))
     assert len({r.slope.index for r in bundle.tails.members}) == 1  # top slope has no tail
     f = bundle.indicator
@@ -72,6 +72,41 @@ def test_kakeya_support_monotone_in_depth():
     assert all(a >= b for a, b in zip(sups, sups[1:]))
     with pytest.raises(ValueError, match="depth"):
         make_kakeya_bundle(7, delta, 5)
+
+
+def _kakeya_by_fractions(m: int, n: int, depth: int):
+    """Tails key rows and indicator support from the digit scheme in Fractions:
+    merge points t_i, m0 and each slope's offset b_j rounded half up to the
+    offset grid (step w) and clamped so that the tail stays in the square."""
+    w = Fraction(1, 1 << n)
+    t = [Fraction(1, 1 << (n - i)) if i >= n - depth else Fraction(0) for i in range(n)]
+    m0 = sum((2**i * w * t[i] for i in range(n)), Fraction(0))
+    rows, support = [], set()
+    for j in range(1 << n):
+        b = m0 - sum((2**i * w * t[i] for i in range(n) if j >> i & 1), Fraction(0))
+        tn = math.floor(b / w + Fraction(1, 2))
+        slope = Fraction(2 * j + 1, 1 << (n + 1))
+        t_max = math.floor((1 - w - slope) / w)  # tn * w + slope * 1 + w <= 1
+        if t_max >= 0:
+            tn = min(max(tn, 0), t_max)
+            rows.append([n, 0, j, tn])
+        for c in range(1 << (m - 1)):
+            lo = slope * Fraction(2 * c + 1, 1 << (m + 1)) + tn * w
+            # the rows whose centers (2r + 1) / 2^(m + 1) lie in [lo, lo + w)
+            first, stop = (math.ceil(y * (1 << m) - Fraction(1, 2)) for y in (lo, lo + w))
+            support.update((c << m) + r for r in range(first, min(stop, 1 << m)))
+    return rows, support
+
+
+def test_kakeya_bundle_matches_the_digit_scheme():
+    for n in range(1, 6):
+        for m in (n + 2, n + 3):
+            for depth in range(n + 1):
+                bundle = make_kakeya_bundle(m, D(1, n), depth)
+                rows, support = _kakeya_by_fractions(m, n, depth)
+                assert bundle.tails.sort_keys.tolist() == rows, (m, n, depth)
+                assert set(bundle.indicator.support_cells()) == support, (m, n, depth)
+                assert set(bundle.indicator.nums) <= {0, 1}
 
 
 def test_kakeya_tails_are_dense_members():
