@@ -67,7 +67,6 @@ from .badness import (
     ShrinkTrace,
     badness_table,
     in_out_split,
-    multi_collection_experiment,
     reformulate_check,
     select_bad_windows,
     shrink_iterate,
@@ -84,7 +83,7 @@ from .instances import (
     random_field,
     random_grid,
 )
-from .sweeps import ExperimentConfig, sweep_delta, sweep_logn, sweep_lp
+from .sweeps import ExperimentConfig, multi_collection_experiment, sweep_delta, sweep_logn, sweep_lp
 from .verify import run_verify
 from .cli import cli_main
 

@@ -23,20 +23,19 @@ sorted read-only int32 arrays, as in stopping_time.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .dyadic import DyadicRational
-from .family import RectangleFamily, is_good_collection
+from .family import RectangleFamily
 from .geometry import DyadicInterval, Parallelogram, Window
 from .geometry import slab_cover, slab_overlap, slab_rows, slab_run, slab_union
-from .grids import GridFunction, _cell_set, cell_array
-from .maximal import ChoiceMap, apply_T_adjoint, estimate_norm, maximal_apply, nu_all
+from .grids import _cell_set, cell_array
+from .maximal import ChoiceMap, nu_all
 
 UNIVERSAL_BADNESS_FACTOR = 20  # dichotomy constant: C_key = 20 * lambda0
 MAX_SHRINK_STEPS = 32  # shrink_iterate stops a longer trace and marks it truncated
@@ -327,9 +326,7 @@ class DichotomyRecord:
 
 @dataclass(frozen=True, eq=False)
 class ShrinkDiagnostics:
-    lam0: DyadicRational
     windows: tuple[tuple[DyadicInterval, tuple[DyadicInterval, ...]], ...]
-    f_cells: np.ndarray
     halved: bool
     dichotomy_failures: tuple[DichotomyRecord, ...]
     badness: tuple[DyadicRational, ...]  # B_R against the step's input; empty without the audit
@@ -343,10 +340,9 @@ def shrink_once(
 ) -> tuple[np.ndarray, ShrinkDiagnostics]:
     """One shrinking step: E' is the union of I x 3K over the bad windows.
 
-    The diagnostics carry the auxiliary large-maximal set F and the dichotomy
-    audit: every member must satisfy B_R <= 20*lam0, or be contained in E'
-    with B_R <= 20*lam0 + B_R^{E'}.  Audit failures are reported as records,
-    never silently dropped.
+    The diagnostics carry the dichotomy audit: every member must satisfy
+    B_R <= 20*lam0, or be contained in E' with B_R <= 20*lam0 + B_R^{E'}.
+    Audit failures are reported as records, never silently dropped.
     """
     lam0 = _coerce_lambda(lam0)
     eng = BadnessEngine(rho.fam)
@@ -375,14 +371,8 @@ def shrink_once(
 
     halved = 2 * len(shrunk) <= len(cells)
     failures: list[DichotomyRecord] = []
-    f_cells = _cell_set(np.empty(0))
     bs: tuple[DyadicRational, ...] = ()
     if audit:
-        g = apply_T_adjoint(rho, GridFunction.indicator(spec, cells))
-        mg = maximal_apply(g, rho.fam)
-        # F = {M g >= lam0/2}: num / 2^scale >= lam0.num / 2^(lam0.exp + 1), in integers
-        half_lam = lam0.num << mg.scale
-        f_cells = _cell_set(np.flatnonzero([num << (lam0.exp + 1) >= half_lam for num in mg.nums]))
         cap = DyadicRational(UNIVERSAL_BADNESS_FACTOR) * lam0
         weights_after = eng.weights(nu_all(rho, shrunk)).tolist()
         bs = tuple(eng.badness_of(mi, weights) for mi in range(len(rho.fam)))
@@ -394,7 +384,7 @@ def shrink_once(
             if inside and b <= cap + b_after:
                 continue
             failures.append(DichotomyRecord(mi, b.render(), inside, b_after.render()))
-    return shrunk, ShrinkDiagnostics(lam0, tuple(windows), f_cells, halved, tuple(failures), bs)
+    return shrunk, ShrinkDiagnostics(tuple(windows), halved, tuple(failures), bs)
 
 
 @dataclass(frozen=True)
@@ -408,7 +398,6 @@ class BandRow:
 
 @dataclass(frozen=True, eq=False)
 class ShrinkTrace:
-    lam0: DyadicRational
     steps: tuple[np.ndarray, ...]  # E_0, E_1, ...
     measures: tuple[DyadicRational, ...]
     diagnostics: tuple[ShrinkDiagnostics, ...]
@@ -452,7 +441,7 @@ def shrink_iterate(cells: Iterable[int], rho: ChoiceMap, lam0) -> ShrinkTrace:
         if not diag.halved:
             measures = tuple(DyadicRational(len(s), area_exp) for s in steps)
             raise ShrinkHalvingError(
-                ShrinkTrace(lam0, tuple(steps), measures, tuple(diags), (), False)
+                ShrinkTrace(tuple(steps), measures, tuple(diags), (), False)
             )
 
     eng = BadnessEngine(rho.fam)
@@ -476,64 +465,4 @@ def shrink_iterate(cells: Iterable[int], rho: ChoiceMap, lam0) -> ShrinkTrace:
         bands.append(BandRow(k, members, union, reference, contained))
         k += 1
     measures = tuple(DyadicRational(len(s), area_exp) for s in steps)
-    return ShrinkTrace(lam0, tuple(steps), measures, tuple(diags), tuple(bands), truncated)
-
-
-# -- many good collections: the log N growth experiment -----------------------
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    rows: tuple[tuple[int, float, float], ...]  # (N, best_ratio, fit_residual)
-    slope: float
-    intercept: float
-
-    def to_csv(self) -> str:
-        lines = ["n,best_ratio,fit_residual"]
-        for n, ratio, resid in self.rows:
-            lines.append(f"{n},{ratio:.12g},{resid:.12g}")
-        return "\n".join(lines) + "\n"
-
-
-def multi_collection_experiment(
-    n_values,
-    builder: Callable[[int], Sequence[RectangleFamily]],
-    seeds: Callable[[RectangleFamily], list[GridFunction]],
-    ascent_iters: int = 1,
-) -> GrowthReport:
-    """Best Rayleigh ratio of M over unions of N good collections, N sweeping.
-
-    builder(N) must produce N pairwise-distinct organized good collections;
-    anything else is rejected with its witness.  seeds(union) supplies the
-    test functions.  The report fits ratio against 1 + log2 N.
-    """
-    measured = []
-    for n in n_values:
-        collections = list(builder(n))
-        if len(collections) != n:
-            raise ValueError(f"builder produced {len(collections)} collections, wanted {n}")
-        keys = set()
-        union = None
-        for col in collections:
-            good, witness = is_good_collection(col)
-            if not (good and witness.organized):
-                raise ValueError(f"builder yielded a non-good collection: {witness}")
-            key = col.sort_keys.tobytes()
-            if key in keys:
-                raise ValueError("builder yielded duplicate collections")
-            keys.add(key)
-            union = col if union is None else union.union(col)
-        report = estimate_norm(union, seeds(union), ascent_iters)
-        measured.append((n, report.best_ratio))
-    xs = np.array([1.0 + math.log2(n) for n, _ in measured])
-    ys = np.array([r for _, r in measured])
-    if len(measured) >= 2:
-        coef = np.polyfit(xs, ys, 1)
-        slope, intercept = float(coef[0]), float(coef[1])
-    else:
-        slope, intercept = 0.0, float(ys[0]) if len(ys) else 0.0
-    rows = tuple(
-        (n, ratio, float(ratio - (slope * (1.0 + math.log2(n)) + intercept)))
-        for n, ratio in measured
-    )
-    return GrowthReport(rows, slope, intercept)
+    return ShrinkTrace(tuple(steps), measures, tuple(diags), tuple(bands), truncated)

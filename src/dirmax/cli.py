@@ -88,20 +88,29 @@ _FLAGS = {
     "seed": dict(type=int, default=0),
     "field": dict(type=str, default="identity"),
     "iters": dict(type=int, default=1),
+    "max-gen": dict(type=int, default=64),
+    "depth": dict(type=int, default=None),
 }
 _FAMILY_FLAGS = ("m", "mw", "delta", "offstep", "seed", "field")
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _add_flags(p: argparse.ArgumentParser, names) -> None:
-    """The shared flags a command reads, then --out and --config."""
+def _add_flags(p: argparse.ArgumentParser, names, defaults: dict) -> None:
+    """The shared flags a command reads, --out and --config, then the defaults
+    (last, as set_defaults reaches only the arguments already added)."""
     for name in names:
         p.add_argument(f"--{name}", **_FLAGS[name])
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--config", type=str, default=None)
+    p.set_defaults(**defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _parser({})
+
+
+def _parser(defaults: dict) -> argparse.ArgumentParser:
+    """The command parser; defaults (by argument name) replace the built-in ones."""
     parser = argparse.ArgumentParser(
         prog="dirmax",
         description="Exact directional maximal operator lab on the dyadic unit square.",
@@ -109,33 +118,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="enumerate a density family and export it")
-    _add_flags(p, _FAMILY_FLAGS)
+    _add_flags(p, _FAMILY_FLAGS, defaults)
 
     p = sub.add_parser("maximal", help="apply the maximal operator to a grid file")
-    _add_flags(p, ("delta", "seed", "field"))
     p.add_argument("--grid", type=str, required=True)
     p.add_argument("--field-file", type=str, default=None)
+    _add_flags(p, ("delta", "seed", "field"), defaults)
 
     p = sub.add_parser("decompose", help="emit the stopping-time decomposition as JSON")
-    _add_flags(p, _FAMILY_FLAGS)
-    p.add_argument("--max-gen", type=int, default=64)
+    _add_flags(p, _FAMILY_FLAGS + ("max-gen",), defaults)
 
     p = sub.add_parser("badness", help="badness tables and the shrink trace")
-    _add_flags(p, _FAMILY_FLAGS + ("lambda0",))
+    _add_flags(p, _FAMILY_FLAGS + ("lambda0",), defaults)
 
     p = sub.add_parser("sweep", help="run a parameter sweep, write CSV")
     kinds = p.add_subparsers(dest="kind", required=True)
-    _add_flags(kinds.add_parser("delta", help="density scaling"), ("m", "delta", "seed", "iters"))
-    _add_flags(kinds.add_parser("lp", help="L^p sharpness"), ("m", "delta"))
-    _add_flags(kinds.add_parser("logn", help="log N growth"), ("seed", "iters"))
+    for kind, text, names in (
+        ("delta", "density scaling", ("m", "delta", "seed", "iters")),
+        ("lp", "L^p sharpness", ("m", "delta")),
+        ("logn", "log N growth", ("seed", "iters")),
+    ):
+        _add_flags(kinds.add_parser(kind, help=text), names, defaults)
 
     p = sub.add_parser("kakeya", help="emit a compression-tree instance")
-    _add_flags(p, ("m", "delta"))
-    p.add_argument("--depth", type=int, default=None)
+    _add_flags(p, ("m", "delta", "depth"), defaults)
 
     p = sub.add_parser("verify", help="oracle equivalence and invariant suite")
-    _add_flags(p, ("m",))
     p.add_argument("--quick", action="store_true")
+    _add_flags(p, ("m",), defaults)
 
     return parser
 
@@ -164,26 +174,28 @@ def _family(args) -> tuple[OneVarField, RectangleFamily]:
 
 
 def _apply_config(args, argv: list[str]) -> None:
-    """Set each --config value the command line does not give; ValueError if bad."""
+    """Set each --config value the command line does not give; ValueError if
+    bad.  The values, converted by their options' types, are the command's
+    defaults for a second parse, so argparse decides what argv gave."""
     if args.config is None:
         return
+    defaults = {}
     for key, value in _config_defaults(args.config).items():
-        attr = key.replace("-", "_")
+        name = key.replace("_", "-")
+        attr = name.replace("-", "_")
         # the positionals are not options: a key must not reroute the command
         if attr in ("command", "kind") or not hasattr(args, attr):
             raise ValueError(f"unknown key '{key}'")
-        if any(tok == f"--{key}" or tok.startswith(f"--{key}=") for tok in argv):
-            continue
-        if key == "quick":
+        if name == "quick":
             if value.lower() not in _BOOLEANS:
                 raise ValueError(f"'{key}' takes true or false, not {value!r}")
-            value = _BOOLEANS[value.lower()]
-        elif key in ("m", "mw", "seed", "iters", "max-gen", "depth"):
-            try:
-                value = int(value)
-            except ValueError:
-                raise ValueError(f"'{key}' takes an integer, not {value!r}") from None
-        setattr(args, attr, value)
+            defaults[attr] = _BOOLEANS[value.lower()]
+            continue
+        try:
+            defaults[attr] = _FLAGS.get(name, {}).get("type", str)(value)
+        except ValueError:  # only the int options raise
+            raise ValueError(f"'{key}' takes an integer, not {value!r}") from None
+    vars(args).update(vars(_parser(defaults).parse_args(argv)))
 
 
 def cli_main(argv: list[str] | None = None) -> int:

@@ -251,7 +251,7 @@ def _write_header(spec: GridSpec) -> list[str]:
 def _parse_header(lines: list[str]) -> GridSpec:
     if not lines or lines[0].split() != ["maxgrid", "1"]:
         raise ValueError("not a MAXGRID v1 file")
-    parts = lines[1].split()
+    parts = lines[1].split() if len(lines) > 1 else []
     if len(parts) != 6 or parts[0] != "m" or parts[2] != "mw" or parts[4] != "offstep":
         raise ValueError("bad MAXGRID header")
     return spec_from_offstep(int(parts[1]), int(parts[3]), parts[5])

@@ -10,12 +10,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .badness import GrowthReport, multi_collection_experiment
 from .dyadic import DyadicRational
-from .family import FamilyParams, enumerate_family
+from .family import FamilyParams, RectangleFamily, enumerate_family, is_good_collection
 from .geometry import GridSpec
 from .grids import GridFunction
 from .instances import (
@@ -69,10 +69,16 @@ class DeltaSweep:
     fit_b: float
 
     def to_csv(self) -> str:
+        """The fitted series, then a delta,kind,ratio block of the random-field
+        spot checks when any ran."""
         lines = ["delta,best_ratio,ref_log32"]
         for delta, ratio in self.best:
             ref = math.log2(1 << delta.exp) ** 1.5
             lines.append(f"{delta.render()},{_fmt(ratio)},{_fmt(ref)}")
+        spots = [row for row in self.rows if row.kind != "kakeya"]
+        if spots:
+            lines.append("delta,kind,ratio")
+            lines += [f"{row.delta.render()},{row.kind},{_fmt(row.ratio)}" for row in spots]
         return "\n".join(lines) + "\n"
 
 
@@ -173,6 +179,63 @@ def sweep_lp(cfg: ExperimentConfig) -> LpSweep:
     for delta in cfg.deltas:
         rows.extend(square_ratios(delta, cfg.m_override))
     return LpSweep(tuple(rows))
+
+
+@dataclass(frozen=True)
+class GrowthReport:
+    rows: tuple[tuple[int, float, float], ...]  # (N, best_ratio, fit_residual)
+    slope: float
+    intercept: float
+
+    def to_csv(self) -> str:
+        lines = ["n,best_ratio,fit_residual"]
+        for n, ratio, resid in self.rows:
+            lines.append(f"{n},{ratio:.12g},{resid:.12g}")
+        return "\n".join(lines) + "\n"
+
+
+def multi_collection_experiment(
+    n_values,
+    builder: Callable[[int], Sequence[RectangleFamily]],
+    seeds: Callable[[RectangleFamily], list[GridFunction]],
+    ascent_iters: int = 1,
+) -> GrowthReport:
+    """Best Rayleigh ratio of M over unions of N good collections, N sweeping.
+
+    builder(N) must produce N pairwise-distinct organized good collections;
+    anything else is rejected with its witness.  seeds(union) supplies the
+    test functions.  The report fits ratio against 1 + log2 N.
+    """
+    measured = []
+    for n in n_values:
+        collections = list(builder(n))
+        if len(collections) != n:
+            raise ValueError(f"builder produced {len(collections)} collections, wanted {n}")
+        keys = set()
+        union = None
+        for col in collections:
+            good, witness = is_good_collection(col)
+            if not (good and witness.organized):
+                raise ValueError(f"builder yielded a non-good collection: {witness}")
+            key = col.sort_keys.tobytes()
+            if key in keys:
+                raise ValueError("builder yielded duplicate collections")
+            keys.add(key)
+            union = col if union is None else union.union(col)
+        report = estimate_norm(union, seeds(union), ascent_iters)
+        measured.append((n, report.best_ratio))
+    xs = np.array([1.0 + math.log2(n) for n, _ in measured])
+    ys = np.array([r for _, r in measured])
+    if len(measured) >= 2:
+        coef = np.polyfit(xs, ys, 1)
+        slope, intercept = float(coef[0]), float(coef[1])
+    else:
+        slope, intercept = 0.0, float(ys[0]) if len(ys) else 0.0
+    rows = tuple(
+        (n, ratio, float(ratio - (slope * (1.0 + math.log2(n)) + intercept)))
+        for n, ratio in measured
+    )
+    return GrowthReport(rows, slope, intercept)
 
 
 def sweep_logn(cfg: ExperimentConfig) -> GrowthReport:

@@ -357,9 +357,7 @@ def check_reformulation(report: VerifyReport, corpus: list[CorpusInstance]) -> N
     report.add("quadratic reformulation bound", ok)
 
 
-def check_domination(
-    report: VerifyReport, corpus: list[CorpusInstance], max_m: int = 5
-) -> None:
+def check_domination(report: VerifyReport, corpus: list[CorpusInstance]) -> None:
     """Vertical-maximal domination over every decomposed instance.
 
     The exact (constant-1) comparison is reported as stated; the staircase
@@ -371,8 +369,6 @@ def check_domination(
     n_viol = n_checked = n_zero = 0
     worst = Fraction(0)
     for inst in corpus:
-        if inst.spec.m > max_m:
-            continue
         res = run_generations(inst.field, inst.spec.w, inst.delta, inst.rho)
         violations, checked, worst_i = domination_check(res, inst.rho, inst.f)
         n_viol += len(violations)

@@ -201,6 +201,13 @@ def test_maxgrid_rejects_garbage():
         parse_grid("maxgrid 1\nm 3 mw 1 offstep w\n1 2 3\n")
 
 
+@pytest.mark.parametrize("text", ["maxgrid 1", "maxgrid 1\n", "maxgrid 1\n\n"])
+def test_maxgrid_header_only_is_a_bad_header(text):
+    for parse in (parse_grid, parse_field):
+        with pytest.raises(ValueError, match="bad MAXGRID header"):
+            parse(text)
+
+
 def test_field_range_validation():
     spec = GridSpec(3, 1, False)
     with pytest.raises(ValueError):

@@ -248,3 +248,52 @@ def test_badness_builds_no_frozensets_and_takes_no_member_callbacks():
     methods = method_annotations(source, "BadnessEngine")
     assert {"badness_of", "box_mass", "fits", "touched_cells"} <= set(methods)
     assert {name: a for name, a in methods.items() if any("Callable" in t for t in a)} == {}
+
+
+def from_imports(source: str, module: str) -> set[str]:
+    """The names a source imports from one module (``.maximal`` for a relative import)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and "." * node.level + (node.module or "") == module:
+            found |= {alias.name for alias in node.names}
+    return found
+
+
+def test_import_name_checker_reads_each_from_import():
+    src = "from .maximal import ChoiceMap, nu_all\nfrom .grids import cell_array\nimport numpy\n"
+    assert from_imports(src, ".maximal") == {"ChoiceMap", "nu_all"}
+    assert from_imports(src, ".grids") == {"cell_array"}
+    assert from_imports(src, "numpy") == set()
+
+
+def test_badness_applies_no_operator():
+    """badness.py is tables over the member engine: it imports from maximal
+    only the choice map and its counts, and calls no operator."""
+    source = (Path(dirmax.__file__).parent / "badness.py").read_text()
+    assert from_imports(source, ".maximal") == {"ChoiceMap", "nu_all"}
+    names = ("apply_T_adjoint", "maximal_apply", "estimate_norm", "GridFunction")
+    assert {name: lines for name in names if (lines := name_lines(source, name))} == {}
+
+
+def test_shrink_records_carry_no_unread_fields():
+    from dataclasses import fields
+
+    from dirmax.badness import ShrinkDiagnostics, ShrinkTrace
+
+    assert {"f_cells", "lam0"} & {f.name for f in fields(ShrinkDiagnostics)} == set()
+    assert "lam0" not in {f.name for f in fields(ShrinkTrace)}
+
+
+def test_log_n_experiment_lives_in_sweeps():
+    from dirmax import sweeps
+
+    root = Path(dirmax.__file__).parent
+    defined = {
+        p.name
+        for p in sorted(root.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name in ("multi_collection_experiment", "GrowthReport")
+    }
+    assert defined == {"sweeps.py"}
+    assert dirmax.multi_collection_experiment is sweeps.multi_collection_experiment

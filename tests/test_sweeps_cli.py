@@ -45,6 +45,29 @@ def test_sweep_delta_random_rows_recorded():
     )
 
 
+def test_sweep_delta_csv_records_the_spot_checks(tmp_path):
+    cfg = ExperimentConfig(deltas=(D(1, 3), D(1, 4)), random_count=2)
+    sweep = sweep_delta(cfg)
+    spots = [row for row in sweep.rows if row.kind != "kakeya"]
+    assert spots
+    lines = sweep.to_csv().splitlines()
+    assert lines[3] == "delta,kind,ratio"
+    assert lines[4:] == [f"{r.delta.render()},{r.kind},{format(r.ratio, '.12g')}" for r in spots]
+    # the fitted block is the one without spot checks
+    bare = sweep_delta(ExperimentConfig(deltas=cfg.deltas, random_count=0)).to_csv()
+    assert bare.splitlines() == lines[:3]
+    # the seed reaches the CSV through the spot checks
+    csvs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"s{seed}.csv"
+        argv = ["sweep", "delta", "--delta", "1/8,1/16", "--iters", "0", "--seed", seed]
+        rc, _, _ = _run(argv + ["--out", str(out)])
+        assert rc == 0
+        csvs.append(out.read_text())
+    assert csvs[0] != csvs[1]
+    assert csvs[0].split("delta,kind,ratio")[0] == csvs[1].split("delta,kind,ratio")[0]
+
+
 def test_sweep_lp_rows():
     cfg = ExperimentConfig(deltas=(D(1, 3),))
     sweep = sweep_lp(cfg)
@@ -139,7 +162,7 @@ def test_cli_sweep_delta_csv_deterministic(tmp_path):
     rc, _, err1 = _run(argv)
     assert rc == 0
     first = (tmp_path / "s.csv").read_text()
-    assert len(first.splitlines()) == 4  # header + 3 data rows
+    assert len(first.split("delta,kind,ratio")[0].splitlines()) == 4  # header + 3 data rows
     rc, _, err2 = _run(["sweep", "delta", "--delta", "1/8,1/16,1/32",
                         "--iters", "0", "--out", str(tmp_path / "s2.csv")])
     assert (tmp_path / "s2.csv").read_text() == first
@@ -180,6 +203,47 @@ def test_cli_config_file(tmp_path):
     bad.write_text("m = four\n")
     rc, _, err = _run(["enumerate", "--config", str(bad)])
     assert rc == 2 and err == "config error: 'm' takes an integer, not 'four'\n"
+
+
+def test_cli_config_loses_to_a_shortened_flag(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta = 1/2^3\n")
+    outs = []
+    for flag in (["--del", "1/2"], ["--delta", "1/2"], ["--delta=1/2"], ["--del=1/2"]):
+        out = tmp_path / "e.txt"
+        rc, _, _ = _run(["enumerate", "--m", "4", "--config", str(cfg), *flag, "--out", str(out)])
+        assert rc == 0
+        outs.append(out.read_text())
+    assert outs == [outs[0]] * 4 and outs[0].startswith("# members 14\n")
+    rc, text, _ = _run(["enumerate", "--m", "4", "--config", str(cfg)])
+    assert rc == 0 and text.startswith("# members 20\n")
+
+
+def test_cli_config_keys_read_underscore_as_dash(tmp_path):
+    texts = []
+    for key in ("max_gen", "max-gen"):
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key} = 0\n")
+        rc, out, err = _run(["decompose", "--m", "4", "--config", str(cfg)])
+        assert (rc, err) == (0, "")
+        texts.append(out)
+    rc, flagged, _ = _run(["decompose", "--m", "4", "--max-gen", "0"])
+    assert texts == [flagged, flagged] and '"truncated": true' in flagged
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("max_gen = three\n")
+    rc, out, err = _run(["decompose", "--m", "4", "--config", str(cfg)])
+    assert (rc, out) == (2, "")
+    assert err == "config error: 'max_gen' takes an integer, not 'three'\n"
+
+
+def test_cli_header_only_maxgrid_is_a_usage_error(tmp_path):
+    head = tmp_path / "head.grid"
+    head.write_text("maxgrid 1\n")
+    good = tmp_path / "zero.grid"
+    good.write_text("maxgrid 1\nm 2 mw 0 offstep w\n" + "0 0 0 0\n" * 4)
+    for extra in (["--grid", str(head)], ["--grid", str(good), "--field-file", str(head)]):
+        rc, out, err = _run(["maximal", *extra])
+        assert (rc, out, err) == (2, "", "error: bad MAXGRID header\n")
 
 
 def test_cli_config_unknown_key(tmp_path):
