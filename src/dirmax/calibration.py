@@ -49,11 +49,6 @@ LOGN_RATIO_64_OVER_2_MAX = 6.0
 # the right, at most twice on the left).
 REFORMULATE_FACTOR = 2
 
-# Measured ||1_{A_j} T f||_2 / ||f||_2 on the corpus never exceeded 1.0
-# (averaging operators contract the seeds used); cap asserted with margin
-# against C * (1 + log2(1/delta)).
-DIAGONAL_RATIO_COEFF = 1.5
-
 # The cell-resampled staircase breaks the exact vertical-transport
 # domination by a bounded factor: measured worst excess over the corpus is
 # 2.28; the calibrated surrogate asserts this cap (the exact constant-1

@@ -47,34 +47,34 @@ def _lex_sorted(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class RectangleFamily:
-    """A finite list of parallelograms in canonical order with provenance.
+    """A finite list of parallelograms in canonical order.
 
     The family is its int64 key table ``sort_keys``: row i is member i's
     ``sort_key()`` (k, base index, slope index, offset steps).  ``members``
     is the tuple the family was constructed from, else built from the rows
-    on first read.  Equal families have equal params, rows and provenance.
+    on first read.  Equal families have equal params and rows, however built.
     """
 
-    def __init__(self, params: FamilyParams, members, provenance: str = "constructed"):
+    def __init__(self, params: FamilyParams, members):
         members = tuple(members)
         if any(r.spec != params.spec for r in members):
             raise ValueError("member grid spec mismatch")
         keys = np.array([r.sort_key() for r in members], dtype=np.int64).reshape(-1, 4)
-        self._init(params, keys, provenance)
+        self._init(params, keys)
         self.__dict__["members"] = members
 
     @classmethod
-    def _adopt(cls, params: FamilyParams, keys: np.ndarray, provenance: str) -> "RectangleFamily":
+    def _adopt(cls, params: FamilyParams, keys: np.ndarray) -> "RectangleFamily":
         """A family over key rows this package built from valid members."""
         fam = cls.__new__(cls)
-        fam._init(params, keys, provenance)
+        fam._init(params, keys)
         return fam
 
-    def _init(self, params: FamilyParams, keys: np.ndarray, provenance: str) -> None:
+    def _init(self, params: FamilyParams, keys: np.ndarray) -> None:
         if _lex_sorted(keys)[1].any():
             raise ValueError("family members must be distinct")
         keys.flags.writeable = False
-        self.__dict__.update(params=params, sort_keys=keys, provenance=provenance)
+        self.__dict__.update(params=params, sort_keys=keys)
 
     def __setattr__(self, name, value):
         raise AttributeError("RectangleFamily is immutable")
@@ -91,17 +91,13 @@ class RectangleFamily:
     def __eq__(self, other):
         if not isinstance(other, RectangleFamily):
             return NotImplemented
-        return (
-            self.params == other.params
-            and self.provenance == other.provenance
-            and np.array_equal(self.sort_keys, other.sort_keys)
-        )
+        return self.params == other.params and np.array_equal(self.sort_keys, other.sort_keys)
 
     def __hash__(self):
-        return hash((self.params, self.provenance, self.sort_keys.tobytes()))
+        return hash((self.params, self.sort_keys.tobytes()))
 
     def __repr__(self) -> str:
-        return f"RectangleFamily({self.params!r}, {len(self)} members, {self.provenance!r})"
+        return f"RectangleFamily({self.params!r}, {len(self)} members)"
 
     @property
     def spec(self) -> GridSpec:
@@ -118,13 +114,13 @@ class RectangleFamily:
         rows = np.array(sorted(set(indices)), dtype=np.int64)
         if len(rows) and (rows[0] < 0 or rows[-1] >= len(self)):
             raise ValueError("member index out of range")
-        return RectangleFamily._adopt(self.params, self.sort_keys[rows], "subfamily")
+        return RectangleFamily._adopt(self.params, self.sort_keys[rows])
 
     def union(self, other: "RectangleFamily") -> "RectangleFamily":
         if self.params != other.params:
             raise ValueError("family parameter mismatch")
         rows, dup = _lex_sorted(np.concatenate([self.sort_keys, other.sort_keys]))
-        return RectangleFamily._adopt(self.params, rows[~dup], "constructed")
+        return RectangleFamily._adopt(self.params, rows[~dup])
 
     # -- text export: one canonical record per member ---------------------
 
@@ -155,7 +151,7 @@ class RectangleFamily:
             rec = dict(zip(parts[0::2], parts[1::2]))
             off = DyadicRational.parse(rec["off"])
             members.append(_member(spec, int(rec["k"]), int(rec["base"]), int(rec["slope"]), off))
-        return cls(params, tuple(members), "enumerated")
+        return cls(params, tuple(members))
 
 
 def _member(spec: GridSpec, k: int, i: int, j: int, offset: DyadicRational) -> Parallelogram:
@@ -206,7 +202,7 @@ def enumerate_family(
         for i in range(1 << (spec.m_w - k))
         for j in _popular_counts(DyadicInterval(spec.m_w - k, i), v, params.delta)
     ]
-    return RectangleFamily._adopt(params, _offset_rows(spec, runs), "enumerated")
+    return RectangleFamily._adopt(params, _offset_rows(spec, runs))
 
 
 def _offset_rows(spec: GridSpec, runs) -> np.ndarray:

@@ -401,19 +401,7 @@ def _ratio(mf_sq: DyadicRational, f_sq: DyadicRational) -> float:
     return math.sqrt(float(mf_sq.as_fraction() / f_sq.as_fraction()))
 
 
-_MAX_ASCENT_SCALE = 96
-
-
-def ascent_iterate(g: GridFunction) -> GridFunction | None:
-    """The next power-ascent iterate from g: g at a scale of at most
-    _MAX_ASCENT_SCALE bits, reduced; None once it is zero."""
-    if g.is_zero():
-        return None
-    if g.scale > _MAX_ASCENT_SCALE:
-        g = g.rescaled(_MAX_ASCENT_SCALE)
-        if g.is_zero():
-            return None
-    return g.reduced()
+_MAX_ASCENT_SCALE = 96  # an iterate's scale is capped here, rounding it down
 
 
 def estimate_norm(
@@ -470,10 +458,10 @@ def estimate_norm(
             nxt = apply_T_adjoint(rho, mf)
             del rho, mf
             if nxt.scale > _MAX_ASCENT_SCALE:
-                mass = None  # rescaled rounds down: f is no longer T* Mf
-            mf_scale = scale
-            f = ascent_iterate(nxt)
-            del nxt
-            if f is None:
+                nxt = nxt.rescaled(_MAX_ASCENT_SCALE)
+                mass = None  # rounded down: f is no longer T* Mf
+            if nxt.is_zero():
                 break
+            f, mf_scale = nxt.reduced(), scale
+            del nxt
     return NormReport(len(fam), tuple(rows), best)

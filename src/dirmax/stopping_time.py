@@ -14,7 +14,6 @@ interval are one np.searchsorted slice.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -25,8 +24,7 @@ from .dyadic import DyadicRational
 from .family import RectangleFamily, _popular_counts
 from .geometry import DyadicInterval, SlopeCell, dyadic_inside
 from .grids import GridFunction, OneVarField, _cell_set, cell_array
-from .maximal import ChoiceMap, apply_T, apply_T_adjoint, ascent_iterate, m2_vertical
-from .maximal import _scaled_averages
+from .maximal import ChoiceMap, _scaled_averages, apply_T_adjoint, m2_vertical
 
 
 @dataclass(frozen=True)
@@ -249,8 +247,6 @@ class IntervalRecord:
     interval: DyadicInterval
     assignment: SlopeAssignment
     stops: tuple[DyadicInterval, ...]
-    theta_good: tuple[ThetaPair, ...]
-    theta_bad: tuple[ThetaPair, ...]
     omegas: tuple[tuple[ThetaPair, ...], ...]
     classify: ClassifyResult
 
@@ -303,10 +299,10 @@ def run_generations(
         for I in intervals:
             assign = compute_assignments(I, v, w, delta)
             stops = stopping_intervals(assign)
-            th_good, th_bad = partition_theta(assign, stops)
+            th_good, _ = partition_theta(assign, stops)
             omegas = omega_levels(th_good, assign.theta())
             cl = classify_points(_under(e_cells, I, m), rho, omegas, I)
-            records.append(IntervalRecord(I, assign, stops, th_good, th_bad, omegas, cl))
+            records.append(IntervalRecord(I, assign, stops, omegas, cl))
             next_intervals.extend(stops)
         good_all = _cell_set(np.concatenate([r.classify.good_cells for r in records]))
         e_cells = _cell_set(np.concatenate([r.classify.bad_cells for r in records]))
@@ -388,82 +384,6 @@ def domination_check(
                         if rhs:
                             worst = max(worst, avg / rhs)
     return violations, checked, worst
-
-
-# -- measured piece norms and the almost-orthogonality table -------------------
-
-
-def generation_operator_ratio(
-    result: DecompositionResult, rho: ChoiceMap, j: int, f: GridFunction
-) -> float:
-    """||1_{A_j} T f||_2 / ||f||_2 for a test function, exact norms."""
-    den = f.l2_sq()
-    if not den:
-        raise ValueError("degenerate seed")
-    tf = apply_T(rho, f).masked(result.generations[j].good_cells)
-    return math.sqrt(float(tf.l2_sq().as_fraction() / den.as_fraction()))
-
-
-def cross_norm_estimate(
-    result: DecompositionResult,
-    rho: ChoiceMap,
-    j: int,
-    k: int,
-    seed: GridFunction,
-    iters: int = 4,
-) -> float:
-    """Lower estimate of ||T_j T_k*|| by power ascent on the composition."""
-    a_j = result.generations[j].good_cells
-    a_k = result.generations[k].good_cells
-
-    def op(g: GridFunction) -> GridFunction:
-        return apply_T(rho, apply_T_adjoint(rho, g.masked(a_k))).masked(a_j)
-
-    def op_adj(g: GridFunction) -> GridFunction:
-        return apply_T(rho, apply_T_adjoint(rho, g.masked(a_j))).masked(a_k)
-
-    f = seed
-    best = 0.0
-    for _ in range(iters):
-        den = f.l2_sq()
-        if not den:
-            return best
-        tf = op(f)
-        num = tf.l2_sq()
-        if num:
-            best = max(best, math.sqrt(float(num.as_fraction() / den.as_fraction())))
-        f = ascent_iterate(op_adj(tf))
-        if f is None:
-            break
-    return best
-
-
-def orthogonality_table(
-    result: DecompositionResult,
-    rho: ChoiceMap,
-    seed: GridFunction,
-    iters: int = 3,
-) -> dict[tuple[int, int], float]:
-    """Measured ||T_j T_k*|| lower estimates for every generation pair."""
-    n = len(result.generations)
-    table = {}
-    for j in range(n):
-        for k in range(j, n):
-            val = cross_norm_estimate(result, rho, j, k, seed, iters)
-            table[(j, k)] = val
-            table[(k, j)] = val
-    return table
-
-
-def cotlar_stein_bound(a: Sequence[float]) -> float:
-    """Assembled almost-orthogonality bound a(0)^(1/2) * (sum_n sqrt(a(n)))^(1/2).
-
-    `a` lists a(0), a(1), ... ; the sum symmetrizes over negative n.
-    """
-    if not a:
-        return 0.0
-    total = math.sqrt(a[0]) + 2.0 * sum(math.sqrt(x) for x in a[1:])
-    return math.sqrt(a[0]) * math.sqrt(total)
 
 
 # -- structured text export ----------------------------------------------------

@@ -396,6 +396,8 @@ def run_verify(
         corpus = build_corpus()
     if quick:
         corpus = [inst for inst in corpus if inst.spec.m <= 4][:12]
+    if not corpus:
+        raise ValueError("no corpus instance to verify")
     report = VerifyReport()
     check_oracle_equivalence(report, corpus, out_dir)
     for check in (

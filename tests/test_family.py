@@ -285,6 +285,14 @@ def test_family_union_dedup():
     assert len(a.union(b)) == 2
 
 
+def test_family_equality_ignores_how_it_was_built():
+    spec = GridSpec(4, 2, False)
+    fam = enumerate_family(FamilyParams(spec, D(1, 3)), identity_field(spec))
+    same = (fam.subfamily(range(len(fam))), fam.union(fam), RectangleFamily(fam.params, fam.members))
+    assert all(other == fam and hash(other) == hash(fam) for other in same)
+    assert fam.subfamily(range(1, len(fam))) != fam
+
+
 def test_family_validation():
     spec = GridSpec(4, 2, False)
     params = FamilyParams(spec, D(1, 1))
@@ -294,8 +302,8 @@ def test_family_validation():
     other = Parallelogram(GridSpec(4, 2, True), DyadicInterval(0, 0), SlopeCell(2, 1), D(0))
     with pytest.raises(ValueError, match="grid spec mismatch"):
         RectangleFamily(params, (R, other))
-    lines = RectangleFamily(params, (R,), "enumerated").export_lines()
-    assert RectangleFamily.from_lines(lines) == RectangleFamily(params, (R,), "enumerated")
+    lines = RectangleFamily(params, (R,)).export_lines()
+    assert RectangleFamily.from_lines(lines) == RectangleFamily(params, (R,))
     with pytest.raises(ValueError, match="missing family params header"):
         RectangleFamily.from_lines(lines[1:])
     # slope 7/8 over [0, 1) plus the width 1/4 reaches above 1

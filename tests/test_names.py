@@ -275,6 +275,31 @@ def test_badness_applies_no_operator():
     assert {name: lines for name in names if (lines := name_lines(source, name))} == {}
 
 
+def test_stopping_time_holds_no_float_norm_estimates():
+    """The L2 assembly waits for an exact, refereed form: stopping_time.py
+    imports from maximal only the choice map, T*, M2 and the member kernel,
+    names no math and none of the float lower estimates, and the T*T ascent
+    lives only in estimate_norm."""
+    from dirmax import calibration, maximal
+
+    source = (Path(dirmax.__file__).parent / "stopping_time.py").read_text()
+    assert from_imports(source, ".maximal") == {"ChoiceMap", "apply_T_adjoint", "m2_vertical", "_scaled_averages"}
+    names = (
+        "math", "generation_operator_ratio", "cross_norm_estimate", "orthogonality_table", "cotlar_stein_bound",
+    )
+    assert {name: lines for name in names if (lines := name_lines(source, name))} == {}
+    assert not hasattr(maximal, "ascent_iterate")
+    assert not hasattr(calibration, "DIAGONAL_RATIO_COEFF")
+
+
+def test_interval_records_carry_no_unread_fields():
+    from dataclasses import fields
+
+    from dirmax.stopping_time import IntervalRecord
+
+    assert [f.name for f in fields(IntervalRecord)] == ["interval", "assignment", "stops", "omegas", "classify"]
+
+
 def test_shrink_records_carry_no_unread_fields():
     from dataclasses import fields
 

@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirmax import oracle, stopping_time, verify
-from dirmax.calibration import DIAGONAL_RATIO_COEFF
 from dirmax.dyadic import DyadicRational as D
 from dirmax.family import (
     FamilyParams,
@@ -41,12 +40,9 @@ from dirmax.stopping_time import (
     carleson_sum,
     classify_points,
     compute_assignments,
-    cotlar_stein_bound,
     decomposition_to_json,
     domination_check,
-    generation_operator_ratio,
     omega_levels,
-    orthogonality_table,
     partition_theta,
     piece_cells,
     run_generations,
@@ -443,29 +439,6 @@ def test_cell_sets_are_sorted_read_only_int32_arrays():
         if len(a):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
-
-
-def test_generation_ratio_and_orthogonality_report():
-    spec = GridSpec(5, 3, False)
-    v = cascade_field(spec)
-    delta = D(1, 1)
-    fam = enumerate_family(FamilyParams(spec, delta), v)
-    f = random_grid(spec, random.Random(8))
-    rho = linearize(f, fam)
-    res = run_generations(v, spec.w, delta, rho)
-    cap = DIAGONAL_RATIO_COEFF * (1 + math.log2(1 << delta.exp))
-    for j in range(len(res.generations)):
-        assert generation_operator_ratio(res, rho, j, f) <= cap
-    table = orthogonality_table(res, rho, f, iters=2)
-    n = len(res.generations)
-    assert set(table) == {(j, k) for j in range(n) for k in range(n)}
-    assert all(val >= 0.0 for val in table.values())
-    a = [max(table[(j, k)] for j in range(n) for k in range(n) if abs(j - k) == d)
-         for d in range(n)]
-    assert cotlar_stein_bound(a) >= 0.0
-    # single piece with ||T T*|| = 4: bound is sqrt(4) * sqrt(sqrt(4))
-    assert cotlar_stein_bound([4.0]) == pytest.approx(2 * math.sqrt(2))
-    assert cotlar_stein_bound([]) == 0.0
 
 
 def test_decomposition_json_stable():

@@ -281,6 +281,14 @@ def test_cli_verify_quick(tmp_path):
     assert "PASS oracle enumerate_family" in out
 
 
+def test_cli_verify_on_no_instance_is_a_usage_error():
+    # no corpus instance has m below 3: an empty run must not print PASS lines
+    for argv in (["verify", "--m", "2"], ["verify", "--m", "1", "--quick"]):
+        rc, out, err = _run(argv)
+        assert (rc, out) == (2, "")
+        assert err == "error: no corpus instance to verify\n"
+
+
 def test_cli_invariant_failure_exit_code():
     # lambda0 = 1 is below the calibrated threshold: the shrink step fails
     # to halve and the command reports an invariant failure
