@@ -27,13 +27,8 @@ from .family import (
     FamilyParams,
     GoodnessWitness,
     RectangleFamily,
-    allowable_slopes,
     enumerate_family,
-    g_measure,
-    is_dense,
     is_good_collection,
-    theta,
-    v_measure,
 )
 from .maximal import (
     ChoiceMap,
@@ -44,8 +39,6 @@ from .maximal import (
     linearize,
     m2_vertical,
     maximal_apply,
-    nu,
-    rayleigh_ratio,
 )
 from .stopping_time import (
     DecompositionResult,
@@ -66,9 +59,7 @@ from .badness import (
     BadnessTable,
     ShrinkTrace,
     badness_table,
-    in_out_split,
     reformulate_check,
-    select_bad_windows,
     shrink_iterate,
     shrink_once,
 )
@@ -77,7 +68,6 @@ from .instances import (
     cascade_field,
     identity_field,
     make_kakeya_bundle,
-    make_kakeya_instance,
     make_square_instance,
     organized_collections,
     random_field,

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -135,12 +134,6 @@ class BadnessEngine:
         return DyadicRational(total, 3 * self.spec.m + t - self.spec.m_w)
 
 
-def badness(R: Parallelogram, cells: Iterable[int], rho: ChoiceMap) -> DyadicRational:
-    """Badness of R against the chooser set: exact weighted intersection count."""
-    eng = BadnessEngine(rho.fam)
-    return eng.badness_of(rho.fam.index(R), eng.weights(nu_all(rho, cells)).tolist())
-
-
 def badness_table(cells: Iterable[int], rho: ChoiceMap) -> "BadnessTable":
     """nu and badness for every member against one chooser set."""
     eng = BadnessEngine(rho.fam)
@@ -192,38 +185,9 @@ def reformulate_check(
     return DyadicRational(lhs, exp), DyadicRational(rhs, exp)
 
 
-def in_out_split(
-    I: DyadicInterval,
-    K: DyadicInterval | Window,
-    cells: Iterable[int],
-    rho: ChoiceMap,
-) -> tuple[Fraction, Fraction]:
-    """(B_in, B_out): averages over I x K of T* of the split chooser indicators.
-
-    Choosers whose rectangle projects inside I split by whether the vertical
-    extent of the chosen rectangle lies inside the tripled window 3K.
-    Averages over tripled (length 3/2^l) windows are exact but not dyadic,
-    hence the Fraction return.
-    """
-    eng = BadnessEngine(rho.fam)
-    w = eng.weights(nu_all(rho, cells))
-    W = _window_of(K)
-    if W.lo == W.hi:
-        return Fraction(0), Fraction(0)
-    inside = eng.fits(W.triple())
-    mass_in = eng.box_mass((w * inside).tolist(), I, W)
-    mass_out = eng.box_mass((w * ~inside).tolist(), I, W)
-    denom = I.length.as_fraction() * W.length.as_fraction()
-    return mass_in.as_fraction() / denom, mass_out.as_fraction() / denom
-
-
-def _window_of(K: DyadicInterval | Window) -> Window:
-    return K.window() if isinstance(K, DyadicInterval) else K
-
-
 def badness_components(
     R: Parallelogram,
-    K: DyadicInterval | Window,
+    K: DyadicInterval,
     cells: Iterable[int],
     rho: ChoiceMap,
 ) -> tuple[DyadicRational, DyadicRational]:
@@ -231,22 +195,8 @@ def badness_components(
     mi = rho.fam.index(R)
     eng = BadnessEngine(rho.fam)
     w = eng.weights(nu_all(rho, cells))
-    inside = eng.fits(_window_of(K).triple())
+    inside = eng.fits(K.triple())
     return eng.badness_of(mi, (w * inside).tolist()), eng.badness_of(mi, (w * ~inside).tolist())
-
-
-def select_bad_windows(
-    I: DyadicInterval,
-    cells: Iterable[int],
-    rho: ChoiceMap,
-    lam0,
-) -> tuple[DyadicInterval, ...]:
-    """Vertical dyadic K with B_out(I,K) >= lambda0 but B_out(I,3K) < lambda0."""
-    lam0 = _coerce_lambda(lam0)
-    eng = BadnessEngine(rho.fam)
-    weights = eng.weights(nu_all(rho, cells)).tolist()
-    covers = _cover_rows(eng, weights, eng.inside_base((I.level, I.index)))
-    return _select_bad_windows(eng, I, covers, lam0)
 
 
 def _cover_rows(

@@ -92,6 +92,7 @@ _FLAGS = {
     "depth": dict(type=int, default=None),
 }
 _FAMILY_FLAGS = ("m", "mw", "delta", "offstep", "seed", "field")
+_FAMILY_M = 4  # the family commands' grid exponent without --m
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -150,8 +151,8 @@ def _parser(defaults: dict) -> argparse.ArgumentParser:
     return parser
 
 
-def _spec(args, default_m=4) -> GridSpec:
-    m = args.m if args.m is not None else default_m
+def _spec(args) -> GridSpec:
+    m = args.m if args.m is not None else _FAMILY_M
     mw = args.mw if args.mw is not None else m - 2
     return spec_from_offstep(m, mw, args.offstep)
 

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .dyadic import DyadicRational
-from .geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell, Window
+from .geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell
 from .geometry import dyadic_inside, max_offset_steps, spec_from_offstep
 from .grids import OneVarField
 
@@ -159,26 +159,6 @@ def _member(spec: GridSpec, k: int, i: int, j: int, offset: DyadicRational) -> P
     return Parallelogram(spec, DyadicInterval(spec.m_w - k, i), SlopeCell(k, j), offset)
 
 
-def theta(R: Parallelogram) -> Window:
-    """Slope window of R: width w/L(R) centered at the slope = R's slope cell."""
-    return R.slope.window()
-
-
-def v_measure(R: Parallelogram, v: OneVarField) -> DyadicRational:
-    """|V_R|: measure of the part of R whose columns see the field in theta(R)."""
-    if R.spec != v.spec:
-        raise ValueError("incompatible grids")
-    count = _interval_hits(R.base, v).get(R.slope.index, 0)
-    return DyadicRational(count, R.spec.m + R.spec.m_w)
-
-
-def is_dense(R: Parallelogram, v: OneVarField, delta: DyadicRational) -> bool:
-    """Exact test |V_R| >= delta * |R|."""
-    if R.spec != v.spec:
-        raise ValueError("incompatible grids")
-    return R.slope.index in _popular_counts(R.base, v, delta)
-
-
 def enumerate_family(
     params: FamilyParams,
     v: OneVarField,
@@ -239,29 +219,6 @@ def _popular_counts(
     return {
         j: hits[j] for j in sorted(hits) if (hits[j] << delta.exp) >= (delta.num << shift)
     }
-
-
-def g_measure(
-    J: DyadicInterval, s: SlopeCell, v: OneVarField, w: DyadicRational
-) -> DyadicRational:
-    """|G_{J,s}|: measure of columns of J whose field value lies in s's cell."""
-    spec = v.spec
-    if w != spec.w:
-        raise ValueError("interval/width mismatch")
-    if s.level != _slope_level_for(J, spec):
-        raise ValueError("slope level mismatch")
-    return DyadicRational(_interval_hits(J, v).get(s.index, 0), spec.m)
-
-
-def allowable_slopes(
-    J: DyadicInterval, v: OneVarField, w: DyadicRational, delta: DyadicRational
-) -> tuple[SlopeCell, ...]:
-    """S(J): slope cells at J's level that are delta-popular on J."""
-    spec = v.spec
-    if w != spec.w:
-        raise ValueError("interval/width mismatch")
-    k = _slope_level_for(J, spec)
-    return tuple(SlopeCell(k, j) for j in _popular_counts(J, v, delta))
 
 
 # -- goodness ----------------------------------------------------------------

@@ -137,13 +137,6 @@ def make_kakeya_bundle(m: int, delta: DyadicRational, depth: int | None = None) 
     )
 
 
-def make_kakeya_instance(
-    m: int, delta: DyadicRational, depth: int | None = None
-) -> tuple[OneVarField, GridFunction]:
-    bundle = make_kakeya_bundle(m, delta, depth)
-    return bundle.field, bundle.indicator
-
-
 def make_square_instance(
     m: int, delta: DyadicRational
 ) -> tuple[OneVarField, GridFunction]:

@@ -24,8 +24,8 @@ fractions, through one difference array, so <Tf, g> = <f, T*g> is exact.
 
 estimate_norm's squared norms are sums over the members, not the cells:
 ||Mf||^2 from the cells each member wins, and ||T* Mf||^2 = <Mf, T T* Mf> by
-that exact adjointness.  Seeds, iterates the scale cap rounds down, and
-rayleigh_ratio, the reference, square cell by cell.
+that exact adjointness.  Seeds and the iterates the scale cap rounds down
+square cell by cell.
 """
 
 from __future__ import annotations
@@ -301,19 +301,6 @@ def apply_T_adjoint(rho: ChoiceMap, g: GridFunction) -> GridFunction:
     return GridFunction._adopt(spec, g.scale + 2 * m + 2, diff[:-1].tolist())
 
 
-def nu(rho: ChoiceMap, cells, member) -> DyadicRational:
-    """nu_R^F: measure of the F-cells whose choice is the given member.
-
-    The member may be given as its index (any integer in [0, N)) or as the
-    parallelogram itself.
-    """
-    if not isinstance(member, (int, np.integer)):
-        member = rho.fam.index(member)
-    elif not 0 <= member < len(rho.fam):
-        raise ValueError("member index out of range")
-    return DyadicRational(nu_all(rho, cells)[member], 2 * rho.spec.m)
-
-
 def nu_all(rho: ChoiceMap, cells) -> list[int]:
     """Chooser cell counts for every member (scaled nu: count per member)."""
     chosen = rho.entries[cell_array(rho.spec, cells)]
@@ -388,13 +375,6 @@ class NormReport:
         for sid, it, ratio in self.rows:
             lines.append(f"{sid},{it},{ratio:.12g}")
         return "\n".join(lines) + "\n"
-
-
-def rayleigh_ratio(f: GridFunction, fam: RectangleFamily) -> float:
-    """||Mf||_2 / ||f||_2 from exact squared norms."""
-    if f.is_zero():
-        raise ValueError("degenerate seed")
-    return _ratio(maximal_apply(f, fam).l2_sq(), f.l2_sq())
 
 
 def _ratio(mf_sq: DyadicRational, f_sq: DyadicRational) -> float:

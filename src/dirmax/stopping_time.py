@@ -136,15 +136,11 @@ def shadow_measure(intervals: Iterable[DyadicInterval]) -> DyadicRational:
 
 def partition_theta(
     assign: SlopeAssignment, stops: Sequence[DyadicInterval]
-) -> tuple[tuple[ThetaPair, ...], tuple[ThetaPair, ...]]:
-    """Split Theta into good pairs and pairs buried inside a stopping interval."""
-    good, bad = [], []
-    for pair in assign.theta():
-        if any(S.contains(pair.interval) for S in stops):
-            bad.append(pair)
-        else:
-            good.append(pair)
-    return tuple(good), tuple(bad)
+) -> tuple[ThetaPair, ...]:
+    """The good pairs of Theta: those buried inside no stopping interval."""
+    return tuple(
+        pair for pair in assign.theta() if not any(S.contains(pair.interval) for S in stops)
+    )
 
 
 def omega_levels(
@@ -299,7 +295,7 @@ def run_generations(
         for I in intervals:
             assign = compute_assignments(I, v, w, delta)
             stops = stopping_intervals(assign)
-            th_good, _ = partition_theta(assign, stops)
+            th_good = partition_theta(assign, stops)
             omegas = omega_levels(th_good, assign.theta())
             cl = classify_points(_under(e_cells, I, m), rho, omegas, I)
             records.append(IntervalRecord(I, assign, stops, omegas, cl))

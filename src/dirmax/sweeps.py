@@ -82,14 +82,9 @@ class DeltaSweep:
         return "\n".join(lines) + "\n"
 
 
-def kakeya_point(
-    delta: DyadicRational,
-    m: int | None = None,
-    depth: int | None = None,
-    ascent_iters: int = 0,
-) -> float:
+def kakeya_point(delta: DyadicRational, m: int | None = None, ascent_iters: int = 0) -> float:
     """Best measured Rayleigh ratio of the compression instance at one density."""
-    bundle = make_kakeya_bundle(m or kakeya_grid_m(delta), delta, depth)
+    bundle = make_kakeya_bundle(m if m is not None else kakeya_grid_m(delta), delta)
     report = estimate_norm(bundle.tails, [bundle.indicator], ascent_iters)
     return report.best_ratio
 

@@ -154,7 +154,7 @@ def _oracle_checks(inst: CorpusInstance, members, vvals):
 
     def omegas():
         assign = compute_assignments(root, inst.field, spec.w, inst.delta)
-        th_good, _ = partition_theta(assign, stopping_intervals(assign))
+        th_good = partition_theta(assign, stopping_intervals(assign))
         to_pair = lambda p: (
             (p.interval.level, p.interval.index),
             (p.slope.level, p.slope.index),
@@ -278,7 +278,7 @@ def check_stopping_theorems(report: VerifyReport, corpus: list[CorpusInstance]) 
         sh = shadow_measure(stops)
         if sh + sh > root.length:
             ok_halving = False
-        th_good, _ = partition_theta(assign, stops)
+        th_good = partition_theta(assign, stops)
         theta = assign.theta()
         om = omega_levels(th_good, theta)
         cap = math.ceil(3 / float(inst.delta.as_fraction()))

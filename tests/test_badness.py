@@ -19,12 +19,9 @@ from dirmax.badness import (
     ShrinkHalvingError,
     _cover_rows,
     _select_bad_windows,
-    badness,
     badness_components,
     badness_table,
-    in_out_split,
     reformulate_check,
-    select_bad_windows,
     shrink_iterate,
     shrink_once,
 )
@@ -48,7 +45,7 @@ from dirmax.instances import (
     random_field,
     random_grid,
 )
-from dirmax.maximal import apply_T_adjoint, linearize, nu, nu_all
+from dirmax.maximal import apply_T_adjoint, linearize, nu_all
 from dirmax.sweeps import multi_collection_experiment
 
 
@@ -63,13 +60,13 @@ def _setup(seed=21, m=4, delta=D(1, 3)):
 
 def test_badness_empty_and_single():
     spec, fam, rho, E = _setup()
-    assert badness(fam.members[0], [], rho) == D(0)
+    assert badness_table([], rho).badness[0] == D(0)
     sub = fam.subfamily([0])
     f = random_grid(spec, random.Random(33))
     rho1 = linearize(f, sub)
     E1 = frozenset(rho1.covered_cells())
-    nu_val = nu(rho1, E1, 0)
-    assert badness(sub.members[0], E1, rho1) == nu_val / sub.members[0].measure
+    nu_val = D(nu_all(rho1, E1)[0], 2 * spec.m)
+    assert badness_table(E1, rho1).badness[0] == nu_val / sub.members[0].measure
 
 
 def test_badness_against_direct_integral():
@@ -95,7 +92,7 @@ def test_badness_rejects_foreign_rectangle():
         foreign_spec, DyadicInterval(spec.m_w, 0), SlopeCell(0, 0), D(0)
     )
     with pytest.raises(ValueError, match="not a family member"):
-        badness(foreign, E, rho)
+        badness_components(foreign, DyadicInterval(1, 0), E, rho)
 
 
 def test_reformulate_identities():
@@ -163,6 +160,23 @@ def test_reformulate_and_components_match_oracle():
                     assert sum(parts) == bad[mi]
 
 
+def _engine_masses(rho, cells, I, W):
+    """(in-mass, out-mass) over I x W of T* of the choosers under I, split by
+    whether the chosen rectangle's pi_2 lies inside 3W: BadnessEngine's
+    weights, fits and box masses."""
+    eng = BadnessEngine(rho.fam)
+    w = eng.weights(nu_all(rho, cells))
+    inside = eng.fits(W.triple())
+    return eng.box_mass((w * inside).tolist(), I, W), eng.box_mass((w * ~inside).tolist(), I, W)
+
+
+def _engine_split(rho, cells, I, W):
+    """(B_in, B_out): the masses averaged over I x W.  Averages over tripled
+    (length 3/2^l) windows are exact but not dyadic, hence Fractions."""
+    area = I.length.as_fraction() * W.length.as_fraction()
+    return tuple(mass.as_fraction() / area for mass in _engine_masses(rho, cells, I, W))
+
+
 def test_in_out_split_identity_and_averages():
     spec, fam, rho, E = _setup(seed=26)
     tab = badness_table(E, rho)
@@ -174,21 +188,23 @@ def test_in_out_split_identity_and_averages():
             b_in, b_out = badness_components(R, K, E, rho)
             assert b_in + b_out == tab.badness[mi]
     # empty set gives zero averages
-    assert in_out_split(DyadicInterval(0, 0), DyadicInterval(1, 0), [], rho) == (
+    assert _engine_split(rho, [], DyadicInterval(0, 0), DyadicInterval(1, 0).window()) == (
         Fraction(0),
         Fraction(0),
     )
     # all choosers inside I x 3K -> out-average is 0
     I = DyadicInterval(0, 0)
     K0 = DyadicInterval(0, 0)  # 3K covers [0,1]
-    _, b_out = in_out_split(I, K0, E, rho)
+    _, b_out = _engine_split(rho, E, I, K0.window())
     assert b_out == 0
 
 
 def test_in_out_split_zero_length_window():
+    # a zero-length window holds no mass on either side: its split is (0, 0)
     rho = build_corpus()[5].rho
-    split = in_out_split(DyadicInterval(0, 0), Window(D(1, 1), D(1, 1)), rho.covered_cells(), rho)
-    assert split == (Fraction(0), Fraction(0))
+    I, mid = DyadicInterval(0, 0), D(1, 1)
+    masses = _engine_masses(rho, rho.covered_cells(), I, Window(mid, mid))
+    assert masses == (D(0), D(0))
 
 
 def test_mass_bound_for_window_sets():
@@ -208,13 +224,21 @@ def test_mass_bound_for_window_sets():
         assert g.integral() <= D(1) * (TW.hi - TW.lo)
 
 
+def _bad_windows(I, cells, rho, lam0):
+    """The bad-window scan over one base I, as a shrinking step runs it."""
+    eng = BadnessEngine(rho.fam)
+    weights = eng.weights(nu_all(rho, cells)).tolist()
+    return _select_bad_windows(eng, I, _cover_rows(eng, weights, range(len(rho.fam))), lam0)
+
+
 def test_select_bad_windows_degenerate():
     spec, fam, rho, E = _setup(seed=28)
     I = DyadicInterval(0, 0)
-    assert select_bad_windows(I, E, rho, D(1 << 12)) == ()
-    assert select_bad_windows(I, [], rho, 1) == ()
-    with pytest.raises(ValueError):
-        select_bad_windows(I, E, rho, D(1, 1))  # lambda0 must be >= 1
+    assert _bad_windows(I, E, rho, D(1 << 12)) == ()
+    assert _bad_windows(I, [], rho, D(1)) == ()
+    for step in (shrink_once, shrink_iterate):
+        with pytest.raises(ValueError, match="lambda0 must be at least 1"):
+            step(E, rho, D(1, 1))
 
 
 def _raw(fam):
@@ -247,7 +271,7 @@ def test_select_bad_windows_definition_replay():
     selected = 0
     for lam in (Fraction(1), Fraction(3, 2)):
         for I in (DyadicInterval(0, 0), DyadicInterval(1, 0), DyadicInterval(2, 1)):
-            got = select_bad_windows(I, E, rho, D.from_fraction(lam))
+            got = _bad_windows(I, E, rho, D.from_fraction(lam))
             want = []
             for level in range(spec.m + 1):
                 for index in range(1 << level):
@@ -331,9 +355,9 @@ def test_shrink_and_split_match_oracle(spec_args, seed, delta, lam, pick):
         K = DyadicInterval(level, index)
         for W in (K.window(), K.triple()):
             want = _oracle_split(spec, raw, rho, E, I, W.lo.as_fraction(), W.hi.as_fraction())
-            assert in_out_split(I, W, E, rho) == want
+            assert _engine_split(rho, E, I, W) == want
     mid = D(1, 1)
-    assert in_out_split(I, Window(mid, mid), E, rho) == (Fraction(0), Fraction(0))
+    assert _engine_masses(rho, E, I, Window(mid, mid)) == (D(0), D(0))
     assert _oracle_split(spec, raw, rho, E, I, Fraction(1, 2), Fraction(1, 2)) == (0, 0)
 
 

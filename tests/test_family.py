@@ -1,8 +1,15 @@
-"""Family enumeration, density predicates, popularity sets, goodness."""
+"""Family enumeration, density predicates, popularity sets, goodness.
+
+The paper's density definitions -- |G_{J,s}|, |V_R|, density and S(J) --
+are read here from the oracle's Fraction count ``oracle.g_count``; the
+production counts are refereed through enumerate_family (membership is
+density) and, in test_stopping, through the slope assignment.
+"""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,30 +19,65 @@ from dirmax.dyadic import DyadicRational as D
 from dirmax.family import (
     FamilyParams,
     RectangleFamily,
-    allowable_slopes,
     enumerate_family,
-    g_measure,
-    is_dense,
     is_good_collection,
-    theta,
-    v_measure,
 )
 from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell
+from dirmax.grids import OneVarField
 from dirmax.instances import cascade_field, constant_field, identity_field, random_field, random_grid
 from dirmax.badness import badness_table, reformulate_check, shrink_iterate
 from dirmax.maximal import apply_T_adjoint, linearize
 from dirmax.stopping_time import decomposition_to_json, domination_check, run_generations
 
 
+def g_count(J: DyadicInterval, j: int, v: OneVarField) -> int:
+    """|G_{J,s}| * 2^m for the slope cell s = (level m_w - J.level, j): the
+    columns of J whose field value lies in s, counted by the oracle."""
+    spec = v.spec
+    return oracle.g_count(spec.m, spec.m_w, [x.as_fraction() for x in v.values()], J.level, J.index, j)
+
+
+def g_measure(J: DyadicInterval, j: int, v: OneVarField) -> Fraction:
+    """|G_{J,s}| = g_count / 2^m."""
+    return Fraction(g_count(J, j, v), 1 << v.spec.m)
+
+
+def v_measure(R: Parallelogram, v: OneVarField) -> Fraction:
+    """|V_R| = g_count / 2^(m + m_w) over R's base and slope cell."""
+    return Fraction(g_count(R.base, R.slope.index, v), 1 << (v.spec.m + v.spec.m_w))
+
+
+def dense(J: DyadicInterval, j: int, v: OneVarField, delta: D) -> bool:
+    """Slope cell j is delta-popular on J: g_count / 2^(m - level) >= delta."""
+    return Fraction(g_count(J, j, v), 1 << (v.spec.m - J.level)) >= delta.as_fraction()
+
+
+def allowable_slopes(J: DyadicInterval, v: OneVarField, delta: D) -> list[SlopeCell]:
+    """S(J): the slope cells at J's level that are delta-popular on J."""
+    k = v.spec.m_w - J.level
+    return [SlopeCell(k, j) for j in range(1 << k) if dense(J, j, v, delta)]
+
+
+def is_dense(R: Parallelogram, v: OneVarField, delta: D) -> bool:
+    """|V_R| >= delta |R|, that is R's slope cell is popular on its base."""
+    return dense(R.base, R.slope.index, v, delta)
+
+
+def enumerated(R: Parallelogram, v: OneVarField, delta: D) -> bool:
+    """R is a member of enumerate_family's family: the production density test."""
+    fam = enumerate_family(FamilyParams(R.spec, delta), v)
+    return list(R.sort_key()) in fam.sort_keys.tolist()
+
+
 def test_theta_is_the_slope_cell():
     spec = GridSpec(4, 2, False)
     # k=0, s=1/2: window of width w/L = 1 centered at 1/2 is [0, 1)
     R = Parallelogram(spec, DyadicInterval(2, 0), SlopeCell(0, 0), D(0))
-    win = theta(R)
+    win = R.slope.window()
     assert win.lo == D(0) and win.hi == D(1)
     # k=2, j=0, s=1/8: width 1/4 centered at 1/8 is [0, 1/4)
     R2 = Parallelogram(spec, DyadicInterval(0, 0), SlopeCell(2, 0), D(0))
-    win2 = theta(R2)
+    win2 = R2.slope.window()
     assert win2.lo == D(0) and win2.hi == D(1, 2)
     # window width always equals w / L(R)
     assert win2.length == spec.w / R2.length
@@ -45,28 +87,32 @@ def test_v_measure_degenerate_fields():
     spec = GridSpec(5, 3, False)
     R = Parallelogram(spec, DyadicInterval(2, 1), SlopeCell(1, 0), D(0))
     v_hit = constant_field(spec, R.slope.center)
-    assert v_measure(R, v_hit) == R.measure
+    assert v_measure(R, v_hit) == R.measure.as_fraction()
     v_miss = constant_field(spec, R.slope.center + D(1, 1))
-    assert v_measure(R, v_miss) == D(0)
+    assert v_measure(R, v_miss) == 0
 
 
 def test_v_measure_identity_field():
     # m=5, w=1/8, base [0,1/2), slope window [1/4,1/2): |V_R| = w/4
     spec = GridSpec(5, 3, False)
     R = Parallelogram(spec, DyadicInterval(1, 0), SlopeCell(2, 1), D(0))
-    assert theta(R).lo == D(1, 2) and theta(R).hi == D(1, 1)
-    assert v_measure(R, identity_field(spec)) == spec.w * D(1, 2)
+    assert R.slope.window().lo == D(1, 2) and R.slope.window().hi == D(1, 1)
+    assert v_measure(R, identity_field(spec)) == (spec.w * D(1, 2)).as_fraction()
 
 
 def test_is_dense():
     spec = GridSpec(5, 3, False)
     R = Parallelogram(spec, DyadicInterval(1, 0), SlopeCell(2, 1), D(0))
-    assert is_dense(R, constant_field(spec, R.slope.center), D(1))
-    assert not is_dense(R, constant_field(spec, D(7, 3)), D(1))
-    # identity field: exactly 1/4 of columns qualify
-    v = identity_field(spec)
-    assert is_dense(R, v, D(1, 2))
-    assert not is_dense(R, v, D(3, 2))
+    v = identity_field(spec)  # exactly 1/4 of the base's columns qualify
+    cases = [
+        (constant_field(spec, R.slope.center), D(1), True),
+        (constant_field(spec, D(7, 3)), D(1), False),
+        (v, D(1, 2), True),
+        (v, D(3, 2), False),
+    ]
+    for field, delta, want in cases:
+        assert is_dense(R, field, delta) is want
+        assert enumerated(R, field, delta) is want
 
 
 def test_is_dense_monotone_toward_center():
@@ -81,13 +127,12 @@ def test_is_dense_monotone_toward_center():
             center if rng.random() < 0.5 else D(n, v.scale)
             for n in v.nums
         ]
-        from dirmax.grids import OneVarField
-
         v2 = OneVarField.from_values(spec, moved)
         assert v_measure(R, v2) >= v_measure(R, v)
         for delta in (D(1, 2), D(1, 1)):
+            assert enumerated(R, v, delta) is is_dense(R, v, delta)
             if is_dense(R, v, delta):
-                assert is_dense(R, v2, delta)
+                assert is_dense(R, v2, delta) and enumerated(R, v2, delta)
 
 
 def test_enumerate_matches_bruteforce():
@@ -183,17 +228,11 @@ def test_g_measure_and_errors():
     v = identity_field(spec)
     J = DyadicInterval(1, 0)
     s = SlopeCell(2, 1)  # cell [1/4, 1/2)
-    assert g_measure(J, s, v, spec.w) == D(1, 2)
+    assert g_measure(J, s.index, v) == Fraction(1, 4)
     v_c = constant_field(spec, s.center)
-    assert g_measure(J, s, v_c, spec.w) == J.length
+    assert g_measure(J, s.index, v_c) == J.length.as_fraction()
     v_out = constant_field(spec, s.center + D(1, 1))
-    assert g_measure(J, s, v_out, spec.w) == D(0)
-    with pytest.raises(ValueError, match="slope level mismatch"):
-        g_measure(J, SlopeCell(1, 0), v, spec.w)
-    with pytest.raises(ValueError, match="interval/width mismatch"):
-        g_measure(J, s, v, D(1, 2))
-    with pytest.raises(ValueError, match="interval/width mismatch"):
-        g_measure(DyadicInterval(4, 0), SlopeCell(0, 0), v, spec.w)
+    assert g_measure(J, s.index, v_out) == 0
 
 
 def test_allowable_slopes_bounds():
@@ -202,7 +241,7 @@ def test_allowable_slopes_bounds():
     v = constant_field(spec, D(3, 3))
     for level in range(4):
         J = DyadicInterval(level, 0)
-        cells = allowable_slopes(J, v, spec.w, D(1, 2))
+        cells = allowable_slopes(J, v, D(1, 2))
         assert len(cells) <= 2
         for s in cells:
             window = s.window()
@@ -214,7 +253,7 @@ def test_allowable_slopes_bounds():
             for level in range(4):
                 for index in range(1 << level):
                     J = DyadicInterval(level, index)
-                    got = allowable_slopes(J, vr, spec.w, delta)
+                    got = allowable_slopes(J, vr, delta)
                     assert len(got) <= 2 / float(delta.as_fraction()) + 2
 
 

@@ -8,15 +8,14 @@ from fractions import Fraction
 
 import pytest
 
+from dirmax import oracle
 from dirmax.dyadic import DyadicRational as D
-from dirmax.family import is_dense
 from dirmax.geometry import GridSpec
 from dirmax.instances import (
     build_corpus,
     cascade_field,
     identity_field,
     make_kakeya_bundle,
-    make_kakeya_instance,
     make_square_instance,
     organized_collections,
     random_field,
@@ -26,9 +25,9 @@ from dirmax.family import is_good_collection
 
 def test_kakeya_requires_dyadic_delta():
     with pytest.raises(ValueError, match="dyadic delta"):
-        make_kakeya_instance(6, D(3, 3))
+        make_kakeya_bundle(6, D(3, 3))
     with pytest.raises(ValueError, match="dyadic delta"):
-        make_kakeya_instance(6, D(1))
+        make_kakeya_bundle(6, D(1))
 
 
 def test_kakeya_minimal_depth_one():
@@ -58,7 +57,8 @@ def test_kakeya_minimal_depth_one():
 
 
 def test_kakeya_field_is_identity():
-    v, f = make_kakeya_instance(7, D(1, 4))
+    bundle = make_kakeya_bundle(7, D(1, 4))
+    v, f = bundle.field, bundle.indicator
     assert v == identity_field(v.spec)
     assert set(f.nums) <= {0, 1}
 
@@ -110,11 +110,16 @@ def test_kakeya_bundle_matches_the_digit_scheme():
 
 
 def test_kakeya_tails_are_dense_members():
+    # dense: |G_{J,s}| >= delta |J| over each tail's base J and slope cell s,
+    # from the oracle's count
     bundle = make_kakeya_bundle(7, D(1, 4))
-    v = bundle.field
+    spec = bundle.spec
+    vf = [x.as_fraction() for x in bundle.field.values()]
+    delta = bundle.tails.params.delta.as_fraction()
     for r in bundle.tails.members:
-        assert r.k == bundle.spec.m_w  # full length
-        assert is_dense(r, v, bundle.tails.params.delta)
+        assert r.k == spec.m_w  # full length
+        count = oracle.g_count(spec.m, spec.m_w, vf, r.base.level, r.base.index, r.slope.index)
+        assert Fraction(count, 1 << (spec.m - r.base.level)) >= delta
 
 
 def test_square_instance():

@@ -14,22 +14,21 @@ from hypothesis import strategies as st
 
 from dirmax import maximal, oracle
 from dirmax.dyadic import DyadicRational as D
-from dirmax.family import FamilyParams, enumerate_family
+from dirmax.family import FamilyParams, RectangleFamily, enumerate_family
 from dirmax.geometry import GridSpec
 from dirmax.grids import GridFunction
 from dirmax.instances import random_field, random_grid
 from dirmax.maximal import (
     ChoiceMap,
     NormReport,
+    _ratio,
     apply_T,
     apply_T_adjoint,
     estimate_norm,
     linearize,
     m2_vertical,
     maximal_apply,
-    nu,
     nu_all,
-    rayleigh_ratio,
 )
 
 
@@ -225,6 +224,13 @@ def test_painter_many_ties():
     assert mf.values() == [avgs[w] if w >= 0 else D(0) for w in want]
     with _exact_path():
         assert np.array_equal(linearize(f, fam).entries, rho.entries)
+
+
+def rayleigh_ratio(f: GridFunction, fam: RectangleFamily) -> float:
+    """||Mf||_2 / ||f||_2 from exact squared norms."""
+    if f.is_zero():
+        raise ValueError("degenerate seed")
+    return _ratio(maximal_apply(f, fam).l2_sq(), f.l2_sq())
 
 
 def _composed_ascent(fam, seeds, iters):
@@ -480,7 +486,11 @@ def test_adjointness_exact():
 def test_nu_and_mass_bound():
     spec, fam, f = _setup(seed=14)
     rho = linearize(f, fam)
-    assert nu(rho, [], 0) == D(0)
+    assert nu_all(rho, []) == [0] * len(fam)
+    # every chosen member, read at a numpy index, counts exactly its cells
+    whole = nu_all(rho, range(spec.n_cells))
+    for e in np.unique([e for e in rho.entries if e >= 0]):
+        assert whole[e] == np.count_nonzero(rho.entries == e) > 0
     cells = [i for i in range(spec.n_cells) if i % 3 == 0]
     counts = nu_all(rho, cells)
     assert sum(counts) <= len(cells)
@@ -491,38 +501,12 @@ def test_nu_and_mass_bound():
     assert sum(nu_all(rho, inside)) == len(inside)
 
 
-def test_nu_takes_numpy_integer_indices():
-    spec, fam, f = _setup(seed=14)
-    rho = linearize(f, fam)
-    cells = range(spec.n_cells)
-    for e in np.unique([e for e in rho.entries if e >= 0]):
-        assert nu(rho, cells, e) == nu(rho, cells, int(e)) == nu(rho, cells, fam.members[e])
-        assert nu(rho, cells, e).num > 0
-
-
-def test_nu_rejects_member_outside_range():
-    # unchecked, member -1 measured the exceptional cells (5/2^5 here) and
-    # member N measured nothing
-    spec = GridSpec(4, 2, False)
-    fam = enumerate_family(FamilyParams(spec, D(1, 3)), random_field(spec, random.Random(1)))
-    rho = linearize(random_grid(spec, random.Random(2)), fam)
-    cells = range(spec.n_cells)
-    assert len(rho.exceptional_cells()) == 40
-    for member in (-1, len(fam), np.int32(-1), np.int64(len(fam))):
-        with pytest.raises(ValueError, match="member index out of range"):
-            nu(rho, cells, member)
-    last = len(fam) - 1
-    assert nu(rho, cells, last) == D(nu_all(rho, cells)[last], 2 * spec.m)
-
-
 def test_cell_indices_outside_the_grid_are_rejected():
     spec, fam, f = _setup(seed=14)
     rho = linearize(f, fam)
     for cells in ([-1], [spec.n_cells], [0, 10**6], np.array([3, -1])):
         with pytest.raises(ValueError, match="cell index out of range"):
             nu_all(rho, cells)
-        with pytest.raises(ValueError, match="cell index out of range"):
-            nu(rho, cells, 0)
 
 
 def test_choice_map_entries_are_a_read_only_int32_copy():

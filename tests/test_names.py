@@ -75,6 +75,58 @@ def test_package_attributes_are_its_loaded_submodules():
     assert [name for name in loaded if getattr(dirmax, name) is not sys.modules["dirmax." + name]] == []
 
 
+def unused_public_names(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) for each public top-level function or class of a module
+    (not the oracle, ``__init__`` or ``__main__``) that no other module but
+    ``__init__`` imports and its own module never loads outside its
+    definition.  Only loads count: a dataclass field or an attribute that
+    shares the name does not."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    imported = {
+        (node.module, alias.name)
+        for mod, tree in trees.items()
+        if mod != "__init__"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    unused = []
+    for mod, tree in trees.items():
+        if mod in ("oracle", "__init__", "__main__"):
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            loaded = any(
+                isinstance(n, ast.Name) and n.id == node.name and isinstance(n.ctx, ast.Load) and id(n) not in own
+                for n in ast.walk(tree)
+            )
+            if not loaded and (mod, node.name) not in imported:
+                unused.append((mod, node.name))
+    return unused
+
+
+def test_unused_name_checker_flags_probes():
+    sources = {
+        "a": "def f(n):\n    return f(n - 1)\n\ndef g():\n    pass\n\nclass C:\n    f: int\n\nx = g\n",
+        "b": "from .a import C\n\ndef _h(c):\n    return c.f\n",
+        "__init__": "from .a import f\n",
+        "oracle": "def referee():\n    pass\n",
+    }
+    assert unused_public_names(sources) == [("a", "f")]
+    sources["b"] += "from .a import f\n"
+    assert unused_public_names(sources) == []
+
+
+def test_every_public_name_outside_the_oracle_is_used():
+    """A public function or class that only tests call belongs in the tests
+    or the oracle: the package's re-exports do not count as a use."""
+    root = Path(dirmax.__file__).parent
+    sources = {p.stem: p.read_text() for p in sorted(root.glob("*.py"))}
+    assert unused_public_names(sources) == []
+
+
 def non_stdlib_imports(source: str) -> list[str]:
     """Modules a source imports that are not in the standard library; a
     relative import names its dots, so any package-internal import counts."""

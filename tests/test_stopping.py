@@ -14,14 +14,7 @@ from hypothesis import strategies as st
 
 from dirmax import oracle, stopping_time, verify
 from dirmax.dyadic import DyadicRational as D
-from dirmax.family import (
-    FamilyParams,
-    allowable_slopes,
-    enumerate_family,
-    g_measure,
-    is_dense,
-    v_measure,
-)
+from dirmax.family import FamilyParams, enumerate_family
 from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell, spec_from_offstep
 from dirmax.grids import GridFunction, OneVarField
 from dirmax.instances import (
@@ -106,11 +99,13 @@ def test_carleson_exact_recomputation():
     for seed in range(6):
         v = random_field(spec, random.Random(40 + seed))
         assign = compute_assignments(ROOT, v, spec.w, D(1, 3))
-        total = D(0)
+        vf = [x.as_fraction() for x in v.values()]
+        total = Fraction(0)
         for pair in assign.theta():
-            total = total + g_measure(pair.interval, pair.slope, v, spec.w)
-        assert carleson_sum(assign) == total
-        assert total <= ROOT.length
+            J, s = pair.interval, pair.slope
+            total += Fraction(oracle.g_count(spec.m, spec.m_w, vf, J.level, J.index, s.index), 1 << spec.m)
+        assert carleson_sum(assign).as_fraction() == total
+        assert total <= 1
     empty = compute_assignments(ROOT, constant_field(spec, D(1)), spec.w, D(1))
     assert carleson_sum(empty) == D(0)  # v == 1 lies in no half-open cell
 
@@ -147,17 +142,17 @@ def test_partition_theta():
     v = cascade_field(spec)
     assign = compute_assignments(ROOT, v, spec.w, D(1, 1))
     stops = stopping_intervals(assign)
-    good, bad = partition_theta(assign, stops)
-    assert set(good) | set(bad) == set(assign.theta())
-    assert not set(good) & set(bad)
+    good = partition_theta(assign, stops)
+    bad = set(assign.theta()) - set(good)
+    assert set(good) <= set(assign.theta())
     for pair in bad:
         assert any(S.contains(pair.interval) for S in stops)
     for pair in good:
         assert not any(S.contains(pair.interval) for S in stops)
     # no stops -> nothing bad
     a2 = compute_assignments(ROOT, identity_field(spec), spec.w, D(1, 3))
-    g2, b2 = partition_theta(a2, ())
-    assert b2 == () and set(g2) == set(a2.theta())
+    g2 = partition_theta(a2, ())
+    assert g2 == a2.theta()
 
 
 def test_omega_levels_structure():
@@ -169,7 +164,7 @@ def test_omega_levels_structure():
         delta = D(1, 2)
         assign = compute_assignments(ROOT, v, spec.w, delta)
         stops = stopping_intervals(assign)
-        good, _ = partition_theta(assign, stops)
+        good = partition_theta(assign, stops)
         theta = assign.theta()
         om = omega_levels(good, theta)
         # every good pair lands in some level
@@ -217,7 +212,7 @@ def test_classify_points_errors_and_empty():
     f = random_grid(spec, random.Random(3))
     rho = linearize(f, fam)
     assign = compute_assignments(ROOT, v, spec.w, D(1, 3))
-    good, _ = partition_theta(assign, stopping_intervals(assign))
+    good = partition_theta(assign, stopping_intervals(assign))
     om = omega_levels(good, assign.theta())
     res = classify_points([], rho, om, ROOT)
     assert set(res.good_cells) == frozenset() and set(res.bad_cells) == frozenset()
@@ -504,24 +499,20 @@ def test_popularity_counts_match_oracle(spec_args, seed, delta, root_seed):
     for pair, mu in assign.mu.items():
         J, s = pair.interval, pair.slope
         assert mu.as_fraction() == Fraction(oracle.g_count(m, m_w, vf, J.level, J.index, s.index), 1 << m)
+    # density through enumerate_family: the lowest member over J at slope s
+    # is enumerated exactly when s is delta-popular on J
+    members = enumerate_family(FamilyParams(spec, delta), v).sort_keys.tolist()
     for lv in range(m_w + 1):
         k = m_w - lv
         for index in range(1 << lv):
             J = DyadicInterval(lv, index)
-            counts = [oracle.g_count(m, m_w, vf, lv, index, j) for j in range(1 << k)]
-            dense = [Fraction(c, 1 << (m - lv)) >= delta.as_fraction() for c in counts]
-            assert allowable_slopes(J, v, spec.w, delta) == tuple(
-                SlopeCell(k, j) for j in range(1 << k) if dense[j]
-            )
-            for j, count in enumerate(counts):
-                s = SlopeCell(k, j)
-                assert g_measure(J, s, v, spec.w).as_fraction() == Fraction(count, 1 << m)
+            for j in range(1 << k):
+                dense = Fraction(oracle.g_count(m, m_w, vf, lv, index, j), 1 << (m - lv)) >= delta.as_fraction()
                 try:
-                    R = Parallelogram(spec, J, s, D(0))
+                    R = Parallelogram(spec, J, SlopeCell(k, j), D(0))
                 except ValueError:  # the lowest member over J at slope s does not fit
                     continue
-                assert v_measure(R, v).as_fraction() == Fraction(count, 1 << (m + m_w))
-                assert is_dense(R, v, delta) is dense[j]
+                assert (list(R.sort_key()) in members) is dense
 
 
 def _zero_vertical_max(g):

@@ -368,6 +368,14 @@ def test_sweep_delta_rejects_negative_ascent_steps():
     assert err == "error: ascent_iters must be nonnegative\n"
 
 
+@pytest.mark.parametrize("kind", ["delta", "lp"])
+def test_sweep_rejects_grid_exponent_zero(kind):
+    # --m 0 is a grid exponent, not "unset": it must not fall back to the default grid
+    rc, out, err = _run(["sweep", kind, "--m", "0"])
+    assert rc == 2 and out == ""
+    assert err == "error: grid exponent m must be at least 2\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
