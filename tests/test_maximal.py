@@ -487,10 +487,6 @@ def test_nu_and_mass_bound():
     spec, fam, f = _setup(seed=14)
     rho = linearize(f, fam)
     assert nu_all(rho, []) == [0] * len(fam)
-    # every chosen member, read at a numpy index, counts exactly its cells
-    whole = nu_all(rho, range(spec.n_cells))
-    for e in np.unique([e for e in rho.entries if e >= 0]):
-        assert whole[e] == np.count_nonzero(rho.entries == e) > 0
     cells = [i for i in range(spec.n_cells) if i % 3 == 0]
     counts = nu_all(rho, cells)
     assert sum(counts) <= len(cells)
@@ -499,6 +495,16 @@ def test_nu_and_mass_bound():
     # equality iff F avoids the exceptional set
     inside = [i for i in cells if rho.entries[i] >= 0]
     assert sum(nu_all(rho, inside)) == len(inside)
+
+
+def test_nu_takes_numpy_integer_indices():
+    spec, fam, f = _setup(seed=14)
+    rho = linearize(f, fam)
+    whole = nu_all(rho, range(spec.n_cells))
+    # every chosen member, read at a numpy index, counts exactly its cells
+    for e in np.unique([e for e in rho.entries if e >= 0]):
+        assert whole[e] == whole[int(e)] == whole[fam.index(fam.members[e])]
+        assert whole[e] == np.count_nonzero(rho.entries == e) > 0
 
 
 def test_cell_indices_outside_the_grid_are_rejected():
