@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -31,19 +32,19 @@ from .sweeps import ExperimentConfig, kakeya_grid_m, sweep_delta, sweep_logn, sw
 from .verify import run_verify
 
 
+def _dyadic(text: str) -> DyadicRational:
+    """One flag value: n/2^e, an integer, or n/d with d a positive power of two."""
+    frac = re.fullmatch(r"(-?\d+)/(\d+)", text.strip())
+    if frac is None:
+        return DyadicRational.parse(text)
+    num, den = map(int, frac.groups())
+    if den < 1 or den & (den - 1):
+        raise ValueError(f"{frac[0]!r} is not dyadic")
+    return DyadicRational(num, den.bit_length() - 1)
+
+
 def _parse_deltas(text: str) -> tuple[DyadicRational, ...]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if "/" in tok and "2^" not in tok:
-            num, den = tok.split("/")
-            exp = int(den).bit_length() - 1
-            if int(den) != 1 << exp:
-                raise ValueError(f"delta {tok!r} is not dyadic")
-            out.append(DyadicRational(int(num), exp))
-        else:
-            out.append(DyadicRational.parse(tok))
-    return tuple(out)
+    return tuple(_dyadic(tok) for tok in text.split(","))
 
 
 def _field_for(spec: GridSpec, kind: str, seed: int):
@@ -54,7 +55,7 @@ def _field_for(spec: GridSpec, kind: str, seed: int):
     if kind == "random":
         return random_field(spec, random.Random(seed))
     if kind.startswith("const:"):
-        return constant_field(spec, DyadicRational.parse(kind.split(":", 1)[1]))
+        return constant_field(spec, _dyadic(kind.split(":", 1)[1]))
     raise ValueError(f"unknown field kind {kind!r}")
 
 
@@ -246,9 +247,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "badness":
-        lam0 = (
-            DyadicRational.parse(args.lambda0) if args.lambda0 else DEFAULT_LAMBDA0
-        )
+        lam0 = _dyadic(args.lambda0) if args.lambda0 else DEFAULT_LAMBDA0
         _, fam = _family(args)
         f = random_grid(fam.spec, random.Random(args.seed))
         rho = linearize(f, fam)

@@ -39,6 +39,7 @@ class DyadicRational:
     __slots__ = ("num", "exp")
 
     def __init__(self, num: int, exp: int = 0):
+        num, exp = operator.index(num), operator.index(exp)  # numpy ints to Python ints
         if exp < 0:
             num <<= -exp
             exp = 0

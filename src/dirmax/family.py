@@ -10,7 +10,9 @@ A rectangle of length 2^k * w sees the field through its slope window
 theta(R), the width-(w/L) interval centered at its slope -- which is exactly
 the rectangle's slope cell.  The popularity sets G_{J,s} use the same cell
 window; this is the reading under which chosen popularity sets are pairwise
-disjoint and the Carleson packing bound holds exactly.
+disjoint and the Carleson packing bound holds exactly.  ``popular_table``
+makes every popularity count, one table per field and delta: enumeration and
+the stopping-time assignment both read it.
 """
 
 from __future__ import annotations
@@ -168,19 +170,19 @@ def enumerate_family(
 
     Deterministic order: k ascending, then base index, slope index, offset.
     A member is dense exactly when its slope cell is delta-popular on its
-    base, so each (k, base) block takes one popularity count, and each
-    popular (k, base, slope) gives the offset run 0..tmax as rows at once.
+    base, so the popular (k, base, slope) runs are the nonzero entries of
+    ``popular_table``, and each gives the offset run 0..tmax as rows at once.
     """
     spec = params.spec
     if spec != v.spec:
         raise ValueError("incompatible grids")
     if spec.m > max_m:
         raise ValueError("family too large")
+    tables = popular_table(v, params.delta)
     runs = [
-        (k, i, j)
-        for k in range(spec.m_w + 1)
-        for i in range(1 << (spec.m_w - k))
-        for j in _popular_counts(DyadicInterval(spec.m_w - k, i), v, params.delta)
+        (spec.m_w - level, i, j)
+        for level in reversed(range(spec.m_w + 1))
+        for i, j in np.argwhere(tables[level]).tolist()
     ]
     return RectangleFamily._adopt(params, _offset_rows(spec, runs))
 
@@ -193,32 +195,25 @@ def _offset_rows(spec: GridSpec, runs) -> np.ndarray:
     return np.column_stack([np.repeat(runs, size, axis=0), t])
 
 
-# -- slope popularity on intervals (stopping-time inputs) ---------------------
+# -- slope popularity: one table per field and delta --------------------------
 
 
-def _slope_level_for(J: DyadicInterval, spec: GridSpec) -> int:
-    k = spec.m_w - J.level
-    if k < 0:
-        raise ValueError("interval/width mismatch")
-    return k
-
-
-def _interval_hits(J: DyadicInterval, v: OneVarField) -> dict[int, int]:
-    """|G_{J,s}| * 2^m by s.index: J's columns per slope cell at J's level."""
-    cols = J.columns(v.spec.m)
-    return v.cell_hits(_slope_level_for(J, v.spec), cols.start, cols.stop)
-
-
-def _popular_counts(
-    J: DyadicInterval, v: OneVarField, delta: DyadicRational
-) -> dict[int, int]:
-    """The delta-popular slope cells of J, ascending, with their column counts."""
-    hits = _interval_hits(J, v)
-    shift = v.spec.m - J.level
-    # count / 2^(m - level) >= dn / 2^de
-    return {
-        j: hits[j] for j in sorted(hits) if (hits[j] << delta.exp) >= (delta.num << shift)
-    }
+def popular_table(v: OneVarField, delta: DyadicRational) -> list[np.ndarray]:
+    """|G_{J,s}| * 2^m of every delta-popular (J, s), one table per level:
+    entry (i, j) of table ``level`` is for J = [i, i+1) / 2^level and slope
+    cell j at level m_w - level, and is 0 where s is not popular on J."""
+    m, mw = v.spec.m, v.spec.m_w
+    # each column's level-m_w cell; v = 1 lands on 2^m_w, which is no cell
+    cells = np.array([(n << mw) >> v.scale for n in v.nums], dtype=np.int64)
+    cols = np.flatnonzero(cells < 1 << mw)
+    cells, tables = cells[cols], []
+    for level in range(mw + 1):
+        counts = np.bincount(
+            (cols >> (m - level) << (mw - level)) + (cells >> level), minlength=1 << mw
+        ).reshape(1 << level, -1)
+        need = -(-delta.num << (m - level) >> delta.exp)  # ceil(delta 2^(m - level))
+        tables.append(np.where(counts >= need, counts, 0))
+    return tables
 
 
 # -- goodness ----------------------------------------------------------------

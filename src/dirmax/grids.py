@@ -2,7 +2,9 @@
 
 A GridFunction stores one nonnegative dyadic rational per cell as an integer
 numerator over a single power-of-two scale, so sums, maxima and integrals stay
-in integer arithmetic.  The MAXGRID v1 text format round-trips canonically.
+in integer arithmetic.  Numerators are Python ints: the constructors turn
+numpy integers into ints and reject floats.  The MAXGRID v1 text format
+round-trips canonically.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from operator import mul, or_, rshift
+from operator import index, mul, or_, rshift
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -74,10 +76,11 @@ class GridFunction:
     __slots__ = ("spec", "scale", "nums")
 
     def __init__(self, spec: GridSpec, scale: int, nums: Sequence[int]):
+        scale, nums = index(scale), list(map(index, nums))  # numpy ints would wrap
         _check_grid(spec, scale, nums)
         self.spec = spec
         self.scale = scale
-        self.nums = list(nums)
+        self.nums = nums
 
     # -- constructors ----------------------------------------------------
 
@@ -187,11 +190,13 @@ class GridFunction:
 
 
 class OneVarField:
-    """Slope field v with v(a, b) = v(a): one dyadic value in [0,1] per column."""
+    """Slope field v with v(a, b) = v(a): one dyadic value in [0,1] per column;
+    ``family.popular_table`` counts its columns per slope cell."""
 
     __slots__ = ("spec", "scale", "nums")
 
     def __init__(self, spec: GridSpec, scale: int, nums: Sequence[int]):
+        scale, nums = index(scale), list(map(index, nums))
         if len(nums) != spec.n:
             raise ValueError("field value count mismatch")
         top = 1 << scale
@@ -199,7 +204,7 @@ class OneVarField:
             raise ValueError("field values must lie in [0,1]")
         self.spec = spec
         self.scale = scale
-        self.nums = list(nums)
+        self.nums = nums
 
     @classmethod
     def from_values(cls, spec: GridSpec, values: Iterable) -> "OneVarField":
@@ -228,17 +233,6 @@ class OneVarField:
 
     def __hash__(self):
         return hash((self.spec, tuple(self.values())))
-
-    def cell_hits(self, level: int, c0: int, c1: int) -> dict[int, int]:
-        """How many columns in [c0, c1) have v in each level-`level` slope cell."""
-        counts: dict[int, int] = {}
-        scale = self.scale
-        top = 1 << level
-        for c in range(c0, c1):
-            j = (self.nums[c] << level) >> scale
-            if j < top:
-                counts[j] = counts.get(j, 0) + 1
-        return counts
 
 
 # -- MAXGRID v1 file format --------------------------------------------------

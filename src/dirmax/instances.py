@@ -39,7 +39,7 @@ def random_field(spec: GridSpec, rng: random.Random) -> OneVarField:
 
 def random_grid(spec: GridSpec, rng: random.Random) -> GridFunction:
     """Random nonnegative test function with integer numerators in [0, 8)."""
-    return GridFunction(spec, 0, [rng.randrange(8) for _ in range(spec.n_cells)])
+    return GridFunction._adopt(spec, 0, [rng.randrange(8) for _ in range(spec.n_cells)])
 
 
 def cascade_field(spec: GridSpec) -> OneVarField:
@@ -127,7 +127,7 @@ def make_kakeya_bundle(m: int, delta: DyadicRational, depth: int | None = None) 
     for lo_j, step_j in zip(lo.tolist(), step.tolist()):
         r = first_center_row(n, lo_j + step_j * cols)[:, None] + np.arange(1 << (m - n))
         nums[((cols[:, None] << m) + r)[r < spec.n]] = 1
-    indicator = GridFunction(spec, 0, nums.tolist())
+    indicator = GridFunction._adopt(spec, 0, nums.tolist())
 
     tails = RectangleFamily._adopt(FamilyParams(spec, delta), keys)
 

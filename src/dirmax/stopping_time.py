@@ -1,14 +1,15 @@
 """Stopping-time machinery: slope assignments, Carleson packing, point classes.
 
 Per interval I the assignment walks the dyadic tree top-down, keeping a slope
-cell for J only when it is popular and does not contain a cell already used
-by a longer ancestor.  Chosen popularity sets are then pairwise disjoint,
-which gives the exact packing bound sum mu_J <= |I| and the halving of the
-stopping-interval shadow.  Point classes come from antichain layers of the
-(interval, slope) order; iterating over generations produces the pairwise
-disjoint sets that decompose the linearized operator.  Cell sets are sorted
-read-only int32 arrays of column-major cell indices, so the cells under an
-interval are one np.searchsorted slice.
+cell for J only when it is popular (J's row of the field's popularity table)
+and does not contain a cell already used by a longer ancestor.  Chosen
+popularity sets are then pairwise disjoint, which gives the exact packing
+bound sum mu_J <= |I| and the halving of the stopping-interval shadow.  Point
+classes come from antichain layers of the (interval, slope) order; iterating
+over generations produces the pairwise disjoint sets that decompose the
+linearized operator.  Cell sets are sorted read-only int32 arrays of
+column-major cell indices, so the cells under an interval are one
+np.searchsorted slice.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .dyadic import DyadicRational
-from .family import RectangleFamily, _popular_counts
+from .family import RectangleFamily, popular_table
 from .geometry import DyadicInterval, SlopeCell, dyadic_inside
 from .grids import GridFunction, OneVarField, _cell_set, cell_array
 from .maximal import ChoiceMap, _scaled_averages, apply_T_adjoint, m2_vertical
@@ -79,16 +80,17 @@ def compute_assignments(
     spec = v.spec
     if w != spec.w or I.level > spec.m_w:
         raise ValueError("interval/width mismatch")
+    tables = [t.tolist() for t in popular_table(v, delta)]
     chosen: dict[DyadicInterval, tuple[SlopeCell, ...]] = {}
     mu: dict[ThetaPair, DyadicRational] = {}
 
     def visit(J: DyadicInterval, blocked: frozenset[int]) -> None:
         k = spec.m_w - J.level
-        popular = _popular_counts(J, v, delta)
-        keep = tuple(SlopeCell(k, j) for j in popular if j not in blocked)
+        counts = tables[J.level][J.index]
+        keep = tuple(SlopeCell(k, j) for j, n in enumerate(counts) if n and j not in blocked)
         chosen[J] = keep
         for s in keep:
-            mu[ThetaPair(J, s)] = DyadicRational(popular[s.index], spec.m)
+            mu[ThetaPair(J, s)] = DyadicRational(counts[s.index], spec.m)
         if k > 0:
             child_blocked = frozenset(
                 {b >> 1 for b in blocked} | {s.index >> 1 for s in keep}

@@ -6,6 +6,7 @@ import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +143,19 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         x.num = 5
     assert len({D(3, 1), D(6, 2), D(12, 3)}) == 1
+
+
+def test_numpy_integers_are_stored_as_python_ints():
+    # a numpy numerator would wrap on the shifts of add and of hash
+    x = D(np.int64(3))
+    assert (type(x.num), type(x.exp)) == (int, int)
+    assert x + D(1, 70) == D((3 << 70) + 1, 70)
+    assert hash(x) == hash(3)
+    assert D(np.int64(4), np.int32(1)) == D(2)
+    assert D(np.uint8(5), np.int64(70)) - D(5, 70) == 0
+    for bad in ((3.0,), (3, 1.0), (Fraction(3),)):
+        with pytest.raises(TypeError):
+            D(*bad)
 
 
 def test_hash_agrees_with_fraction_and_int():

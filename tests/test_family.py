@@ -140,17 +140,17 @@ def test_enumerate_matches_bruteforce():
     for seed in range(4):
         spec = GridSpec(4, 2, seed % 2 == 1)
         v = random_field(spec, random.Random(seed))
-        delta = [D(1), D(1, 1), D(1, 3)][seed % 3]
-        fam = enumerate_family(FamilyParams(spec, delta), v)
-        got = [(r.k, r.base.index, r.slope.index, r.offset.as_fraction()) for r in fam.members]
-        want = oracle.enumerate_family(
-            spec.m, spec.m_w, spec.offset_exp, delta.as_fraction(),
-            [x.as_fraction() for x in v.values()],
-        )
-        assert got == want
-        assert fam.sort_keys.tolist() == [
-            [k, i, j, int(b * (1 << spec.offset_exp))] for k, i, j, b in want
-        ]
+        for delta in ([D(1), D(1, 1), D(1, 3)][seed % 3], D(1, 70)):
+            fam = enumerate_family(FamilyParams(spec, delta), v)
+            got = [(r.k, r.base.index, r.slope.index, r.offset.as_fraction()) for r in fam.members]
+            want = oracle.enumerate_family(
+                spec.m, spec.m_w, spec.offset_exp, delta.as_fraction(),
+                [x.as_fraction() for x in v.values()],
+            )
+            assert got == want
+            assert fam.sort_keys.tolist() == [
+                [k, i, j, int(b * (1 << spec.offset_exp))] for k, i, j, b in want
+            ]
     del rng
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from dirmax import maximal, oracle
 from dirmax.dyadic import DyadicRational as D
-from dirmax.family import FamilyParams, RectangleFamily
+from dirmax.family import FamilyParams, RectangleFamily, enumerate_family
 from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell
 from dirmax.grids import (
     GridFunction,
@@ -214,6 +214,25 @@ def test_field_range_validation():
         OneVarField(spec, 0, [2] * 8)  # value above 1
     v = OneVarField(spec, 0, [1] * 8)  # value exactly 1 allowed
     assert v.value(0) == D(1)
+
+
+def test_constructors_store_python_ints():
+    # numpy numerators would wrap: the 64 cells of 2^40 square to 2^80 in all
+    spec = GridSpec(3, 1, False)
+    f = GridFunction(spec, np.int64(0), np.full(64, 2**40))
+    assert {type(n) for n in f.nums} == {int} and type(f.scale) is int
+    assert f.l2_sq() == D(1 << 80)
+    fam = enumerate_family(FamilyParams(spec, D(1, 3)), OneVarField.constant(spec, 0))
+    mf = maximal.maximal_apply(f, fam)
+    assert mf == maximal.maximal_apply(GridFunction.constant(spec, 2**40), fam)
+    assert max(mf.values()) == D(2**40)
+    v = OneVarField(spec, np.int64(3), np.arange(8))
+    assert {type(n) for n in v.nums} == {int} and type(v.scale) is int
+    assert v.value(7) == D(7, 3)
+    with pytest.raises(TypeError):
+        GridFunction(spec, 0, [1.0] * 64)
+    with pytest.raises(TypeError):
+        OneVarField(spec, 1, [0.5] * 8)
 
 
 def test_masked_and_support():

@@ -475,10 +475,11 @@ def _edge_field(spec: GridSpec, rng: random.Random) -> OneVarField:
         [(m, m_w, half) for m in range(3, 7) for m_w in range(1, m - 1) for half in (False, True)]
     ),
     seed=st.integers(0, 1 << 16),
-    delta=st.sampled_from([D(1), D(1, 1), D(1, 3)]),
+    delta=st.sampled_from([D(1), D(1, 1), D(1, 3), D(1, 70)]),
     root_seed=st.integers(0, 1 << 16),
 )
 @example(spec_args=(6, 4, False), seed=1, delta=D(1, 3), root_seed=0)
+@example(spec_args=(6, 4, False), seed=3, delta=D(1, 70), root_seed=0)
 @example(spec_args=(6, 4, True), seed=2, delta=D(1, 1), root_seed=0)
 def test_popularity_counts_match_oracle(spec_args, seed, delta, root_seed):
     # every popularity count, popular set and assignment mass against the

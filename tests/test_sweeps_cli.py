@@ -377,6 +377,38 @@ def test_sweep_rejects_grid_exponent_zero(kind):
 
 
 @pytest.mark.parametrize(
+    "flag, literal, canonical",
+    [
+        ("--lambda0", "5/4", "5/2^2"),
+        ("--lambda0", "3/1", "3"),
+        ("--field", "const:1/4", "const:1/2^2"),
+        ("--field", "const:3/8", "const:3/2^3"),
+    ],
+)
+def test_cli_flags_read_one_dyadic_literal(flag, literal, canonical):
+    # n/d with d a power of two reads as n/2^e for every dyadic flag
+    argv = ["badness", "--m", "4", "--mw", "2"]
+    got, want = _run(argv + [flag, literal]), _run(argv + [flag, canonical])
+    assert got == want
+    assert got[0] == 0 and got[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--m", "4", "--delta", "1/0"],
+        ["sweep", "lp", "--delta", "1/8,1/0"],
+        ["badness", "--m", "4", "--lambda0", "1/0"],
+        ["enumerate", "--m", "4", "--field", "const:1/0"],
+    ],
+)
+def test_cli_zero_denominator_is_not_dyadic(argv):
+    rc, out, err = _run(argv)
+    assert rc == 2 and out == ""
+    assert err == "error: '1/0' is not dyadic\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["sweep", "lp", "--seed", "1"],
