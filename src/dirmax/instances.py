@@ -5,6 +5,16 @@ compressed union of width-w, length-1/2 parallelograms covering all discrete
 directions.  Offsets follow a binary digit scheme: slopes differing in digit
 i share a merge point t_i, so the union folds scale by scale (depth controls
 how many digit scales are staggered; depth 0 is the plain bush at x = 0).
+
+Seeded draws (``random_field``, ``random_grid``) give exactly the values of
+``[rng.randrange(2**b) for _ in range(n)]`` and leave rng where that loop
+leaves it, without the loop.  CPython's randrange(2**b) takes the top b + 1
+bits of one 32-bit MT19937 word and redraws while they reach 2**b, so it
+keeps each word whose top bit is clear, as ``word >> (31 - b)``; and
+``getrandbits(32 * k)`` returns k such words, the first in the lowest bits.
+The replay decodes those words in numpy.  The rule belongs to CPython's
+``random.Random`` (``_randbelow_with_getrandbits``), so only that exact type
+is accepted, and tests/test_instances.py compares the replay with the loop.
 """
 
 from __future__ import annotations
@@ -31,15 +41,34 @@ def constant_field(spec: GridSpec, value) -> OneVarField:
     return OneVarField.constant(spec, value)
 
 
+_WORDS_PER_ROUND = 1 << 16  # words per round, so a round's temporaries stay small
+
+
+def _randbelow_pow2(rng: random.Random, bits: int, n: int) -> list[int]:
+    """``[rng.randrange(1 << bits) for _ in range(n)]``, leaving rng where that loop does.
+
+    Each draw keeps the next word whose top bit is clear, as ``word >> (31 - bits)``
+    (one word per draw needs bits <= 31).  A round takes at most as many words
+    as values are still missing, so it never draws past the n-th kept word.
+    """
+    if type(rng) is not random.Random:
+        raise TypeError(f"seeded draws need a random.Random, not {type(rng).__name__}")
+    out: list[int] = []
+    while len(out) < n:
+        k = min(n - len(out), _WORDS_PER_ROUND)
+        words = np.frombuffer(rng.getrandbits(32 * k).to_bytes(4 * k, "little"), "<u4")
+        out += (words[words < 1 << 31] >> (31 - bits)).tolist()
+    return out
+
+
 def random_field(spec: GridSpec, rng: random.Random) -> OneVarField:
     """Per-column values drawn uniformly from the level-m dyadic grid."""
-    n = spec.n
-    return OneVarField(spec, spec.m, [rng.randrange(n) for _ in range(n)])
+    return OneVarField(spec, spec.m, _randbelow_pow2(rng, spec.m, spec.n))
 
 
 def random_grid(spec: GridSpec, rng: random.Random) -> GridFunction:
     """Random nonnegative test function with integer numerators in [0, 8)."""
-    return GridFunction._adopt(spec, 0, [rng.randrange(8) for _ in range(spec.n_cells)])
+    return GridFunction._adopt(spec, 0, _randbelow_pow2(rng, 3, spec.n_cells))
 
 
 def cascade_field(spec: GridSpec) -> OneVarField:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dyadic import DyadicRational
 from .family import RectangleFamily, popular_table
-from .geometry import DyadicInterval, SlopeCell, dyadic_inside
+from .geometry import DyadicInterval, GridSpec, SlopeCell, dyadic_inside
 from .grids import GridFunction, OneVarField, _cell_set, cell_array
 from .maximal import ChoiceMap, _scaled_averages, apply_T_adjoint, m2_vertical
 
@@ -80,7 +80,11 @@ def compute_assignments(
     spec = v.spec
     if w != spec.w or I.level > spec.m_w:
         raise ValueError("interval/width mismatch")
-    tables = [t.tolist() for t in popular_table(v, delta)]
+    return _assign(I, spec, [t.tolist() for t in popular_table(v, delta)])
+
+
+def _assign(I: DyadicInterval, spec: GridSpec, tables: list[list[list[int]]]) -> SlopeAssignment:
+    """The walk of ``compute_assignments`` over ``popular_table`` as lists."""
     chosen: dict[DyadicInterval, tuple[SlopeCell, ...]] = {}
     mu: dict[ThetaPair, DyadicRational] = {}
 
@@ -288,6 +292,7 @@ def run_generations(
     e_cells = _cell_set(np.flatnonzero(rho.entries >= 0))
     generations: list[GenerationRecord] = []
     truncated = False
+    tables = [t.tolist() for t in popular_table(v, delta)]
     while intervals and len(e_cells):
         if len(generations) >= max_gen:
             truncated = True
@@ -295,7 +300,7 @@ def run_generations(
         records = []
         next_intervals: list[DyadicInterval] = []
         for I in intervals:
-            assign = compute_assignments(I, v, w, delta)
+            assign = _assign(I, spec, tables)
             stops = stopping_intervals(assign)
             th_good = partition_theta(assign, stops)
             omegas = omega_levels(th_good, assign.theta())

@@ -12,6 +12,7 @@ from dirmax import oracle
 from dirmax.dyadic import DyadicRational as D
 from dirmax.geometry import GridSpec
 from dirmax.instances import (
+    _randbelow_pow2,
     build_corpus,
     cascade_field,
     identity_field,
@@ -19,6 +20,7 @@ from dirmax.instances import (
     make_square_instance,
     organized_collections,
     random_field,
+    random_grid,
 )
 from dirmax.family import is_good_collection
 
@@ -145,6 +147,65 @@ def test_random_field_on_level_m_grid():
     for x in v.values():
         assert x == D(x.num, x.exp)
         assert (x.as_fraction() * (1 << spec.m)).denominator == 1
+
+
+_REPLAY_SIZES = (0, 1, 2, 623, 624, 625, 65535, 65536, 65537, 70001)
+
+
+def _state_after(rng: random.Random) -> tuple[tuple, float]:
+    """rng's state and its next random(), leaving rng itself untouched."""
+    state = rng.getstate()
+    probe = random.Random()
+    probe.setstate(state)
+    return state, probe.random()
+
+
+def test_seeded_draws_match_the_randrange_loop():
+    """The numpy replay gives the values of CPython's randrange(2^bits) loop and
+    leaves the generator where the loop leaves it: the MT19937 state (around
+    the 624-word refill and the replay's 2^16-word rounds) and the next
+    random().  Bits 2-12 are random_field's m range and include random_grid's 3."""
+    for seed in (0, 1, 7, 12345):
+        for bits in range(2, 13):
+            loop = random.Random(seed)
+            values, after = [], {}
+            for n in range(max(_REPLAY_SIZES) + 1):
+                if n in _REPLAY_SIZES:
+                    after[n] = _state_after(loop)
+                values.append(loop.randrange(1 << bits))
+            for n in _REPLAY_SIZES:
+                rng = random.Random(seed)
+                assert _randbelow_pow2(rng, bits, n) == values[:n], (seed, bits, n)
+                assert (rng.getstate(), rng.random()) == after[n], (seed, bits, n)
+
+    # a stream that has already drawn, then random_field and random_grid on
+    # one generator, as the sweeps and the corpus draw them
+    spec = GridSpec(6, 4, False)
+    loop, rng = random.Random(12345), random.Random(12345)
+    for r in (loop, rng):
+        r.random(), r.randrange(5), r.getrandbits(7)
+    want_field = [loop.randrange(spec.n) for _ in range(spec.n)]
+    want_grid = [loop.randrange(8) for _ in range(spec.n_cells)]
+    assert random_field(spec, rng).nums == want_field
+    assert random_grid(spec, rng).nums == want_grid
+    assert (rng.getstate(), rng.random()) == (loop.getstate(), loop.random())
+
+
+class _OwnWords(random.Random):
+    def getrandbits(self, k):
+        return super().getrandbits(k) ^ 1
+
+
+@pytest.mark.parametrize("rng", [random.SystemRandom(0), _OwnWords(0)], ids=["SystemRandom", "subclass"])
+def test_seeded_draws_reject_other_generators(rng):
+    """The replay decodes random.Random's own words; a generator that draws
+    otherwise would get different values, so it is refused, not followed."""
+    spec = GridSpec(4, 2, False)
+    name = type(rng).__name__
+    with pytest.raises(TypeError, match=name):
+        random_grid(spec, rng)
+    with pytest.raises(TypeError, match=name):
+        random_field(spec, rng)
 
 
 def test_cascade_field_values_dyadic_in_range():

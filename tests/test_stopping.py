@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -598,3 +599,21 @@ def test_domination_check_on_an_m6_cascade(monkeypatch):
     violations, again, _ = domination_check(res, inst.rho, inst.f)
     assert again == checked == len(violations)
     assert {v.vertical_max for v in violations} == {"0"}
+
+
+def test_run_generations_builds_one_popularity_table(monkeypatch):
+    """run_generations builds the field's popularity table once and walks every
+    interval of every generation over it; the cascade at m 7, m_w 5, delta 1/2
+    (random_grid seed 0) has an interval in each of two generations, and its
+    JSON is the one the per-interval tables gave."""
+    spec = GridSpec(7, 5, False)
+    v, delta = cascade_field(spec), D(1, 1)
+    rho = linearize(random_grid(spec, random.Random(0)), enumerate_family(FamilyParams(spec, delta), v))
+    built = []
+    table = stopping_time.popular_table
+    monkeypatch.setattr(stopping_time, "popular_table", lambda *a: built.append(a) or table(*a))
+    res = run_generations(v, spec.w, delta, rho)
+    assert [len(g.intervals) for g in res.generations] == [1, 1]
+    assert len(built) == 1
+    digest = hashlib.sha256(decomposition_to_json(res).encode()).hexdigest()
+    assert digest == "ea5fe3d639e3d85da35b04e5c7557d4a0cf60989dfacb4548e8fe37ede674a27"

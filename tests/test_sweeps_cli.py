@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 
 import pytest
@@ -453,3 +454,24 @@ def test_decompose_rejects_negative_max_gen(tmp_path):
     assert not out.exists()
     rc, _, _ = _run(["decompose", "--m", "4", "--max-gen", "0", "--out", str(out)])
     assert rc == 0 and '"truncated": true' in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["decompose", "--m", "6", "--delta", "1/2^3", "--field", "random", "--seed", "3"],
+         "938ce7bbc581ecdb2682b01e3299990eb0e317ad61fa90873bb4eb0cd37b326a"),
+        (["decompose", "--m", "7", "--mw", "5", "--delta", "1/2", "--field", "cascade", "--seed", "2"],
+         "0f57343764cff10a0f718e12a1e829533f58756646d1e390f6e2c3c558d2c872"),
+        (["badness", "--m", "6", "--delta", "1/2^3", "--field", "random", "--seed", "3"],
+         "6a2615b468d23a66ff2520f15052a0d45ef2250294a718d2d48bd74f18c2a240"),
+        (["badness", "--m", "6", "--mw", "4", "--delta", "1/2", "--field", "cascade", "--seed", "2"],
+         "1c25c70a09ed83c529e0874a3876d42db422d20e417fec7db733ed93433e990d"),
+    ],
+    ids=["decompose-random", "decompose-cascade", "badness-random", "badness-cascade"],
+)
+def test_cli_seeded_outputs_are_pinned(argv, digest):
+    """The seeded field and test function reach these outputs byte for byte."""
+    rc, out, _ = _run(argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
