@@ -31,7 +31,7 @@ import numpy as np
 
 from .dyadic import DyadicRational
 from .family import RectangleFamily
-from .geometry import DyadicInterval, Parallelogram, Window
+from .geometry import DyadicInterval, Window
 from .geometry import slab_cover, slab_overlap, slab_rows, slab_run, slab_union
 from .grids import _cell_set, cell_array
 from .maximal import ChoiceMap, nu_all
@@ -186,13 +186,14 @@ def reformulate_check(
 
 
 def badness_components(
-    R: Parallelogram,
+    mi: int,
     K: DyadicInterval,
     cells: Iterable[int],
     rho: ChoiceMap,
 ) -> tuple[DyadicRational, DyadicRational]:
-    """Split of B_R by in/out choosers over the window K: parts sum to B_R."""
-    mi = rho.fam.index(R)
+    """Split of B_R for member mi by in/out choosers over the window K: parts sum to B_R."""
+    if not 0 <= mi < len(rho.fam):
+        raise ValueError("member index out of range")
     eng = BadnessEngine(rho.fam)
     w = eng.weights(nu_all(rho, cells))
     inside = eng.fits(K.triple())
@@ -312,10 +313,9 @@ def shrink_once(
                 continue
             windows.append((I, cal))
             cols = I.columns(m)
-            for K in cal:
-                TW = K.triple()
-                rows = slice(TW.lo.num << (m - TW.lo.exp), TW.hi.num << (m - TW.hi.exp))
-                grid[cols.start : cols.stop, rows] = True
+            for K in cal:  # 3K clipped to [0, 1], in rows, as _select_bad_windows reads it
+                a, span = K.index << (m - K.level), spec.n >> K.level
+                grid[cols.start : cols.stop, max(0, a - span) : min(spec.n, a + 2 * span)] = True
     in_shrunk = grid.ravel()
     shrunk = _cell_set(np.flatnonzero(in_shrunk))
 

@@ -125,7 +125,8 @@ def _parser(defaults: dict) -> argparse.ArgumentParser:
     p = sub.add_parser("maximal", help="apply the maximal operator to a grid file")
     p.add_argument("--grid", type=str, required=True)
     p.add_argument("--field-file", type=str, default=None)
-    _add_flags(p, ("delta", "seed", "field"), defaults)
+    # no --field default here, so a --field beside --field-file is seen and rejected
+    _add_flags(p, ("delta", "seed", "field"), {"field": None, **defaults})
 
     p = sub.add_parser("decompose", help="emit the stopping-time decomposition as JSON")
     _add_flags(p, _FAMILY_FLAGS + ("max-gen",), defaults)
@@ -185,8 +186,9 @@ def _apply_config(args, argv: list[str]) -> None:
     for key, value in _config_defaults(args.config).items():
         name = key.replace("_", "-")
         attr = name.replace("-", "_")
-        # the positionals are not options: a key must not reroute the command
-        if attr in ("command", "kind") or not hasattr(args, attr):
+        # the positionals are not options: a key must not reroute the command;
+        # nor is a config file a key of one
+        if attr in ("command", "kind", "config") or not hasattr(args, attr):
             raise ValueError(f"unknown key '{key}'")
         if name == "quick":
             if value.lower() not in _BOOLEANS:
@@ -227,12 +229,14 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "maximal":
+        if args.field_file and args.field is not None:
+            raise ValueError("--field-file and --field both name the field; give one")
         grid = parse_grid(Path(args.grid).read_text())
         spec = grid.spec
         if args.field_file:
             field = parse_field(Path(args.field_file).read_text())
         else:
-            field = _field_for(spec, args.field, args.seed)
+            field = _field_for(spec, args.field or "identity", args.seed)
         fam = enumerate_family(FamilyParams(spec, _delta(args)), field)
         out = maximal_apply(grid, fam)
         _write(args.out, render_grid(out))

@@ -3,8 +3,10 @@
 A family is its key table: one int64 row (k, base index, slope index,
 offset steps) per member, in canonical order, plus its parameters.
 Enumeration, subfamilies, unions, export and every numpy kernel read the
-rows; ``Parallelogram`` objects are built only when ``members`` is first
-read, at the API edges.
+rows, and callers name a member by its row index.  ``Parallelogram``
+objects are built at the file and API edges only: ``from_lines`` validates
+each record of a file as one, ``is_good_collection`` returns a conflicting
+pair as its witness, and ``members`` builds the tuple on first read.
 
 A rectangle of length 2^k * w sees the field through its slope window
 theta(R), the width-(w/L) interval centered at its slope -- which is exactly
@@ -104,13 +106,6 @@ class RectangleFamily:
     @property
     def spec(self) -> GridSpec:
         return self.params.spec
-
-    def index(self, R: Parallelogram) -> int:
-        """The index of member R, by a lookup of its key row."""
-        hit = np.flatnonzero((self.sort_keys == R.sort_key()).all(axis=1))
-        if R.spec != self.spec or not len(hit):
-            raise ValueError("rectangle is not a family member")
-        return int(hit[0])
 
     def subfamily(self, indices) -> "RectangleFamily":
         rows = np.array(sorted(set(indices)), dtype=np.int64)

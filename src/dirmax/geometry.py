@@ -327,32 +327,10 @@ class Parallelogram:
         lo += (c - c0) * step
         return lo, lo + (1 << (self.y_scale - self.spec.m_w))
 
-    def center_rows(self, c: int) -> tuple[int, int]:
-        """(first row, count) of rows whose centers lie in the column-c slab.
-
-        The count is always 2^(m - m_w): the slab is half-open of height w.
-        """
-        lo, _ = self.slab_scaled(c)
-        return first_center_row(self.k, lo), 1 << (self.spec.m - self.spec.m_w)
-
     def touched_rows(self, c: int) -> tuple[int, int]:
         """(first, one-past-last) rows with positive overlap with the slab."""
         a, b, _, _ = slab_rows(self.spec, self.k, self.slab_scaled(c)[0])
         return a, b + 1
-
-    def contains_cell(self, c: int, r: int) -> bool:
-        if not self.col_lo <= c < self.col_hi:
-            return False
-        r0, cnt = self.center_rows(c)
-        return r0 <= r < r0 + cnt
-
-    def cell_indices(self):
-        """Flat indices of cells whose centers lie inside the staircase."""
-        m = self.spec.m
-        for c in range(self.col_lo, self.col_hi):
-            r0, cnt = self.center_rows(c)
-            base = (c << m) + r0
-            yield from range(base, base + cnt)
 
     def __str__(self) -> str:
         return f"R(k={self.k}, base={self.base}, s={self.slope.center}, b={self.offset})"

@@ -9,14 +9,15 @@ Member averages come from one exact numpy kernel for every numerator width:
 a slab's column integral is its rows summed less the parts of its end rows
 outside it (geometry.slab_rows), with the rows read from an int64 prefix
 table where a proven bit bound allows it (_int64_exact) and otherwise, as
-for the wide T*T ascent iterates, from f's Python ints.  Only ChoiceMap.check
-walks the family's Parallelogram objects, to check the painter without
-sharing its code.  One rank painter gives Mf and rho: each cell keeps the
-member of highest (average, -index) rank, that is the largest average and,
-among equal averages, the lowest index.  So Mf is exactly T_rho f at its own
-linearization, at the same scale, and the T*T ascent feeds Mf to T* with no
-second averaging pass.  rho is a read-only int32 array over the cells: T is
-one gather, T*'s chooser masses one np.add.at and the nu counts one bincount.
+for the wide T*T ascent iterates, from f's Python ints.  Nothing here builds
+a Parallelogram: the kernels read the family's key rows, and the oracle's
+maximal_apply referees the painter.  One rank painter gives Mf and rho: each
+cell keeps the member of highest (average, -index) rank, that is the largest
+average and, among equal averages, the lowest index.  So Mf is exactly T_rho
+f at its own linearization, at the same scale, and the T*T ascent feeds Mf to
+T* with no second averaging pass.  rho is a read-only int32 array over the
+cells: T is one gather, T*'s chooser masses one np.add.at and the nu counts
+one bincount.
 
 T* is that kernel's transpose: over the same blocks, each member's chooser
 mass goes back onto the rows the kernel reads, with the same coverage
@@ -69,21 +70,6 @@ class ChoiceMap:
 
     def exceptional_cells(self) -> list[int]:
         return np.flatnonzero(self.entries < 0).tolist()
-
-    def check(self) -> None:
-        """Validate cell-center containment and that -1 marks exactly X."""
-        members = self.fam.members
-        covered = [False] * self.spec.n_cells
-        for r in members:
-            for idx in r.cell_indices():
-                covered[idx] = True
-        for idx, e in enumerate(self.entries.tolist()):
-            if e >= 0:
-                c, row = self.spec.cell_coords(idx)
-                if not members[e].contains_cell(c, row):
-                    raise ValueError("choice map entry outside its rectangle")
-            elif covered[idx]:
-                raise ValueError("uncovered mark on a covered cell")
 
 
 # The member kernel.  By the row rule (geometry.slab_rows) a slab's column

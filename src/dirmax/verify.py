@@ -254,9 +254,8 @@ def check_exact_identities(report: VerifyReport, corpus: list[CorpusInstance]) -
         if members and E:
             tab = badness_table(E, rho)
             mi = max(range(len(members)), key=lambda i: tab.badness[i].as_fraction())
-            R = inst.family.members[mi]
             for K in (DyadicInterval(1, 0), DyadicInterval(2, 3), DyadicInterval(spec.m, 1)):
-                b_in, b_out = badness_components(R, K, E, rho)
+                b_in, b_out = badness_components(mi, K, E, rho)
                 if b_in + b_out != tab.badness[mi]:
                     ok_split = False
     report.add("identity adjointness", ok_adj)

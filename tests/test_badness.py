@@ -85,14 +85,11 @@ def test_badness_monotone_in_set():
     assert all(a <= b for a, b in zip(ts.badness, tb.badness))
 
 
-def test_badness_rejects_foreign_rectangle():
+def test_badness_components_rejects_out_of_range_index():
     spec, fam, rho, E = _setup(seed=24)
-    foreign_spec = GridSpec(spec.m, spec.m_w, True)
-    foreign = Parallelogram(
-        foreign_spec, DyadicInterval(spec.m_w, 0), SlopeCell(0, 0), D(0)
-    )
-    with pytest.raises(ValueError, match="not a family member"):
-        badness_components(foreign, DyadicInterval(1, 0), E, rho)
+    for mi in (-1, len(fam), len(fam) + 5):
+        with pytest.raises(ValueError, match="member index out of range"):
+            badness_components(mi, DyadicInterval(1, 0), E, rho)
 
 
 def test_reformulate_identities():
@@ -155,7 +152,7 @@ def test_reformulate_and_components_match_oracle():
                     for q in under:
                         fits = tlo <= pi2[q][0] and pi2[q][1] <= thi
                         parts[not fits] += nu[q] / size[q] * ov(mi, q) / size[mi]
-                    b_in, b_out = badness_components(fam.members[mi], DyadicInterval(level, index), E, rho)
+                    b_in, b_out = badness_components(mi, DyadicInterval(level, index), E, rho)
                     assert (b_in.as_fraction(), b_out.as_fraction()) == tuple(parts)
                     assert sum(parts) == bad[mi]
 
@@ -180,12 +177,11 @@ def _engine_split(rho, cells, I, W):
 def test_in_out_split_identity_and_averages():
     spec, fam, rho, E = _setup(seed=26)
     tab = badness_table(E, rho)
-    mi = max(range(len(fam.members)), key=lambda i: tab.badness[i].as_fraction())
-    R = fam.members[mi]
+    mi = max(range(len(fam)), key=lambda i: tab.badness[i].as_fraction())
     for level in range(spec.m + 1):
         for index in (0, (1 << level) - 1):
             K = DyadicInterval(level, index)
-            b_in, b_out = badness_components(R, K, E, rho)
+            b_in, b_out = badness_components(mi, K, E, rho)
             assert b_in + b_out == tab.badness[mi]
     # empty set gives zero averages
     assert _engine_split(rho, [], DyadicInterval(0, 0), DyadicInterval(1, 0).window()) == (

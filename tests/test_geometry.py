@@ -100,7 +100,7 @@ def test_column_segment_known_value():
     assert hi - lo == spec.w  # slab height is exactly w
     # column 8 is outside the base: R holds no cell there
     assert R.col_hi == 8 and 8 not in oracle.columns(spec.m, spec.m_w, _raw(R))
-    assert not any(R.contains_cell(8, r) for r in range(spec.n))
+    assert not any(oracle.contains_cell(spec.m, spec.m_w, _raw(R), 8, r) for r in range(spec.n))
 
 
 def test_column_segment_formula():
@@ -146,13 +146,15 @@ def test_containment_enforced():
 
 
 def test_center_rows_count():
+    # per column, 2^(m - m_w) consecutive rows have their centers in R: the
+    # slab is half-open of height w, and those centers lie in R's own slab
     spec = GridSpec(5, 3, False)
     R = Parallelogram(spec, DyadicInterval(1, 0), SlopeCell(2, 1), D(1, 3))
     for c in range(R.col_lo, R.col_hi):
-        r0, cnt = R.center_rows(c)
-        assert cnt == 1 << (spec.m - spec.m_w)
+        rows = [r for r in range(spec.n) if oracle.contains_cell(spec.m, spec.m_w, _raw(R), c, r)]
+        assert rows == list(range(rows[0], rows[0] + (1 << (spec.m - spec.m_w))))
         lo, hi = _slab(R, c)
-        for r in range(r0, r0 + cnt):
+        for r in rows:
             y = D(2 * r + 1, spec.m + 1)  # row r's center
             assert lo <= y < hi
 

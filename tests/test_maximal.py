@@ -40,11 +40,27 @@ def _setup(seed=7, delta=D(1, 3), m=4, half=False):
     return spec, fam, f
 
 
+def _raw_members(fam):
+    step = 1 << fam.spec.offset_exp
+    return [(k, i, j, Fraction(t, step)) for k, i, j, t in fam.sort_keys.tolist()]
+
+
+def _center_cells(spec, member) -> list[int]:
+    """Flat indices of the cells whose centers a raw member holds (oracle.contains_cell)."""
+    m, m_w = spec.m, spec.m_w
+    return [
+        (c << m) + r
+        for c in oracle.columns(m, m_w, member)
+        for r in range(spec.n)
+        if oracle.contains_cell(m, m_w, member, c, r)
+    ]
+
+
 def _oracle_averages(fam, f) -> list[Fraction]:
     """Per member the exact average of f: the oracle's integral over its measure."""
     m, m_w = fam.spec.m, fam.spec.m_w
     values = [x.as_fraction() for x in f.values()]
-    raw = [(r.k, r.base.index, r.slope.index, r.offset.as_fraction()) for r in fam.members]
+    raw = _raw_members(fam)
     return [oracle.integrate(m, m_w, r, values) / oracle.member_measure(m_w, r) for r in raw]
 
 
@@ -52,8 +68,8 @@ def test_maximal_constant_one():
     spec, fam, _ = _setup()
     mf = maximal_apply(GridFunction.constant(spec, 1), fam)
     covered = set()
-    for r in fam.members:
-        covered.update(r.cell_indices())
+    for r in _raw_members(fam):
+        covered.update(_center_cells(spec, r))
     for idx in range(spec.n_cells):
         assert mf.value_at(idx) == (D(1) if idx in covered else D(0))
 
@@ -61,10 +77,9 @@ def test_maximal_constant_one():
 def test_maximal_single_member():
     spec, fam, f = _setup()
     sub = fam.subfamily([0])
-    R = sub.members[0]
     mf = maximal_apply(f, sub)
     [avg] = _oracle_averages(sub, f)
-    cells = set(R.cell_indices())
+    cells = set(_center_cells(spec, _raw_members(sub)[0]))
     for idx in range(spec.n_cells):
         assert mf.value_at(idx) == (avg if idx in cells else D(0))
 
@@ -111,10 +126,11 @@ def test_painter_equal_and_zero_averages():
     f = GridFunction.indicator(spec, [i for i in range(spec.n_cells) if i < spec.n_cells // 2])
     avgs = _oracle_averages(fam, f)
     rho, mf = linearize(f, fam), maximal_apply(f, fam)
+    raw = _raw_members(fam)
     tied = zero = 0
     for idx in range(spec.n_cells):
         c, row = spec.cell_coords(idx)
-        cands = [i for i, r in enumerate(fam.members) if r.contains_cell(c, row)]
+        cands = [i for i, r in enumerate(raw) if oracle.contains_cell(spec.m, spec.m_w, r, c, row)]
         want = max(cands, key=lambda i: (avgs[i], -i)) if cands else -1
         assert rho.entries[idx] == want
         assert mf.value_at(idx) == (avgs[want] if cands else 0)
@@ -125,9 +141,10 @@ def test_painter_equal_and_zero_averages():
     assert tied and zero
 
 
-def _oracle_max(spec, fam, f):
-    raw = [(r.k, r.base.index, r.slope.index, r.offset.as_fraction()) for r in fam.members]
-    return oracle.maximal_apply(spec.m, spec.m_w, raw, [x.as_fraction() for x in f.values()])[0]
+def _oracle_maximal(spec, fam, f):
+    """The oracle's (Mf, choosers)."""
+    values = [x.as_fraction() for x in f.values()]
+    return oracle.maximal_apply(spec.m, spec.m_w, _raw_members(fam), values)
 
 
 def _exact_path():
@@ -158,8 +175,9 @@ def test_int64_kernel_matches_oracle_and_exact_path(spec_args, seed, delta, bits
     with mock.patch.object(maximal, "_BLOCK", block):
         mf, rho = maximal_apply(f, fam), linearize(f, fam)
         tf = apply_T(rho, f)
-    assert [x.as_fraction() for x in mf.values()] == _oracle_max(spec, fam, f)
-    rho.check()
+    want_mf, want_rho = _oracle_maximal(spec, fam, f)
+    assert [x.as_fraction() for x in mf.values()] == want_mf
+    assert rho.entries.tolist() == want_rho
     with mock.patch.object(maximal, "_BLOCK", block), _exact_path():
         assert np.array_equal(linearize(f, fam).entries, rho.entries)
         want = maximal_apply(f, fam)
@@ -194,7 +212,7 @@ def test_int64_guard_bound_both_sides(monkeypatch, half):
             patch.setattr(maximal, "_int64_exact", spy)
             mf, rho = maximal_apply(f, fam), linearize(f, fam)
         assert picked == [fits, fits]
-        assert [x.as_fraction() for x in mf.values()] == _oracle_max(spec, fam, f)
+        assert [x.as_fraction() for x in mf.values()] == _oracle_maximal(spec, fam, f)[0]
         assert apply_T(rho, f) == mf
         with _exact_path():
             assert np.array_equal(linearize(f, fam).entries, rho.entries)
@@ -213,8 +231,8 @@ def test_painter_many_ties():
     avgs = _oracle_averages(fam, f)
     assert len(set(avgs)) * 10 < len(avgs)
     cands = [[] for _ in range(spec.n_cells)]
-    for i, r in enumerate(fam.members):
-        for idx in r.cell_indices():
+    for i, r in enumerate(_raw_members(fam)):
+        for idx in _center_cells(spec, r):
             cands[idx].append(i)
     want = [max(cs, key=lambda i: (avgs[i], -i)) if cs else -1 for cs in cands]
     assert sum(1 for cs, w in zip(cands, want) if sum(avgs[i] == avgs[w] for i in cs) > 1) > 1000
@@ -364,16 +382,17 @@ def test_maximal_sublinear_and_homogeneous():
 def test_linearize_achieves_maximal_and_ties():
     spec, fam, f = _setup(seed=10)
     rho = linearize(f, fam)
-    rho.check()
+    assert rho.entries.tolist() == _oracle_maximal(spec, fam, f)[1]
     assert apply_T(rho, f) == maximal_apply(f, fam)
     # all-ones: every covered cell picks the canonically first containing member
     ones = GridFunction.constant(spec, 1)
     rho1 = linearize(ones, fam)
+    raw = _raw_members(fam)
     for idx, e in enumerate(rho1.entries):
         if e < 0:
             continue
         c, r = spec.cell_coords(idx)
-        firsts = [i for i, R in enumerate(fam.members) if R.contains_cell(c, r)]
+        firsts = [i for i, R in enumerate(raw) if oracle.contains_cell(spec.m, spec.m_w, R, c, r)]
         assert e == firsts[0]
 
 
@@ -403,14 +422,9 @@ def test_choice_map_entries_below_minus_one_are_corrupt():
     x = entries.index(-1)  # an uncovered cell
     entries[x] = -7
     bad = lambda: ChoiceMap(fam, entries)
-    for call in (lambda: bad().check(), lambda: apply_T(bad(), f), lambda: apply_T_adjoint(bad(), f)):
+    for call in (bad, lambda: apply_T(bad(), f), lambda: apply_T_adjoint(bad(), f)):
         with pytest.raises(ValueError, match="corrupt choice map"):
             call()
-
-
-def _raw_members(fam):
-    step = 1 << fam.spec.offset_exp
-    return [(k, i, j, Fraction(t, step)) for k, i, j, t in fam.sort_keys.tolist()]
 
 
 def _oracle_adjoint(rho, g) -> list[Fraction]:
@@ -503,7 +517,7 @@ def test_nu_takes_numpy_integer_indices():
     whole = nu_all(rho, range(spec.n_cells))
     # every chosen member, read at a numpy index, counts exactly its cells
     for e in np.unique([e for e in rho.entries if e >= 0]):
-        assert whole[e] == whole[int(e)] == whole[fam.index(fam.members[e])]
+        assert whole[e] == whole[int(e)]
         assert whole[e] == np.count_nonzero(rho.entries == e) > 0
 
 
@@ -652,7 +666,8 @@ def test_estimate_norm_single_member_optimum():
     # the exact discrete optimum: f proportional to the coverage profile
     cellarea = spec.cell_area.as_fraction()
     cover_sq = Fraction(0)
-    count = len(list(R.cell_indices()))
+    cells = _center_cells(spec, _raw_members(sub)[0])
+    count = len(cells)
     u = 1 << (R.y_scale - spec.m)
     for c in range(R.col_lo, R.col_hi):
         lo, hi = R.slab_scaled(c)
@@ -662,7 +677,7 @@ def test_estimate_norm_single_member_optimum():
             cover_sq += Fraction(ov, u) ** 2
     opt_sq = cover_sq * cellarea * count * cellarea / R.measure.as_fraction() ** 2
     opt = math.sqrt(float(opt_sq))
-    seed = GridFunction.indicator(spec, R.cell_indices())
+    seed = GridFunction.indicator(spec, cells)
     report = estimate_norm(sub, [seed], 2)
     assert report.best_ratio <= opt + 1e-9
     assert report.best_ratio >= opt - 1e-9  # the ascent reaches the optimum

@@ -231,12 +231,22 @@ def test_scope_and_name_checkers_flag_probes():
     assert name_lines("from .grids import GridFunction\n", name) == []
 
 
-def test_maximal_reads_members_only_in_the_choice_map_check():
-    """The operators read family key rows; only ChoiceMap.check walks the
-    Parallelogram objects, and no per-member integral path is left."""
-    source = (Path(dirmax.__file__).parent / "maximal.py").read_text()
-    assert set(attribute_scopes(source, "members")) == {"ChoiceMap.check"}
-    assert name_lines(source, "integrate_scaled") == []
+def test_member_objects_are_read_only_in_family():
+    """The operators, badness, verify and the CLI read family key rows and
+    name a member by its index; the oracle referees the painter, so no cell
+    walk over Parallelogram objects is left, nor a per-member integral path."""
+    from dirmax import family, geometry, maximal
+
+    root = Path(dirmax.__file__).parent
+    reads = {p.stem: attribute_scopes(p.read_text(), "members") for p in sorted(root.glob("*.py"))}
+    assert {mod: scopes for mod, scopes in reads.items() if scopes and mod != "family"} == {}
+    assert name_lines((root / "maximal.py").read_text(), "integrate_scaled") == []
+    gone = [
+        (maximal.ChoiceMap, ("check",)),
+        (family.RectangleFamily, ("index",)),
+        (geometry.Parallelogram, ("center_rows", "contains_cell", "cell_indices")),
+    ]
+    assert [(o.__name__, n) for o, names in gone for n in names if hasattr(o, n)] == []
 
 
 def test_one_staircase_outside_the_oracle():

@@ -10,6 +10,7 @@ import pytest
 
 from dirmax.cli import _apply_config, build_parser, cli_main
 from dirmax.dyadic import DyadicRational as D
+from dirmax.geometry import Parallelogram
 from dirmax.grids import parse_field, parse_grid
 from dirmax.sweeps import ExperimentConfig, kakeya_point, sweep_delta, sweep_lp
 
@@ -249,8 +250,8 @@ def test_cli_header_only_maxgrid_is_a_usage_error(tmp_path):
 
 def test_cli_config_unknown_key(tmp_path):
     # a key that names no argument of the command is rejected, not dropped;
-    # `quick` belongs to verify only
-    for key in ("bogus", "quick"):
+    # `quick` belongs to verify only, and a config file names no further one
+    for key in ("bogus", "quick", "config"):
         cfg = tmp_path / f"{key}.cfg"
         cfg.write_text(f"m = 4\n{key} = 1\n")
         out = tmp_path / f"{key}.txt"
@@ -258,6 +259,57 @@ def test_cli_config_unknown_key(tmp_path):
         assert rc == 2
         assert err == f"config error: unknown key '{key}'\n"
         assert not out.exists()
+
+
+def test_cli_maximal_takes_one_field(tmp_path):
+    """--field-file and --field, on the command line or from --config, both
+    name the field: together they are a usage error, not a dropped flag."""
+    base = tmp_path / "kk"
+    assert _run(["kakeya", "--delta", "1/2^3", "--out", str(base)])[0] == 0
+    grid, field = ["--grid", f"{base}.grid"], ["--field-file", f"{base}.field"]
+    with_field = tmp_path / "field.cfg"
+    with_field.write_text("field = identity\n")
+    with_file = tmp_path / "file.cfg"
+    with_file.write_text(f"field_file = {base}.field\n")
+    out = tmp_path / "m.grid"
+    for extra in (
+        [*field, "--field", "identity"],
+        [*field, "--config", str(with_field)],
+        ["--config", str(with_file), "--field", "identity"],
+    ):
+        rc, text, err = _run(["maximal", *grid, *extra, "--out", str(out)])
+        assert (rc, text) == (2, "")
+        assert err == "error: --field-file and --field both name the field; give one\n"
+        assert not out.exists()
+    # either one alone runs, and with neither the field is identity
+    runs = [
+        _run(["maximal", *grid, *extra])
+        for extra in (field, ["--config", str(with_file)], [], ["--config", str(with_field)])
+    ]
+    assert [rc for rc, _, _ in runs] == [0] * 4
+    texts = [text for _, text, _ in runs]
+    assert texts[0] == texts[1] and texts[2] == texts[3]
+
+
+def test_cli_commands_build_no_members(monkeypatch):
+    """The CLI reads family key rows only: no Parallelogram is built."""
+    built = []
+    post_init = Parallelogram.__post_init__
+
+    def spy(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Parallelogram, "__post_init__", spy)
+    for argv in (
+        ["decompose", "--m", "7", "--mw", "5", "--delta", "1/2", "--field", "cascade", "--seed", "2"],
+        ["badness", "--m", "6", "--mw", "4", "--delta", "1/2", "--field", "cascade", "--seed", "2"],
+        ["enumerate", "--m", "6", "--delta", "1/2^3", "--field", "random", "--seed", "3"],
+        ["sweep", "logn"],
+    ):
+        rc, out, _ = _run(argv)
+        assert rc == 0 and out
+    assert built == []
 
 
 def test_cli_config_quick_takes_a_boolean(tmp_path):

@@ -3,8 +3,11 @@ reports a fast call that raises."""
 
 from __future__ import annotations
 
+import hashlib
+
 from dirmax import maximal
 from dirmax.badness import shrink_once
+from dirmax.geometry import Parallelogram
 from dirmax.instances import build_corpus
 from dirmax.verify import ORACLE_SHRINK_LAMBDA0, VerifyReport, check_oracle_equivalence, run_verify
 
@@ -68,3 +71,23 @@ def test_flipped_tie_order_fails_the_maximal_line(monkeypatch):
     assert [line for line in lines if line.startswith("FAIL")] == [
         "FAIL oracle maximal_apply (chooser mismatch)"
     ]
+
+
+def test_m5_verify_builds_no_members_and_its_text_is_pinned(monkeypatch):
+    """The bench pins the verify stages up to m = 4; this pins the report on
+    the ten m = 5 instances, whose badness split runs on member indices.
+    Building the corpus and verifying it builds no Parallelogram."""
+    built = []
+    post_init = Parallelogram.__post_init__
+
+    def spy(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Parallelogram, "__post_init__", spy)
+    corpus = [inst for inst in build_corpus() if inst.spec.m == 5]
+    assert len(corpus) == 10
+    text = run_verify(corpus=corpus).to_text()
+    assert built == []
+    digest = "bd819c66661850cb3f1fa922c74f595c17de3d0937f33d878d7b180f5d5bbe85"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
