@@ -13,7 +13,6 @@ from .geometry import (
     GridSpec,
     Parallelogram,
     SlopeCell,
-    Window,
 )
 from .grids import (
     GridFunction,

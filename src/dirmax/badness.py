@@ -8,7 +8,9 @@ exact dyadic equalities.
 
 Everything runs in integers over one member table built from the family
 (``BadnessEngine``): each member's slab progression at the scale 2^S,
-S = m + m_w + 2, its pi_2 ends and its base level.  Every scan reads one
+S = m + m_w + 2 (``GridSpec.slab_scale``), its pi_2 ends and its base level.
+A vertical window [a, b) is a pair of grid points over 2^m, and its clipped
+triple is ``geometry.window_triple``.  Every scan reads one
 weight vector, counts[Q] << level_Q (nu_Q / |Q| over a fixed power of two)
 per member Q, zeroed for the members it leaves out.  Overlaps are
 ``geometry.slab_overlap`` of two progressions; a member's mass below height
@@ -31,8 +33,8 @@ import numpy as np
 
 from .dyadic import DyadicRational
 from .family import RectangleFamily
-from .geometry import DyadicInterval, Window
-from .geometry import slab_cover, slab_overlap, slab_rows, slab_run, slab_union
+from .geometry import DyadicInterval
+from .geometry import slab_cover, slab_overlap, slab_rows, slab_run, slab_union, window_triple
 from .grids import _cell_set, cell_array
 from .maximal import ChoiceMap, nu_all
 
@@ -53,27 +55,25 @@ def _coerce_lambda(lam0) -> DyadicRational:
 class BadnessEngine:
     """One integer table over a family's members for every badness scan.
 
-    Each member's key row is tabulated once at the scale 2^S,
-    S = m + m_w + 2 (the grid's largest y_scale): its slab run (first column,
-    first slab bottom, step, columns, slab height), its pi_2 ends and its
-    base (level, index).  A scan passes one weight per member, nu_Q / |Q| =
-    counts[Q] << level_Q over 4^m / 2^m_w (``weights``) or 0, as Python ints
-    so that no product wraps.
+    Each member's key row is tabulated once, at the scale 2^S of every slab
+    (``GridSpec.slab_scale``): its slab run (first column, first slab
+    bottom, step, columns, slab height), its pi_2 ends (an (N, 2) int64
+    array) and its base (level, index).  A scan passes one weight per
+    member, nu_Q / |Q| = counts[Q] << level_Q over 4^m / 2^m_w
+    (``weights``) or 0, as Python ints so that no product wraps.
     """
 
     def __init__(self, fam: RectangleFamily):
         self.spec = spec = fam.spec
-        self.scale = S = spec.m + spec.m_w + 2
+        self.scale = spec.slab_scale
         keys = fam.sort_keys.T
         c0, lo, step = slab_run(spec, *keys)
-        i, d = keys[1], spec.m_w - keys[0]  # from the scale 2^(k + m + 2) up to 2^S
-        cols, height = 1 << (spec.m - d), 1 << (S - spec.m_w)
-        lo, step = lo << d, step << d
-        hi = lo + (cols - 1) * step + height
+        i, d = keys[1], spec.m_w - keys[0]  # d is the base level
+        cols, height = 1 << (spec.m - d), 1 << (self.scale - spec.m_w)
         self.runs: list[tuple[int, int, int, int, int]] = [
             (*row, height) for row in zip(c0.tolist(), lo.tolist(), step.tolist(), cols.tolist())
         ]
-        self.ends: list[tuple[int, int]] = list(zip(lo.tolist(), hi.tolist()))  # pi_2 over 2^S
+        self.ends = np.stack((lo, lo + (cols - 1) * step + height), axis=1)  # pi_2 over 2^S
         self._level_shift = d
         self.levels: list[int] = d.tolist()
         self.bases: list[tuple[int, int]] = list(zip(self.levels, i.tolist()))
@@ -95,15 +95,14 @@ class BadnessEngine:
         spec = self.spec
         c0, lo, step, cols, _ = self.runs[mi]
         c = np.arange(cols)
-        a, b, _, _ = slab_rows(spec, spec.m_w, lo + c * step)  # S is the scale of level m_w
+        a, b, _, _ = slab_rows(spec, lo + c * step)
         first = ((c0 + c) << spec.m) + a  # rows a .. b, and b - a is the same in every column
         return (first[:, None] + np.arange(b[0] - a[0] + 1)).ravel()
 
-    def fits(self, W: Window) -> np.ndarray:
-        """Per member: pi_2 lies inside W (compared in Python ints: W's ends
-        may sit at any scale)."""
-        lo, hi = W.lo.num << self.scale, W.hi.num << self.scale
-        return np.array([lo <= a << W.lo.exp and b << W.hi.exp <= hi for a, b in self.ends], bool)
+    def fits(self, a: int, b: int) -> np.ndarray:
+        """Per member: pi_2 lies inside the window [a, b) (grid points over 2^m)."""
+        u = self.scale - self.spec.m
+        return (a << u <= self.ends[:, 0]) & (self.ends[:, 1] <= b << u)
 
     def badness_of(self, mi: int, weights: list[int]) -> DyadicRational:
         """B_R: (1/|R|) integral over R of T* of the weighted choosers under pi_1(R)."""
@@ -117,21 +116,17 @@ class BadnessEngine:
         spec = self.spec
         return DyadicRational(total << self.levels[mi], 3 * spec.m + self.scale - 2 * spec.m_w)
 
-    def box_mass(self, weights: list[int], I: DyadicInterval, W: Window) -> DyadicRational:
-        """Integral over I x W of T* of the weighted choosers."""
-        t = max(self.scale, W.lo.exp, W.hi.exp)
-        d = t - self.scale
-        a = W.lo.num << (t - W.lo.exp)
-        b = W.hi.num << (t - W.hi.exp)
+    def box_mass(self, weights: list[int], I: DyadicInterval, a: int, b: int) -> DyadicRational:
+        """Integral over I x [a, b) (grid points over 2^m) of T* of the weighted choosers."""
+        u = self.scale - self.spec.m
         total = 0
         for qi in self.inside_base((I.level, I.index)):
             w = weights[qi]
             if w:
-                _, start, step, cols, height = self.runs[qi]
-                slabs = start << d, step << d, cols, height << d
-                total += w * (slab_cover(*slabs, b) - slab_cover(*slabs, a))
-        # slab mass over 2^t, times the cell width 2^-m
-        return DyadicRational(total, 3 * self.spec.m + t - self.spec.m_w)
+                slabs = self.runs[qi][1:]
+                total += w * (slab_cover(*slabs, b << u) - slab_cover(*slabs, a << u))
+        # slab mass over 2^S, times the cell width 2^-m
+        return DyadicRational(total, 3 * self.spec.m + self.scale - self.spec.m_w)
 
 
 def badness_table(cells: Iterable[int], rho: ChoiceMap) -> "BadnessTable":
@@ -194,9 +189,13 @@ def badness_components(
     """Split of B_R for member mi by in/out choosers over the window K: parts sum to B_R."""
     if not 0 <= mi < len(rho.fam):
         raise ValueError("member index out of range")
+    m = rho.fam.spec.m
+    if K.level > m:
+        raise ValueError(f"window level {K.level} is finer than the grid's rows (m = {m})")
     eng = BadnessEngine(rho.fam)
     w = eng.weights(nu_all(rho, cells))
-    inside = eng.fits(K.triple())
+    rows = K.columns(m)  # K's grid points over 2^m
+    inside = eng.fits(*window_triple(rows.start, rows.stop, 1 << m))
     return eng.badness_of(mi, (w * inside).tolist()), eng.badness_of(mi, (w * ~inside).tolist())
 
 
@@ -207,11 +206,12 @@ def _cover_rows(
     times the slab mass below each of the 2^m + 1 grid points (over 2^S)."""
     u = eng.scale - eng.spec.m  # grid point p sits at p << u
     grid = range((1 << eng.spec.m) + 1)
+    ends = eng.ends.tolist()  # the scan compares Python ints
     rows = {}
     for qi in members:
         if w := weights[qi]:
-            _, start, step, cols, height = eng.runs[qi]
-            rows[qi] = (*eng.ends[qi], [w * slab_cover(start, step, cols, height, p << u) for p in grid])
+            _, start, step, cols, height = eng.runs[qi]  # a *args call costs ~20% here
+            rows[qi] = (*ends[qi], [w * slab_cover(start, step, cols, height, p << u) for p in grid])
     return rows
 
 
@@ -246,23 +246,22 @@ def _select_bad_windows(
     lhs_shift = I.level + lam0.exp
     rhs_shift = u + 3 * m - spec.m_w
 
-    def out_reaches(a: int, b: int) -> bool:
-        ln = b - a
-        ta, tb = max(0, a - ln) << u, min(n, b + ln) << u
+    def out_reaches(a: int, b: int, ta: int, tb: int) -> bool:
+        """B_out over [a, b) reaches lam0, [ta, tb) its triple."""
+        ta, tb = ta << u, tb << u
         mass = total[b] - total[a]
         for lo, hi, cover in rows[: bisect_right(heights, tb - ta)]:
             if ta <= lo and hi <= tb:
                 mass -= cover[b] - cover[a]
-        return mass << lhs_shift >= (lam0.num * ln) << rhs_shift
+        return mass << lhs_shift >= (lam0.num * (b - a)) << rhs_shift
 
     out = []
     for level in range(m + 1):
         span = n >> level
         for index in range(1 << level):
-            a = index * span
-            if out_reaches(a, a + span) and not out_reaches(
-                max(0, a - span), min(n, a + 2 * span)
-            ):
+            a, b = index * span, (index + 1) * span
+            ta, tb = window_triple(a, b, n)
+            if out_reaches(a, b, ta, tb) and not out_reaches(ta, tb, *window_triple(ta, tb, n)):
                 out.append(DyadicInterval(level, index))
     return tuple(out)
 
@@ -314,8 +313,9 @@ def shrink_once(
             windows.append((I, cal))
             cols = I.columns(m)
             for K in cal:  # 3K clipped to [0, 1], in rows, as _select_bad_windows reads it
-                a, span = K.index << (m - K.level), spec.n >> K.level
-                grid[cols.start : cols.stop, max(0, a - span) : min(spec.n, a + 2 * span)] = True
+                rows = K.columns(m)
+                ta, tb = window_triple(rows.start, rows.stop, spec.n)
+                grid[cols.start : cols.stop, ta:tb] = True
     in_shrunk = grid.ravel()
     shrunk = _cell_set(np.flatnonzero(in_shrunk))
 

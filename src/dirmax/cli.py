@@ -47,13 +47,13 @@ def _parse_deltas(text: str) -> tuple[DyadicRational, ...]:
     return tuple(_dyadic(tok) for tok in text.split(","))
 
 
-def _field_for(spec: GridSpec, kind: str, seed: int):
+def _field_for(spec: GridSpec, kind: str, seed: int | None):
     if kind == "identity":
         return identity_field(spec)
     if kind == "cascade":
         return cascade_field(spec)
     if kind == "random":
-        return random_field(spec, random.Random(seed))
+        return random_field(spec, random.Random(0 if seed is None else seed))
     if kind.startswith("const:"):
         return constant_field(spec, _dyadic(kind.split(":", 1)[1]))
     raise ValueError(f"unknown field kind {kind!r}")
@@ -67,16 +67,22 @@ def _write(out: str | None, text: str) -> None:
 
 
 def _config_defaults(path: str) -> dict[str, str]:
-    """Read key=value defaults from a --config file; flags override them."""
+    """Read key=value defaults from a --config file; flags override them.  A
+    key given twice, in either spelling (`max_gen`, `max-gen`), is an error."""
     out = {}
+    seen = set()
     for line in Path(path).read_text().splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"bad config line: {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        name = key.replace("_", "-")
+        if name in seen:
+            raise ValueError(f"duplicate key '{key}'")
+        seen.add(name)
+        out[key] = value
     return out
 
 
@@ -119,14 +125,16 @@ def _parser(defaults: dict) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # enumerate and maximal read --seed only for --field random: no --seed
+    # default there, so a seed that no field reads is seen and rejected
     p = sub.add_parser("enumerate", help="enumerate a density family and export it")
-    _add_flags(p, _FAMILY_FLAGS, defaults)
+    _add_flags(p, _FAMILY_FLAGS, {"seed": None, **defaults})
 
     p = sub.add_parser("maximal", help="apply the maximal operator to a grid file")
     p.add_argument("--grid", type=str, required=True)
     p.add_argument("--field-file", type=str, default=None)
     # no --field default here, so a --field beside --field-file is seen and rejected
-    _add_flags(p, ("delta", "seed", "field"), {"field": None, **defaults})
+    _add_flags(p, ("delta", "seed", "field"), {"field": None, "seed": None, **defaults})
 
     p = sub.add_parser("decompose", help="emit the stopping-time decomposition as JSON")
     _add_flags(p, _FAMILY_FLAGS + ("max-gen",), defaults)
@@ -220,8 +228,15 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _reject_unread_seed(args) -> None:
+    """enumerate and maximal draw only a random field; a --seed beside any other is a usage error."""
+    if args.seed is not None and args.field != "random":
+        raise ValueError("--seed is read only with --field random")
+
+
 def _dispatch(args) -> int:
     if args.command == "enumerate":
+        _reject_unread_seed(args)
         _, fam = _family(args)
         lines = fam.export_lines()
         head = f"# members {len(fam)}\n"
@@ -231,6 +246,7 @@ def _dispatch(args) -> int:
     if args.command == "maximal":
         if args.field_file and args.field is not None:
             raise ValueError("--field-file and --field both name the field; give one")
+        _reject_unread_seed(args)
         grid = parse_grid(Path(args.grid).read_text())
         spec = grid.spec
         if args.field_file:

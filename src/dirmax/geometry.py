@@ -4,7 +4,10 @@ All geometry lives on the unit square.  A "parallelogram" here is the discrete
 staircase model: the union, over the grid columns of its base interval, of
 vertical slabs of height w anchored at slope*x_center + offset.  Every length,
 measure and overlap below is exact: a dyadic rational, or an integer over a
-stated power of two.
+stated power of two.  The staircase has one integer scale per axis: every
+member's slab ends are integers over 2^S, S = m + m_w + 2
+(``GridSpec.slab_scale``), and a vertical window [a, b) is a pair of grid
+points over 2^m (``window_triple``).
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ class DyadicInterval:
         return DyadicRational(1, self.level)
 
     def columns(self, m: int) -> range:
-        """The columns of a 2^m-column grid that the interval covers."""
+        """The columns (or rows) of a 2^m x 2^m grid that the interval covers:
+        start and stop are its ends as grid points over 2^m."""
         sh = m - self.level
         return range(self.index << sh, (self.index + 1) << sh)
 
@@ -68,44 +72,6 @@ class DyadicInterval:
             DyadicInterval(self.level + 1, self.index << 1),
             DyadicInterval(self.level + 1, (self.index << 1) | 1),
         )
-
-    def window(self) -> "Window":
-        return Window(self.lo, self.hi)
-
-    def triple(self) -> "Window":
-        """Concentric triple clipped to [0,1]."""
-        return self.window().triple()
-
-    def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi})"
-
-
-@dataclass(frozen=True)
-class Window:
-    """Half-open interval [lo, hi) with dyadic endpoints, kept inside [0,1]."""
-
-    lo: DyadicRational
-    hi: DyadicRational
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("window endpoints out of order")
-
-    @property
-    def length(self) -> DyadicRational:
-        return self.hi - self.lo
-
-    def triple(self) -> "Window":
-        ln = self.length
-        lo = self.lo - ln
-        hi = self.hi + ln
-        zero = DyadicRational(0)
-        one = DyadicRational(1)
-        if lo < zero:
-            lo = zero
-        if hi > one:
-            hi = one
-        return Window(lo, hi)
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi})"
@@ -135,9 +101,6 @@ class SlopeCell:
 
     def interval(self) -> DyadicInterval:
         return DyadicInterval(self.level, self.index)
-
-    def window(self) -> Window:
-        return self.interval().window()
 
     def contains(self, other: "SlopeCell") -> bool:
         return self.interval().contains(other.interval())
@@ -195,6 +158,11 @@ class GridSpec:
         return DyadicRational(1, self.offset_exp)
 
     @property
+    def slab_scale(self) -> int:
+        """S = m + m_w + 2: every slab end is an integer over 2^S."""
+        return self.m + self.m_w + 2
+
+    @property
     def offstep_code(self) -> str:
         return "w2" if self.offset_half else "w"
 
@@ -220,12 +188,14 @@ def spec_from_offstep(m: int, m_w: int, code: str) -> GridSpec:
 
 
 def slab_run(spec: GridSpec, k, i, j, t):
-    """(first column, first slab bottom, step): over 2^(k + m + 2), column c's
-    slab starts at slope * x_c + offset = (2j + 1)(2c + 1) + t * 2^(k + m + 2 -
-    offset_exp), so the bottoms step by 2(2j + 1) a column."""
-    c0 = i << (spec.m - spec.m_w + k)
-    lift = t << (k + spec.m + 2 - spec.offset_exp)
-    return c0, (2 * j + 1) * (2 * c0 + 1) + lift, 2 * (2 * j + 1)
+    """(first column, first slab bottom, step), over 2^S (S = spec.slab_scale):
+    column c's slab starts at slope * x_c + offset = ((2j + 1)(2c + 1) <<
+    (m_w - k)) + t * 2^(S - offset_exp), so the bottoms step by 2(2j + 1) <<
+    (m_w - k) a column."""
+    d = spec.m_w - k
+    c0 = i << (spec.m - d)
+    lift = t << (spec.slab_scale - spec.offset_exp)
+    return c0, ((2 * j + 1) * (2 * c0 + 1) << d) + lift, 2 * (2 * j + 1) << d
 
 
 def max_offset_steps(spec: GridSpec, i, j):
@@ -242,21 +212,27 @@ def dyadic_inside(level, index, outer_level, outer_index):
     return (d >= 0) & ((index >> np.maximum(d, 0)) == outer_index)
 
 
-def first_center_row(k, lo):
-    """The first row whose center is at or above the slab bottom lo (scaled by
-    2^(k + m + 2), so rows are 2^(k + 2) units high)."""
-    return (lo + (1 << (k + 1)) - 1) >> (k + 2)
+def first_center_row(spec: GridSpec, lo):
+    """The first row whose center is at or above the slab bottom lo (over 2^S,
+    so rows are 2^(m_w + 2) units high)."""
+    return (lo + (1 << (spec.m_w + 1)) - 1) >> (spec.m_w + 2)
 
 
-def slab_rows(spec: GridSpec, k, lo):
-    """(a, b, below, above): the slab with bottom lo (over 2^(k + m + 2), rows
-    2^(k + 2) high) touches rows a..b = a + 2^(m - m_w); below is the part of
-    row a under it, above that of row b over it.  lo is odd, as slab_run's
-    offset lift is even, so it sits on no row line and below + above is one
-    row; a bottom lifted to a finer scale keeps this, with k read off it."""
-    row = 1 << (k + 2)
-    a, below = lo >> (k + 2), lo & (row - 1)
+def slab_rows(spec: GridSpec, lo):
+    """(a, b, below, above): the slab with bottom lo (over 2^S, rows 2^(m_w + 2)
+    high) touches rows a..b = a + 2^(m - m_w); below is the part of row a under
+    it, above that of row b over it.  slab_run's bottoms are odd multiples of
+    2^(m_w - k), k <= m_w, so lo sits on no row line and on no row center, and
+    below + above is one row."""
+    row = 1 << (spec.m_w + 2)
+    a, below = lo >> (spec.m_w + 2), lo & (row - 1)
     return a, a + (1 << (spec.m - spec.m_w)), below, row - below
+
+
+def window_triple(a, b, n):
+    """The concentric triple of the window [a, b), clipped to [0, n]: rows
+    [max(0, a - (b - a)), min(n, b + (b - a)))."""
+    return max(0, a - (b - a)), min(n, b + (b - a))
 
 
 @dataclass(frozen=True)
@@ -316,20 +292,15 @@ class Parallelogram:
         """One past the last column."""
         return self.base.columns(self.spec.m).stop
 
-    @property
-    def y_scale(self) -> int:
-        """All slab endpoints are integers over 2^y_scale."""
-        return self.slope.level + self.spec.m + 2
-
     def slab_scaled(self, c: int) -> tuple[int, int]:
-        """(lo, hi) of the column-c slab, scaled by 2^y_scale (slab_run's row)."""
+        """(lo, hi) of the column-c slab over 2^S (slab_run's row)."""
         c0, lo, step = slab_run(self.spec, *self.sort_key())
         lo += (c - c0) * step
-        return lo, lo + (1 << (self.y_scale - self.spec.m_w))
+        return lo, lo + (1 << (self.spec.slab_scale - self.spec.m_w))
 
     def touched_rows(self, c: int) -> tuple[int, int]:
         """(first, one-past-last) rows with positive overlap with the slab."""
-        a, b, _, _ = slab_rows(self.spec, self.k, self.slab_scaled(c)[0])
+        a, b, _, _ = slab_rows(self.spec, self.slab_scaled(c)[0])
         return a, b + 1
 
     def __str__(self) -> str:

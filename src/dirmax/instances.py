@@ -154,7 +154,7 @@ def make_kakeya_bundle(m: int, delta: DyadicRational, depth: int | None = None) 
     cols = np.arange(1 << (m - 1))
     _, lo, step = slab_run(spec, n, 0, j, tn)
     for lo_j, step_j in zip(lo.tolist(), step.tolist()):
-        r = first_center_row(n, lo_j + step_j * cols)[:, None] + np.arange(1 << (m - n))
+        r = first_center_row(spec, lo_j + step_j * cols)[:, None] + np.arange(1 << (m - n))
         nums[((cols[:, None] << m) + r)[r < spec.n]] = 1
     indicator = GridFunction._adopt(spec, 0, nums.tolist())
 

@@ -73,23 +73,24 @@ class ChoiceMap:
 
 
 # The member kernel.  By the row rule (geometry.slab_rows) a slab's column
-# integral is (rows a..b summed) << (k + 2) - below * row a - above * row b,
+# integral is (rows a..b summed) << (m_w + 2) - below * row a - above * row b,
 # at most its first term.  With B the bit length of f's largest numerator:
 # a column prefix sum is below 2^(B + m); the first term, 2^(m - m_w) + 1
-# rows shifted by k + 2 <= m_w + 2, below 2^(B + m + 3); a member's column
-# integrals, 2^(m - m_w + k) slabs of 2^(m - m_w + k + 2) units, summed and
-# shifted up by 2(m_w - k) to the common scale, below 2^(B + 2m + 2).  So
-# B + 2m + 3 <= 62 keeps all below 2^61 on int64; otherwise f's ints are read.
+# rows shifted by m_w + 2, below 2^(B + m + 3); a member's column integrals,
+# 2^(m - m_w + k) slabs of 2^(m + 2) units over 2^S, summed and shifted up by
+# m_w - k to the common scale, below 2^(B + 2m + 2).  So B + 2m + 3 <= 62
+# keeps all below 2^61 on int64; otherwise f's ints are read.
 #
 # Its transpose, the T* splat, has its own bound.  With M the largest |mass|
-# and N the member count, a slab's coefficient mass << (2m_w - k + 2) and
-# each of its four difference entries (rows a, a + 1, b, b + 1) are below
-# 2^(bits(M) + 2m_w + 2).  A slab touches at least 5 rows, so one flat index
-# takes at most two entries of a member: from its slab in that column and
-# from closing the one in the column before.  Every partial sum np.add.at
-# leaves is below 2^(bits(M) + bits(N) + 2m_w + 3) in absolute value, the
-# prefix sums (the output) below half that.  So bits(M) + 2m_w + 3 + bits(N)
-# <= 62 keeps all below 2^62; otherwise the same code runs on Python ints.
+# and N the member count, a slab's whole-row coefficient, mass << (m_w - k)
+# times the row height 2^(m_w + 2), and each of its four difference entries
+# (rows a, a + 1, b, b + 1) are below 2^(bits(M) + 2m_w + 2).  A slab touches
+# at least 5 rows, so one flat index takes at most two entries of a member:
+# from its slab in that column and from closing the one in the column before.
+# Every partial sum np.add.at leaves is below 2^(bits(M) + bits(N) + 2m_w + 3)
+# in absolute value, the prefix sums (the output) below half that.  So
+# bits(M) + 2m_w + 3 + bits(N) <= 62 keeps all below 2^62; otherwise the same
+# code runs on Python ints.
 #
 # m2_vertical's recurrence has a third.  With b the bit length of g's largest
 # numerator and n = 2^m rows, a column prefix sum, and so a segment sum, is at
@@ -120,7 +121,7 @@ def _vertical_dtype(g: GridFunction):
 def _blocks(fam: RectangleFamily, size: int):
     """(member indices, columns, slab bottoms, k) per block of one k level.
 
-    Columns and slab bottoms (over 2^(k + m + 2), as geometry.slab_run) are
+    Columns and slab bottoms (over 2^S, as geometry.slab_run) are
     int64 arrays of shape (members, columns of a member), about size entries.
     """
     spec, keys = fam.spec, fam.sort_keys
@@ -153,15 +154,15 @@ def _scaled_averages(fam: RectangleFamily, f: GridFunction) -> tuple[list[int], 
         win = sliding_window_view(np.array(f.nums, dtype=object).reshape(n, n), rows, axis=1)
     out = np.empty(len(fam), dtype=np.int64 if narrow else object)
     for part, c, lo, k in _blocks(fam, _BLOCK if narrow else (_BLOCK >> 3) // rows):
-        a, b, below, above = slab_rows(spec, k, lo)
+        a, b, below, above = slab_rows(spec, lo)
         if narrow:
             pa, pb = pref[c, a], pref[c, b + 1]
             whole, first, last = pb - pa, pref[c, a + 1] - pa, pb - pref[c, b]
         else:
             g = win[c, a]
             whole, first, last = g.sum(axis=2), g[..., 0], g[..., -1]
-        cols = (whole << (k + 2)) - below * first - above * last
-        out[part] = cols.sum(axis=1) << (2 * (spec.m_w - k))
+        cols = (whole << (spec.m_w + 2)) - below * first - above * last
+        out[part] = cols.sum(axis=1) << (spec.m_w - k)
     return out.tolist(), 2 * spec.m + 2 + f.scale
 
 
@@ -188,7 +189,7 @@ def _rank_grid(fam: RectangleFamily, avgs: list[int]) -> tuple[np.ndarray, list[
     rank[order] = np.arange(1, len(avgs) + 1, dtype=np.int32)
     top = np.zeros(spec.n_cells, dtype=np.int32)
     for part, c, lo, k in _blocks(fam, _BLOCK):
-        r0 = first_center_row(k, lo)
+        r0 = first_center_row(spec, lo)
         np.maximum.at(top, ((c << m) + r0).ravel(), np.repeat(rank[part], c.shape[1]))
     grid = top.reshape(spec.n, spec.n)
     d = 1
@@ -275,10 +276,10 @@ def apply_T_adjoint(rho: ChoiceMap, g: GridFunction) -> GridFunction:
     # the parts of rows a and b outside the slab enter as point pairs
     diff = np.zeros(spec.n_cells + 1, dtype=mass.dtype)
     for part, c, lo, k in _blocks(fam, _BLOCK >> 3):  # Python-int temporaries stay small
-        a, b, below, above = slab_rows(spec, k, lo)
+        a, b, below, above = slab_rows(spec, lo)
         a, b = a + (c << m), b + (c << m)
-        coef = (mass[part] << 2 * (spec.m_w - k))[:, None]
-        full = coef << (k + 2)
+        coef = (mass[part] << (spec.m_w - k))[:, None]
+        full = coef << (spec.m_w + 2)
         np.add.at(diff, a, full - coef * below)
         np.add.at(diff, a + 1, coef * below)
         np.subtract.at(diff, b, coef * above)

@@ -33,8 +33,8 @@ from dirmax.geometry import (
     GridSpec,
     Parallelogram,
     SlopeCell,
-    Window,
     spec_from_offstep,
+    window_triple,
 )
 from dirmax.grids import GridFunction
 from dirmax.instances import (
@@ -90,6 +90,36 @@ def test_badness_components_rejects_out_of_range_index():
     for mi in (-1, len(fam), len(fam) + 5):
         with pytest.raises(ValueError, match="member index out of range"):
             badness_components(mi, DyadicInterval(1, 0), E, rho)
+
+
+def test_badness_components_rejects_a_window_finer_than_the_rows():
+    # K at a level above m has no pair of grid points for its ends
+    spec, fam, rho, E = _setup(seed=24)
+    for level in (spec.m + 1, spec.m + 3):
+        with pytest.raises(ValueError, match="finer than the grid's rows"):
+            badness_components(0, DyadicInterval(level, 1), E, rho)
+    b_in, b_out = badness_components(0, DyadicInterval(spec.m, 1), E, rho)  # level m is a row
+    assert b_in + b_out == badness_table(E, rho).badness[0]
+
+
+def test_badness_components_builds_only_its_two_values(corpus, monkeypatch):
+    """The split reads the window's triple as grid points: over three windows
+    the only DyadicRationals built are the six (B_in, B_out) values."""
+    inst = next(i for i in corpus if i.name == "m5_const38_d3")
+    rho, E = inst.rho, inst.covered
+    built = []
+    init = D.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    windows = [DyadicInterval(0, 0), DyadicInterval(2, 1), DyadicInterval(inst.spec.m, 31)]
+    monkeypatch.setattr(D, "__init__", spy)
+    parts = [badness_components(0, K, E, rho) for K in windows]
+    monkeypatch.undo()
+    assert len(built) == 2 * len(windows)
+    assert all(b_in + b_out == parts[0][0] + parts[0][1] for b_in, b_out in parts)
 
 
 def test_reformulate_identities():
@@ -157,21 +187,21 @@ def test_reformulate_and_components_match_oracle():
                     assert sum(parts) == bad[mi]
 
 
-def _engine_masses(rho, cells, I, W):
-    """(in-mass, out-mass) over I x W of T* of the choosers under I, split by
-    whether the chosen rectangle's pi_2 lies inside 3W: BadnessEngine's
-    weights, fits and box masses."""
+def _engine_masses(rho, cells, I, a, b):
+    """(in-mass, out-mass) over I x [a, b) (grid points over 2^m) of T* of the
+    choosers under I, split by whether the chosen rectangle's pi_2 lies
+    inside the window's triple: BadnessEngine's weights, fits and box masses."""
     eng = BadnessEngine(rho.fam)
     w = eng.weights(nu_all(rho, cells))
-    inside = eng.fits(W.triple())
-    return eng.box_mass((w * inside).tolist(), I, W), eng.box_mass((w * ~inside).tolist(), I, W)
+    inside = eng.fits(*window_triple(a, b, rho.spec.n))
+    return eng.box_mass((w * inside).tolist(), I, a, b), eng.box_mass((w * ~inside).tolist(), I, a, b)
 
 
-def _engine_split(rho, cells, I, W):
-    """(B_in, B_out): the masses averaged over I x W.  Averages over tripled
-    (length 3/2^l) windows are exact but not dyadic, hence Fractions."""
-    area = I.length.as_fraction() * W.length.as_fraction()
-    return tuple(mass.as_fraction() / area for mass in _engine_masses(rho, cells, I, W))
+def _engine_split(rho, cells, I, a, b):
+    """(B_in, B_out): the masses averaged over I x [a, b).  Averages over
+    tripled (length 3/2^l) windows are exact but not dyadic, hence Fractions."""
+    area = I.length.as_fraction() * Fraction(b - a, rho.spec.n)
+    return tuple(mass.as_fraction() / area for mass in _engine_masses(rho, cells, I, a, b))
 
 
 def test_in_out_split_identity_and_averages():
@@ -184,22 +214,21 @@ def test_in_out_split_identity_and_averages():
             b_in, b_out = badness_components(mi, K, E, rho)
             assert b_in + b_out == tab.badness[mi]
     # empty set gives zero averages
-    assert _engine_split(rho, [], DyadicInterval(0, 0), DyadicInterval(1, 0).window()) == (
+    assert _engine_split(rho, [], DyadicInterval(0, 0), 0, spec.n // 2) == (
         Fraction(0),
         Fraction(0),
     )
     # all choosers inside I x 3K -> out-average is 0
     I = DyadicInterval(0, 0)
-    K0 = DyadicInterval(0, 0)  # 3K covers [0,1]
-    _, b_out = _engine_split(rho, E, I, K0.window())
+    _, b_out = _engine_split(rho, E, I, 0, spec.n)  # K = [0, 1): 3K covers [0, 1]
     assert b_out == 0
 
 
 def test_in_out_split_zero_length_window():
     # a zero-length window holds no mass on either side: its split is (0, 0)
     rho = build_corpus()[5].rho
-    I, mid = DyadicInterval(0, 0), D(1, 1)
-    masses = _engine_masses(rho, rho.covered_cells(), I, Window(mid, mid))
+    I, mid = DyadicInterval(0, 0), rho.spec.n // 2
+    masses = _engine_masses(rho, rho.covered_cells(), I, mid, mid)
     assert masses == (D(0), D(0))
 
 
@@ -208,16 +237,14 @@ def test_mass_bound_for_window_sets():
     spec, fam, rho, E = _setup(seed=27)
     m = spec.m
     for level, index in ((1, 0), (2, 1), (3, 5)):
-        K = DyadicInterval(level, index)
-        TW = K.triple()
+        sh = m - level
         c0, c1 = 0, spec.n
-        r0 = TW.lo.num << (m - TW.lo.exp)
-        r1 = TW.hi.num << (m - TW.hi.exp)
+        r0, r1 = window_triple(index << sh, (index + 1) << sh, spec.n)
         cells = [
             i for i in E if r0 <= (i & (spec.n - 1)) < r1 and c0 <= (i >> m) < c1
         ]
         g = apply_T_adjoint(rho, GridFunction.indicator(spec, cells))
-        assert g.integral() <= D(1) * (TW.hi - TW.lo)
+        assert g.integral() <= D(1) * D(r1 - r0, m)
 
 
 def _bad_windows(I, cells, rho, lam0):
@@ -347,13 +374,14 @@ def test_shrink_and_split_match_oracle(spec_args, seed, delta, lam, pick):
     i_level = pick % (spec.m_w + 1)
     I = DyadicInterval(i_level, (pick >> 3) % (1 << i_level))
     level = (pick >> 6) % (m + 1)
+    sh = m - level
     for index in (0, (1 << level) - 1):
-        K = DyadicInterval(level, index)
-        for W in (K.window(), K.triple()):
-            want = _oracle_split(spec, raw, rho, E, I, W.lo.as_fraction(), W.hi.as_fraction())
-            assert _engine_split(rho, E, I, W) == want
-    mid = D(1, 1)
-    assert _engine_masses(rho, E, I, Window(mid, mid)) == (D(0), D(0))
+        K = index << sh, (index + 1) << sh
+        for a, b in (K, window_triple(*K, spec.n)):
+            want = _oracle_split(spec, raw, rho, E, I, Fraction(a, spec.n), Fraction(b, spec.n))
+            assert _engine_split(rho, E, I, a, b) == want
+    mid = spec.n // 2
+    assert _engine_masses(rho, E, I, mid, mid) == (D(0), D(0))
     assert _oracle_split(spec, raw, rho, E, I, Fraction(1, 2), Fraction(1, 2)) == (0, 0)
 
 

@@ -73,11 +73,11 @@ def test_theta_is_the_slope_cell():
     spec = GridSpec(4, 2, False)
     # k=0, s=1/2: window of width w/L = 1 centered at 1/2 is [0, 1)
     R = Parallelogram(spec, DyadicInterval(2, 0), SlopeCell(0, 0), D(0))
-    win = R.slope.window()
+    win = R.slope.interval()
     assert win.lo == D(0) and win.hi == D(1)
     # k=2, j=0, s=1/8: width 1/4 centered at 1/8 is [0, 1/4)
     R2 = Parallelogram(spec, DyadicInterval(0, 0), SlopeCell(2, 0), D(0))
-    win2 = R2.slope.window()
+    win2 = R2.slope.interval()
     assert win2.lo == D(0) and win2.hi == D(1, 2)
     # window width always equals w / L(R)
     assert win2.length == spec.w / R2.length
@@ -96,7 +96,7 @@ def test_v_measure_identity_field():
     # m=5, w=1/8, base [0,1/2), slope window [1/4,1/2): |V_R| = w/4
     spec = GridSpec(5, 3, False)
     R = Parallelogram(spec, DyadicInterval(1, 0), SlopeCell(2, 1), D(0))
-    assert R.slope.window().lo == D(1, 2) and R.slope.window().hi == D(1, 1)
+    assert R.slope.interval().lo == D(1, 2) and R.slope.interval().hi == D(1, 1)
     assert v_measure(R, identity_field(spec)) == (spec.w * D(1, 2)).as_fraction()
 
 
@@ -244,7 +244,7 @@ def test_allowable_slopes_bounds():
         cells = allowable_slopes(J, v, D(1, 2))
         assert len(cells) <= 2
         for s in cells:
-            window = s.window()
+            window = s.interval()
             assert window.lo <= D(3, 3) < window.hi
     # |S(J)| <= 2/delta + 2 over random fields
     for seed in range(10):

@@ -22,6 +22,7 @@ from dirmax.geometry import (
     slab_rows,
     slab_run,
     slab_union,
+    window_triple,
 )
 from dirmax.instances import random_field
 
@@ -46,21 +47,42 @@ def test_interval_parent_children_triple():
     assert J.parent() == DyadicInterval(2, 2)
     lo, hi = J.children()
     assert J.contains(lo) and J.contains(hi) and lo.hi == hi.lo
-    t = J.triple()
-    assert t.lo == D(4, 3) and t.hi == D(7, 3)
-    # clipping at the boundary
-    assert DyadicInterval(2, 0).triple().lo == D(0)
-    assert DyadicInterval(2, 3).triple().hi == D(1)
+    # J's triple as grid points over 2^3: [4/8, 7/8)
+    assert window_triple(5, 6, 8) == (4, 7)
+    # clipping at the boundary: [0, 1/4) and [3/4, 1) over 2^2
+    assert window_triple(0, 1, 4)[0] == 0
+    assert window_triple(3, 4, 4)[1] == 4
     with pytest.raises(ValueError):
         DyadicInterval(0, 0).parent()
     with pytest.raises(ValueError):
         DyadicInterval(2, 4)
 
 
+def test_window_triple_matches_the_oracle_triple():
+    """window_triple on grid points over 2^m is oracle._triple on Fractions,
+    for every dyadic window at level <= m and for the triple of its triple;
+    both clips, at 0 and at 1, occur."""
+    clips = set()
+    for m in range(7):
+        n = 1 << m
+        for level in range(m + 1):
+            sh = m - level
+            for index in range(1 << level):
+                a, b = index << sh, (index + 1) << sh
+                lo, hi = Fraction(a, n), Fraction(b, n)
+                for _ in range(2):
+                    clips |= {"0"} if 2 * a < b else set()
+                    clips |= {"1"} if 2 * b - a > n else set()
+                    a, b = window_triple(a, b, n)
+                    lo, hi = oracle._triple(lo, hi)
+                    assert (Fraction(a, n), Fraction(b, n)) == (lo, hi)
+    assert clips == {"0", "1"}
+
+
 def test_slope_cell():
     s = SlopeCell(2, 1)
     assert s.center == D(3, 3)
-    assert s.window().lo == D(1, 2) and s.window().hi == D(1, 1)
+    assert s.interval().lo == D(1, 2) and s.interval().hi == D(1, 1)
     assert SlopeCell(1, 0).contains(SlopeCell(3, 3))
     assert not SlopeCell(1, 1).contains(SlopeCell(3, 3))
     assert not SlopeCell(3, 3).contains(SlopeCell(1, 0))
@@ -84,7 +106,7 @@ def _raw(R: Parallelogram):
 def _slab(R: Parallelogram, c: int) -> tuple[D, D]:
     """R's slab over column c, from its scaled-integer row."""
     lo, hi = R.slab_scaled(c)
-    return D(lo, R.y_scale), D(hi, R.y_scale)
+    return D(lo, R.spec.slab_scale), D(hi, R.spec.slab_scale)
 
 
 def test_column_segment_known_value():
@@ -275,7 +297,7 @@ def test_slab_rows_against_oracle_slab(m):
             for k, i, j, t in fam.sort_keys.tolist():
                 member = (k, i, j, Fraction(t, step))
                 c0, lo, dlo = slab_run(spec, k, i, j, t)
-                row = 1 << (k + 2)  # a row, scaled as lo is
+                row = 1 << (m_w + 2)  # a row, scaled as lo is
                 for c in oracle.columns(m, m_w, member):
                     bottom, top = (y * n for y in oracle.slab(m, m_w, member, c))  # in rows
                     first, last = math.floor(bottom), math.ceil(top) - 1
@@ -283,7 +305,7 @@ def test_slab_rows_against_oracle_slab(m):
                     assert bottom != first
                     below, above = (bottom - first) * row, (last + 1 - top) * row
                     assert below + above == row
-                    assert slab_rows(spec, k, lo + dlo * (c - c0)) == (first, last, below, above)
+                    assert slab_rows(spec, lo + dlo * (c - c0)) == (first, last, below, above)
                     slabs += 1
     assert slabs
 

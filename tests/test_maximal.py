@@ -668,7 +668,7 @@ def test_estimate_norm_single_member_optimum():
     cover_sq = Fraction(0)
     cells = _center_cells(spec, _raw_members(sub)[0])
     count = len(cells)
-    u = 1 << (R.y_scale - spec.m)
+    u = 1 << (spec.slab_scale - spec.m)
     for c in range(R.col_lo, R.col_hi):
         lo, hi = R.slab_scaled(c)
         r0, r1 = lo // u, (hi - 1) // u

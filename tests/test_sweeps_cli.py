@@ -291,6 +291,55 @@ def test_cli_maximal_takes_one_field(tmp_path):
     assert texts[0] == texts[1] and texts[2] == texts[3]
 
 
+def test_cli_rejects_a_seed_no_field_reads(tmp_path):
+    """enumerate and maximal read --seed only to draw --field random: a seed
+    beside any other field, or beside --field-file, from the command line or
+    from --config, is a usage error, not a dropped flag."""
+    base = tmp_path / "kk"
+    assert _run(["kakeya", "--delta", "1/2^3", "--out", str(base)])[0] == 0
+    grid, field_file = ["--grid", f"{base}.grid"], ["--field-file", f"{base}.field"]
+    seeded = tmp_path / "seed.cfg"
+    seeded.write_text("seed = 5\n")
+    out = tmp_path / "out.txt"
+    for argv in (
+        ["enumerate", "--m", "4", "--field", "identity", "--seed", "5"],
+        ["enumerate", "--m", "4", "--seed", "0"],
+        ["enumerate", "--m", "4", "--field", "cascade", "--config", str(seeded)],
+        ["maximal", *grid, "--seed", "5"],
+        ["maximal", *grid, "--field", "const:1/2", "--config", str(seeded)],
+        ["maximal", *grid, *field_file, "--seed", "5"],
+        ["maximal", *grid, *field_file, "--config", str(seeded)],
+    ):
+        rc, text, err = _run([*argv, "--out", str(out)])
+        assert (rc, text, err) == (2, "", "error: --seed is read only with --field random\n"), argv
+        assert not out.exists()
+    # --field random reads it, from the command line or from --config, and
+    # without --seed draws from seed 0
+    for cmd in (["enumerate", "--m", "5", "--delta", "1/2"], ["maximal", *grid]):
+        runs = [
+            _run([*cmd, "--field", "random", *extra])
+            for extra in (["--seed", "5"], ["--config", str(seeded)], [], ["--seed", "0"])
+        ]
+        assert [rc for rc, _, _ in runs] == [0] * 4
+        texts = [text for _, text, _ in runs]
+        assert texts[0] == texts[1] != texts[2] == texts[3]
+
+
+def test_cli_config_key_given_twice(tmp_path):
+    # in one spelling or in both (`max_gen`, `max-gen`), a repeated key is a
+    # usage error: neither value silently wins
+    cfg = tmp_path / "twice.cfg"
+    for text, key in (
+        ("m = 3\nm = 5\n", "m"),
+        ("max_gen = 1\nmax-gen = 2\n", "max-gen"),
+        ("max-gen = 1\ndelta = 1/2\nmax_gen = 1\n", "max_gen"),
+    ):
+        cfg.write_text(text)
+        rc, out, err = _run(["decompose", "--config", str(cfg)])
+        assert (rc, out) == (2, "")
+        assert err == f"config error: duplicate key '{key}'\n"
+
+
 def test_cli_commands_build_no_members(monkeypatch):
     """The CLI reads family key rows only: no Parallelogram is built."""
     built = []
