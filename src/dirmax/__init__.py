@@ -43,7 +43,6 @@ from .stopping_time import (
     DecompositionResult,
     GenerationRecord,
     SlopeAssignment,
-    ThetaPair,
     carleson_sum,
     classify_points,
     compute_assignments,

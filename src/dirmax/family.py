@@ -5,8 +5,8 @@ offset steps) per member, in canonical order, plus its parameters.
 Enumeration, subfamilies, unions, export and every numpy kernel read the
 rows, and callers name a member by its row index.  ``Parallelogram``
 objects are built at the file and API edges only: ``from_lines`` validates
-each record of a file as one, ``is_good_collection`` returns a conflicting
-pair as its witness, and ``members`` builds the tuple on first read.
+each record of a file as one, and ``members`` builds the tuple on first read.
+``is_good_collection`` names a conflicting pair by its two member indices.
 
 A rectangle of length 2^k * w sees the field through its slope window
 theta(R), the width-(w/L) interval centered at its slope -- which is exactly
@@ -225,7 +225,7 @@ class GoodnessWitness:
 
     organized: bool
     pairs: tuple[tuple[DyadicInterval, SlopeCell], ...] = ()
-    conflict: tuple[Parallelogram, Parallelogram] | None = None
+    conflict: tuple[int, int] | None = None  # two member indices: one base, two slopes
 
 
 def _finest_chain(cells: np.ndarray) -> tuple[int, int] | None:
@@ -252,7 +252,7 @@ def is_good_collection(fam: RectangleFamily) -> tuple[bool, GoodnessWitness]:
     good, conflict = not len(split), None
     if not good:
         a = head[split].min()
-        conflict = fam.subfamily([a, split[head[split] == a][0]]).members
+        conflict = (int(a), int(split[head[split] == a][0]))
 
     # One global direction chain first, else one chain per maximal base.
     slopes = np.column_stack([k, j])

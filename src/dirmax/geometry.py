@@ -56,23 +56,6 @@ class DyadicInterval:
             return False
         return (other.index >> (other.level - self.level)) == self.index
 
-    def strictly_contains(self, other: "DyadicInterval") -> bool:
-        return self != other and self.contains(other)
-
-    def intersects(self, other: "DyadicInterval") -> bool:
-        return self.contains(other) or other.contains(self)
-
-    def parent(self) -> "DyadicInterval":
-        if self.level == 0:
-            raise ValueError("[0,1) has no parent")
-        return DyadicInterval(self.level - 1, self.index >> 1)
-
-    def children(self) -> tuple["DyadicInterval", "DyadicInterval"]:
-        return (
-            DyadicInterval(self.level + 1, self.index << 1),
-            DyadicInterval(self.level + 1, (self.index << 1) | 1),
-        )
-
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi})"
 

@@ -7,9 +7,15 @@ popularity sets are then pairwise disjoint, which gives the exact packing
 bound sum mu_J <= |I| and the halving of the stopping-interval shadow.  Point
 classes come from antichain layers of the (interval, slope) order; iterating
 over generations produces the pairwise disjoint sets that decompose the
-linearized operator.  Cell sets are sorted read-only int32 arrays of
-column-major cell indices, so the cells under an interval are one
-np.searchsorted slice.
+linearized operator.
+
+Theta is integer rows.  A pair (J, s) is the row (level, index, slope index)
+of J = [index, index + 1) / 2^level and the slope cell s at level
+m_w - level; the assignment adds the count |G_{J,s}| * 2^m as a fourth
+column, so mu_{J,s} = count / 2^m.  Row sets are sorted by (level, index,
+slope), and (J, s) <= (J', s') when J = J' and s <= s', or J lies strictly
+inside J'.  Cell sets are sorted read-only int32 arrays of column-major cell
+indices, so the cells under an interval are one np.searchsorted slice.
 """
 
 from __future__ import annotations
@@ -17,60 +23,26 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from itertools import groupby
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .dyadic import DyadicRational
 from .family import RectangleFamily, popular_table
-from .geometry import DyadicInterval, GridSpec, SlopeCell, dyadic_inside
+from .geometry import DyadicInterval, GridSpec, dyadic_inside
 from .grids import GridFunction, OneVarField, _cell_set, cell_array
 from .maximal import ChoiceMap, _scaled_averages, apply_T_adjoint, m2_vertical
 
 
-@dataclass(frozen=True)
-class ThetaPair:
-    """A pair (J, s) with s in T(J), ordered per the stopping-time argument."""
-
-    interval: DyadicInterval
-    slope: SlopeCell
-
-    def leq(self, other: "ThetaPair") -> bool:
-        """(J,s) <= (J',s'): same interval with center(s) <= center(s'), or J strictly inside J'."""
-        if self.interval == other.interval:
-            return self.slope.center <= other.slope.center
-        return other.interval.strictly_contains(self.interval)
-
-    def lt(self, other: "ThetaPair") -> bool:
-        return self != other and self.leq(other)
-
-    def comparable(self, other: "ThetaPair") -> bool:
-        return self.leq(other) or other.leq(self)
-
-    def sort_key(self):
-        return (self.interval.level, self.interval.index, self.slope.index)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlopeAssignment:
-    """T(J) for every dyadic J under the root, with exact popularity masses."""
+    """T(J) for every dyadic J under the root: a read-only int64 row
+    (level, index, slope index, count) per chosen pair, mu = count / 2^m."""
 
+    spec: GridSpec
     root: DyadicInterval
-    chosen: Mapping[DyadicInterval, tuple[SlopeCell, ...]]
-    mu: Mapping[ThetaPair, DyadicRational]
-
-    def theta(self) -> tuple[ThetaPair, ...]:
-        pairs = [
-            ThetaPair(J, s) for J, cells in self.chosen.items() for s in cells
-        ]
-        pairs.sort(key=ThetaPair.sort_key)
-        return tuple(pairs)
-
-    def mu_of(self, J: DyadicInterval) -> DyadicRational:
-        total = DyadicRational(0)
-        for s in self.chosen.get(J, ()):
-            total = total + self.mu[ThetaPair(J, s)]
-        return total
+    rows: np.ndarray
 
 
 def compute_assignments(
@@ -80,112 +52,126 @@ def compute_assignments(
     spec = v.spec
     if w != spec.w or I.level > spec.m_w:
         raise ValueError("interval/width mismatch")
-    return _assign(I, spec, [t.tolist() for t in popular_table(v, delta)])
+    return _assign(I, spec, popular_table(v, delta))
 
 
-def _assign(I: DyadicInterval, spec: GridSpec, tables: list[list[list[int]]]) -> SlopeAssignment:
-    """The walk of ``compute_assignments`` over ``popular_table`` as lists."""
-    chosen: dict[DyadicInterval, tuple[SlopeCell, ...]] = {}
-    mu: dict[ThetaPair, DyadicRational] = {}
+def _assign(I: DyadicInterval, spec: GridSpec, tables: list[np.ndarray]) -> SlopeAssignment:
+    """The walk of ``compute_assignments`` over ``popular_table``, one level at a time.
 
-    def visit(J: DyadicInterval, blocked: frozenset[int]) -> None:
-        k = spec.m_w - J.level
-        counts = tables[J.level][J.index]
-        keep = tuple(SlopeCell(k, j) for j, n in enumerate(counts) if n and j not in blocked)
-        chosen[J] = keep
-        for s in keep:
-            mu[ThetaPair(J, s)] = DyadicRational(counts[s.index], spec.m)
-        if k > 0:
-            child_blocked = frozenset(
-                {b >> 1 for b in blocked} | {s.index >> 1 for s in keep}
-            )
-            for child in J.children():
-                visit(child, child_blocked)
-
-    visit(I, frozenset())
-    return SlopeAssignment(I, chosen, mu)
+    ``blocked`` marks, per J of the level, the slope cells that contain a
+    cell kept above J.  A child's cell j contains its parent's cells 2j and
+    2j + 1, so it is blocked when either of them is blocked or kept.
+    """
+    blocked = np.zeros((1, 1 << (spec.m_w - I.level)), dtype=bool)
+    rows = []
+    for level in range(I.level, spec.m_w + 1):
+        first = I.index << (level - I.level)
+        counts = tables[level][first : first + len(blocked)]
+        keep = (counts > 0) & ~blocked
+        at, slope = np.nonzero(keep)
+        rows.append(np.column_stack([np.full(len(at), level), first + at, slope, counts[keep]]))
+        if level < spec.m_w:
+            blocked = np.repeat((blocked | keep).reshape(len(keep), -1, 2).any(-1), 2, axis=0)
+    rows = np.concatenate(rows).astype(np.int64)
+    rows.flags.writeable = False
+    return SlopeAssignment(spec, I, rows)
 
 
 def carleson_sum(assign: SlopeAssignment) -> DyadicRational:
     """Sum of mu_J over all J under the root; at most |root| by disjointness."""
-    total = DyadicRational(0)
-    for value in assign.mu.values():
-        total = total + value
-    return total
+    return DyadicRational(int(assign.rows[:, 3].sum()), assign.spec.m)
 
 
 def stopping_intervals(assign: SlopeAssignment) -> tuple[DyadicInterval, ...]:
-    """Maximal dyadic J under the root where the running density sum reaches 2."""
-    out: list[DyadicInterval] = []
+    """Maximal dyadic J under the root where the running density sum reaches 2.
 
-    def visit(J: DyadicInterval, acc: DyadicRational) -> None:
-        mu = assign.mu_of(J)
-        acc = acc + DyadicRational(mu.num, mu.exp - J.level)  # + mu_J / |J|
-        if acc >= 2:
-            out.append(J)
-            return
-        for child in J.children():
-            if child in assign.chosen:
-                visit(child, acc)
-
-    visit(assign.root, DyadicRational(0))
-    return tuple(sorted(out, key=lambda J: (J.level, J.index)))
+    ``acc`` is 2^m times the sum of mu_J' / |J'| over the J' from the root
+    down to each J of a level, so a row adds count << level, and J stops at
+    acc >= 2^(m+1) unless an ancestor stopped.  J's popularity sets are
+    disjoint, so a level adds at most 2^m and acc stays below (m_w + 1) 2^m.
+    """
+    I, rows = assign.root, assign.rows
+    acc = np.zeros(1, dtype=np.int64)
+    live = np.ones(1, dtype=bool)
+    out = []
+    for level in range(I.level, assign.spec.m_w + 1):
+        first = I.index << (level - I.level)
+        at = rows[rows[:, 0] == level]
+        np.add.at(acc, at[:, 1] - first, at[:, 3] << level)
+        stop = live & (acc >= 2 << assign.spec.m)
+        out += [DyadicInterval(level, first + i) for i in np.flatnonzero(stop).tolist()]
+        live, acc = np.repeat(live & ~stop, 2), np.repeat(acc, 2)
+    return tuple(out)
 
 
 def shadow_measure(intervals: Iterable[DyadicInterval]) -> DyadicRational:
     """Exact measure of a union of pairwise disjoint dyadic intervals."""
-    total = DyadicRational(0)
-    for J in intervals:
-        total = total + J.length
-    return total
+    levels = [J.level for J in intervals]
+    top = max(levels, default=0)
+    return DyadicRational(sum(1 << (top - level) for level in levels), top)
 
 
-def partition_theta(
-    assign: SlopeAssignment, stops: Sequence[DyadicInterval]
-) -> tuple[ThetaPair, ...]:
-    """The good pairs of Theta: those buried inside no stopping interval."""
-    return tuple(
-        pair for pair in assign.theta() if not any(S.contains(pair.interval) for S in stops)
-    )
+def _theta(pairs) -> np.ndarray:
+    """Pairs as sorted unique int64 rows (level, index, slope).  (np.unique
+    with an axis takes 15 ms on its first call in a process.)"""
+    rows = np.asarray(pairs, dtype=np.int64).reshape(-1, 3)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (rows[1:] != rows[:-1]).any(1)
+    return rows[fresh]
 
 
-def omega_levels(
-    theta_good: Sequence[ThetaPair], theta_full: Sequence[ThetaPair]
-) -> tuple[tuple[ThetaPair, ...], ...]:
+def partition_theta(assign: SlopeAssignment, stops: Sequence[DyadicInterval]) -> np.ndarray:
+    """The good pairs of Theta: the rows whose interval lies inside no stopping interval."""
+    rows = assign.rows
+    S = np.array([(J.level, J.index) for J in stops], dtype=np.int64).reshape(-1, 2)
+    inside = dyadic_inside(rows[:, :1], rows[:, 1:2], S[:, 0], S[:, 1]).any(axis=1)
+    return rows[~inside, :3]
+
+
+def omega_levels(theta_good, theta_full) -> tuple[np.ndarray, ...]:
     """Antichain layers: maximal good pairs, then good members of child sets.
 
-    Children of a pair are the maximal pairs strictly below it in the full
-    order on Theta; each layer keeps only the good ones.
+    Under Theta's order the maximal pairs of a set are the top slope of each
+    of its intervals that lies strictly inside no other of them.  The
+    children of (J, s), the maximal pairs of ``full`` strictly below it, are
+    the next lower slope at J if there is one, else the top slope of each
+    interval of ``full`` whose nearest strict ancestor in ``full`` is J.
+    Each layer keeps only the good children, as sorted rows.
     """
-    full = sorted(set(theta_full), key=ThetaPair.sort_key)
-    good = set(theta_good)
-    if not good.issubset(full):
+    full, good = _theta(theta_full), _theta(theta_good)
+    where = {row: n for n, row in enumerate(map(tuple, full.tolist()))}
+    at = [where.get(row, -1) for row in map(tuple, good.tolist())]
+    if -1 in at:
         raise ValueError("good pairs must come from the full pair set")
+    if not at:
+        return ()
+    is_good = np.zeros(len(full), dtype=bool)
+    is_good[at] = True
+    lower = np.append(False, (full[1:, :2] == full[:-1, :2]).all(1))  # row n - 1 is the next lower slope
+    which = np.cumsum(~lower) - 1  # each row's interval
+    first = np.flatnonzero(~lower)
+    spans = full[first, :2]
+    top = np.append(first[1:], len(full)) - 1  # each interval's top slope row
+    # inner[a, b]: interval a lies strictly inside interval b
+    inner = dyadic_inside(spans[:, :1], spans[:, 1:2], spans[:, 0], spans[:, 1])
+    inner &= ~np.eye(len(spans), dtype=bool)
+    nearest = np.where(inner.any(1), np.where(inner, spans[:, 0], -1).argmax(1), -1)
 
-    def maximal(pairs: Iterable[ThetaPair]) -> list[ThetaPair]:
-        pairs = list(pairs)
-        return [p for p in pairs if not any(p.lt(q) for q in pairs)]
-
-    levels: list[tuple[ThetaPair, ...]] = []
-    current = sorted(maximal(good), key=ThetaPair.sort_key)
-    children_cache: dict[ThetaPair, tuple[ThetaPair, ...]] = {}
-
-    def children(p: ThetaPair) -> tuple[ThetaPair, ...]:
-        if p not in children_cache:
-            below = [q for q in full if q.lt(p)]
-            children_cache[p] = tuple(maximal(below))
-        return children_cache[p]
-
-    guard = len(full) + 1
-    while current and guard:
-        levels.append(tuple(current))
-        nxt = set()
-        for p in current:
-            for q in children(p):
-                if q in good:
-                    nxt.add(q)
-        current = sorted(nxt, key=ThetaPair.sort_key)
-        guard -= 1
+    last = np.full(len(spans), -1)
+    np.maximum.at(last, which[is_good], np.flatnonzero(is_good))  # top good slope
+    has = last >= 0
+    current = np.zeros(len(full), dtype=bool)
+    current[last[has & ~(inner & has).any(1)]] = True
+    levels = []
+    while current.any():
+        levels.append(full[current])
+        nxt = np.zeros(len(full), dtype=bool)
+        nxt[np.flatnonzero(current & lower) - 1] = True
+        bottom = np.zeros(len(spans) + 1, dtype=bool)  # the last entry stands for "none"
+        bottom[which[current & ~lower]] = True
+        nxt[top[bottom[nearest]]] = True
+        current = nxt & is_good
     return tuple(levels)
 
 
@@ -209,13 +195,14 @@ class ClassifyResult:
 def classify_points(
     cells: Iterable[int],
     rho: ChoiceMap,
-    omegas: Sequence[Sequence[ThetaPair]],
+    omegas: Sequence[np.ndarray],
     I: DyadicInterval,
 ) -> ClassifyResult:
     """Sort E-cells into F_n layers by the antichain their choice sits under.
 
     A cell is in F_n when its choice's base lies in J and its slope cell
-    contains s for some (J, s) of layer n: one test per chosen key row.
+    contains s for some row (J, s) of layer n: one broadcast per layer over
+    the chosen key rows.
     """
     fam = rho.fam
     cells = _cell_set(cell_array(fam.spec, cells))
@@ -229,10 +216,10 @@ def classify_points(
         raise ValueError("choice escapes interval")
     hit = np.zeros((len(omegas), len(fam)), dtype=bool)  # per layer, per member
     for n, layer in enumerate(omegas):
-        for p in layer:
-            J, s = p.interval, p.slope
-            under = dyadic_inside(level, base, J.level, J.index)
-            hit[n, uniq] |= under & dyadic_inside(s.level, s.index, k, slope)
+        J_level, J_index, s = np.asarray(layer, dtype=np.int64).reshape(-1, 3).T
+        under = dyadic_inside(level[:, None], base[:, None], J_level, J_index)
+        under &= dyadic_inside(fam.spec.m_w - J_level, s, k[:, None], slope[:, None])
+        hit[n, uniq] = under.any(axis=1)
     good = hit.any(axis=0)[chosen]
     return ClassifyResult(
         tuple(_cell_set(cells[row[chosen]]) for row in hit),
@@ -242,14 +229,14 @@ def classify_points(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalRecord:
     """Everything the iteration produced over one interval of one generation."""
 
     interval: DyadicInterval
     assignment: SlopeAssignment
     stops: tuple[DyadicInterval, ...]
-    omegas: tuple[tuple[ThetaPair, ...], ...]
+    omegas: tuple[np.ndarray, ...]
     classify: ClassifyResult
 
 
@@ -292,7 +279,7 @@ def run_generations(
     e_cells = _cell_set(np.flatnonzero(rho.entries >= 0))
     generations: list[GenerationRecord] = []
     truncated = False
-    tables = [t.tolist() for t in popular_table(v, delta)]
+    tables = popular_table(v, delta)
     while intervals and len(e_cells):
         if len(generations) >= max_gen:
             truncated = True
@@ -303,7 +290,7 @@ def run_generations(
             assign = _assign(I, spec, tables)
             stops = stopping_intervals(assign)
             th_good = partition_theta(assign, stops)
-            omegas = omega_levels(th_good, assign.theta())
+            omegas = omega_levels(th_good, assign.rows[:, :3])
             cl = classify_points(_under(e_cells, I, m), rho, omegas, I)
             records.append(IntervalRecord(I, assign, stops, omegas, cl))
             next_intervals.extend(stops)
@@ -412,24 +399,11 @@ def decomposition_to_json(result: DecompositionResult) -> str:
                     {
                         "interval": [rec.interval.level, rec.interval.index],
                         "assignment": [
-                            {
-                                "interval": [J.level, J.index],
-                                "slopes": [s.index for s in cells],
-                            }
-                            for J, cells in sorted(
-                                rec.assignment.chosen.items(),
-                                key=lambda kv: (kv[0].level, kv[0].index),
-                            )
-                            if cells
+                            {"interval": J, "slopes": [row[2] for row in rows]}
+                            for J, rows in groupby(rec.assignment.rows.tolist(), key=lambda row: row[:2])
                         ],
                         "stops": [[J.level, J.index] for J in rec.stops],
-                        "omegas": [
-                            [
-                                [p.interval.level, p.interval.index, p.slope.index]
-                                for p in layer
-                            ]
-                            for layer in rec.omegas
-                        ],
+                        "omegas": [layer.tolist() for layer in rec.omegas],
                         "f_sets": [_runs(fs) for fs in rec.classify.f_sets],
                     }
                     for rec in g.records

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import oracle
 from .badness import (
     badness_components,
@@ -27,7 +29,7 @@ from .badness import (
 from .calibration import DEFAULT_LAMBDA0, REFORMULATE_FACTOR
 from .dyadic import DyadicRational
 from .family import is_good_collection
-from .geometry import DyadicInterval
+from .geometry import DyadicInterval, dyadic_inside
 from .grids import GridFunction
 from .instances import CorpusInstance, build_corpus, random_grid
 from .maximal import apply_T, apply_T_adjoint, maximal_apply
@@ -154,16 +156,12 @@ def _oracle_checks(inst: CorpusInstance, members, vvals):
 
     def omegas():
         assign = compute_assignments(root, inst.field, spec.w, inst.delta)
+        theta = assign.rows[:, :3]
         th_good = partition_theta(assign, stopping_intervals(assign))
-        to_pair = lambda p: (
-            (p.interval.level, p.interval.index),
-            (p.slope.level, p.slope.index),
-        )
-        om = omega_levels(th_good, assign.theta())
-        o_om = oracle.omega_levels(
-            [to_pair(p) for p in th_good], [to_pair(p) for p in assign.theta()]
-        )
-        if [sorted(map(to_pair, layer)) for layer in om] != [sorted(l) for l in o_om]:
+        om = omega_levels(th_good, theta)
+        to_pairs = lambda rows: sorted(((lv, ix), (m_w - lv, j)) for lv, ix, j in rows.tolist())
+        o_om = oracle.omega_levels(to_pairs(th_good), to_pairs(theta))
+        if [to_pairs(layer) for layer in om] != [sorted(l) for l in o_om]:
             return "layer mismatch"
 
     def badness():
@@ -264,6 +262,11 @@ def check_exact_identities(report: VerifyReport, corpus: list[CorpusInstance]) -
     report.add("identity badness split", ok_split)
 
 
+def _inside(rows: np.ndarray) -> np.ndarray:
+    """[a, b]: the interval of row a lies inside (or is) the interval of row b."""
+    return dyadic_inside(rows[:, :1], rows[:, 1:2], rows[:, 0], rows[:, 1])
+
+
 def check_stopping_theorems(report: VerifyReport, corpus: list[CorpusInstance]) -> None:
     """Carleson, halving, level emptiness, disjointness, decay, goodness."""
     root = DyadicInterval(0, 0)
@@ -278,20 +281,21 @@ def check_stopping_theorems(report: VerifyReport, corpus: list[CorpusInstance]) 
         if sh + sh > root.length:
             ok_halving = False
         th_good = partition_theta(assign, stops)
-        theta = assign.theta()
+        theta = assign.rows[:, :3]
         om = omega_levels(th_good, theta)
         cap = math.ceil(3 / float(inst.delta.as_fraction()))
         if len(om) > cap:
             ok_empty = False
         for layer in om:
-            for i, p in enumerate(layer):
-                for q in layer[i + 1 :]:
-                    if p.interval.intersects(q.interval):
-                        ok_anti = False
-        for i, p in enumerate(theta):
-            for q in theta[i + 1 :]:
-                if p.interval.intersects(q.interval) and not p.comparable(q):
-                    ok_chain = False
+            inside = _inside(layer)
+            if np.triu(inside | inside.T, 1).any():
+                ok_anti = False
+        # (J, s) <= (J', s'): J = J' and s <= s', or J strictly inside J'
+        inside = _inside(theta)
+        same = inside & inside.T
+        leq = (same & (theta[:, 2:] <= theta[:, 2])) | (inside & ~same)
+        if np.triu((inside | inside.T) & ~(leq | leq.T), 1).any():
+            ok_chain = False
 
         res = run_generations(inst.field, spec.w, inst.delta, inst.rho)
         gens = res.generations

@@ -280,7 +280,8 @@ def test_good_collection_witness():
     )
     good, w = is_good_collection(two_slopes_same_base)
     assert not good
-    assert w.conflict is not None
+    (k1, i1, j1, _), (k2, i2, j2, _) = two_slopes_same_base.sort_keys[list(w.conflict)].tolist()
+    assert (k1, i1) == (k2, i2) and j1 != j2
 
     # mixed lengths pointing the same way: organized via the nested chain
     nested = RectangleFamily(

