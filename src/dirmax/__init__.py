@@ -8,12 +8,7 @@ reports.
 from types import ModuleType as _ModuleType
 
 from .dyadic import DyadicRational
-from .geometry import (
-    DyadicInterval,
-    GridSpec,
-    Parallelogram,
-    SlopeCell,
-)
+from .geometry import DyadicInterval, GridSpec, Parallelogram
 from .grids import (
     GridFunction,
     OneVarField,

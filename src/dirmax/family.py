@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .dyadic import DyadicRational
-from .geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell
+from .geometry import DyadicInterval, GridSpec, Parallelogram
 from .geometry import dyadic_inside, max_offset_steps, spec_from_offstep
 from .grids import OneVarField
 
@@ -38,16 +38,21 @@ class FamilyParams:
     delta: DyadicRational
 
     def __post_init__(self):
+        if isinstance(self.delta, int):
+            object.__setattr__(self, "delta", DyadicRational(self.delta))
+        if not isinstance(self.delta, DyadicRational):
+            raise TypeError("density delta must be dyadic")
         if not (0 < self.delta <= 1):
             raise ValueError("density delta must lie in (0, 1]")
 
 
-def _lex_sorted(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows in canonical (lexicographic) order, and which equal their predecessor."""
-    rows = keys[np.lexsort(keys.T[::-1])]
-    dup = np.zeros(len(rows), dtype=bool)
-    dup[1:] = (rows[1:] == rows[:-1]).all(axis=1)
-    return rows, dup
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D integer array, in lexicographic order.  (np.unique
+    with an axis takes about 12 ms on its first call in a process.)"""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows if fresh.all() else rows[fresh]  # distinct rows, as in a family, need no copy
 
 
 class RectangleFamily:
@@ -75,7 +80,7 @@ class RectangleFamily:
         return fam
 
     def _init(self, params: FamilyParams, keys: np.ndarray) -> None:
-        if _lex_sorted(keys)[1].any():
+        if len(_unique_rows(keys)) < len(keys):
             raise ValueError("family members must be distinct")
         keys.flags.writeable = False
         self.__dict__.update(params=params, sort_keys=keys)
@@ -116,8 +121,8 @@ class RectangleFamily:
     def union(self, other: "RectangleFamily") -> "RectangleFamily":
         if self.params != other.params:
             raise ValueError("family parameter mismatch")
-        rows, dup = _lex_sorted(np.concatenate([self.sort_keys, other.sort_keys]))
-        return RectangleFamily._adopt(self.params, rows[~dup])
+        rows = _unique_rows(np.concatenate([self.sort_keys, other.sort_keys]))
+        return RectangleFamily._adopt(self.params, rows)
 
     # -- text export: one canonical record per member ---------------------
 
@@ -127,7 +132,7 @@ class RectangleFamily:
             f"params m {spec.m} mw {spec.m_w} offstep {spec.offstep_code} "
             f"delta {self.params.delta.render()}"
         ]
-        for k, i, j, t in _lex_sorted(self.sort_keys)[0].tolist():
+        for k, i, j, t in _unique_rows(self.sort_keys).tolist():
             off = DyadicRational(t, spec.offset_exp).render()
             lines.append(f"k {k} base {i} slope {j} off {off}")
         return lines
@@ -153,7 +158,7 @@ class RectangleFamily:
 
 def _member(spec: GridSpec, k: int, i: int, j: int, offset: DyadicRational) -> Parallelogram:
     """The member of key row (k, i, j, offset steps), with the offset as a value."""
-    return Parallelogram(spec, DyadicInterval(spec.m_w - k, i), SlopeCell(k, j), offset)
+    return Parallelogram(spec, DyadicInterval(spec.m_w - k, i), DyadicInterval(k, j), offset)
 
 
 def enumerate_family(
@@ -224,13 +229,13 @@ class GoodnessWitness:
     """
 
     organized: bool
-    pairs: tuple[tuple[DyadicInterval, SlopeCell], ...] = ()
+    pairs: tuple[tuple[DyadicInterval, DyadicInterval], ...] = ()  # (J, slope cell s_J)
     conflict: tuple[int, int] | None = None  # two member indices: one base, two slopes
 
 
 def _finest_chain(cells: np.ndarray) -> tuple[int, int] | None:
     """The finest (level, index) row if the rows form a containment chain, else None."""
-    uniq = np.unique(cells, axis=0)
+    uniq = _unique_rows(cells)
     if not len(uniq) or not dyadic_inside(*uniq[1:].T, *uniq[:-1].T).all():
         return None
     return tuple(uniq[-1].tolist())
@@ -258,7 +263,7 @@ def is_good_collection(fam: RectangleFamily) -> tuple[bool, GoodnessWitness]:
     slopes = np.column_stack([k, j])
     top = _finest_chain(slopes)
     if top is not None:
-        return good, GoodnessWitness(True, ((DyadicInterval(0, 0), SlopeCell(*top)),), conflict)
+        return good, GoodnessWitness(True, ((DyadicInterval(0, 0), DyadicInterval(*top)),), conflict)
     pairs = []
     for row, (lv, ix) in enumerate(bases.tolist()):
         over = dyadic_inside(lv, ix, bases[:, 0], bases[:, 1])
@@ -268,5 +273,5 @@ def is_good_collection(fam: RectangleFamily) -> tuple[bool, GoodnessWitness]:
         s = _finest_chain(slopes[dyadic_inside(level, i, lv, ix)])
         if s is None:
             return good, GoodnessWitness(False, (), conflict)
-        pairs.append((DyadicInterval(lv, ix), SlopeCell(*s)))
+        pairs.append((DyadicInterval(lv, ix), DyadicInterval(*s)))
     return good, GoodnessWitness(True, tuple(pairs), conflict)

@@ -21,7 +21,8 @@ from .dyadic import DyadicRational
 
 @dataclass(frozen=True, order=True)
 class DyadicInterval:
-    """Half-open dyadic interval [index/2^level, (index+1)/2^level) inside [0,1)."""
+    """Half-open dyadic interval [index/2^level, (index+1)/2^level) inside [0,1).
+    A slope cell is one: length 2^k * w takes level k, and its center is the slope."""
 
     level: int
     index: int
@@ -50,46 +51,17 @@ class DyadicInterval:
         sh = m - self.level
         return range(self.index << sh, (self.index + 1) << sh)
 
+    @property
+    def center(self) -> DyadicRational:
+        """The midpoint, the slope that a slope cell stands for."""
+        return DyadicRational(2 * self.index + 1, self.level + 1)
+
     def contains(self, other: "DyadicInterval") -> bool:
         """self contains other (as sets)."""
-        if other.level < self.level:
-            return False
-        return (other.index >> (other.level - self.level)) == self.index
+        return bool(dyadic_inside(other.level, other.index, self.level, self.index))
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi})"
-
-
-@dataclass(frozen=True, order=True)
-class SlopeCell:
-    """Discrete slope at level k: the dyadic interval [j/2^k, (j+1)/2^k).
-
-    The slope value itself is the center (j + 1/2)/2^k; rectangles of length
-    2^k * w use slopes at level k.  Containment between cells is ordinary
-    dyadic interval containment.
-    """
-
-    level: int
-    index: int
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("slope level must be nonnegative")
-        if not 0 <= self.index < (1 << self.level):
-            raise ValueError("slope cell must lie in [0,1)")
-
-    @property
-    def center(self) -> DyadicRational:
-        return DyadicRational(2 * self.index + 1, self.level + 1)
-
-    def interval(self) -> DyadicInterval:
-        return DyadicInterval(self.level, self.index)
-
-    def contains(self, other: "SlopeCell") -> bool:
-        return self.interval().contains(other.interval())
-
-    def __str__(self) -> str:
-        return f"slope<{self.center}>"
 
 
 @dataclass(frozen=True)
@@ -230,7 +202,7 @@ class Parallelogram:
 
     spec: GridSpec
     base: DyadicInterval
-    slope: SlopeCell
+    slope: DyadicInterval
     offset: DyadicRational
 
     def __post_init__(self):

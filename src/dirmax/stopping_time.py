@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dyadic import DyadicRational
-from .family import RectangleFamily, popular_table
+from .family import RectangleFamily, _unique_rows, popular_table
 from .geometry import DyadicInterval, GridSpec, dyadic_inside
 from .grids import GridFunction, OneVarField, _cell_set, cell_array
 from .maximal import ChoiceMap, _scaled_averages, apply_T_adjoint, m2_vertical
@@ -111,16 +111,6 @@ def shadow_measure(intervals: Iterable[DyadicInterval]) -> DyadicRational:
     return DyadicRational(sum(1 << (top - level) for level in levels), top)
 
 
-def _theta(pairs) -> np.ndarray:
-    """Pairs as sorted unique int64 rows (level, index, slope).  (np.unique
-    with an axis takes 15 ms on its first call in a process.)"""
-    rows = np.asarray(pairs, dtype=np.int64).reshape(-1, 3)
-    rows = rows[np.lexsort(rows.T[::-1])]
-    fresh = np.ones(len(rows), dtype=bool)
-    fresh[1:] = (rows[1:] != rows[:-1]).any(1)
-    return rows[fresh]
-
-
 def partition_theta(assign: SlopeAssignment, stops: Sequence[DyadicInterval]) -> np.ndarray:
     """The good pairs of Theta: the rows whose interval lies inside no stopping interval."""
     rows = assign.rows
@@ -139,7 +129,8 @@ def omega_levels(theta_good, theta_full) -> tuple[np.ndarray, ...]:
     interval of ``full`` whose nearest strict ancestor in ``full`` is J.
     Each layer keeps only the good children, as sorted rows.
     """
-    full, good = _theta(theta_full), _theta(theta_good)
+    rows = lambda pairs: _unique_rows(np.asarray(pairs, dtype=np.int64).reshape(-1, 3))
+    full, good = rows(theta_full), rows(theta_good)
     where = {row: n for n, row in enumerate(map(tuple, full.tolist()))}
     at = [where.get(row, -1) for row in map(tuple, good.tolist())]
     if -1 in at:
@@ -346,6 +337,8 @@ def domination_check(
     avgs[e] / 2^scale and M2 g(x) is num / (den << g.scale), with scale - g.scale
     = 2m + 2, so nothing wraps; Fractions are built only for the violations.
     """
+    if max_pieces is not None and max_pieces < 0:
+        raise ValueError("max_pieces must be nonnegative")
     m = rho.spec.m
     violations = []
     checked = 0

@@ -75,11 +75,15 @@ class VerifyReport:
         return "\n".join(r.line() for r in self.results) + "\n"
 
 
+def _fractions(g) -> list[Fraction]:
+    """A grid function's or field's values as the oracle reads them."""
+    return [Fraction(n, 1 << g.scale) for n in g.nums]
+
+
 def _raw(inst: CorpusInstance):
     step = 1 << inst.spec.offset_exp
     members = [(k, i, j, Fraction(t, step)) for k, i, j, t in inst.family.sort_keys.tolist()]
-    vvals = [x.as_fraction() for x in inst.field.values()]
-    return members, vvals
+    return members, _fractions(inst.field)
 
 
 def _dump_reproducer(out_dir: Path | None, inst: CorpusInstance, op: str, detail: str) -> str:
@@ -141,9 +145,8 @@ def _oracle_checks(inst: CorpusInstance, members, vvals):
 
     def maximal():
         mf = maximal_apply(inst.f, inst.family)
-        fvals = [x.as_fraction() for x in inst.f.values()]
-        o_mf, o_rho = oracle.maximal_apply(m, m_w, members, fvals)
-        if [x.as_fraction() for x in mf.values()] != o_mf:
+        o_mf, o_rho = oracle.maximal_apply(m, m_w, members, _fractions(inst.f))
+        if _fractions(mf) != o_mf:
             return "value mismatch"
         if inst.rho.entries.tolist() != o_rho:
             return "chooser mismatch"
@@ -242,7 +245,7 @@ def check_exact_identities(report: VerifyReport, corpus: list[CorpusInstance]) -
         ta = apply_T_adjoint(rho, ind)
         counts = oracle.nu_counts(members, rho.entries.tolist(), cells)
         want = oracle.weighted_count(spec.m, spec.m_w, members, counts)
-        if [x.as_fraction() for x in ta.values()] != want:
+        if _fractions(ta) != want:
             ok_count = False
         total = sum(counts)
         if ta.integral() != DyadicRational(total, 2 * spec.m) or total > len(cells):

@@ -32,7 +32,6 @@ from dirmax.geometry import (
     DyadicInterval,
     GridSpec,
     Parallelogram,
-    SlopeCell,
     spec_from_offstep,
     window_triple,
 )
@@ -615,8 +614,8 @@ def test_multi_collection_experiment():
     bad = RectangleFamily(
         params,
         (
-            Parallelogram(spec, base, SlopeCell(3, 0), D(0)),
-            Parallelogram(spec, base, SlopeCell(3, 1), D(0)),
+            Parallelogram(spec, base, DyadicInterval(3, 0), D(0)),
+            Parallelogram(spec, base, DyadicInterval(3, 1), D(0)),
         ),
     )
     with pytest.raises(ValueError, match="non-good"):

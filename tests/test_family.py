@@ -22,9 +22,16 @@ from dirmax.family import (
     enumerate_family,
     is_good_collection,
 )
-from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell
+from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram
 from dirmax.grids import OneVarField
-from dirmax.instances import cascade_field, constant_field, identity_field, random_field, random_grid
+from dirmax.instances import (
+    cascade_field,
+    constant_field,
+    identity_field,
+    organized_collections,
+    random_field,
+    random_grid,
+)
 from dirmax.badness import badness_table, reformulate_check, shrink_iterate
 from dirmax.maximal import apply_T_adjoint, linearize
 from dirmax.stopping_time import decomposition_to_json, domination_check, run_generations
@@ -52,10 +59,10 @@ def dense(J: DyadicInterval, j: int, v: OneVarField, delta: D) -> bool:
     return Fraction(g_count(J, j, v), 1 << (v.spec.m - J.level)) >= delta.as_fraction()
 
 
-def allowable_slopes(J: DyadicInterval, v: OneVarField, delta: D) -> list[SlopeCell]:
+def allowable_slopes(J: DyadicInterval, v: OneVarField, delta: D) -> list[DyadicInterval]:
     """S(J): the slope cells at J's level that are delta-popular on J."""
     k = v.spec.m_w - J.level
-    return [SlopeCell(k, j) for j in range(1 << k) if dense(J, j, v, delta)]
+    return [DyadicInterval(k, j) for j in range(1 << k) if dense(J, j, v, delta)]
 
 
 def is_dense(R: Parallelogram, v: OneVarField, delta: D) -> bool:
@@ -72,20 +79,18 @@ def enumerated(R: Parallelogram, v: OneVarField, delta: D) -> bool:
 def test_theta_is_the_slope_cell():
     spec = GridSpec(4, 2, False)
     # k=0, s=1/2: window of width w/L = 1 centered at 1/2 is [0, 1)
-    R = Parallelogram(spec, DyadicInterval(2, 0), SlopeCell(0, 0), D(0))
-    win = R.slope.interval()
-    assert win.lo == D(0) and win.hi == D(1)
+    R = Parallelogram(spec, DyadicInterval(2, 0), DyadicInterval(0, 0), D(0))
+    assert R.slope.lo == D(0) and R.slope.hi == D(1)
     # k=2, j=0, s=1/8: width 1/4 centered at 1/8 is [0, 1/4)
-    R2 = Parallelogram(spec, DyadicInterval(0, 0), SlopeCell(2, 0), D(0))
-    win2 = R2.slope.interval()
-    assert win2.lo == D(0) and win2.hi == D(1, 2)
+    R2 = Parallelogram(spec, DyadicInterval(0, 0), DyadicInterval(2, 0), D(0))
+    assert R2.slope.lo == D(0) and R2.slope.hi == D(1, 2)
     # window width always equals w / L(R)
-    assert win2.length == spec.w / R2.length
+    assert R2.slope.length == spec.w / R2.length
 
 
 def test_v_measure_degenerate_fields():
     spec = GridSpec(5, 3, False)
-    R = Parallelogram(spec, DyadicInterval(2, 1), SlopeCell(1, 0), D(0))
+    R = Parallelogram(spec, DyadicInterval(2, 1), DyadicInterval(1, 0), D(0))
     v_hit = constant_field(spec, R.slope.center)
     assert v_measure(R, v_hit) == R.measure.as_fraction()
     v_miss = constant_field(spec, R.slope.center + D(1, 1))
@@ -95,14 +100,14 @@ def test_v_measure_degenerate_fields():
 def test_v_measure_identity_field():
     # m=5, w=1/8, base [0,1/2), slope window [1/4,1/2): |V_R| = w/4
     spec = GridSpec(5, 3, False)
-    R = Parallelogram(spec, DyadicInterval(1, 0), SlopeCell(2, 1), D(0))
-    assert R.slope.interval().lo == D(1, 2) and R.slope.interval().hi == D(1, 1)
+    R = Parallelogram(spec, DyadicInterval(1, 0), DyadicInterval(2, 1), D(0))
+    assert R.slope.lo == D(1, 2) and R.slope.hi == D(1, 1)
     assert v_measure(R, identity_field(spec)) == (spec.w * D(1, 2)).as_fraction()
 
 
 def test_is_dense():
     spec = GridSpec(5, 3, False)
-    R = Parallelogram(spec, DyadicInterval(1, 0), SlopeCell(2, 1), D(0))
+    R = Parallelogram(spec, DyadicInterval(1, 0), DyadicInterval(2, 1), D(0))
     v = identity_field(spec)  # exactly 1/4 of the base's columns qualify
     cases = [
         (constant_field(spec, R.slope.center), D(1), True),
@@ -119,7 +124,7 @@ def test_is_dense_monotone_toward_center():
     # moving column values into the slope window never loses density
     spec = GridSpec(5, 3, False)
     rng = random.Random(77)
-    R = Parallelogram(spec, DyadicInterval(1, 0), SlopeCell(2, 1), D(0))
+    R = Parallelogram(spec, DyadicInterval(1, 0), DyadicInterval(2, 1), D(0))
     for _ in range(10):
         v = random_field(spec, rng)
         center = R.slope.center
@@ -195,7 +200,7 @@ def test_enumerate_contains_all_full_length_for_identity():
     fam = enumerate_family(FamilyParams(spec, D(1, 3)), v)
     have = {(r.slope.index, r.offset) for r in fam.members if r.k == spec.m_w}
     for j in range(1 << spec.m_w):
-        s = SlopeCell(spec.m_w, j)
+        s = DyadicInterval(spec.m_w, j)
         top = D(1) - spec.w - s.center
         if top < 0:
             continue
@@ -227,7 +232,7 @@ def test_g_measure_and_errors():
     spec = GridSpec(5, 3, False)
     v = identity_field(spec)
     J = DyadicInterval(1, 0)
-    s = SlopeCell(2, 1)  # cell [1/4, 1/2)
+    s = DyadicInterval(2, 1)  # cell [1/4, 1/2)
     assert g_measure(J, s.index, v) == Fraction(1, 4)
     v_c = constant_field(spec, s.center)
     assert g_measure(J, s.index, v_c) == J.length.as_fraction()
@@ -244,8 +249,7 @@ def test_allowable_slopes_bounds():
         cells = allowable_slopes(J, v, D(1, 2))
         assert len(cells) <= 2
         for s in cells:
-            window = s.interval()
-            assert window.lo <= D(3, 3) < window.hi
+            assert s.lo <= D(3, 3) < s.hi
     # |S(J)| <= 2/delta + 2 over random fields
     for seed in range(10):
         vr = random_field(spec, random.Random(100 + seed))
@@ -264,7 +268,7 @@ def test_good_collection_witness():
     one_slope = RectangleFamily(
         params,
         tuple(
-            Parallelogram(spec, base, SlopeCell(2, 0), D(t, 2)) for t in range(3)
+            Parallelogram(spec, base, DyadicInterval(2, 0), D(t, 2)) for t in range(3)
         ),
     )
     good, w = is_good_collection(one_slope)
@@ -274,8 +278,8 @@ def test_good_collection_witness():
     two_slopes_same_base = RectangleFamily(
         params,
         (
-            Parallelogram(spec, base, SlopeCell(2, 0), D(0)),
-            Parallelogram(spec, base, SlopeCell(2, 1), D(0)),
+            Parallelogram(spec, base, DyadicInterval(2, 0), D(0)),
+            Parallelogram(spec, base, DyadicInterval(2, 1), D(0)),
         ),
     )
     good, w = is_good_collection(two_slopes_same_base)
@@ -287,20 +291,20 @@ def test_good_collection_witness():
     nested = RectangleFamily(
         params,
         (
-            Parallelogram(spec, base, SlopeCell(2, 0), D(0)),
-            Parallelogram(spec, DyadicInterval(1, 0), SlopeCell(1, 0), D(0)),
+            Parallelogram(spec, base, DyadicInterval(2, 0), D(0)),
+            Parallelogram(spec, DyadicInterval(1, 0), DyadicInterval(1, 0), D(0)),
         ),
     )
     good, w = is_good_collection(nested)
     assert good and w.organized
-    assert w.pairs == ((DyadicInterval(0, 0), SlopeCell(2, 0)),)
+    assert w.pairs == ((DyadicInterval(0, 0), DyadicInterval(2, 0)),)
 
     # disjoint directions on disjoint halves: organized with two pairs
     split = RectangleFamily(
         params,
         (
-            Parallelogram(spec, DyadicInterval(1, 0), SlopeCell(1, 0), D(0)),
-            Parallelogram(spec, DyadicInterval(1, 1), SlopeCell(1, 0), D(0)),
+            Parallelogram(spec, DyadicInterval(1, 0), DyadicInterval(1, 0), D(0)),
+            Parallelogram(spec, DyadicInterval(1, 1), DyadicInterval(1, 0), D(0)),
         ),
     )
     good, w = is_good_collection(split)
@@ -314,14 +318,65 @@ def test_good_collection_witness():
     assert good2 == good and w2.organized == w.organized
 
 
+def goodness_referee(fam: RectangleFamily, good: bool, w) -> None:
+    """is_good_collection's verdict against the definitions, row by row: good
+    means no two members share a base with different slopes, a conflict names
+    such a pair, and an organized witness has pairwise disjoint intervals J,
+    each member's base inside exactly one J with a slope cell containing s_J."""
+    mw, rows = fam.spec.m_w, fam.sort_keys.tolist()
+    slopes: dict[tuple[int, int], set[int]] = {}
+    for k, i, j, _ in rows:
+        slopes.setdefault((k, i), set()).add(j)
+    assert good == all(len(js) == 1 for js in slopes.values())
+    if good:
+        assert w.conflict is None
+    else:
+        a, b = (rows[x] for x in w.conflict)
+        assert a[:2] == b[:2] and a[2] != b[2]
+    if w.organized:
+        Js = [J for J, _ in w.pairs]
+        assert not any(A.contains(B) or B.contains(A) for n, A in enumerate(Js) for B in Js[n + 1:])
+        for k, i, j, _ in rows:
+            hits = [s for J, s in w.pairs if J.contains(DyadicInterval(mw - k, i))]
+            assert len(hits) == 1 and DyadicInterval(k, j).contains(hits[0])
+
+
+def test_is_good_collection_against_the_definitions():
+    """Seeded random subfamilies of enumerated families (m 4-5; identity,
+    random and cascade fields) and unions of organized collections."""
+    rng = random.Random(27)
+    seen = set()
+    for m in (4, 5):
+        for half in (False, True):
+            spec = GridSpec(m, m - 2, half)
+            fams = [
+                enumerate_family(FamilyParams(spec, delta), v)
+                for v in (identity_field(spec), random_field(spec, rng), cascade_field(spec))
+                for delta in (D(1), D(1, 1), D(1, 3))
+            ]
+            cols = organized_collections(spec, 11)
+            for _ in range(40):
+                fam = rng.choice(fams)
+                fam = fam.subfamily(rng.sample(range(len(fam)), rng.randint(1, min(len(fam), 12))))
+                union = cols[0].subfamily([])
+                for col in rng.sample(cols, rng.randint(1, 4)):
+                    union = union.union(col)
+                for sub in (fam, union):
+                    good, w = is_good_collection(sub)
+                    goodness_referee(sub, good, w)
+                    seen.add((good, w.organized))
+    # two slopes on one base are disjoint cells at one level, so an organized family is good
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
 def test_family_union_dedup():
     spec = GridSpec(4, 2, False)
     params = FamilyParams(spec, D(1, 1))
     base = DyadicInterval(0, 0)
-    a = RectangleFamily(params, (Parallelogram(spec, base, SlopeCell(2, 0), D(0)),))
+    a = RectangleFamily(params, (Parallelogram(spec, base, DyadicInterval(2, 0), D(0)),))
     u = a.union(a)
     assert len(u) == 1
-    b = RectangleFamily(params, (Parallelogram(spec, base, SlopeCell(2, 1), D(0)),))
+    b = RectangleFamily(params, (Parallelogram(spec, base, DyadicInterval(2, 1), D(0)),))
     assert len(a.union(b)) == 2
 
 
@@ -336,10 +391,10 @@ def test_family_equality_ignores_how_it_was_built():
 def test_family_validation():
     spec = GridSpec(4, 2, False)
     params = FamilyParams(spec, D(1, 1))
-    R = Parallelogram(spec, DyadicInterval(0, 0), SlopeCell(2, 0), D(0))
+    R = Parallelogram(spec, DyadicInterval(0, 0), DyadicInterval(2, 0), D(0))
     with pytest.raises(ValueError, match="must be distinct"):
         RectangleFamily(params, (R, R))
-    other = Parallelogram(GridSpec(4, 2, True), DyadicInterval(0, 0), SlopeCell(2, 1), D(0))
+    other = Parallelogram(GridSpec(4, 2, True), DyadicInterval(0, 0), DyadicInterval(2, 1), D(0))
     with pytest.raises(ValueError, match="grid spec mismatch"):
         RectangleFamily(params, (R, other))
     lines = RectangleFamily(params, (R,)).export_lines()
@@ -351,6 +406,18 @@ def test_family_validation():
         RectangleFamily.from_lines([lines[0], "k 2 base 0 slope 3 off 0"])
     with pytest.raises(ValueError, match="must be distinct"):
         RectangleFamily.from_lines(lines + lines[1:])
+
+
+def test_family_params_take_a_dyadic_delta():
+    """An int becomes a DyadicRational; a Fraction or a float is refused at
+    construction rather than when enumeration reads delta.num."""
+    spec = GridSpec(4, 2, False)
+    params = FamilyParams(spec, 1)
+    assert params == FamilyParams(spec, D(1)) and isinstance(params.delta, D)
+    assert len(enumerate_family(params, identity_field(spec))) > 0
+    for delta in (Fraction(1, 2), 0.5):
+        with pytest.raises(TypeError, match="density delta must be dyadic"):
+            FamilyParams(spec, delta)
 
 
 def test_family_rows_build_no_parallelograms(monkeypatch):

@@ -16,7 +16,6 @@ from dirmax.geometry import (
     DyadicInterval,
     GridSpec,
     Parallelogram,
-    SlopeCell,
     slab_cover,
     slab_overlap,
     slab_rows,
@@ -77,12 +76,13 @@ def test_window_triple_matches_the_oracle_triple():
 
 
 def test_slope_cell():
-    s = SlopeCell(2, 1)
-    assert s.center == D(3, 3)
-    assert s.interval().lo == D(1, 2) and s.interval().hi == D(1, 1)
-    assert SlopeCell(1, 0).contains(SlopeCell(3, 3))
-    assert not SlopeCell(1, 1).contains(SlopeCell(3, 3))
-    assert not SlopeCell(3, 3).contains(SlopeCell(1, 0))
+    """A slope cell is a DyadicInterval; its center is the slope it stands for."""
+    s = DyadicInterval(2, 1)
+    assert s.center == D(3, 3) and DyadicInterval(0, 0).center == D(1, 1)
+    assert s.lo == D(1, 2) and s.hi == D(1, 1)
+    assert DyadicInterval(1, 0).contains(DyadicInterval(3, 3))
+    assert not DyadicInterval(1, 1).contains(DyadicInterval(3, 3))
+    assert not DyadicInterval(3, 3).contains(DyadicInterval(1, 0))
 
 
 def test_grid_spec_validation():
@@ -110,7 +110,7 @@ def test_column_segment_known_value():
     # base [0,1/2), slope cell (k=1, j=1) so s=3/4, b=1/8, column 3 on the
     # m=4 grid: slab is [3/4 * 7/32 + 1/8, ... + 1/4) = [37/128, 69/128)
     spec = GridSpec(4, 2, True)
-    R = Parallelogram(spec, DyadicInterval(1, 0), SlopeCell(1, 1), D(1, 3))
+    R = Parallelogram(spec, DyadicInterval(1, 0), DyadicInterval(1, 1), D(1, 3))
     lo, hi = _slab(R, 3)
     assert lo == D(37, 7) and hi == D(69, 7)
     assert (lo, hi) == oracle.slab(spec.m, spec.m_w, _raw(R), 3)
@@ -126,7 +126,7 @@ def test_column_segment_formula():
     # s = 1/2 (k=0, j=0), b = 0, w = 1/4: slab at each column is
     # [x_c/2, x_c/2 + 1/4), direct substitution
     spec = GridSpec(4, 2, False)
-    R = Parallelogram(spec, DyadicInterval(2, 0), SlopeCell(0, 0), D(0))
+    R = Parallelogram(spec, DyadicInterval(2, 0), DyadicInterval(0, 0), D(0))
     for c in range(R.col_lo, R.col_hi):
         lo, hi = _slab(R, c)
         x_c = spec.x_center(c)
@@ -137,9 +137,9 @@ def test_column_segment_formula():
 
 def test_measure_and_slab_partition():
     spec = GridSpec(5, 3, False)
-    R = Parallelogram(spec, DyadicInterval(3, 1), SlopeCell(0, 0), D(1, 3))
+    R = Parallelogram(spec, DyadicInterval(3, 1), DyadicInterval(0, 0), D(1, 3))
     assert R.measure == D(1, 6)  # length w, width w -> w^2
-    full = Parallelogram(spec, DyadicInterval(0, 0), SlopeCell(3, 0), D(1, 3))
+    full = Parallelogram(spec, DyadicInterval(0, 0), DyadicInterval(3, 0), D(1, 3))
     assert full.measure == D(1, 3)  # base length 1 -> measure w
     for P in (R, full):
         total = D(0)
@@ -153,22 +153,22 @@ def test_containment_enforced():
     spec = GridSpec(4, 2, False)
     with pytest.raises(ValueError):
         # slope 7/8 length 1: 7/8 + w > 1 at any offset
-        Parallelogram(spec, DyadicInterval(0, 0), SlopeCell(2, 3), D(0))
+        Parallelogram(spec, DyadicInterval(0, 0), DyadicInterval(2, 3), D(0))
     with pytest.raises(ValueError):
-        Parallelogram(spec, DyadicInterval(2, 0), SlopeCell(0, 0), D(-1, 2))
+        Parallelogram(spec, DyadicInterval(2, 0), DyadicInterval(0, 0), D(-1, 2))
     with pytest.raises(ValueError):
         # offset not on the step grid
-        Parallelogram(spec, DyadicInterval(2, 0), SlopeCell(0, 0), D(1, 3))
+        Parallelogram(spec, DyadicInterval(2, 0), DyadicInterval(0, 0), D(1, 3))
     with pytest.raises(ValueError):
         # slope level must match base length
-        Parallelogram(spec, DyadicInterval(1, 0), SlopeCell(0, 0), D(0))
+        Parallelogram(spec, DyadicInterval(1, 0), DyadicInterval(0, 0), D(0))
 
 
 def test_center_rows_count():
     # per column, 2^(m - m_w) consecutive rows have their centers in R: the
     # slab is half-open of height w, and those centers lie in R's own slab
     spec = GridSpec(5, 3, False)
-    R = Parallelogram(spec, DyadicInterval(1, 0), SlopeCell(2, 1), D(1, 3))
+    R = Parallelogram(spec, DyadicInterval(1, 0), DyadicInterval(2, 1), D(1, 3))
     for c in range(R.col_lo, R.col_hi):
         rows = [r for r in range(spec.n) if oracle.contains_cell(spec.m, spec.m_w, _raw(R), c, r)]
         assert rows == list(range(rows[0], rows[0] + (1 << (spec.m - spec.m_w))))
@@ -210,10 +210,10 @@ def _measures(spec: GridSpec, members):
 
 def test_overlap_and_union_measures():
     spec = GridSpec(4, 2, False)
-    a = Parallelogram(spec, DyadicInterval(0, 0), SlopeCell(2, 0), D(0))
-    b = Parallelogram(spec, DyadicInterval(0, 0), SlopeCell(2, 1), D(0))
-    c = Parallelogram(spec, DyadicInterval(2, 0), SlopeCell(0, 0), D(0))
-    d = Parallelogram(spec, DyadicInterval(2, 3), SlopeCell(0, 0), D(0))
+    a = Parallelogram(spec, DyadicInterval(0, 0), DyadicInterval(2, 0), D(0))
+    b = Parallelogram(spec, DyadicInterval(0, 0), DyadicInterval(2, 1), D(0))
+    c = Parallelogram(spec, DyadicInterval(2, 0), DyadicInterval(0, 0), D(0))
+    d = Parallelogram(spec, DyadicInterval(2, 3), DyadicInterval(0, 0), D(0))
     overlap, union = _measures(spec, (a, b, c, d))
     assert overlap(0, 0) == a.measure
     assert overlap(0, 1) == overlap(1, 0)
@@ -228,16 +228,16 @@ def test_containment_boundary_top_exactly_one():
     # slope 1/2 over [3/4, 1): top = 1/2 + offset + w
     for half in (False, True):
         spec = GridSpec(4, 2, half)
-        base, slope = DyadicInterval(2, 3), SlopeCell(0, 0)
+        base, slope = DyadicInterval(2, 3), DyadicInterval(0, 0)
         R = Parallelogram(spec, base, slope, D(1, 2))  # top exactly 1
         assert R.slope.center * base.hi + R.offset + spec.w == 1
         with pytest.raises(ValueError, match="leaves the unit square"):
             Parallelogram(spec, base, slope, D(1, 2) + spec.offset_step)
     spec = GridSpec(4, 2, False)
     with pytest.raises(ValueError, match="offset must be nonnegative"):
-        Parallelogram(spec, DyadicInterval(2, 0), SlopeCell(0, 0), D(-1, 2))
+        Parallelogram(spec, DyadicInterval(2, 0), DyadicInterval(0, 0), D(-1, 2))
     with pytest.raises(ValueError, match="not a multiple of the offset step"):
-        Parallelogram(spec, DyadicInterval(2, 0), SlopeCell(0, 0), D(1, 3))
+        Parallelogram(spec, DyadicInterval(2, 0), DyadicInterval(0, 0), D(1, 3))
 
 
 def test_slab_cover_against_column_sum():

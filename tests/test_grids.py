@@ -15,7 +15,7 @@ import pytest
 from dirmax import maximal, oracle
 from dirmax.dyadic import DyadicRational as D
 from dirmax.family import FamilyParams, RectangleFamily, enumerate_family
-from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell
+from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram
 from dirmax.grids import (
     GridFunction,
     OneVarField,
@@ -31,7 +31,7 @@ def _random_R(spec: GridSpec, rng: random.Random) -> Parallelogram:
         k = rng.randrange(spec.m_w + 1)
         level = spec.m_w - k
         base = DyadicInterval(level, rng.randrange(1 << level))
-        s = SlopeCell(k, rng.randrange(1 << k))
+        s = DyadicInterval(k, rng.randrange(1 << k))
         top = D(1) - spec.w - s.center * base.hi
         if top < 0:
             continue
@@ -150,7 +150,7 @@ def test_integrate_subsampling_oracle():
     spec = GridSpec(4, 2, False)
     rng = random.Random(4)
     f = GridFunction(spec, 0, [rng.randrange(8) for _ in range(spec.n_cells)])
-    R = Parallelogram(spec, DyadicInterval(1, 0), SlopeCell(1, 0), D(1, 2))
+    R = Parallelogram(spec, DyadicInterval(1, 0), DyadicInterval(1, 0), D(1, 2))
     ncols = R.col_hi - R.col_lo
     per_col = (1 << 12) // ncols
     total = Fraction(0)
@@ -170,7 +170,7 @@ def test_integrate_subsampling_oracle():
 def test_integrate_spec_mismatch():
     spec = GridSpec(4, 2, False)
     other = GridSpec(5, 3, False)
-    R = Parallelogram(spec, DyadicInterval(2, 0), SlopeCell(0, 0), D(0))
+    R = Parallelogram(spec, DyadicInterval(2, 0), DyadicInterval(0, 0), D(0))
     fam = RectangleFamily(FamilyParams(spec, D(1)), [R])
     rho = maximal.linearize(GridFunction.zeros(spec), fam)
     foreign = GridFunction.zeros(other)

@@ -415,3 +415,15 @@ def test_stopping_time_computes_theta_as_integer_rows(monkeypatch):
         assert len(res.generations) > 1
         counts.append(len(built))
     assert counts == [1, 1]
+
+
+def test_slope_cells_are_dyadic_intervals():
+    """A slope cell is a DyadicInterval, so SlopeCell is gone, and one helper,
+    ``family._unique_rows``, sorts and dedupes every table of integer rows."""
+    from dirmax import family, geometry, stopping_time
+
+    assert not hasattr(dirmax, "SlopeCell") and not hasattr(geometry, "SlopeCell")
+    assert not hasattr(family, "_lex_sorted") and not hasattr(stopping_time, "_theta")
+    root = Path(dirmax.__file__).parent
+    found = {p.name: name_lines(p.read_text(), "SlopeCell") for p in sorted(root.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

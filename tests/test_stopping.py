@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from dirmax import oracle, stopping_time, verify
 from dirmax.dyadic import DyadicRational as D
 from dirmax.family import FamilyParams, enumerate_family
-from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram, SlopeCell, spec_from_offstep
+from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram, spec_from_offstep
 from dirmax.grids import GridFunction, OneVarField
 from dirmax.instances import (
     CorpusInstance,
@@ -75,6 +75,18 @@ def test_run_generations_rejects_negative_max_gen():
         run_generations(v, spec.w, D(1, 1), rho, -1)
     res = run_generations(v, spec.w, D(1, 1), rho, 0)
     assert res.generations == () and res.truncated
+
+
+def test_domination_check_rejects_negative_max_pieces():
+    spec = GridSpec(5, 3, False)
+    v = cascade_field(spec)
+    f = random_grid(spec, random.Random(0))
+    rho = linearize(f, enumerate_family(FamilyParams(spec, D(1, 1)), v))
+    res = run_generations(v, spec.w, D(1, 1), rho)
+    with pytest.raises(ValueError, match="max_pieces must be nonnegative"):
+        domination_check(res, rho, f, max_pieces=-1)
+    assert domination_check(res, rho, f, max_pieces=0) == ([], 0, 0)
+    assert domination_check(res, rho, f)[1] == 8
 
 
 def test_chosen_popularity_sets_disjoint():
@@ -379,7 +391,7 @@ def test_decomposition_cell_sets_match_the_definition(m):
                             x for x in cells
                             if any(
                                 DyadicInterval(lv, ix).contains(choice[x].base)
-                                and choice[x].slope.contains(SlopeCell(spec.m_w - lv, j))
+                                and choice[x].slope.contains(DyadicInterval(spec.m_w - lv, j))
                                 for lv, ix, j in layer.tolist()
                             )
                         }
@@ -516,7 +528,7 @@ def test_popularity_counts_match_oracle(spec_args, seed, delta, root_seed):
             for j in range(1 << k):
                 dense = Fraction(oracle.g_count(m, m_w, vf, lv, index, j), 1 << (m - lv)) >= delta.as_fraction()
                 try:
-                    R = Parallelogram(spec, J, SlopeCell(k, j), D(0))
+                    R = Parallelogram(spec, J, DyadicInterval(k, j), D(0))
                 except ValueError:  # the lowest member over J at slope s does not fit
                     continue
                 assert (list(R.sort_key()) in members) is dense

@@ -7,9 +7,16 @@ import hashlib
 
 from dirmax import maximal
 from dirmax.badness import shrink_once
+from dirmax.dyadic import DyadicRational
 from dirmax.geometry import Parallelogram
 from dirmax.instances import build_corpus
-from dirmax.verify import ORACLE_SHRINK_LAMBDA0, VerifyReport, check_oracle_equivalence, run_verify
+from dirmax.verify import (
+    ORACLE_SHRINK_LAMBDA0,
+    VerifyReport,
+    check_exact_identities,
+    check_oracle_equivalence,
+    run_verify,
+)
 
 
 def test_oracle_shrink_lambda_selects_windows(corpus):
@@ -91,3 +98,24 @@ def test_m5_verify_builds_no_members_and_its_text_is_pinned(monkeypatch):
     assert built == []
     digest = "bd819c66661850cb3f1fa922c74f595c17de3d0937f33d878d7b180f5d5bbe85"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_oracle_and_identity_checks_hand_the_oracle_fractions(corpus, monkeypatch):
+    """The oracle reads Fractions, which verify makes from a grid's integer
+    numerators: a DyadicRational per cell only to convert it would take the
+    two checks on the m <= 4 corpus to about 19,300 and 11,500."""
+    small = [inst for inst in corpus if inst.spec.m <= 4]
+    assert len(small) == 50
+    for inst in small:  # the cached family, rho and cell set are the corpus's work
+        inst.covered
+    counts = []
+    for check in (check_oracle_equivalence, check_exact_identities):
+        built = []
+        init = DyadicRational.__init__
+        monkeypatch.setattr(DyadicRational, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+        report = VerifyReport()
+        check(report, small)
+        monkeypatch.undo()
+        assert report.ok
+        counts.append(len(built))
+    assert counts[0] <= 2400 and counts[1] <= 2800
