@@ -134,8 +134,8 @@ def badness_table(cells: Iterable[int], rho: ChoiceMap) -> "BadnessTable":
     eng = BadnessEngine(rho.fam)
     counts = nu_all(rho, cells)
     weights = eng.weights(counts).tolist()
-    area = eng.spec.cell_area
-    nus = tuple(DyadicRational(c, 0) * area for c in counts)
+    two_m = 2 * eng.spec.m
+    nus = tuple(DyadicRational(c, two_m) for c in counts)
     bs = tuple(eng.badness_of(mi, weights) for mi in range(len(rho.fam)))
     return BadnessTable(nus, bs)
 

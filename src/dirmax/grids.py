@@ -1,10 +1,12 @@
 """Grid functions on the unit square, one-variable fields, exact integration, file I/O.
 
-A GridFunction stores one nonnegative dyadic rational per cell as an integer
-numerator over a single power-of-two scale, so sums, maxima and integrals stay
-in integer arithmetic.  Numerators are Python ints: the constructors turn
-numpy integers into ints and reject floats.  The MAXGRID v1 text format
-round-trips canonically.
+A GridFunction stores one nonnegative dyadic rational per cell, a OneVarField
+one in [0, 1] per column.  Both keep integer numerators over a single
+power-of-two scale, in one shared body, so sums, maxima and integrals stay in
+integer arithmetic.  Numerators are Python ints: the constructors turn numpy
+integers into ints and reject floats.  The constructor's range check is the
+only one: operators trust it.  The MAXGRID v1 text format round-trips
+canonically.
 """
 
 from __future__ import annotations
@@ -61,51 +63,88 @@ def _cell_set(cells: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_grid(spec: GridSpec, scale: int, nums: Sequence[int]) -> None:
-    if len(nums) != spec.n_cells:
-        raise ValueError("grid value count mismatch")
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
-    if min(nums) < 0:
-        raise ValueError("grid values must be nonnegative")
-
-
-class GridFunction:
-    """A nonnegative function constant on grid cells, values exact dyadic."""
+class _ScaledValues:
+    """Exact dyadic values as integer numerators over one power-of-two scale:
+    the body that grids and fields share.  A subclass gives its name in
+    messages (``_what``), its value count (``_count``) and its range rule
+    (``_check_range``)."""
 
     __slots__ = ("spec", "scale", "nums")
 
     def __init__(self, spec: GridSpec, scale: int, nums: Sequence[int]):
         scale, nums = index(scale), list(map(index, nums))  # numpy ints would wrap
-        _check_grid(spec, scale, nums)
-        self.spec = spec
-        self.scale = scale
-        self.nums = nums
-
-    # -- constructors ----------------------------------------------------
+        self._check(spec, scale, nums)
+        self.spec, self.scale, self.nums = spec, scale, nums
 
     @classmethod
-    def _adopt(cls, spec: GridSpec, scale: int, nums: list[int]) -> "GridFunction":
+    def _check(cls, spec: GridSpec, scale: int, nums: list[int]) -> None:
+        if len(nums) != cls._count(spec):
+            raise ValueError(f"{cls._what} value count mismatch")
+        if scale < 0:
+            raise ValueError("scale must be nonnegative")
+        cls._check_range(scale, nums)
+
+    @classmethod
+    def _adopt(cls, spec: GridSpec, scale: int, nums: list[int]):
         """Checked like the constructor, but keeps ``nums`` itself: only for a
         list this package has just built and no one else holds."""
-        _check_grid(spec, scale, nums)
-        g = cls.__new__(cls)
-        g.spec, g.scale, g.nums = spec, scale, nums
-        return g
+        cls._check(spec, scale, nums)
+        v = cls.__new__(cls)
+        v.spec, v.scale, v.nums = spec, scale, nums
+        return v
+
+    @classmethod
+    def from_values(cls, spec: GridSpec, values: Iterable):
+        return cls._adopt(spec, *_to_scaled(values, cls._what))
+
+    @classmethod
+    def constant(cls, spec: GridSpec, value):
+        scale, nums = _to_scaled([value], cls._what)
+        return cls._adopt(spec, scale, nums * cls._count(spec))
+
+    def values(self) -> list[DyadicRational]:
+        return [DyadicRational(n, self.scale) for n in self.nums]
+
+    def reduced(self):
+        """Canonical representation: strip common powers of two from the scale."""
+        bits = reduce(or_, self.nums, 0)
+        sh = min(self.scale, (bits & -bits).bit_length() - 1) if bits else self.scale
+        if not sh:
+            return self
+        return self._adopt(self.spec, self.scale - sh, list(map(rshift, self.nums, repeat(sh))))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.spec != other.spec:
+            return False
+        e = max(self.scale, other.scale)
+        sa, sb = e - self.scale, e - other.scale
+        return all((a << sa) == (b << sb) for a, b in zip(self.nums, other.nums))
+
+    def __hash__(self):
+        r = self.reduced()
+        return hash((r.spec, r.scale, tuple(r.nums)))
+
+
+class GridFunction(_ScaledValues):
+    """A nonnegative function constant on grid cells, values exact dyadic."""
+
+    __slots__ = ()
+    _what = "grid"
+
+    @staticmethod
+    def _count(spec: GridSpec) -> int:
+        return spec.n_cells
+
+    @staticmethod
+    def _check_range(scale: int, nums: list[int]) -> None:
+        if min(nums) < 0:
+            raise ValueError("grid values must be nonnegative")
 
     @classmethod
     def zeros(cls, spec: GridSpec) -> "GridFunction":
         return cls._adopt(spec, 0, [0] * spec.n_cells)
-
-    @classmethod
-    def constant(cls, spec: GridSpec, value) -> "GridFunction":
-        scale, nums = _to_scaled([value], "grid")
-        return cls._adopt(spec, scale, nums * spec.n_cells)
-
-    @classmethod
-    def from_values(cls, spec: GridSpec, values: Iterable) -> "GridFunction":
-        scale, nums = _to_scaled(values, "grid")
-        return cls._adopt(spec, scale, nums)
 
     @classmethod
     def indicator(cls, spec: GridSpec, cells: Iterable[int]) -> "GridFunction":
@@ -119,9 +158,6 @@ class GridFunction:
     def value_at(self, idx: int) -> DyadicRational:
         return DyadicRational(self.nums[idx], self.scale)
 
-    def values(self) -> list[DyadicRational]:
-        return [DyadicRational(n, self.scale) for n in self.nums]
-
     def support_cells(self) -> list[int]:
         return [i for i, n in enumerate(self.nums) if n]
 
@@ -132,16 +168,6 @@ class GridFunction:
         return not any(self.nums)
 
     # -- algebra -------------------------------------------------------
-
-    def reduced(self) -> "GridFunction":
-        """Canonical representation: strip common powers of two from the scale."""
-        bits = reduce(or_, self.nums, 0)
-        sh = min(self.scale, (bits & -bits).bit_length() - 1) if bits else self.scale
-        if not sh:
-            return self
-        return GridFunction._adopt(
-            self.spec, self.scale - sh, list(map(rshift, self.nums, repeat(sh)))
-        )
 
     def rescaled(self, scale: int) -> "GridFunction":
         """Same function at a given scale; rounds down if scale is coarser."""
@@ -157,19 +183,6 @@ class GridFunction:
         for i in cell_array(self.spec, cells).tolist():
             nums[i] = src[i]
         return GridFunction._adopt(self.spec, self.scale, nums)
-
-    def __eq__(self, other):
-        if not isinstance(other, GridFunction):
-            return NotImplemented
-        if self.spec != other.spec:
-            return False
-        e = max(self.scale, other.scale)
-        sa, sb = e - self.scale, e - other.scale
-        return all((a << sa) == (b << sb) for a, b in zip(self.nums, other.nums))
-
-    def __hash__(self):
-        r = self.reduced()
-        return hash((r.spec, r.scale, tuple(r.nums)))
 
     # -- norms and exact sums --------------------------------------------
 
@@ -189,101 +202,60 @@ class GridFunction:
         return (sum((n / sc) ** p for n in self.nums) * area) ** (1.0 / p)
 
 
-class OneVarField:
+class OneVarField(_ScaledValues):
     """Slope field v with v(a, b) = v(a): one dyadic value in [0,1] per column;
     ``family.popular_table`` counts its columns per slope cell."""
 
-    __slots__ = ("spec", "scale", "nums")
+    __slots__ = ()
+    _what = "field"
 
-    def __init__(self, spec: GridSpec, scale: int, nums: Sequence[int]):
-        scale, nums = index(scale), list(map(index, nums))
-        if len(nums) != spec.n:
-            raise ValueError("field value count mismatch")
-        top = 1 << scale
-        if any(n < 0 or n > top for n in nums):
+    @staticmethod
+    def _count(spec: GridSpec) -> int:
+        return spec.n
+
+    @staticmethod
+    def _check_range(scale: int, nums: list[int]) -> None:
+        if min(nums) < 0 or max(nums) > 1 << scale:
             raise ValueError("field values must lie in [0,1]")
-        self.spec = spec
-        self.scale = scale
-        self.nums = nums
-
-    @classmethod
-    def from_values(cls, spec: GridSpec, values: Iterable) -> "OneVarField":
-        scale, nums = _to_scaled(values, "field")
-        return cls(spec, scale, nums)
-
-    @classmethod
-    def constant(cls, spec: GridSpec, value) -> "OneVarField":
-        scale, nums = _to_scaled([value], "field")
-        return cls(spec, scale, nums * spec.n)
 
     def value(self, c: int) -> DyadicRational:
         return DyadicRational(self.nums[c], self.scale)
 
-    def values(self) -> list[DyadicRational]:
-        return [DyadicRational(n, self.scale) for n in self.nums]
-
-    def __eq__(self, other):
-        if not isinstance(other, OneVarField):
-            return NotImplemented
-        if self.spec != other.spec:
-            return False
-        e = max(self.scale, other.scale)
-        sa, sb = e - self.scale, e - other.scale
-        return all((a << sa) == (b << sb) for a, b in zip(self.nums, other.nums))
-
-    def __hash__(self):
-        return hash((self.spec, tuple(self.values())))
-
 
 # -- MAXGRID v1 file format --------------------------------------------------
+# The header, then the values 2^m to a line: one line per column of a grid,
+# the single line of a field.  Each value is a canonical DyadicRational token.
 
 
-def _write_header(spec: GridSpec) -> list[str]:
-    return ["maxgrid 1", f"m {spec.m} mw {spec.m_w} offstep {spec.offstep_code}"]
+def _render(v: _ScaledValues) -> str:
+    n, words = v.spec.n, [x.render() for x in v.values()]
+    lines = ["maxgrid 1", f"m {v.spec.m} mw {v.spec.m_w} offstep {v.spec.offstep_code}"]
+    lines += [" ".join(words[i : i + n]) for i in range(0, len(words), n)]
+    return "\n".join(lines) + "\n"
 
 
-def _parse_header(lines: list[str]) -> GridSpec:
+def _parse(cls: type[_ScaledValues], text: str):
+    lines = text.splitlines()
     if not lines or lines[0].split() != ["maxgrid", "1"]:
         raise ValueError("not a MAXGRID v1 file")
     parts = lines[1].split() if len(lines) > 1 else []
     if len(parts) != 6 or parts[0] != "m" or parts[2] != "mw" or parts[4] != "offstep":
         raise ValueError("bad MAXGRID header")
-    return spec_from_offstep(int(parts[1]), int(parts[3]), parts[5])
+    spec = spec_from_offstep(int(parts[1]), int(parts[3]), parts[5])
+    return cls.from_values(spec, map(DyadicRational.parse, " ".join(lines[2:]).split()))
 
 
 def render_grid(f: GridFunction) -> str:
-    g = f.reduced()
-    lines = _write_header(g.spec)
-    n = g.spec.n
-    for c in range(n):
-        base = c << g.spec.m
-        lines.append(
-            " ".join(
-                DyadicRational(g.nums[base + r], g.scale).render() for r in range(n)
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _render(f)
 
 
 def parse_grid(text: str) -> GridFunction:
-    lines = text.splitlines()
-    spec = _parse_header(lines)
-    tokens = " ".join(lines[2:]).split()
-    if len(tokens) != spec.n_cells:
-        raise ValueError("MAXGRID value count mismatch")
-    return GridFunction.from_values(spec, (DyadicRational.parse(t) for t in tokens))
+    return _parse(GridFunction, text)
 
 
 def render_field(v: OneVarField) -> str:
-    lines = _write_header(v.spec)
-    lines.append(" ".join(x.render() for x in v.values()))
-    return "\n".join(lines) + "\n"
+    return _render(v)
 
 
 def parse_field(text: str) -> OneVarField:
-    lines = text.splitlines()
-    spec = _parse_header(lines)
-    tokens = " ".join(lines[2:]).split()
-    if len(tokens) != spec.n:
-        raise ValueError("MAXGRID field value count mismatch")
-    return OneVarField.from_values(spec, (DyadicRational.parse(t) for t in tokens))
+    return _parse(OneVarField, text)

@@ -166,11 +166,6 @@ def _scaled_averages(fam: RectangleFamily, f: GridFunction) -> tuple[list[int], 
     return out.tolist(), 2 * spec.m + 2 + f.scale
 
 
-def _require_nonneg(f: GridFunction) -> None:
-    if any(n < 0 for n in f.nums):
-        raise ValueError("operator input must be nonnegative")
-
-
 def _rank_grid(fam: RectangleFamily, avgs: list[int]) -> tuple[np.ndarray, list[int]]:
     """Per cell the rank of its argmax member (0 on X), and members by rank.
 
@@ -321,7 +316,6 @@ def m2_vertical(g: GridFunction) -> tuple[np.ndarray, np.ndarray]:
     below 2^(b + 2m), so the recurrence runs in int64 when b + 2m <= 62
     (_vertical_dtype) and on Python ints otherwise; the arrays keep that dtype.
     """
-    _require_nonneg(g)
     n = g.spec.n
     dtype = _vertical_dtype(g)
     pref = np.zeros((n, n + 1), dtype=dtype)

@@ -301,18 +301,22 @@ def check_stopping_theorems(report: VerifyReport, corpus: list[CorpusInstance]) 
             ok_chain = False
 
         res = run_generations(inst.field, spec.w, inst.delta, inst.rho)
+        # |later generation k inside I| <= 2^(j - k) |I|, lengths over 2^m_w
         gens = res.generations
-        for j, g in enumerate(gens):
-            for I in g.intervals:
-                for k in range(j, len(gens)):
-                    inter = DyadicRational(0)
-                    for J in gens[k].intervals:
-                        if I.contains(J):
-                            inter = inter + J.length
-                        elif J.contains(I):
-                            inter = inter + I.length
-                    if inter > DyadicRational(I.length.num, I.length.exp + k - j):
-                        ok_decay = False
+        rows = [
+            np.array([(J.level, J.index) for J in g.intervals], dtype=np.int64).reshape(-1, 2)
+            for g in gens
+        ]
+        for j, I in enumerate(rows):
+            size = 1 << (spec.m_w - I[:, 0])
+            for k, J in enumerate(rows[j:], j):
+                j_in_i = dyadic_inside(J[:, 0], J[:, 1], I[:, :1], I[:, 1:])
+                i_in_j = dyadic_inside(I[:, :1], I[:, 1:], J[:, 0], J[:, 1])
+                inter = np.where(j_in_i, 1 << (spec.m_w - J[:, 0]), np.where(i_in_j, size[:, None], 0))
+                inter = inter.sum(axis=1)
+                if ((inter << (k - j)) > size).any():
+                    ok_decay = False
+        for g in gens:
             for rec in g.records:
                 for col in rec.classify.collections:
                     good, witness = is_good_collection(col)

@@ -119,6 +119,38 @@ def test_grid_equality_across_scales():
     assert hash(a) == hash(b)
 
 
+def test_field_equality_hash_and_reduced_across_scales():
+    spec = GridSpec(3, 1, False)
+    nums = [0, 1, 2, 3, 4, 5, 6, 8]
+    a = OneVarField(spec, 3, nums)
+    b = OneVarField(spec, 5, [n << 2 for n in nums])
+    assert a == b and b == a
+    assert hash(a) == hash(b)
+    r = OneVarField(spec, 4, [n << 1 for n in nums]).reduced()
+    assert (r.scale, r.nums) == (3, nums)
+    assert a.reduced() is a  # one odd numerator: nothing to strip
+    one = OneVarField(spec, 3, [8] * 8).reduced()
+    assert (one.scale, one.nums) == (0, [1] * 8)
+
+
+def test_a_grid_never_equals_a_field():
+    spec = GridSpec(2, 0, False)
+    grid, field = GridFunction.constant(spec, 1), OneVarField.constant(spec, 1)
+    assert grid != field and field != grid
+    assert not grid == field and not field == grid
+    assert grid.__eq__(field) is NotImplemented and field.__eq__(grid) is NotImplemented
+
+
+@pytest.mark.parametrize("cls", [GridFunction, OneVarField])
+def test_negative_scale_is_rejected(cls):
+    spec = GridSpec(3, 1, False)
+    zeros = [0] * cls._count(spec)
+    with pytest.raises(ValueError, match="scale must be nonnegative"):
+        cls(spec, -1, zeros)
+    with pytest.raises(ValueError, match="scale must be nonnegative"):
+        cls._adopt(spec, -1, zeros)
+
+
 def test_integrate_constants():
     spec = GridSpec(4, 2, False)
     fam = _random_family(spec, random.Random(2), 10)
@@ -194,11 +226,27 @@ def test_maxgrid_round_trip():
     assert text.splitlines()[1] == "m 3 mw 1 offstep w2"
 
 
+def test_maxgrid_writes_canonical_values():
+    spec = GridSpec(3, 1, False)
+    rng = random.Random(7)
+    f = GridFunction(spec, 6, [rng.randrange(32) << 3 for _ in range(64)])
+    assert f.reduced().scale < f.scale
+    assert render_grid(f) == render_grid(f.reduced())
+    assert len(render_grid(f).splitlines()) == 2 + spec.n  # one line per column
+    v = OneVarField(spec, 5, [rng.randrange(17) << 1 for _ in range(8)])
+    lines = render_field(v).splitlines()
+    assert len(lines) == 3 and lines[2] == " ".join(x.render() for x in v.values())
+
+
 def test_maxgrid_rejects_garbage():
     with pytest.raises(ValueError):
         parse_grid("not a grid\n")
-    with pytest.raises(ValueError):
-        parse_grid("maxgrid 1\nm 3 mw 1 offstep w\n1 2 3\n")
+    head = "maxgrid 1\nm 3 mw 1 offstep w\n"
+    for parse, count in ((parse_grid, 64), (parse_field, 8)):
+        parse(head + " 1" * count)
+        for wrong in (3, count - 1, count + 1):
+            with pytest.raises(ValueError, match="value count mismatch"):
+                parse(head + " 1" * wrong)
 
 
 @pytest.mark.parametrize("text", ["maxgrid 1", "maxgrid 1\n", "maxgrid 1\n\n"])

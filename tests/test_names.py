@@ -427,3 +427,21 @@ def test_slope_cells_are_dyadic_intervals():
     root = Path(dirmax.__file__).parent
     found = {p.name: name_lines(p.read_text(), "SlopeCell") for p in sorted(root.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_grids_and_fields_share_one_value_body():
+    """GridFunction and OneVarField share one body: grids.py defines each
+    shared method once, and the operators trust the constructor's check."""
+    from dirmax import grids, maximal
+
+    tree = ast.parse(Path(grids.__file__).read_text())
+    defined = [
+        item.name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+    ]
+    shared = ("__eq__", "__hash__", "from_values", "constant", "values", "reduced")
+    assert {name: defined.count(name) for name in shared} == dict.fromkeys(shared, 1)
+    assert not hasattr(grids, "_check_grid") and not hasattr(maximal, "_require_nonneg")

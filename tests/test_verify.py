@@ -118,4 +118,4 @@ def test_oracle_and_identity_checks_hand_the_oracle_fractions(corpus, monkeypatc
         monkeypatch.undo()
         assert report.ok
         counts.append(len(built))
-    assert counts[0] <= 2400 and counts[1] <= 2800
+    assert counts[0] <= 1700 and counts[1] <= 2050
