@@ -3,9 +3,9 @@
 A family is its key table: one int64 row (k, base index, slope index,
 offset steps) per member, in canonical order, plus its parameters.
 Enumeration, subfamilies, unions, export and every numpy kernel read the
-rows, and callers name a member by its row index.  ``Parallelogram``
-objects are built at the file and API edges only: ``from_lines`` validates
-each record of a file as one, and ``members`` builds the tuple on first read.
+rows, and callers name a member by its row index.  Every builder, the file
+reader ``from_lines`` too, passes rows to the one constructor, which checks
+them (``geometry.check_key_rows``); only ``members`` builds ``Parallelogram``s.
 ``is_good_collection`` names a conflicting pair by its two member indices.
 
 A rectangle of length 2^k * w sees the field through its slope window
@@ -26,7 +26,7 @@ import numpy as np
 
 from .dyadic import DyadicRational
 from .geometry import DyadicInterval, GridSpec, Parallelogram
-from .geometry import dyadic_inside, max_offset_steps, spec_from_offstep
+from .geometry import check_key_rows, dyadic_inside, max_offset_steps, spec_from_offstep
 from .grids import OneVarField
 
 ENUM_M_CAP = 12
@@ -56,30 +56,18 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
 
 
 class RectangleFamily:
-    """A finite list of parallelograms in canonical order.
+    """A finite list of parallelograms: a read-only int64 table ``sort_keys`` whose
+    row i is member i's (k, base index, slope index, offset steps), copied from
+    ``rows`` (an (N, 4) integer array or a sequence of 4-int rows) and checked.
+    ``members`` builds their ``Parallelogram``s on first read.  Equal families
+    have equal params and rows, however built."""
 
-    The family is its int64 key table ``sort_keys``: row i is member i's
-    ``sort_key()`` (k, base index, slope index, offset steps).  ``members``
-    is the tuple the family was constructed from, else built from the rows
-    on first read.  Equal families have equal params and rows, however built.
-    """
-
-    def __init__(self, params: FamilyParams, members):
-        members = tuple(members)
-        if any(r.spec != params.spec for r in members):
-            raise ValueError("member grid spec mismatch")
-        keys = np.array([r.sort_key() for r in members], dtype=np.int64).reshape(-1, 4)
-        self._init(params, keys)
-        self.__dict__["members"] = members
-
-    @classmethod
-    def _adopt(cls, params: FamilyParams, keys: np.ndarray) -> "RectangleFamily":
-        """A family over key rows this package built from valid members."""
-        fam = cls.__new__(cls)
-        fam._init(params, keys)
-        return fam
-
-    def _init(self, params: FamilyParams, keys: np.ndarray) -> None:
+    def __init__(self, params: FamilyParams, rows):
+        keys = np.array(rows if len(rows) else np.empty((0, 4), dtype=np.int64))
+        if keys.dtype.kind not in "iu" or keys.shape[1:] != (4,):  # a wrapped uint64 is < 0
+            raise ValueError("family key rows must be an (N, 4) integer table")
+        keys = keys.astype(np.int64, copy=False)
+        check_key_rows(params.spec, keys)
         if len(_unique_rows(keys)) < len(keys):
             raise ValueError("family members must be distinct")
         keys.flags.writeable = False
@@ -90,9 +78,11 @@ class RectangleFamily:
 
     @cached_property
     def members(self) -> tuple[Parallelogram, ...]:
-        spec = self.spec
-        rows = self.sort_keys.tolist()
-        return tuple(_member(spec, k, i, j, DyadicRational(t, spec.offset_exp)) for k, i, j, t in rows)
+        s, e = self.spec, self.spec.offset_exp
+        return tuple(
+            Parallelogram(s, DyadicInterval(s.m_w - k, i), DyadicInterval(k, j), DyadicRational(t, e))
+            for k, i, j, t in self.sort_keys.tolist()
+        )
 
     def __len__(self) -> int:
         return len(self.sort_keys)
@@ -116,13 +106,13 @@ class RectangleFamily:
         rows = np.array(sorted(set(indices)), dtype=np.int64)
         if len(rows) and (rows[0] < 0 or rows[-1] >= len(self)):
             raise ValueError("member index out of range")
-        return RectangleFamily._adopt(self.params, self.sort_keys[rows])
+        return RectangleFamily(self.params, self.sort_keys[rows])
 
     def union(self, other: "RectangleFamily") -> "RectangleFamily":
         if self.params != other.params:
             raise ValueError("family parameter mismatch")
         rows = _unique_rows(np.concatenate([self.sort_keys, other.sort_keys]))
-        return RectangleFamily._adopt(self.params, rows)
+        return RectangleFamily(self.params, rows)
 
     # -- text export: one canonical record per member ---------------------
 
@@ -139,26 +129,30 @@ class RectangleFamily:
 
     @classmethod
     def from_lines(cls, lines) -> "RectangleFamily":
-        """Read export_lines' text; every record is validated as a Parallelogram."""
-        lines = [ln for ln in lines if ln.strip()]
-        head = lines[0].split()
-        if head[0] != "params":
+        """Read export_lines' text into rows; blank lines and lines that start with # are skipped."""
+        lines = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
+        if not lines or lines[0].split()[0] != "params":
             raise ValueError("missing family params header")
-        fields = dict(zip(head[1::2], head[2::2]))
-        spec = spec_from_offstep(int(fields["m"]), int(fields["mw"]), fields["offstep"])
-        params = FamilyParams(spec, DyadicRational.parse(fields["delta"]))
-        members = []
+        m, mw, offstep, delta = _keyed(lines[0], ("m", "mw", "offstep", "delta"), 1)
+        spec = spec_from_offstep(int(m), int(mw), offstep)
+        params = FamilyParams(spec, DyadicRational.parse(delta))
+        rows = []
         for ln in lines[1:]:
-            parts = ln.split()
-            rec = dict(zip(parts[0::2], parts[1::2]))
-            off = DyadicRational.parse(rec["off"])
-            members.append(_member(spec, int(rec["k"]), int(rec["base"]), int(rec["slope"]), off))
-        return cls(params, tuple(members))
+            k, i, j, off = _keyed(ln, ("k", "base", "slope", "off"))
+            off = DyadicRational.parse(off)
+            if off.exp > spec.offset_exp:
+                raise ValueError("offset is not a multiple of the offset step")
+            rows.append([int(k), int(i), int(j), off.num << (spec.offset_exp - off.exp)])
+        return cls(params, rows)
 
 
-def _member(spec: GridSpec, k: int, i: int, j: int, offset: DyadicRational) -> Parallelogram:
-    """The member of key row (k, i, j, offset steps), with the offset as a value."""
-    return Parallelogram(spec, DyadicInterval(spec.m_w - k, i), DyadicInterval(k, j), offset)
+def _keyed(line: str, keys: tuple[str, ...], skip: int = 0) -> list[str]:
+    """The values of ``keys`` on a line that, after ``skip`` words, holds each once and nothing else."""
+    parts = line.split()[skip:]
+    pairs = dict(zip(parts[0::2], parts[1::2]))
+    if len(parts) != 2 * len(keys) or pairs.keys() != set(keys):
+        raise ValueError(f"family line {line.strip()!r} must hold {', '.join(keys)} once each")
+    return [pairs[key] for key in keys]
 
 
 def enumerate_family(
@@ -184,7 +178,7 @@ def enumerate_family(
         for level in reversed(range(spec.m_w + 1))
         for i, j in np.argwhere(tables[level]).tolist()
     ]
-    return RectangleFamily._adopt(params, _offset_rows(spec, runs))
+    return RectangleFamily(params, _offset_rows(spec, runs))
 
 
 def _offset_rows(spec: GridSpec, runs) -> np.ndarray:

@@ -161,6 +161,21 @@ def max_offset_steps(spec: GridSpec, i, j):
     return room >> (spec.m_w + 1 - spec.offset_exp)
 
 
+def check_key_rows(spec: GridSpec, rows: np.ndarray) -> None:
+    """ValueError unless every int64 key row (k, i, j, t) names a member of the spec."""
+    k, i, j, t = rows.T
+    if ((k < 0) | (k > spec.m_w)).any():
+        raise ValueError("length exponent must lie in [0, m_w]")
+    if (i >> (spec.m_w - k)).any():  # nonzero exactly when i < 0 or i >= 2^(m_w - k)
+        raise ValueError("base index out of range")
+    if (j >> k).any():
+        raise ValueError("slope index out of range")
+    if (t < 0).any():
+        raise ValueError("offset must be nonnegative")
+    if (t > max_offset_steps(spec, i, j)).any():
+        raise ValueError("parallelogram leaves the unit square")
+
+
 def dyadic_inside(level, index, outer_level, outer_index):
     """Dyadic [index/2^level) inside [outer_index/2^outer_level), elementwise."""
     d = level - outer_level

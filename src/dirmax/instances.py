@@ -158,7 +158,7 @@ def make_kakeya_bundle(m: int, delta: DyadicRational, depth: int | None = None) 
         nums[((cols[:, None] << m) + r)[r < spec.n]] = 1
     indicator = GridFunction._adopt(spec, 0, nums.tolist())
 
-    tails = RectangleFamily._adopt(FamilyParams(spec, delta), keys)
+    tails = RectangleFamily(FamilyParams(spec, delta), keys)
 
     return KakeyaBundle(
         spec, identity_field(spec), indicator, tails, depth,
@@ -198,7 +198,7 @@ def organized_collections(spec: GridSpec, count: int) -> list[RectangleFamily]:
     ][:count]
     if len(runs) < count:
         raise ValueError("grid too small for that many collections")
-    return [RectangleFamily._adopt(params, _offset_rows(spec, [r])) for r in runs[:count]]
+    return [RectangleFamily(params, _offset_rows(spec, [r])) for r in runs]
 
 
 # -- the verification corpus ---------------------------------------------------

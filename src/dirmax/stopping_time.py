@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dyadic import DyadicRational
-from .family import RectangleFamily, _unique_rows, popular_table
+from .family import _unique_rows, popular_table
 from .geometry import DyadicInterval, GridSpec, dyadic_inside
 from .grids import GridFunction, OneVarField, _cell_set, cell_array
 from .maximal import ChoiceMap, _scaled_averages, apply_T_adjoint, m2_vertical
@@ -175,12 +175,11 @@ def _under(cells: np.ndarray, J: DyadicInterval, m: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ClassifyResult:
-    """Point classes over one interval: F_n layers, good/bad cells, collections."""
+    """Point classes over one interval: F_n layers and good/bad cells."""
 
     f_sets: tuple[np.ndarray, ...]
     good_cells: np.ndarray
     bad_cells: np.ndarray
-    collections: tuple[RectangleFamily, ...]
 
 
 def classify_points(
@@ -216,7 +215,6 @@ def classify_points(
         tuple(_cell_set(cells[row[chosen]]) for row in hit),
         _cell_set(cells[good]),
         _cell_set(cells[~good]),
-        tuple(fam.subfamily(np.flatnonzero(row)) for row in hit),
     )
 
 

@@ -318,8 +318,8 @@ def check_stopping_theorems(report: VerifyReport, corpus: list[CorpusInstance]) 
                     ok_decay = False
         for g in gens:
             for rec in g.records:
-                for col in rec.classify.collections:
-                    good, witness = is_good_collection(col)
+                cols = (inst.rho.fam.subfamily(inst.rho.entries[fs].tolist()) for fs in rec.classify.f_sets)
+                for good, witness in map(is_good_collection, cols):
                     if not (good and witness.organized):
                         ok_good = False
     report.add("stopping carleson packing", ok_carleson)

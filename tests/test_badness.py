@@ -613,10 +613,12 @@ def test_multi_collection_experiment():
     base = DyadicInterval(0, 0)
     bad = RectangleFamily(
         params,
-        (
-            Parallelogram(spec, base, DyadicInterval(3, 0), D(0)),
-            Parallelogram(spec, base, DyadicInterval(3, 1), D(0)),
-        ),
+        [
+            R.sort_key() for R in (
+                Parallelogram(spec, base, DyadicInterval(3, 0), D(0)),
+                Parallelogram(spec, base, DyadicInterval(3, 1), D(0)),
+            )
+        ],
     )
     with pytest.raises(ValueError, match="non-good"):
         multi_collection_experiment([1], lambda n: [bad], seeds)

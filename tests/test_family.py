@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import dirmax.badness
@@ -22,12 +23,13 @@ from dirmax.family import (
     enumerate_family,
     is_good_collection,
 )
-from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram
+from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram, max_offset_steps
 from dirmax.grids import OneVarField
 from dirmax.instances import (
     cascade_field,
     constant_field,
     identity_field,
+    make_kakeya_bundle,
     organized_collections,
     random_field,
     random_grid,
@@ -267,9 +269,9 @@ def test_good_collection_witness():
     base = DyadicInterval(0, 0)
     one_slope = RectangleFamily(
         params,
-        tuple(
-            Parallelogram(spec, base, DyadicInterval(2, 0), D(t, 2)) for t in range(3)
-        ),
+        [
+            Parallelogram(spec, base, DyadicInterval(2, 0), D(t, 2)).sort_key() for t in range(3)
+        ],
     )
     good, w = is_good_collection(one_slope)
     assert good and w.organized
@@ -277,10 +279,12 @@ def test_good_collection_witness():
 
     two_slopes_same_base = RectangleFamily(
         params,
-        (
-            Parallelogram(spec, base, DyadicInterval(2, 0), D(0)),
-            Parallelogram(spec, base, DyadicInterval(2, 1), D(0)),
-        ),
+        [
+            R.sort_key() for R in (
+                Parallelogram(spec, base, DyadicInterval(2, 0), D(0)),
+                Parallelogram(spec, base, DyadicInterval(2, 1), D(0)),
+            )
+        ],
     )
     good, w = is_good_collection(two_slopes_same_base)
     assert not good
@@ -290,10 +294,12 @@ def test_good_collection_witness():
     # mixed lengths pointing the same way: organized via the nested chain
     nested = RectangleFamily(
         params,
-        (
-            Parallelogram(spec, base, DyadicInterval(2, 0), D(0)),
-            Parallelogram(spec, DyadicInterval(1, 0), DyadicInterval(1, 0), D(0)),
-        ),
+        [
+            R.sort_key() for R in (
+                Parallelogram(spec, base, DyadicInterval(2, 0), D(0)),
+                Parallelogram(spec, DyadicInterval(1, 0), DyadicInterval(1, 0), D(0)),
+            )
+        ],
     )
     good, w = is_good_collection(nested)
     assert good and w.organized
@@ -302,10 +308,12 @@ def test_good_collection_witness():
     # disjoint directions on disjoint halves: organized with two pairs
     split = RectangleFamily(
         params,
-        (
-            Parallelogram(spec, DyadicInterval(1, 0), DyadicInterval(1, 0), D(0)),
-            Parallelogram(spec, DyadicInterval(1, 1), DyadicInterval(1, 0), D(0)),
-        ),
+        [
+            R.sort_key() for R in (
+                Parallelogram(spec, DyadicInterval(1, 0), DyadicInterval(1, 0), D(0)),
+                Parallelogram(spec, DyadicInterval(1, 1), DyadicInterval(1, 0), D(0)),
+            )
+        ],
     )
     good, w = is_good_collection(split)
     assert good
@@ -313,7 +321,7 @@ def test_good_collection_witness():
 
     # reordering members does not change the verdict
     good2, w2 = is_good_collection(
-        RectangleFamily(params, tuple(reversed(split.members)))
+        RectangleFamily(params, split.sort_keys[::-1])
     )
     assert good2 == good and w2.organized == w.organized
 
@@ -373,17 +381,18 @@ def test_family_union_dedup():
     spec = GridSpec(4, 2, False)
     params = FamilyParams(spec, D(1, 1))
     base = DyadicInterval(0, 0)
-    a = RectangleFamily(params, (Parallelogram(spec, base, DyadicInterval(2, 0), D(0)),))
+    a = RectangleFamily(params, [Parallelogram(spec, base, DyadicInterval(2, 0), D(0)).sort_key()])
     u = a.union(a)
     assert len(u) == 1
-    b = RectangleFamily(params, (Parallelogram(spec, base, DyadicInterval(2, 1), D(0)),))
+    b = RectangleFamily(params, [Parallelogram(spec, base, DyadicInterval(2, 1), D(0)).sort_key()])
     assert len(a.union(b)) == 2
 
 
 def test_family_equality_ignores_how_it_was_built():
     spec = GridSpec(4, 2, False)
     fam = enumerate_family(FamilyParams(spec, D(1, 3)), identity_field(spec))
-    same = (fam.subfamily(range(len(fam))), fam.union(fam), RectangleFamily(fam.params, fam.members))
+    rows = [R.sort_key() for R in fam.members]
+    same = (fam.subfamily(range(len(fam))), fam.union(fam), RectangleFamily(fam.params, rows))
     assert all(other == fam and hash(other) == hash(fam) for other in same)
     assert fam.subfamily(range(1, len(fam))) != fam
 
@@ -393,12 +402,9 @@ def test_family_validation():
     params = FamilyParams(spec, D(1, 1))
     R = Parallelogram(spec, DyadicInterval(0, 0), DyadicInterval(2, 0), D(0))
     with pytest.raises(ValueError, match="must be distinct"):
-        RectangleFamily(params, (R, R))
-    other = Parallelogram(GridSpec(4, 2, True), DyadicInterval(0, 0), DyadicInterval(2, 1), D(0))
-    with pytest.raises(ValueError, match="grid spec mismatch"):
-        RectangleFamily(params, (R, other))
-    lines = RectangleFamily(params, (R,)).export_lines()
-    assert RectangleFamily.from_lines(lines) == RectangleFamily(params, (R,))
+        RectangleFamily(params, [R.sort_key(), R.sort_key()])
+    lines = RectangleFamily(params, [R.sort_key()]).export_lines()
+    assert RectangleFamily.from_lines(lines) == RectangleFamily(params, [R.sort_key()])
     with pytest.raises(ValueError, match="missing family params header"):
         RectangleFamily.from_lines(lines[1:])
     # slope 7/8 over [0, 1) plus the width 1/4 reaches above 1
@@ -406,6 +412,114 @@ def test_family_validation():
         RectangleFamily.from_lines([lines[0], "k 2 base 0 slope 3 off 0"])
     with pytest.raises(ValueError, match="must be distinct"):
         RectangleFamily.from_lines(lines + lines[1:])
+
+
+def _record(spec: GridSpec, k: int, i: int, j: int, t: int) -> str:
+    return f"k {k} base {i} slope {j} off {D(t, spec.offset_exp).render()}"
+
+
+# one row per rule, on GridSpec(4, 2, False): k in [0, 2], i < 2^(2 - k), j < 2^k,
+# 0 <= t <= max_offset_steps (2 for k 0, i 0, j 0; slope 7/8 over [0, 1) has none)
+RULE_ROWS = [
+    ((-1, 0, 0, 0), "length exponent must lie in"),
+    ((3, 0, 0, 0), "length exponent must lie in"),
+    ((1, -1, 0, 0), "base index out of range"),
+    ((1, 2, 0, 0), "base index out of range"),
+    ((1, 0, -1, 0), "slope index out of range"),
+    ((1, 0, 2, 0), "slope index out of range"),
+    ((0, 0, 0, -1), "offset must be nonnegative"),
+    ((0, 0, 0, 3), "leaves the unit square"),
+    ((2, 0, 3, 0), "leaves the unit square"),
+]
+
+
+@pytest.mark.parametrize("row, message", RULE_ROWS)
+def test_each_key_row_rule_through_the_constructor_and_from_lines(row, message):
+    spec = GridSpec(4, 2, False)
+    params = FamilyParams(spec, D(1, 1))
+    ok = (0, 0, 0, 2)
+    assert max_offset_steps(spec, 0, 0) == 2 and len(RectangleFamily(params, [ok])) == 1
+    with pytest.raises(ValueError, match=message):
+        RectangleFamily(params, [ok, row])
+    head = RectangleFamily(params, []).export_lines()
+    with pytest.raises(ValueError, match=message):
+        RectangleFamily.from_lines(head + [_record(spec, *ok), _record(spec, *row)])
+
+
+def test_key_row_rules_accept_exactly_the_parallelograms():
+    """Over a box of rows around the valid ranges, a one-row family is built
+    exactly when Parallelogram accepts the same (base, slope cell, offset)."""
+    for spec in (GridSpec(4, 2, False), GridSpec(4, 2, True)):
+        params = FamilyParams(spec, D(1, 1))
+        for k in range(-1, 4):
+            for i in range(-1, 6):
+                for j in range(-1, 6):
+                    for t in range(-1, 8):
+                        try:
+                            Parallelogram(
+                                spec, DyadicInterval(spec.m_w - k, i), DyadicInterval(k, j),
+                                D(t, spec.offset_exp),
+                            )
+                            valid = True
+                        except ValueError:
+                            valid = False
+                        try:
+                            RectangleFamily(params, [(k, i, j, t)])
+                            built = True
+                        except ValueError:
+                            built = False
+                        assert built == valid, (spec, k, i, j, t)
+
+
+def test_family_rows_must_be_an_integer_table_of_width_four():
+    spec = GridSpec(4, 2, False)
+    params = FamilyParams(spec, D(1, 1))
+    for rows in (
+        [[0.0, 0, 0, 0]], np.array([[1.5, 0, 0, 0]]), [[2 ** 70, 0, 0, 0]], [[True, False, False, False]],
+        [[0, 0, 0]], [0, 0, 0, 0], np.zeros((2, 5), dtype=np.int64), np.zeros((1, 4, 1), dtype=np.int64),
+    ):
+        with pytest.raises(ValueError, match=r"\(N, 4\) integer table"):
+            RectangleFamily(params, rows)
+    # a uint64 past int64 wraps negative, which a rule refuses
+    with pytest.raises(ValueError, match="length exponent"):
+        RectangleFamily(params, np.array([[2 ** 64 - 1, 0, 0, 0]], dtype=np.uint64))
+    # the rows are copied into a read-only int64 table
+    rows = np.array([[0, 0, 0, 0], [0, 0, 0, 1]], dtype=np.int32)
+    fam = RectangleFamily(params, rows)
+    rows[0, 3] = 2
+    assert fam.sort_keys.dtype == np.int64 and not fam.sort_keys.flags.writeable
+    assert fam.sort_keys.tolist() == [[0, 0, 0, 0], [0, 0, 0, 1]]
+    assert len(RectangleFamily(params, [])) == len(RectangleFamily(params, ())) == 0
+    with pytest.raises(ValueError, match="must be distinct"):
+        RectangleFamily(params, [(0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 0, 1)])
+
+
+def test_from_lines_reads_each_key_once_and_nothing_else():
+    spec = GridSpec(4, 2, False)
+    params = FamilyParams(spec, D(1, 1))
+    head, rec = RectangleFamily(params, [(1, 0, 1, 0)]).export_lines()
+    want = RectangleFamily.from_lines([head, rec])
+    assert RectangleFamily.from_lines(["# a comment", "", head, "  # another", rec, ""]) == want
+    assert RectangleFamily.from_lines([head.replace("m 4 mw 2", "mw 2 m 4")]) == RectangleFamily(params, [])
+    for lines in ([], [""], ["# members 0"], [rec]):
+        with pytest.raises(ValueError, match="missing family params header"):
+            RectangleFamily.from_lines(lines)
+    bad = [
+        [head, "k 1 base 0 slope 1"],
+        [head, "k 1 base 0 slope 1 off"],
+        [head, "k 0 base 1 slope 0 off 0 junk 3"],
+        [head, "k 0 base 0 slope 0 off 0 off 1/2^2"],
+        [head, "k 0 base 0 slope 0 base 0 off 0"],
+        [head + " delta 1"],
+        [head.replace("delta 1/2^1", "delta 1/2^1 delta 1")],
+        [head.replace("mw 2 ", "")],
+        ["params m 4 mw 2 offstep w delta 1/2^1 extra", rec],
+    ]
+    for lines in bad:
+        with pytest.raises(ValueError, match="family line '.*' must hold .* once each"):
+            RectangleFamily.from_lines(lines)
+    with pytest.raises(ValueError, match="not a multiple of the offset step"):
+        RectangleFamily.from_lines([head, "k 0 base 0 slope 0 off 1/2^3"])
 
 
 def test_family_params_take_a_dyadic_delta():
@@ -421,7 +535,9 @@ def test_family_params_take_a_dyadic_delta():
 
 
 def test_family_rows_build_no_parallelograms(monkeypatch):
-    """Enumeration, linearization, the generations and their JSON read rows only."""
+    """Every family builder (enumeration, the constructor, subfamilies, unions,
+    the file reader, the Kakeya tails and the organized collections),
+    linearization, the generations and their JSON read rows only."""
     built = []
     post_init = Parallelogram.__post_init__
 
@@ -439,8 +555,15 @@ def test_family_rows_build_no_parallelograms(monkeypatch):
     decomposition_to_json(res)
     apply_T_adjoint(rho, f)
     domination_check(res, rho, f, max_pieces=1)
-    cols = [col for g in res.generations for rec in g.records for col in rec.classify.collections]
+    cols = [
+        fam.subfamily(rho.entries[fs].tolist())
+        for g in res.generations for rec in g.records for fs in rec.classify.f_sets
+    ]
     assert cols and all(is_good_collection(col)[0] for col in cols)
+    assert RectangleFamily.from_lines(fam.export_lines()) == RectangleFamily(fam.params, fam.sort_keys) == fam
+    assert cols[0].union(cols[-1]) == cols[-1].union(cols[0])
+    assert len(make_kakeya_bundle(7, D(1, 4)).tails) > 0
+    assert len(organized_collections(spec, 9)) == 9
     # the badness layer on a smaller grid; no instance here reaches B_R >= 20 * lambda0,
     # so a factor of 1 makes the audit and the bands (union measures) run
     small = GridSpec(5, 3, False)

@@ -195,7 +195,7 @@ def test_pi2_extent():
 def _measures(spec: GridSpec, members):
     """|A cap B| and |union| from the badness engine's slab runs: lengths over
     2^S summed over columns 2^-m wide."""
-    fam = RectangleFamily(FamilyParams(spec, D(1)), members)
+    fam = RectangleFamily(FamilyParams(spec, D(1)), [R.sort_key() for R in members])
     eng = BadnessEngine(fam)
     exp = eng.scale + spec.m
 

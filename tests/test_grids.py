@@ -47,7 +47,7 @@ def _random_family(spec: GridSpec, rng: random.Random, count: int) -> RectangleF
         R = _random_R(spec, rng)
         if R not in members:
             members.append(R)
-    return RectangleFamily(FamilyParams(spec, D(1)), members)
+    return RectangleFamily(FamilyParams(spec, D(1)), [R.sort_key() for R in members])
 
 
 def _averages(fam: RectangleFamily, f: GridFunction) -> list[D]:
@@ -194,7 +194,7 @@ def test_integrate_subsampling_oracle():
             r = min(int(y * spec.n), spec.n - 1)
             total += f.value(c, r).as_fraction()
     approx = total / (ncols * per_col) * R.measure.as_fraction()
-    [exact] = _integrals(RectangleFamily(FamilyParams(spec, D(1)), [R]), f)
+    [exact] = _integrals(RectangleFamily(FamilyParams(spec, D(1)), [R.sort_key()]), f)
     assert exact == oracle.integrate(spec.m, spec.m_w, _raw(R), [x.as_fraction() for x in f.values()])
     assert abs(exact.as_fraction() - approx) <= Fraction(1, 1 << 10) * R.measure.as_fraction()
 
@@ -203,7 +203,7 @@ def test_integrate_spec_mismatch():
     spec = GridSpec(4, 2, False)
     other = GridSpec(5, 3, False)
     R = Parallelogram(spec, DyadicInterval(2, 0), DyadicInterval(0, 0), D(0))
-    fam = RectangleFamily(FamilyParams(spec, D(1)), [R])
+    fam = RectangleFamily(FamilyParams(spec, D(1)), [R.sort_key()])
     rho = maximal.linearize(GridFunction.zeros(spec), fam)
     foreign = GridFunction.zeros(other)
     for op in (maximal.maximal_apply, maximal.linearize):

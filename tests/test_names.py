@@ -202,6 +202,24 @@ def attribute_scopes(source: str, attr: str) -> list[str]:
     return found
 
 
+def call_scopes(source: str, name: str) -> list[str]:
+    """The dotted class/function scope of each call of ``name``, bare or as an attribute."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            func = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and name in (getattr(func, "id", None), getattr(func, "attr", None)):
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
 def name_lines(source: str, name: str) -> list[int]:
     """Lines where a source imports, binds or reads ``name``, bare or as an attribute."""
     lines = []
@@ -224,6 +242,9 @@ def test_scope_and_name_checkers_flag_probes():
     )
     assert attribute_scopes(src, "members") == ["ChoiceMap.check", "f"]
     assert attribute_scopes("x = fam.members\n", "members") == ["<module>"]
+    src = "class F:\n    def members(self):\n        return [geometry.P(1), P(2)]\n\nx = [P(0), P]\n"
+    assert call_scopes(src, "P") == ["F.members", "F.members", "<module>"]
+    assert call_scopes("P.x(1)\nQ(P)\n", "P") == []
     name = "integrate_scaled"
     assert name_lines("from .grids import GridFunction, integrate_scaled\n", name) == [1]
     assert name_lines("from . import grids\nx = grids.integrate_scaled\n", name) == [2]
@@ -246,6 +267,20 @@ def test_member_objects_are_read_only_in_family():
         (family.RectangleFamily, ("index",)),
         (geometry.Parallelogram, ("center_rows", "contains_cell", "cell_indices")),
     ]
+    assert [(o.__name__, n) for o, names in gone for n in names if hasattr(o, n)] == []
+
+
+def test_families_are_built_from_key_rows_only():
+    """RectangleFamily has one constructor, over checked key rows, which every
+    builder calls; src/ constructs a Parallelogram only where
+    ``RectangleFamily.members`` builds its view."""
+    from dirmax import family
+
+    root = Path(dirmax.__file__).parent
+    calls = {p.name: call_scopes(p.read_text(), "Parallelogram") for p in sorted(root.glob("*.py"))}
+    calls = {name: scopes for name, scopes in calls.items() if scopes}
+    assert calls == {"family.py": ["RectangleFamily.members"]}
+    gone = [(family.RectangleFamily, ("_adopt", "_init")), (family, ("_member",))]
     assert [(o.__name__, n) for o, names in gone for n in names if hasattr(o, n)] == []
 
 

@@ -399,9 +399,6 @@ def test_decomposition_cell_sets_match_the_definition(m):
                     ]
                     good = set().union(*f_sets)
                     assert [set(fs) for fs in rec.classify.f_sets] == f_sets
-                    assert [set(c.members) for c in rec.classify.collections] == [
-                        {choice[x] for x in fs} for fs in f_sets
-                    ]
                     assert set(rec.classify.good_cells) == good
                     assert set(rec.classify.bad_cells) == cells - good
                     assert rec_json["f_sets"] == [_py_runs(fs) for fs in f_sets]

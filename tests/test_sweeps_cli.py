@@ -96,10 +96,14 @@ def test_cli_enumerate_and_roundtrip(tmp_path):
     assert rc == 0
     text = out.read_text()
     assert text.splitlines()[0].startswith("# members")
-    from dirmax.family import RectangleFamily
+    from dirmax.family import FamilyParams, RectangleFamily, enumerate_family
+    from dirmax.geometry import GridSpec
+    from dirmax.instances import identity_field
 
-    fam = RectangleFamily.from_lines(text.splitlines()[1:])
+    spec = GridSpec(4, 2, False)
+    fam = RectangleFamily.from_lines(text.splitlines())
     assert len(fam) > 0
+    assert fam == enumerate_family(FamilyParams(spec, D(1, 3)), identity_field(spec))
 
 
 def test_cli_kakeya_and_maximal(tmp_path):
@@ -109,6 +113,12 @@ def test_cli_kakeya_and_maximal(tmp_path):
     field = parse_field((tmp_path / "kk.field").read_text())
     grid = parse_grid((tmp_path / "kk.grid").read_text())
     assert field.spec == grid.spec
+    from dirmax.family import RectangleFamily
+    from dirmax.instances import make_kakeya_bundle
+    from dirmax.sweeps import kakeya_grid_m
+
+    family = RectangleFamily.from_lines((tmp_path / "kk.family").read_text().splitlines())
+    assert family == make_kakeya_bundle(kakeya_grid_m(D(1, 3)), D(1, 3)).tails
     mx = tmp_path / "kk.max"
     rc, _, _ = _run(
         ["maximal", "--grid", str(tmp_path / "kk.grid"),
