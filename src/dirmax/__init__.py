@@ -8,7 +8,7 @@ reports.
 from types import ModuleType as _ModuleType
 
 from .dyadic import DyadicRational
-from .geometry import DyadicInterval, GridSpec, Parallelogram
+from .geometry import DyadicInterval, GridSpec
 from .grids import (
     GridFunction,
     OneVarField,

@@ -5,7 +5,8 @@ offset steps) per member, in canonical order, plus its parameters.
 Enumeration, subfamilies, unions, export and every numpy kernel read the
 rows, and callers name a member by its row index.  Every builder, the file
 reader ``from_lines`` too, passes rows to the one constructor, which checks
-them (``geometry.check_key_rows``); only ``members`` builds ``Parallelogram``s.
+them (``geometry.check_key_rows``); only ``members`` builds ``Parallelogram``s,
+read-only views of those checked rows.
 ``is_good_collection`` names a conflicting pair by its two member indices.
 
 A rectangle of length 2^k * w sees the field through its slope window
@@ -59,8 +60,8 @@ class RectangleFamily:
     """A finite list of parallelograms: a read-only int64 table ``sort_keys`` whose
     row i is member i's (k, base index, slope index, offset steps), copied from
     ``rows`` (an (N, 4) integer array or a sequence of 4-int rows) and checked.
-    ``members`` builds their ``Parallelogram``s on first read.  Equal families
-    have equal params and rows, however built."""
+    ``members`` builds a ``Parallelogram`` view of each row on first read.  Equal
+    families have equal params and rows, however built."""
 
     def __init__(self, params: FamilyParams, rows):
         keys = np.array(rows if len(rows) else np.empty((0, 4), dtype=np.int64))
@@ -78,11 +79,7 @@ class RectangleFamily:
 
     @cached_property
     def members(self) -> tuple[Parallelogram, ...]:
-        s, e = self.spec, self.spec.offset_exp
-        return tuple(
-            Parallelogram(s, DyadicInterval(s.m_w - k, i), DyadicInterval(k, j), DyadicRational(t, e))
-            for k, i, j, t in self.sort_keys.tolist()
-        )
+        return tuple(Parallelogram(self.spec, tuple(row)) for row in self.sort_keys.tolist())
 
     def __len__(self) -> int:
         return len(self.sort_keys)
@@ -122,7 +119,7 @@ class RectangleFamily:
             f"params m {spec.m} mw {spec.m_w} offstep {spec.offstep_code} "
             f"delta {self.params.delta.render()}"
         ]
-        for k, i, j, t in _unique_rows(self.sort_keys).tolist():
+        for k, i, j, t in self.sort_keys.tolist():
             off = DyadicRational(t, spec.offset_exp).render()
             lines.append(f"k {k} base {i} slope {j} off {off}")
         return lines

@@ -1,13 +1,16 @@
-"""Dyadic intervals, slope cells, grid specification, and staircase parallelograms.
+"""Dyadic intervals, slope cells, grid specification, and the staircase of key rows.
 
 All geometry lives on the unit square.  A "parallelogram" here is the discrete
 staircase model: the union, over the grid columns of its base interval, of
-vertical slabs of height w anchored at slope*x_center + offset.  Every length,
-measure and overlap below is exact: a dyadic rational, or an integer over a
-stated power of two.  The staircase has one integer scale per axis: every
-member's slab ends are integers over 2^S, S = m + m_w + 2
-(``GridSpec.slab_scale``), and a vertical window [a, b) is a pair of grid
-points over 2^m (``window_triple``).
+vertical slabs of height w anchored at slope*x_center + offset.  A family
+names each one by an integer key row (k, base index, slope index, offset
+steps); ``check_key_rows`` is the one rule set for those rows, and
+``slab_run``/``slab_rows`` the one staircase formula.  Every length, measure
+and overlap below is exact: a dyadic rational, or an integer over a stated
+power of two.  The staircase has one integer scale per axis: every member's
+slab ends are integers over 2^S, S = m + m_w + 2 (``GridSpec.slab_scale``),
+and a vertical window [a, b) is a pair of grid points over 2^m
+(``window_triple``).
 """
 
 from __future__ import annotations
@@ -97,20 +100,9 @@ class GridSpec:
         return DyadicRational(1, self.m_w)
 
     @property
-    def cell(self) -> DyadicRational:
-        return DyadicRational(1, self.m)
-
-    @property
-    def cell_area(self) -> DyadicRational:
-        return DyadicRational(1, 2 * self.m)
-
-    @property
     def offset_exp(self) -> int:
+        """The offset step is 2^-offset_exp."""
         return self.m_w + 1 if self.offset_half else self.m_w
-
-    @property
-    def offset_step(self) -> DyadicRational:
-        return DyadicRational(1, self.offset_exp)
 
     @property
     def slab_scale(self) -> int:
@@ -121,14 +113,8 @@ class GridSpec:
     def offstep_code(self) -> str:
         return "w2" if self.offset_half else "w"
 
-    def x_center(self, c: int) -> DyadicRational:
-        return DyadicRational(2 * c + 1, self.m + 1)
-
     def cell_index(self, c: int, r: int) -> int:
         return (c << self.m) + r
-
-    def cell_coords(self, idx: int) -> tuple[int, int]:
-        return idx >> self.m, idx & (self.n - 1)
 
 
 def spec_from_offstep(m: int, m_w: int, code: str) -> GridSpec:
@@ -207,51 +193,16 @@ def window_triple(a, b, n):
 
 @dataclass(frozen=True)
 class Parallelogram:
-    """Width-w staircase parallelogram: base interval, slope cell, offset.
-
-    Length is |base| = 2^k * w with the slope cell at level k.  Offsets are
-    quantized to the spec's offset step, and the shape must sit inside the
-    unit square: offset >= 0 and slope*sup(base) + offset + w <= 1 (no
-    clipping, so the measure |base|*w is exact).
-    """
+    """Read-only view of one key row (k, base index, slope index, offset steps)
+    that ``RectangleFamily`` has checked: its base and the grid columns and
+    rows its slabs touch, from slab_run and slab_rows."""
 
     spec: GridSpec
-    base: DyadicInterval
-    slope: DyadicInterval
-    offset: DyadicRational
-
-    def __post_init__(self):
-        k = self.spec.m_w - self.base.level
-        if k < 0:
-            raise ValueError("base shorter than rectangle width")
-        if self.slope.level != k:
-            raise ValueError("slope level does not match base length")
-        if self.offset.num < 0:
-            raise ValueError("offset must be nonnegative")
-        if self.offset.exp > self.spec.offset_exp:
-            raise ValueError("offset is not a multiple of the offset step")
-        if self.sort_key()[3] > max_offset_steps(self.spec, self.base.index, self.slope.index):
-            raise ValueError("parallelogram leaves the unit square")
+    row: tuple[int, int, int, int]
 
     @property
-    def k(self) -> int:
-        """Length exponent: L(R) = 2^k * w."""
-        return self.spec.m_w - self.base.level
-
-    @property
-    def length(self) -> DyadicRational:
-        return self.base.length
-
-    @property
-    def measure(self) -> DyadicRational:
-        return DyadicRational(1, self.base.level + self.spec.m_w)
-
-    def sort_key(self) -> tuple[int, int, int, int]:
-        """Canonical family order: (k, base index, slope index, offset steps)."""
-        t = self.offset.num << (self.spec.offset_exp - self.offset.exp)
-        return (self.k, self.base.index, self.slope.index, t)
-
-    # -- column geometry (scaled-integer internals) ---------------------
+    def base(self) -> DyadicInterval:
+        return DyadicInterval(self.spec.m_w - self.row[0], self.row[1])
 
     @property
     def col_lo(self) -> int:
@@ -262,19 +213,11 @@ class Parallelogram:
         """One past the last column."""
         return self.base.columns(self.spec.m).stop
 
-    def slab_scaled(self, c: int) -> tuple[int, int]:
-        """(lo, hi) of the column-c slab over 2^S (slab_run's row)."""
-        c0, lo, step = slab_run(self.spec, *self.sort_key())
-        lo += (c - c0) * step
-        return lo, lo + (1 << (self.spec.slab_scale - self.spec.m_w))
-
     def touched_rows(self, c: int) -> tuple[int, int]:
-        """(first, one-past-last) rows with positive overlap with the slab."""
-        a, b, _, _ = slab_rows(self.spec, self.slab_scaled(c)[0])
+        """(first, one-past-last) rows with positive overlap with the column-c slab."""
+        c0, lo, step = slab_run(self.spec, *self.row)
+        a, b, _, _ = slab_rows(self.spec, lo + (c - c0) * step)
         return a, b + 1
-
-    def __str__(self) -> str:
-        return f"R(k={self.k}, base={self.base}, s={self.slope.center}, b={self.offset})"
 
 
 def slab_cover(start: int, step: int, n: int, height: int, y: int) -> int:

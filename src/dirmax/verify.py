@@ -28,7 +28,7 @@ from .badness import (
 )
 from .calibration import DEFAULT_LAMBDA0, REFORMULATE_FACTOR
 from .dyadic import DyadicRational
-from .family import is_good_collection
+from .family import RectangleFamily, is_good_collection
 from .geometry import DyadicInterval, dyadic_inside
 from .grids import GridFunction
 from .instances import CorpusInstance, build_corpus, random_grid
@@ -80,10 +80,10 @@ def _fractions(g) -> list[Fraction]:
     return [Fraction(n, 1 << g.scale) for n in g.nums]
 
 
-def _raw(inst: CorpusInstance):
-    step = 1 << inst.spec.offset_exp
-    members = [(k, i, j, Fraction(t, step)) for k, i, j, t in inst.family.sort_keys.tolist()]
-    return members, _fractions(inst.field)
+def raw_members(fam: RectangleFamily) -> list[tuple[int, int, int, Fraction]]:
+    """The family's key rows as the oracle's members (k, i, j, offset)."""
+    step = 1 << fam.spec.offset_exp
+    return [(k, i, j, Fraction(t, step)) for k, i, j, t in fam.sort_keys.tolist()]
 
 
 def _dump_reproducer(out_dir: Path | None, inst: CorpusInstance, op: str, detail: str) -> str:
@@ -205,7 +205,7 @@ def check_oracle_equivalence(
     """
     detail: dict[str, str] = {}
     for inst in corpus:
-        members, vvals = _raw(inst)
+        members, vvals = raw_members(inst.family), _fractions(inst.field)
         for op, check in _oracle_checks(inst, members, vvals):
             try:
                 text = check()
@@ -227,7 +227,7 @@ def check_exact_identities(report: VerifyReport, corpus: list[CorpusInstance]) -
     """Adjointness, weighted count, mass bound, and the badness split."""
     ok_adj = ok_count = ok_mass = ok_split = True
     for inst in corpus:
-        members, _ = _raw(inst)
+        members = raw_members(inst.family)
         spec = inst.spec
         rho = inst.rho
         rng = random.Random(inst.seed + 1)

@@ -31,7 +31,6 @@ from dirmax.family import FamilyParams, RectangleFamily, enumerate_family
 from dirmax.geometry import (
     DyadicInterval,
     GridSpec,
-    Parallelogram,
     spec_from_offstep,
     window_triple,
 )
@@ -46,6 +45,7 @@ from dirmax.instances import (
 )
 from dirmax.maximal import apply_T_adjoint, linearize, nu_all
 from dirmax.sweeps import multi_collection_experiment
+from dirmax.verify import raw_members
 
 
 def _setup(seed=21, m=4, delta=D(1, 3)):
@@ -64,15 +64,16 @@ def test_badness_empty_and_single():
     f = random_grid(spec, random.Random(33))
     rho1 = linearize(f, sub)
     E1 = frozenset(rho1.covered_cells())
-    nu_val = D(nu_all(rho1, E1)[0], 2 * spec.m)
-    assert badness_table(E1, rho1).badness[0] == nu_val / sub.members[0].measure
+    nu_val = Fraction(nu_all(rho1, E1)[0], 1 << (2 * spec.m))
+    want = nu_val / oracle.member_measure(spec.m_w, raw_members(sub)[0])
+    assert badness_table(E1, rho1).badness[0].as_fraction() == want
 
 
 def test_badness_against_direct_integral():
     spec, fam, rho, E = _setup(seed=22)
-    raw = [(r.k, r.base.index, r.slope.index, r.offset.as_fraction()) for r in fam.members]
+    raw = raw_members(fam)
     tab = badness_table(E, rho)
-    for mi in range(0, len(fam.members), 3):
+    for mi in range(0, len(fam), 3):
         want = oracle.badness(spec.m, spec.m_w, raw, rho.entries, E, mi)
         assert tab.badness[mi].as_fraction() == want
 
@@ -152,7 +153,7 @@ def test_reformulate_and_components_match_oracle():
         rho = linearize(random_grid(spec, random.Random(seed + 1)), fam)
         rng = random.Random(seed + 2)
         E = frozenset(i for i in rho.covered_cells() if rng.random() < 0.7)
-        raw = _raw(fam)
+        raw = raw_members(fam)
         size = [oracle.member_measure(m_w, r) for r in raw]
         nu = [Fraction(c, 1 << (2 * m)) for c in oracle.nu_counts(raw, rho.entries, E)]
         active = [a for a, n in enumerate(nu) if n]
@@ -263,10 +264,6 @@ def test_select_bad_windows_degenerate():
             step(E, rho, D(1, 1))
 
 
-def _raw(fam):
-    return [(r.k, r.base.index, r.slope.index, r.offset.as_fraction()) for r in fam.members]
-
-
 def _oracle_split(spec, raw, rho, E, I, lo, hi):
     """(B_in, B_out) over I x [lo, hi) from the oracle's Fraction definitions."""
     m, m_w = spec.m, spec.m_w
@@ -289,7 +286,7 @@ def _oracle_split(spec, raw, rho, E, I, lo, hi):
 
 def test_select_bad_windows_definition_replay():
     spec, fam, rho, E = _setup(seed=31)
-    raw = _raw(fam)
+    raw = raw_members(fam)
     selected = 0
     for lam in (Fraction(1), Fraction(3, 2)):
         for I in (DyadicInterval(0, 0), DyadicInterval(1, 0), DyadicInterval(2, 1)):
@@ -328,7 +325,7 @@ def test_select_bad_windows_at_threshold():
         E = frozenset(rho.covered_cells())
         eng = BadnessEngine(fam)
         covers = _cover_rows(eng, eng.weights(nu_all(rho, E)).tolist(), range(len(fam)))
-        raw = _raw(fam)
+        raw = raw_members(fam)
         for i_level in range(m_w + 1):
             for I in (DyadicInterval(i_level, 0), DyadicInterval(i_level, (1 << i_level) - 1)):
                 for level in range(m + 1):
@@ -365,7 +362,7 @@ def test_shrink_and_split_match_oracle(spec_args, seed, delta, lam, pick):
     fam = enumerate_family(FamilyParams(spec, delta), random_field(spec, random.Random(seed)))
     rho = linearize(random_grid(spec, random.Random(seed + 1)), fam)
     E = frozenset(rho.covered_cells())
-    raw = _raw(fam)
+    raw = raw_members(fam)
     got, _ = shrink_once(E, rho, lam, audit=False)
     assert set(got) == oracle.shrink_once(m, spec.m_w, raw, rho.entries, E, lam.as_fraction())
     # windows whose triples clip at 0 and at 1, the triples themselves, and a
@@ -388,7 +385,7 @@ def test_shrink_once_empty_and_oracle():
     spec, fam, rho, E = _setup(seed=29)
     ep, diag = shrink_once([], rho, DEFAULT_LAMBDA0)
     assert len(ep) == 0 and diag.halved
-    raw = [(r.k, r.base.index, r.slope.index, r.offset.as_fraction()) for r in fam.members]
+    raw = raw_members(fam)
     for lam in (1, 2):
         ep, _ = shrink_once(E, rho, lam, audit=False)
         want = oracle.shrink_once(spec.m, spec.m_w, raw, rho.entries, E, Fraction(lam))
@@ -527,7 +524,7 @@ def test_dichotomy_audit_and_bands_match_the_oracle(monkeypatch, m, half, seed, 
     fam = enumerate_family(FamilyParams(spec, D(1, 1)), random_field(spec, random.Random(m)))
     rho = linearize(random_grid(spec, random.Random(seed)), fam)
     trace = shrink_iterate(frozenset(rho.covered_cells()), rho, lam)
-    raw, entries, m_w = _raw(fam), rho.entries.tolist(), spec.m_w
+    raw, entries, m_w = raw_members(fam), rho.entries.tolist(), spec.m_w
     tables = [oracle._slab_table(m, m_w, q) for q in raw]
     touched = _touched(m, m_w, raw)
     eng = BadnessEngine(fam)
@@ -577,7 +574,7 @@ def test_dichotomy_audit_inside_shrunk_matches_the_oracle(monkeypatch):
     rho = inst.rho
     E = rho.covered_cells()
     shrunk, diag = shrink_once(E, rho, D(1))
-    raw = _raw(inst.family)
+    raw = raw_members(inst.family)
     touched = _touched(spec.m, spec.m_w, raw)
     got = _records(diag)
     entries = rho.entries.tolist()
@@ -606,20 +603,11 @@ def test_multi_collection_experiment():
     cols = organized_collections(spec, 2)
     u1 = cols[0].union(cols[1])
     u2 = u1.union(cols[0])
-    assert u1.members == u2.members
+    assert u1 == u2
 
     # a non-good builder is rejected with its witness
     params = FamilyParams(spec, D(1, 3))
-    base = DyadicInterval(0, 0)
-    bad = RectangleFamily(
-        params,
-        [
-            R.sort_key() for R in (
-                Parallelogram(spec, base, DyadicInterval(3, 0), D(0)),
-                Parallelogram(spec, base, DyadicInterval(3, 1), D(0)),
-            )
-        ],
-    )
+    bad = RectangleFamily(params, [(3, 0, 0, 0), (3, 0, 1, 0)])  # one base [0, 1), two slopes
     with pytest.raises(ValueError, match="non-good"):
         multi_collection_experiment([1], lambda n: [bad], seeds)
     with pytest.raises(ValueError, match="duplicate"):

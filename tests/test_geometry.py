@@ -15,7 +15,6 @@ from dirmax.family import FamilyParams, RectangleFamily, enumerate_family
 from dirmax.geometry import (
     DyadicInterval,
     GridSpec,
-    Parallelogram,
     slab_cover,
     slab_overlap,
     slab_rows,
@@ -24,6 +23,7 @@ from dirmax.geometry import (
     window_triple,
 )
 from dirmax.instances import random_field
+from dirmax.verify import raw_members
 
 
 def test_interval_containment_partial_order():
@@ -87,92 +87,97 @@ def test_slope_cell():
 
 def test_grid_spec_validation():
     spec = GridSpec(4, 2, False)
-    assert spec.w == D(1, 2) and spec.offset_step == spec.w
-    assert GridSpec(4, 2, True).offset_step == D(1, 3)
+    assert spec.w == D(1, 2) and D(1, spec.offset_exp) == spec.w
+    assert D(1, GridSpec(4, 2, True).offset_exp) == D(1, 3)
     with pytest.raises(ValueError):
         GridSpec(4, 3)  # width must span >= 4 columns
     with pytest.raises(ValueError):
         GridSpec(4, -1)
 
 
-def _raw(R: Parallelogram):
-    """R as the oracle's raw member (k, base index, slope index, offset)."""
-    return R.k, R.base.index, R.slope.index, R.offset.as_fraction()
+def _member(spec: GridSpec, row):
+    """The key row, checked by a one-member family, as the oracle's raw member
+    (k, base index, slope index, offset)."""
+    return raw_members(RectangleFamily(FamilyParams(spec, D(1)), [row]))[0]
 
 
-def _slab(R: Parallelogram, c: int) -> tuple[D, D]:
-    """R's slab over column c, from its scaled-integer row."""
-    lo, hi = R.slab_scaled(c)
-    return D(lo, R.spec.slab_scale), D(hi, R.spec.slab_scale)
+def _slab(spec: GridSpec, row, c: int) -> tuple[D, D]:
+    """The key row's slab over column c, from slab_run over 2^S."""
+    c0, lo, step = slab_run(spec, *row)
+    lo += (c - c0) * step
+    return D(lo, spec.slab_scale), D(lo + (1 << (spec.slab_scale - spec.m_w)), spec.slab_scale)
 
 
 def test_column_segment_known_value():
     # base [0,1/2), slope cell (k=1, j=1) so s=3/4, b=1/8, column 3 on the
     # m=4 grid: slab is [3/4 * 7/32 + 1/8, ... + 1/4) = [37/128, 69/128)
     spec = GridSpec(4, 2, True)
-    R = Parallelogram(spec, DyadicInterval(1, 0), DyadicInterval(1, 1), D(1, 3))
-    lo, hi = _slab(R, 3)
+    row = (1, 0, 1, 1)
+    member = _member(spec, row)
+    assert member == (1, 0, 1, Fraction(1, 8))
+    lo, hi = _slab(spec, row, 3)
     assert lo == D(37, 7) and hi == D(69, 7)
-    assert (lo, hi) == oracle.slab(spec.m, spec.m_w, _raw(R), 3)
+    assert (lo, hi) == oracle.slab(spec.m, spec.m_w, member, 3)
     # float cross-check
     assert abs(float(lo) - (0.75 * 7 / 32 + 0.125)) < 1e-12
     assert hi - lo == spec.w  # slab height is exactly w
-    # column 8 is outside the base: R holds no cell there
-    assert R.col_hi == 8 and 8 not in oracle.columns(spec.m, spec.m_w, _raw(R))
-    assert not any(oracle.contains_cell(spec.m, spec.m_w, _raw(R), 8, r) for r in range(spec.n))
+    # column 8 is outside the base: the member holds no cell there
+    assert slab_run(spec, *row)[0] == 0 and oracle.columns(spec.m, spec.m_w, member) == range(8)
+    assert not any(oracle.contains_cell(spec.m, spec.m_w, member, 8, r) for r in range(spec.n))
 
 
 def test_column_segment_formula():
     # s = 1/2 (k=0, j=0), b = 0, w = 1/4: slab at each column is
     # [x_c/2, x_c/2 + 1/4), direct substitution
     spec = GridSpec(4, 2, False)
-    R = Parallelogram(spec, DyadicInterval(2, 0), DyadicInterval(0, 0), D(0))
-    for c in range(R.col_lo, R.col_hi):
-        lo, hi = _slab(R, c)
-        x_c = spec.x_center(c)
+    row = (0, 0, 0, 0)
+    member = _member(spec, row)
+    for c in oracle.columns(spec.m, spec.m_w, member):
+        lo, hi = _slab(spec, row, c)
+        x_c = D(2 * c + 1, spec.m + 1)
         assert lo == D(1, 1) * x_c
         assert hi == lo + spec.w
-        assert (lo, hi) == oracle.slab(spec.m, spec.m_w, _raw(R), c)
+        assert (lo, hi) == oracle.slab(spec.m, spec.m_w, member, c)
 
 
 def test_measure_and_slab_partition():
     spec = GridSpec(5, 3, False)
-    R = Parallelogram(spec, DyadicInterval(3, 1), DyadicInterval(0, 0), D(1, 3))
-    assert R.measure == D(1, 6)  # length w, width w -> w^2
-    full = Parallelogram(spec, DyadicInterval(0, 0), DyadicInterval(3, 0), D(1, 3))
-    assert full.measure == D(1, 3)  # base length 1 -> measure w
-    for P in (R, full):
+    short, full = (0, 1, 0, 1), (3, 0, 0, 1)  # base [1/8, 1/4), slope 1/2; base [0, 1), slope 1/16
+    assert oracle.member_measure(spec.m_w, _member(spec, short)) == Fraction(1, 64)  # length w, width w
+    assert oracle.member_measure(spec.m_w, _member(spec, full)) == Fraction(1, 8)  # base length 1 -> measure w
+    for row in (short, full):
+        member = _member(spec, row)
         total = D(0)
-        for c in range(P.col_lo, P.col_hi):
-            lo, hi = _slab(P, c)
-            total = total + (hi - lo) * spec.cell
-        assert total == P.measure == oracle.member_measure(spec.m_w, _raw(P))
+        for c in oracle.columns(spec.m, spec.m_w, member):
+            lo, hi = _slab(spec, row, c)
+            total = total + (hi - lo) * D(1, spec.m)
+        assert total == oracle.member_measure(spec.m_w, member)
 
 
 def test_containment_enforced():
     spec = GridSpec(4, 2, False)
-    with pytest.raises(ValueError):
+    params = FamilyParams(spec, D(1, 1))
+    with pytest.raises(ValueError, match="leaves the unit square"):
         # slope 7/8 length 1: 7/8 + w > 1 at any offset
-        Parallelogram(spec, DyadicInterval(0, 0), DyadicInterval(2, 3), D(0))
-    with pytest.raises(ValueError):
-        Parallelogram(spec, DyadicInterval(2, 0), DyadicInterval(0, 0), D(-1, 2))
-    with pytest.raises(ValueError):
+        RectangleFamily(params, [(2, 0, 3, 0)])
+    with pytest.raises(ValueError, match="offset must be nonnegative"):
+        RectangleFamily(params, [(0, 0, 0, -1)])
+    head = RectangleFamily(params, []).export_lines()
+    with pytest.raises(ValueError, match="not a multiple of the offset step"):
         # offset not on the step grid
-        Parallelogram(spec, DyadicInterval(2, 0), DyadicInterval(0, 0), D(1, 3))
-    with pytest.raises(ValueError):
-        # slope level must match base length
-        Parallelogram(spec, DyadicInterval(1, 0), DyadicInterval(0, 0), D(0))
+        RectangleFamily.from_lines(head + ["k 0 base 0 slope 0 off 1/2^3"])
 
 
 def test_center_rows_count():
     # per column, 2^(m - m_w) consecutive rows have their centers in R: the
     # slab is half-open of height w, and those centers lie in R's own slab
     spec = GridSpec(5, 3, False)
-    R = Parallelogram(spec, DyadicInterval(1, 0), DyadicInterval(2, 1), D(1, 3))
-    for c in range(R.col_lo, R.col_hi):
-        rows = [r for r in range(spec.n) if oracle.contains_cell(spec.m, spec.m_w, _raw(R), c, r)]
+    row = (2, 0, 1, 1)  # base [0, 1/2), slope 3/8, offset 1/8
+    member = _member(spec, row)
+    for c in oracle.columns(spec.m, spec.m_w, member):
+        rows = [r for r in range(spec.n) if oracle.contains_cell(spec.m, spec.m_w, member, c, r)]
         assert rows == list(range(rows[0], rows[0] + (1 << (spec.m - spec.m_w))))
-        lo, hi = _slab(R, c)
+        lo, hi = _slab(spec, row, c)
         for r in rows:
             y = D(2 * r + 1, spec.m + 1)  # row r's center
             assert lo <= y < hi
@@ -186,58 +191,61 @@ def test_pi2_extent():
         fam = enumerate_family(FamilyParams(spec, D(1, 2)), random_field(spec, random.Random(m)))
         eng = BadnessEngine(fam)
         assert len(eng.ends) == len(fam) > 0
-        for (lo, hi), R in zip(eng.ends, fam.members):
+        for (lo, hi), row, member in zip(eng.ends, fam.sort_keys.tolist(), raw_members(fam)):
             ends = D(lo, eng.scale), D(hi, eng.scale)
-            assert ends == oracle.pi2_extent(m, m_w, _raw(R))
-            assert ends == (_slab(R, R.col_lo)[0], _slab(R, R.col_hi - 1)[1])
+            assert ends == oracle.pi2_extent(m, m_w, member)
+            cols = oracle.columns(m, m_w, member)
+            assert ends == (_slab(spec, row, cols[0])[0], _slab(spec, row, cols[-1])[1])
 
 
-def _measures(spec: GridSpec, members):
+def _measures(spec: GridSpec, rows):
     """|A cap B| and |union| from the badness engine's slab runs: lengths over
     2^S summed over columns 2^-m wide."""
-    fam = RectangleFamily(FamilyParams(spec, D(1)), [R.sort_key() for R in members])
-    eng = BadnessEngine(fam)
-    exp = eng.scale + spec.m
+    eng = BadnessEngine(RectangleFamily(FamilyParams(spec, D(1)), rows))
+    unit = Fraction(1, 1 << (eng.scale + spec.m))
 
     def overlap(a, b):
-        return D(slab_overlap(eng.runs[a], eng.runs[b]), exp)
+        return slab_overlap(eng.runs[a], eng.runs[b]) * unit
 
     def union(picked):
-        return D(slab_union(eng.runs[i] for i in picked), exp)
+        return slab_union(eng.runs[i] for i in picked) * unit
 
     return overlap, union
 
 
 def test_overlap_and_union_measures():
     spec = GridSpec(4, 2, False)
-    a = Parallelogram(spec, DyadicInterval(0, 0), DyadicInterval(2, 0), D(0))
-    b = Parallelogram(spec, DyadicInterval(0, 0), DyadicInterval(2, 1), D(0))
-    c = Parallelogram(spec, DyadicInterval(2, 0), DyadicInterval(0, 0), D(0))
-    d = Parallelogram(spec, DyadicInterval(2, 3), DyadicInterval(0, 0), D(0))
-    overlap, union = _measures(spec, (a, b, c, d))
-    assert overlap(0, 0) == a.measure
+    # a, b: length 1, slopes 1/8 and 3/8; c, d: length 1/4 over [0, 1/4) and [3/4, 1)
+    rows = [(2, 0, 0, 0), (2, 0, 1, 0), (0, 0, 0, 0), (0, 3, 0, 0)]
+    overlap, union = _measures(spec, rows)
+    measure = oracle.member_measure(spec.m_w, _member(spec, rows[0]))
+    assert overlap(0, 0) == measure == oracle.member_measure(spec.m_w, _member(spec, rows[1]))
     assert overlap(0, 1) == overlap(1, 0)
     inter = overlap(0, 1)
-    assert union([0, 1]) == a.measure + b.measure - inter
-    assert union([]) == D(0)
+    assert union([0, 1]) == 2 * measure - inter
+    assert union([]) == 0
     # disjoint columns -> zero overlap
-    assert overlap(2, 3) == D(0)
+    assert overlap(2, 3) == 0
 
 
 def test_containment_boundary_top_exactly_one():
     # slope 1/2 over [3/4, 1): top = 1/2 + offset + w
     for half in (False, True):
         spec = GridSpec(4, 2, half)
-        base, slope = DyadicInterval(2, 3), DyadicInterval(0, 0)
-        R = Parallelogram(spec, base, slope, D(1, 2))  # top exactly 1
-        assert R.slope.center * base.hi + R.offset + spec.w == 1
+        params = FamilyParams(spec, D(1, 1))
+        t = 1 << (spec.offset_exp - 2)  # offset 1/4
+        k, i, j, offset = _member(spec, (0, 3, 0, t))  # top exactly 1
+        slope, sup_base = Fraction(2 * j + 1, 2 << k), Fraction(i + 1, 1 << (spec.m_w - k))
+        assert slope * sup_base + offset + Fraction(1, 1 << spec.m_w) == 1
         with pytest.raises(ValueError, match="leaves the unit square"):
-            Parallelogram(spec, base, slope, D(1, 2) + spec.offset_step)
+            RectangleFamily(params, [(0, 3, 0, t + 1)])
     spec = GridSpec(4, 2, False)
+    params = FamilyParams(spec, D(1, 1))
     with pytest.raises(ValueError, match="offset must be nonnegative"):
-        Parallelogram(spec, DyadicInterval(2, 0), DyadicInterval(0, 0), D(-1, 2))
+        RectangleFamily(params, [(0, 0, 0, -1)])
+    head = RectangleFamily(params, []).export_lines()
     with pytest.raises(ValueError, match="not a multiple of the offset step"):
-        Parallelogram(spec, DyadicInterval(2, 0), DyadicInterval(0, 0), D(1, 3))
+        RectangleFamily.from_lines(head + ["k 0 base 0 slope 0 off 1/2^3"])
 
 
 def test_slab_cover_against_column_sum():
@@ -253,7 +261,7 @@ def test_overlap_and_union_against_oracle():
     for m, m_w, half in ((4, 2, False), (5, 3, True), (5, 1, False)):
         spec = GridSpec(m, m_w, half)
         fam = enumerate_family(FamilyParams(spec, D(1, 3)), random_field(spec, random.Random(m + m_w)))
-        raw = [_raw(r) for r in fam.members]
+        raw = raw_members(fam)
         eng = BadnessEngine(fam)
         unit = Fraction(1, 1 << (eng.scale + m))
         rng = random.Random(m * m_w)

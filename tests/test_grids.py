@@ -6,6 +6,7 @@ Integrals over staircase members come from the member kernel
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ import pytest
 from dirmax import maximal, oracle
 from dirmax.dyadic import DyadicRational as D
 from dirmax.family import FamilyParams, RectangleFamily, enumerate_family
-from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram
+from dirmax.geometry import GridSpec
 from dirmax.grids import (
     GridFunction,
     OneVarField,
@@ -24,30 +25,28 @@ from dirmax.grids import (
     render_field,
     render_grid,
 )
+from dirmax.verify import raw_members
 
 
-def _random_R(spec: GridSpec, rng: random.Random) -> Parallelogram:
+def _random_row(spec: GridSpec, rng: random.Random) -> tuple[int, int, int, int]:
+    """A random key row (k, i, j, t) whose parallelogram lies in the unit square."""
     while True:
         k = rng.randrange(spec.m_w + 1)
-        level = spec.m_w - k
-        base = DyadicInterval(level, rng.randrange(1 << level))
-        s = DyadicInterval(k, rng.randrange(1 << k))
-        top = D(1) - spec.w - s.center * base.hi
-        if top < 0:
-            continue
-        q = spec.offset_exp
-        tmax = (top.num << (q - top.exp)) if q >= top.exp else (top.num >> (top.exp - q))
-        return Parallelogram(spec, base, s, D(rng.randrange(tmax + 1), q))
+        i, j = rng.randrange(1 << (spec.m_w - k)), rng.randrange(1 << k)
+        w = Fraction(1, 1 << spec.m_w)
+        top = 1 - w - Fraction(2 * j + 1, 2 << k) * (i + 1) * w * (1 << k)  # 1 - w - slope * sup(base)
+        if top >= 0:
+            return k, i, j, rng.randrange(math.floor(top * (1 << spec.offset_exp)) + 1)
 
 
 def _random_family(spec: GridSpec, rng: random.Random, count: int) -> RectangleFamily:
     """count distinct random members, in the order drawn."""
-    members: list[Parallelogram] = []
-    while len(members) < count:
-        R = _random_R(spec, rng)
-        if R not in members:
-            members.append(R)
-    return RectangleFamily(FamilyParams(spec, D(1)), [R.sort_key() for R in members])
+    rows: list[tuple[int, int, int, int]] = []
+    while len(rows) < count:
+        row = _random_row(spec, rng)
+        if row not in rows:
+            rows.append(row)
+    return RectangleFamily(FamilyParams(spec, D(1)), rows)
 
 
 def _averages(fam: RectangleFamily, f: GridFunction) -> list[D]:
@@ -56,12 +55,10 @@ def _averages(fam: RectangleFamily, f: GridFunction) -> list[D]:
     return [D(a, scale) for a in avgs]
 
 
-def _integrals(fam: RectangleFamily, f: GridFunction) -> list[D]:
-    return [a * R.measure for a, R in zip(_averages(fam, f), fam.members)]
-
-
-def _raw(R: Parallelogram):
-    return R.k, R.base.index, R.slope.index, R.offset.as_fraction()
+def _integrals(fam: RectangleFamily, f: GridFunction) -> list[Fraction]:
+    """Per member the average times |R| (oracle.member_measure)."""
+    m_w = fam.spec.m_w
+    return [a.as_fraction() * oracle.member_measure(m_w, r) for a, r in zip(_averages(fam, f), raw_members(fam))]
 
 
 def test_grid_construction_and_validation():
@@ -155,11 +152,10 @@ def test_integrate_constants():
     spec = GridSpec(4, 2, False)
     fam = _random_family(spec, random.Random(2), 10)
     ones = [Fraction(1)] * spec.n_cells
-    assert _integrals(fam, GridFunction.constant(spec, 1)) == [R.measure for R in fam.members]
-    assert [oracle.integrate(spec.m, spec.m_w, _raw(R), ones) for R in fam.members] == [
-        R.measure for R in fam.members
-    ]
-    assert _integrals(fam, GridFunction.zeros(spec)) == [D(0)] * len(fam)
+    measures = [oracle.member_measure(spec.m_w, r) for r in raw_members(fam)]
+    assert _integrals(fam, GridFunction.constant(spec, 1)) == measures
+    assert [oracle.integrate(spec.m, spec.m_w, r, ones) for r in raw_members(fam)] == measures
+    assert _integrals(fam, GridFunction.zeros(spec)) == [0] * len(fam)
     assert _averages(fam, GridFunction.constant(spec, D(5, 1))) == [D(5, 1)] * len(fam)
 
 
@@ -182,28 +178,30 @@ def test_integrate_subsampling_oracle():
     spec = GridSpec(4, 2, False)
     rng = random.Random(4)
     f = GridFunction(spec, 0, [rng.randrange(8) for _ in range(spec.n_cells)])
-    R = Parallelogram(spec, DyadicInterval(1, 0), DyadicInterval(1, 0), D(1, 2))
-    ncols = R.col_hi - R.col_lo
+    fam = RectangleFamily(FamilyParams(spec, D(1)), [(1, 0, 0, 1)])  # base [0, 1/2), slope 1/4, offset 1/4
+    [R] = raw_members(fam)
+    cols = oracle.columns(spec.m, spec.m_w, R)
+    ncols = len(cols)
     per_col = (1 << 12) // ncols
     total = Fraction(0)
-    for c in range(R.col_lo, R.col_hi):
-        lo_f, hi_f = oracle.slab(spec.m, spec.m_w, _raw(R), c)
+    for c in cols:
+        lo_f, hi_f = oracle.slab(spec.m, spec.m_w, R, c)
         w_f = hi_f - lo_f
         for i in range(per_col):
             y = lo_f + w_f * Fraction(2 * i + 1, 2 * per_col)
             r = min(int(y * spec.n), spec.n - 1)
             total += f.value(c, r).as_fraction()
-    approx = total / (ncols * per_col) * R.measure.as_fraction()
-    [exact] = _integrals(RectangleFamily(FamilyParams(spec, D(1)), [R.sort_key()]), f)
-    assert exact == oracle.integrate(spec.m, spec.m_w, _raw(R), [x.as_fraction() for x in f.values()])
-    assert abs(exact.as_fraction() - approx) <= Fraction(1, 1 << 10) * R.measure.as_fraction()
+    measure = oracle.member_measure(spec.m_w, R)
+    approx = total / (ncols * per_col) * measure
+    [exact] = _integrals(fam, f)
+    assert exact == oracle.integrate(spec.m, spec.m_w, R, [x.as_fraction() for x in f.values()])
+    assert abs(exact - approx) <= Fraction(1, 1 << 10) * measure
 
 
 def test_integrate_spec_mismatch():
     spec = GridSpec(4, 2, False)
     other = GridSpec(5, 3, False)
-    R = Parallelogram(spec, DyadicInterval(2, 0), DyadicInterval(0, 0), D(0))
-    fam = RectangleFamily(FamilyParams(spec, D(1)), [R.sort_key()])
+    fam = RectangleFamily(FamilyParams(spec, D(1)), [(0, 0, 0, 0)])
     rho = maximal.linearize(GridFunction.zeros(spec), fam)
     foreign = GridFunction.zeros(other)
     for op in (maximal.maximal_apply, maximal.linearize):

@@ -30,6 +30,7 @@ from dirmax.maximal import (
     maximal_apply,
     nu_all,
 )
+from dirmax.verify import raw_members
 
 
 def _setup(seed=7, delta=D(1, 3), m=4, half=False):
@@ -38,11 +39,6 @@ def _setup(seed=7, delta=D(1, 3), m=4, half=False):
     fam = enumerate_family(FamilyParams(spec, delta), v)
     f = random_grid(spec, random.Random(seed + 50))
     return spec, fam, f
-
-
-def _raw_members(fam):
-    step = 1 << fam.spec.offset_exp
-    return [(k, i, j, Fraction(t, step)) for k, i, j, t in fam.sort_keys.tolist()]
 
 
 def _center_cells(spec, member) -> list[int]:
@@ -60,7 +56,7 @@ def _oracle_averages(fam, f) -> list[Fraction]:
     """Per member the exact average of f: the oracle's integral over its measure."""
     m, m_w = fam.spec.m, fam.spec.m_w
     values = [x.as_fraction() for x in f.values()]
-    raw = _raw_members(fam)
+    raw = raw_members(fam)
     return [oracle.integrate(m, m_w, r, values) / oracle.member_measure(m_w, r) for r in raw]
 
 
@@ -68,7 +64,7 @@ def test_maximal_constant_one():
     spec, fam, _ = _setup()
     mf = maximal_apply(GridFunction.constant(spec, 1), fam)
     covered = set()
-    for r in _raw_members(fam):
+    for r in raw_members(fam):
         covered.update(_center_cells(spec, r))
     for idx in range(spec.n_cells):
         assert mf.value_at(idx) == (D(1) if idx in covered else D(0))
@@ -79,7 +75,7 @@ def test_maximal_single_member():
     sub = fam.subfamily([0])
     mf = maximal_apply(f, sub)
     [avg] = _oracle_averages(sub, f)
-    cells = set(_center_cells(spec, _raw_members(sub)[0]))
+    cells = set(_center_cells(spec, raw_members(sub)[0]))
     for idx in range(spec.n_cells):
         assert mf.value_at(idx) == (avg if idx in cells else D(0))
 
@@ -102,8 +98,7 @@ def test_maximal_hand_computed_value():
 def test_maximal_against_oracle_and_workers():
     spec, fam, f = _setup(seed=8)
     mf = maximal_apply(f, fam)
-    raw = [(r.k, r.base.index, r.slope.index, r.offset.as_fraction()) for r in fam.members]
-    want, _ = oracle.maximal_apply(spec.m, spec.m_w, raw, [x.as_fraction() for x in f.values()])
+    want, _ = oracle.maximal_apply(spec.m, spec.m_w, raw_members(fam), [x.as_fraction() for x in f.values()])
     assert [x.as_fraction() for x in mf.values()] == want
     assert maximal_apply(f, fam) == mf
 
@@ -113,8 +108,7 @@ def test_maximal_against_oracle_above_62_bits():
     rng = random.Random(115)
     big = GridFunction(spec, f.scale + 70, [(n << 70) | rng.getrandbits(70) for n in f.nums])
     assert max(big.nums).bit_length() > 62
-    raw = [(r.k, r.base.index, r.slope.index, r.offset.as_fraction()) for r in fam.members]
-    want, _ = oracle.maximal_apply(spec.m, spec.m_w, raw, [x.as_fraction() for x in big.values()])
+    want, _ = oracle.maximal_apply(spec.m, spec.m_w, raw_members(fam), [x.as_fraction() for x in big.values()])
     assert [x.as_fraction() for x in maximal_apply(big, fam).values()] == want
 
 
@@ -126,10 +120,10 @@ def test_painter_equal_and_zero_averages():
     f = GridFunction.indicator(spec, [i for i in range(spec.n_cells) if i < spec.n_cells // 2])
     avgs = _oracle_averages(fam, f)
     rho, mf = linearize(f, fam), maximal_apply(f, fam)
-    raw = _raw_members(fam)
+    raw = raw_members(fam)
     tied = zero = 0
     for idx in range(spec.n_cells):
-        c, row = spec.cell_coords(idx)
+        c, row = divmod(idx, spec.n)
         cands = [i for i, r in enumerate(raw) if oracle.contains_cell(spec.m, spec.m_w, r, c, row)]
         want = max(cands, key=lambda i: (avgs[i], -i)) if cands else -1
         assert rho.entries[idx] == want
@@ -144,7 +138,7 @@ def test_painter_equal_and_zero_averages():
 def _oracle_maximal(spec, fam, f):
     """The oracle's (Mf, choosers)."""
     values = [x.as_fraction() for x in f.values()]
-    return oracle.maximal_apply(spec.m, spec.m_w, _raw_members(fam), values)
+    return oracle.maximal_apply(spec.m, spec.m_w, raw_members(fam), values)
 
 
 def _exact_path():
@@ -231,7 +225,7 @@ def test_painter_many_ties():
     avgs = _oracle_averages(fam, f)
     assert len(set(avgs)) * 10 < len(avgs)
     cands = [[] for _ in range(spec.n_cells)]
-    for i, r in enumerate(_raw_members(fam)):
+    for i, r in enumerate(raw_members(fam)):
         for idx in _center_cells(spec, r):
             cands[idx].append(i)
     want = [max(cs, key=lambda i: (avgs[i], -i)) if cs else -1 for cs in cands]
@@ -270,7 +264,7 @@ def _composed_ascent(fam, seeds, iters):
                 capped += 1
                 nxt = nxt.rescaled(96)
             f = nxt.reduced()
-    return NormReport(len(fam.members), tuple(rows), best), outs, capped
+    return NormReport(len(fam), tuple(rows), best), outs, capped
 
 
 @pytest.mark.parametrize("m, half, delta", [(4, True, D(1, 2)), (5, False, D(1, 3)), (6, False, D(1, 2))])
@@ -387,11 +381,11 @@ def test_linearize_achieves_maximal_and_ties():
     # all-ones: every covered cell picks the canonically first containing member
     ones = GridFunction.constant(spec, 1)
     rho1 = linearize(ones, fam)
-    raw = _raw_members(fam)
+    raw = raw_members(fam)
     for idx, e in enumerate(rho1.entries):
         if e < 0:
             continue
-        c, r = spec.cell_coords(idx)
+        c, r = divmod(idx, spec.n)
         firsts = [i for i, R in enumerate(raw) if oracle.contains_cell(spec.m, spec.m_w, R, c, r)]
         assert e == firsts[0]
 
@@ -408,7 +402,7 @@ def test_apply_T_bounded_by_maximal():
 
 def test_corrupt_choice_map():
     spec, fam, f = _setup(seed=12)
-    entries = [len(fam.members)] + [-1] * (spec.n_cells - 1)
+    entries = [len(fam)] + [-1] * (spec.n_cells - 1)
     with pytest.raises(ValueError, match="corrupt choice map"):
         apply_T(ChoiceMap(fam, entries), f)
     with pytest.raises(ValueError, match="corrupt choice map"):
@@ -434,7 +428,7 @@ def _oracle_adjoint(rho, g) -> list[Fraction]:
         if e >= 0:
             mass[e] += x.as_fraction()
     spec = rho.spec
-    return oracle.weighted_count(spec.m, spec.m_w, _raw_members(rho.fam), mass)
+    return oracle.weighted_count(spec.m, spec.m_w, raw_members(rho.fam), mass)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
@@ -662,20 +656,19 @@ def test_m2_vertical_dtype_bound_both_sides(monkeypatch):
 def test_estimate_norm_single_member_optimum():
     spec, fam, f = _setup(seed=17)
     sub = fam.subfamily([1])
-    R = sub.members[0]
+    [R] = raw_members(sub)
     # the exact discrete optimum: f proportional to the coverage profile
-    cellarea = spec.cell_area.as_fraction()
+    n = spec.n
+    cellarea = Fraction(1, n * n)
     cover_sq = Fraction(0)
-    cells = _center_cells(spec, _raw_members(sub)[0])
+    cells = _center_cells(spec, R)
     count = len(cells)
-    u = 1 << (spec.slab_scale - spec.m)
-    for c in range(R.col_lo, R.col_hi):
-        lo, hi = R.slab_scaled(c)
-        r0, r1 = lo // u, (hi - 1) // u
-        for r in range(r0, r1 + 1):
-            ov = min(hi, (r + 1) * u) - max(lo, r * u)
-            cover_sq += Fraction(ov, u) ** 2
-    opt_sq = cover_sq * cellarea * count * cellarea / R.measure.as_fraction() ** 2
+    for c in oracle.columns(spec.m, spec.m_w, R):
+        lo, hi = oracle.slab(spec.m, spec.m_w, R, c)
+        for r in range(math.floor(lo * n), math.ceil(hi * n)):
+            ov = min(hi, Fraction(r + 1, n)) - max(lo, Fraction(r, n))
+            cover_sq += (ov * n) ** 2
+    opt_sq = cover_sq * cellarea * count * cellarea / oracle.member_measure(spec.m_w, R) ** 2
     opt = math.sqrt(float(opt_sq))
     seed = GridFunction.indicator(spec, cells)
     report = estimate_norm(sub, [seed], 2)
@@ -690,12 +683,11 @@ def test_estimate_norm_errors_and_zero_support():
         estimate_norm(fam, [GridFunction.zeros(spec)], 0)
     # cells with zero overlap against every member (a strict subset of the
     # exceptional set X: center-uncovered cells can still graze slab edges)
-    touched = set()
-    for R in fam.members:
-        m = spec.m
-        for c in range(R.col_lo, R.col_hi):
-            r0, r1 = R.touched_rows(c)
-            touched.update(range((c << m) + r0, (c << m) + r1))
+    touched, m, n = set(), spec.m, spec.n
+    for R in raw_members(fam):
+        for c in oracle.columns(m, spec.m_w, R):
+            lo, hi = oracle.slab(m, spec.m_w, R, c)
+            touched.update(range((c << m) + math.floor(lo * n), (c << m) + math.ceil(hi * n)))
     untouched = [i for i in range(spec.n_cells) if i not in touched]
     assert untouched, "fixture should leave some cells untouched"
     rho = linearize(f, fam)

@@ -273,15 +273,35 @@ def test_member_objects_are_read_only_in_family():
 def test_families_are_built_from_key_rows_only():
     """RectangleFamily has one constructor, over checked key rows, which every
     builder calls; src/ constructs a Parallelogram only where
-    ``RectangleFamily.members`` builds its view."""
+    ``RectangleFamily.members`` builds its view, and no test constructs one."""
     from dirmax import family
 
     root = Path(dirmax.__file__).parent
-    calls = {p.name: call_scopes(p.read_text(), "Parallelogram") for p in sorted(root.glob("*.py"))}
-    calls = {name: scopes for name, scopes in calls.items() if scopes}
-    assert calls == {"family.py": ["RectangleFamily.members"]}
+    for modules, want in (
+        (sorted(root.glob("*.py")), {"family.py": ["RectangleFamily.members"]}),
+        (sorted(Path(__file__).parent.glob("*.py")), {}),
+    ):
+        calls = {p.name: call_scopes(p.read_text(), "Parallelogram") for p in modules}
+        assert {name: scopes for name, scopes in calls.items() if scopes} == want
     gone = [(family.RectangleFamily, ("_adopt", "_init")), (family, ("_member",))]
     assert [(o.__name__, n) for o, names in gone for n in names if hasattr(o, n)] == []
+
+
+def test_the_member_view_holds_a_checked_row_and_what_the_bench_reads():
+    """geometry.check_key_rows is the one member rule set: the Parallelogram
+    view has no checks of its own, is not exported, and holds one key row
+    plus what perfbench's counters read (base, col_lo, col_hi, touched_rows)."""
+    from dataclasses import fields
+
+    from dirmax import DyadicRational, FamilyParams, GridSpec, RectangleFamily, geometry
+
+    view = geometry.Parallelogram
+    assert "Parallelogram" not in dirmax.__all__ and not hasattr(dirmax, "Parallelogram")
+    assert not hasattr(view, "__post_init__")
+    [member] = RectangleFamily(FamilyParams(GridSpec(4, 2), DyadicRational(1)), [(1, 1, 0, 2)]).members
+    assert [f.name for f in fields(view)] == ["spec", "row"] and member.row == (1, 1, 0, 2)
+    public = {name for name in dir(member) if not name.startswith("_")}
+    assert public == {"spec", "row", "base", "col_lo", "col_hi", "touched_rows"}
 
 
 def test_one_staircase_outside_the_oracle():

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from dirmax import oracle, stopping_time, verify
 from dirmax.dyadic import DyadicRational as D
-from dirmax.family import FamilyParams, enumerate_family
-from dirmax.geometry import DyadicInterval, GridSpec, Parallelogram, spec_from_offstep
+from dirmax.family import FamilyParams, RectangleFamily, enumerate_family
+from dirmax.geometry import DyadicInterval, GridSpec, spec_from_offstep
 from dirmax.grids import GridFunction, OneVarField
 from dirmax.instances import (
     CorpusInstance,
@@ -238,8 +238,8 @@ def test_classify_points_errors_and_empty():
     assert all(len(fs) == 0 for fs in res.f_sets)
     # a cell whose chosen base escapes a small interval
     half = DyadicInterval(1, 1)
-    cell = next(i for i in rho.covered_cells()
-                if not half.contains(fam.members[rho.entries[i]].base))
+    bases = [DyadicInterval(spec.m_w - k, i) for k, i, _, _ in fam.sort_keys.tolist()]
+    cell = next(i for i in rho.covered_cells() if not half.contains(bases[rho.entries[i]]))
     with pytest.raises(ValueError, match="choice escapes interval"):
         classify_points([cell], rho, om, half)
     # exceptional cells cannot be classified
@@ -379,7 +379,11 @@ def test_decomposition_cell_sets_match_the_definition(m):
             rho = linearize(random_grid(spec, random.Random(m + 10)), fam)
             res = run_generations(field, spec.w, D(1, 1), rho, max_gen)
             payload = json.loads(decomposition_to_json(res))
-            choice = {i: fam.members[e] for i, e in enumerate(rho.entries.tolist()) if e >= 0}
+            # per member its base interval and slope cell, per covered cell its choice's
+            member_cells = [
+                (DyadicInterval(spec.m_w - k, i), DyadicInterval(k, j)) for k, i, j, _ in fam.sort_keys.tolist()
+            ]
+            choice = {i: member_cells[e] for i, e in enumerate(rho.entries.tolist()) if e >= 0}
             e_cells = set(choice)
             for j, g in enumerate(res.generations):
                 good_all, bad_all, pieces = set(), set(), []
@@ -390,8 +394,8 @@ def test_decomposition_cell_sets_match_the_definition(m):
                         {
                             x for x in cells
                             if any(
-                                DyadicInterval(lv, ix).contains(choice[x].base)
-                                and choice[x].slope.contains(DyadicInterval(spec.m_w - lv, j))
+                                DyadicInterval(lv, ix).contains(choice[x][0])
+                                and choice[x][1].contains(DyadicInterval(spec.m_w - lv, j))
                                 for lv, ix, j in layer.tolist()
                             )
                         }
@@ -517,18 +521,18 @@ def test_popularity_counts_match_oracle(spec_args, seed, delta, root_seed):
     assert got == {J: js for J, js in want.items() if js}
     # density through enumerate_family: the lowest member over J at slope s
     # is enumerated exactly when s is delta-popular on J
-    members = enumerate_family(FamilyParams(spec, delta), v).sort_keys.tolist()
+    params = FamilyParams(spec, delta)
+    members = enumerate_family(params, v).sort_keys.tolist()
     for lv in range(m_w + 1):
         k = m_w - lv
         for index in range(1 << lv):
-            J = DyadicInterval(lv, index)
             for j in range(1 << k):
                 dense = Fraction(oracle.g_count(m, m_w, vf, lv, index, j), 1 << (m - lv)) >= delta.as_fraction()
                 try:
-                    R = Parallelogram(spec, J, DyadicInterval(k, j), D(0))
+                    RectangleFamily(params, [(k, index, j, 0)])
                 except ValueError:  # the lowest member over J at slope s does not fit
                     continue
-                assert (list(R.sort_key()) in members) is dense
+                assert ([k, index, j, 0] in members) is dense
 
 
 
@@ -603,8 +607,7 @@ def _oracle_domination(res, rho, f):
     piece) and every cell x of a later generation under J, avg_R(g) is the
     oracle's integral over R's measure and M2 g(x) the oracle's m2_vertical."""
     m, m_w = rho.spec.m, rho.spec.m_w
-    step = 1 << rho.spec.offset_exp
-    members = [(k, i, j, Fraction(t, step)) for k, i, j, t in rho.fam.sort_keys.tolist()]
+    members = verify.raw_members(rho.fam)
     gens = res.generations
     violations, checked, worst = [], 0, Fraction(0)
     for j in range(len(gens) - 1):

@@ -351,15 +351,15 @@ def test_cli_config_key_given_twice(tmp_path):
 
 
 def test_cli_commands_build_no_members(monkeypatch):
-    """The CLI reads family key rows only: no Parallelogram is built."""
+    """The CLI reads family key rows only: no member view (Parallelogram) is built."""
     built = []
-    post_init = Parallelogram.__post_init__
+    init = Parallelogram.__init__
 
-    def spy(self):
+    def spy(self, *args):
         built.append(self)
-        post_init(self)
+        init(self, *args)
 
-    monkeypatch.setattr(Parallelogram, "__post_init__", spy)
+    monkeypatch.setattr(Parallelogram, "__init__", spy)
     for argv in (
         ["decompose", "--m", "7", "--mw", "5", "--delta", "1/2", "--field", "cascade", "--seed", "2"],
         ["badness", "--m", "6", "--mw", "4", "--delta", "1/2", "--field", "cascade", "--seed", "2"],

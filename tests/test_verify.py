@@ -83,15 +83,15 @@ def test_flipped_tie_order_fails_the_maximal_line(monkeypatch):
 def test_m5_verify_builds_no_members_and_its_text_is_pinned(monkeypatch):
     """The bench pins the verify stages up to m = 4; this pins the report on
     the ten m = 5 instances, whose badness split runs on member indices.
-    Building the corpus and verifying it builds no Parallelogram."""
+    Building the corpus and verifying it builds no member view (Parallelogram)."""
     built = []
-    post_init = Parallelogram.__post_init__
+    init = Parallelogram.__init__
 
-    def spy(self):
+    def spy(self, *args):
         built.append(self)
-        post_init(self)
+        init(self, *args)
 
-    monkeypatch.setattr(Parallelogram, "__post_init__", spy)
+    monkeypatch.setattr(Parallelogram, "__init__", spy)
     corpus = [inst for inst in build_corpus() if inst.spec.m == 5]
     assert len(corpus) == 10
     text = run_verify(corpus=corpus).to_text()
