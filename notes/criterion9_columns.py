@@ -49,8 +49,8 @@ def center_cells(m: int, m_w: int, R) -> list[int]:
 
 
 def m2_fractions(g) -> list[Fraction]:
-    """M2 g per cell, from m2_vertical's (num, den) arrays."""
-    num, den = m2_vertical(g)
+    """M2 g per cell, from m2_vertical's (num, den) arrays on every column."""
+    num, den = m2_vertical(g, range(g.spec.n))
     return [Fraction(x, d << g.scale) for x, d in zip(num.tolist(), den.tolist())]
 
 

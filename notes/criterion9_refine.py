@@ -28,10 +28,10 @@ def refine(inst, m: int):
     split into 2^(m - inst.spec.m) per axis with its value kept."""
     s = m - inst.spec.m
     spec = GridSpec(m, inst.spec.m_w, inst.spec.offset_half)
-    field = OneVarField(spec, inst.field.scale, [inst.field.nums[c >> s] for c in range(spec.n)])
-    f = inst.f
-    nums = [f.nums[((c >> s) << inst.spec.m) | (r >> s)] for c in range(spec.n) for r in range(spec.n)]
-    return spec, field, GridFunction(spec, f.scale, nums)
+    v, f = inst.field.nums, inst.f.nums
+    field = OneVarField(spec, inst.field.scale, [v[c >> s] for c in range(spec.n)])
+    nums = [f[((c >> s) << inst.spec.m) | (r >> s)] for c in range(spec.n) for r in range(spec.n)]
+    return spec, field, GridFunction(spec, inst.f.scale, nums)
 
 
 def main(max_m: int) -> None:

@@ -194,8 +194,9 @@ def popular_table(v: OneVarField, delta: DyadicRational) -> list[np.ndarray]:
     entry (i, j) of table ``level`` is for J = [i, i+1) / 2^level and slope
     cell j at level m_w - level, and is 0 where s is not popular on J."""
     m, mw = v.spec.m, v.spec.m_w
-    # each column's level-m_w cell; v = 1 lands on 2^m_w, which is no cell
-    cells = np.array([(n << mw) >> v.scale for n in v.nums], dtype=np.int64)
+    # each column's level-m_w cell, (v << m_w) >> scale; v = 1 lands on 2^m_w, which is no cell
+    sh = v.scale - mw  # if negative, v <= 2^scale makes every v << -sh at most 2^m_w
+    cells = (v.array >> sh if sh >= 0 else v.array << -sh).astype(np.int64)
     cols = np.flatnonzero(cells < 1 << mw)
     cells, tables = cells[cols], []
     for level in range(mw + 1):

@@ -3,19 +3,19 @@
 A GridFunction stores one nonnegative dyadic rational per cell, a OneVarField
 one in [0, 1] per column.  Both keep integer numerators over a single
 power-of-two scale, in one shared body, so sums, maxima and integrals stay in
-integer arithmetic.  Numerators are Python ints: the constructors turn numpy
-integers into ints and reject floats.  The constructor's range check is the
-only one: operators trust it.  The MAXGRID v1 text format round-trips
-canonically.
+integer arithmetic.  The numerators are one read-only array, int64 when every
+one is below 2^62 and otherwise an object array of Python ints, never a
+float; its bit length (``bits``, the largest numerator's) is recorded once,
+by the constructor's range check, which is the only one: operators trust it
+and read ``bits`` for their own int64 bounds.  The MAXGRID v1 text format
+round-trips canonically.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from itertools import repeat
-from operator import index, mul, or_, rshift
-from typing import Iterable, Sequence
+from operator import index
+from typing import Iterable
 
 import numpy as np
 
@@ -63,35 +63,59 @@ def _cell_set(cells: np.ndarray) -> np.ndarray:
     return out
 
 
+_INT64_BITS = 62  # numerators below 2^62 are stored, and their sums bounded, in int64
+
+
+def _int_array(nums) -> np.ndarray:
+    """Integers as an int64 array (an int64 or object array as it is), or an
+    object array of Python ints when one does not fit int64: the dtype is
+    explicit, since numpy makes [1, 2**63] float64."""
+    if isinstance(nums, np.ndarray) and nums.dtype in (np.int64, object):
+        return nums
+    try:
+        return np.array(nums, dtype=np.int64)
+    except OverflowError:
+        return np.array(nums, dtype=object)
+
+
 class _ScaledValues:
     """Exact dyadic values as integer numerators over one power-of-two scale:
-    the body that grids and fields share.  A subclass gives its name in
-    messages (``_what``), its value count (``_count``) and its range rule
-    (``_check_range``)."""
+    the body that grids and fields share.  ``array`` holds the numerators
+    (read-only, int64 below 2^62, else Python ints) and ``bits`` the largest
+    one's bit length.  A subclass gives its name in messages (``_what``), its
+    value count (``_count``) and its range rule (``_check_range``)."""
 
-    __slots__ = ("spec", "scale", "nums")
+    __slots__ = ("spec", "scale", "array", "bits")
 
-    def __init__(self, spec: GridSpec, scale: int, nums: Sequence[int]):
-        scale, nums = index(scale), list(map(index, nums))  # numpy ints would wrap
-        self._check(spec, scale, nums)
-        self.spec, self.scale, self.nums = spec, scale, nums
+    def __init__(self, spec: GridSpec, scale: int, nums: Iterable[int]):
+        self._store(spec, index(scale), _int_array(list(map(index, nums))))  # floats raise
 
-    @classmethod
-    def _check(cls, spec: GridSpec, scale: int, nums: list[int]) -> None:
-        if len(nums) != cls._count(spec):
-            raise ValueError(f"{cls._what} value count mismatch")
+    def _store(self, spec: GridSpec, scale: int, array: np.ndarray) -> None:
+        """The one check (value count, scale >= 0, then the range rule), then
+        the storage rule: int64 exactly when bits <= _INT64_BITS."""
+        if array.shape != (self._count(spec),):
+            raise ValueError(f"{self._what} value count mismatch")
         if scale < 0:
             raise ValueError("scale must be nonnegative")
-        cls._check_range(scale, nums)
+        lo, hi = int(array.min()), int(array.max())
+        self._check_range(scale, lo, hi)
+        bits = hi.bit_length()
+        array = array.astype(object if bits > _INT64_BITS else np.int64, copy=False)
+        array.flags.writeable = False
+        self.spec, self.scale, self.array, self.bits = spec, scale, array, bits
 
     @classmethod
-    def _adopt(cls, spec: GridSpec, scale: int, nums: list[int]):
-        """Checked like the constructor, but keeps ``nums`` itself: only for a
-        list this package has just built and no one else holds."""
-        cls._check(spec, scale, nums)
+    def _adopt(cls, spec: GridSpec, scale: int, nums):
+        """Checked like the constructor, but keeps an int64 or object array itself,
+        made read-only: only for values this package has just built."""
         v = cls.__new__(cls)
-        v.spec, v.scale, v.nums = spec, scale, nums
+        v._store(spec, scale, _int_array(nums))
         return v
+
+    @property
+    def nums(self) -> list[int]:
+        """The numerators as a fresh list of Python ints."""
+        return self.array.tolist()
 
     @classmethod
     def from_values(cls, spec: GridSpec, values: Iterable):
@@ -100,31 +124,34 @@ class _ScaledValues:
     @classmethod
     def constant(cls, spec: GridSpec, value):
         scale, nums = _to_scaled([value], cls._what)
-        return cls._adopt(spec, scale, nums * cls._count(spec))
+        return cls._adopt(spec, scale, np.repeat(_int_array(nums), cls._count(spec)))
 
     def values(self) -> list[DyadicRational]:
-        return [DyadicRational(n, self.scale) for n in self.nums]
+        return [DyadicRational(n, self.scale) for n in self.array.tolist()]
 
     def reduced(self):
         """Canonical representation: strip common powers of two from the scale."""
-        bits = reduce(or_, self.nums, 0)
-        sh = min(self.scale, (bits & -bits).bit_length() - 1) if bits else self.scale
+        low = int(np.bitwise_or.reduce(self.array))
+        sh = min(self.scale, (low & -low).bit_length() - 1) if low else self.scale
         if not sh:
             return self
-        return self._adopt(self.spec, self.scale - sh, list(map(rshift, self.nums, repeat(sh))))
+        return self._adopt(self.spec, self.scale - sh, self.array >> sh)
+
+    def _wide(self, bits: int) -> np.ndarray:
+        """The array, as Python ints unless results of ``bits`` bits fit int64."""
+        return self.array if bits <= _INT64_BITS else self.array.astype(object, copy=False)
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         if self.spec != other.spec:
             return False
-        e = max(self.scale, other.scale)
-        sa, sb = e - self.scale, e - other.scale
-        return all((a << sa) == (b << sb) for a, b in zip(self.nums, other.nums))
+        a, b = self.reduced(), other.reduced()
+        return a.scale == b.scale and np.array_equal(a.array, b.array)
 
     def __hash__(self):
         r = self.reduced()
-        return hash((r.spec, r.scale, tuple(r.nums)))
+        return hash((r.spec, r.scale, tuple(r.array.tolist())))
 
 
 class GridFunction(_ScaledValues):
@@ -138,13 +165,13 @@ class GridFunction(_ScaledValues):
         return spec.n_cells
 
     @staticmethod
-    def _check_range(scale: int, nums: list[int]) -> None:
-        if min(nums) < 0:
+    def _check_range(scale: int, lo: int, hi: int) -> None:
+        if lo < 0:
             raise ValueError("grid values must be nonnegative")
 
     @classmethod
     def zeros(cls, spec: GridSpec) -> "GridFunction":
-        return cls._adopt(spec, 0, [0] * spec.n_cells)
+        return cls._adopt(spec, 0, np.zeros(spec.n_cells, dtype=np.int64))
 
     @classmethod
     def indicator(cls, spec: GridSpec, cells: Iterable[int]) -> "GridFunction":
@@ -153,19 +180,19 @@ class GridFunction(_ScaledValues):
     # -- access ------------------------------------------------------------
 
     def value(self, c: int, r: int) -> DyadicRational:
-        return DyadicRational(self.nums[self.spec.cell_index(c, r)], self.scale)
+        return self.value_at(self.spec.cell_index(c, r))
 
     def value_at(self, idx: int) -> DyadicRational:
-        return DyadicRational(self.nums[idx], self.scale)
+        return DyadicRational(int(self.array[idx]), self.scale)
 
     def support_cells(self) -> list[int]:
-        return [i for i, n in enumerate(self.nums) if n]
+        return np.flatnonzero(self.array).tolist()
 
     def support_measure(self) -> DyadicRational:
-        return DyadicRational(sum(1 for n in self.nums if n), 2 * self.spec.m)
+        return DyadicRational(np.count_nonzero(self.array), 2 * self.spec.m)
 
     def is_zero(self) -> bool:
-        return not any(self.nums)
+        return not self.bits
 
     # -- algebra -------------------------------------------------------
 
@@ -173,33 +200,33 @@ class GridFunction(_ScaledValues):
         """Same function at a given scale; rounds down if scale is coarser."""
         if scale >= self.scale:
             sh = scale - self.scale
-            return GridFunction._adopt(self.spec, scale, [n << sh for n in self.nums])
-        sh = self.scale - scale
-        return GridFunction._adopt(self.spec, scale, [n >> sh for n in self.nums])
+            return GridFunction._adopt(self.spec, scale, self._wide(self.bits + sh) << sh)
+        return GridFunction._adopt(self.spec, scale, self.array >> (self.scale - scale))
 
     def masked(self, cells: Iterable[int]) -> "GridFunction":
         """Pointwise product with the indicator of a cell set."""
-        nums, src = [0] * self.spec.n_cells, self.nums
-        for i in cell_array(self.spec, cells).tolist():
-            nums[i] = src[i]
-        return GridFunction._adopt(self.spec, self.scale, nums)
+        cells = cell_array(self.spec, cells)
+        out = np.zeros_like(self.array)
+        out[cells] = self.array[cells]
+        return GridFunction._adopt(self.spec, self.scale, out)
 
     # -- norms and exact sums --------------------------------------------
 
     def integral(self) -> DyadicRational:
-        return DyadicRational(sum(self.nums), self.scale + 2 * self.spec.m)
+        m2 = 2 * self.spec.m  # n^2 numerators below 2^bits sum below 2^(bits + 2m)
+        return DyadicRational(int(self._wide(self.bits + m2).sum()), self.scale + m2)
 
     def l2_sq(self) -> DyadicRational:
         """Exact integral of the square over the unit square."""
-        return DyadicRational(
-            sum(map(mul, self.nums, self.nums)), 2 * self.scale + 2 * self.spec.m
-        )
+        m2 = 2 * self.spec.m
+        a = self._wide(2 * self.bits + m2)
+        return DyadicRational(int(np.dot(a, a)), 2 * self.scale + m2)
 
     def lp_norm(self, p: float) -> float:
         """Reporting-only L^p norm (floats allowed outside the exact core)."""
         area = 0.25 ** self.spec.m
         sc = 2.0 ** self.scale
-        return (sum((n / sc) ** p for n in self.nums) * area) ** (1.0 / p)
+        return (sum((n / sc) ** p for n in self.array.tolist()) * area) ** (1.0 / p)
 
 
 class OneVarField(_ScaledValues):
@@ -214,12 +241,12 @@ class OneVarField(_ScaledValues):
         return spec.n
 
     @staticmethod
-    def _check_range(scale: int, nums: list[int]) -> None:
-        if min(nums) < 0 or max(nums) > 1 << scale:
+    def _check_range(scale: int, lo: int, hi: int) -> None:
+        if lo < 0 or hi > 1 << scale:
             raise ValueError("field values must lie in [0,1]")
 
     def value(self, c: int) -> DyadicRational:
-        return DyadicRational(self.nums[c], self.scale)
+        return DyadicRational(int(self.array[c]), self.scale)
 
 
 # -- MAXGRID v1 file format --------------------------------------------------

@@ -44,8 +44,8 @@ def constant_field(spec: GridSpec, value) -> OneVarField:
 _WORDS_PER_ROUND = 1 << 16  # words per round, so a round's temporaries stay small
 
 
-def _randbelow_pow2(rng: random.Random, bits: int, n: int) -> list[int]:
-    """``[rng.randrange(1 << bits) for _ in range(n)]``, leaving rng where that loop does.
+def _randbelow_pow2(rng: random.Random, bits: int, n: int) -> np.ndarray:
+    """``[rng.randrange(1 << bits) for _ in range(n)]`` as int64, leaving rng where that loop does.
 
     Each draw keeps the next word whose top bit is clear, as ``word >> (31 - bits)``
     (one word per draw needs bits <= 31).  A round takes at most as many words
@@ -53,17 +53,20 @@ def _randbelow_pow2(rng: random.Random, bits: int, n: int) -> list[int]:
     """
     if type(rng) is not random.Random:
         raise TypeError(f"seeded draws need a random.Random, not {type(rng).__name__}")
-    out: list[int] = []
-    while len(out) < n:
-        k = min(n - len(out), _WORDS_PER_ROUND)
+    out = np.empty(n, dtype=np.int64)
+    have = 0
+    while have < n:
+        k = min(n - have, _WORDS_PER_ROUND)
         words = np.frombuffer(rng.getrandbits(32 * k).to_bytes(4 * k, "little"), "<u4")
-        out += (words[words < 1 << 31] >> (31 - bits)).tolist()
+        kept = words[words < 1 << 31] >> (31 - bits)
+        out[have : have + len(kept)] = kept
+        have += len(kept)
     return out
 
 
 def random_field(spec: GridSpec, rng: random.Random) -> OneVarField:
     """Per-column values drawn uniformly from the level-m dyadic grid."""
-    return OneVarField(spec, spec.m, _randbelow_pow2(rng, spec.m, spec.n))
+    return OneVarField._adopt(spec, spec.m, _randbelow_pow2(rng, spec.m, spec.n))
 
 
 def random_grid(spec: GridSpec, rng: random.Random) -> GridFunction:
@@ -156,7 +159,7 @@ def make_kakeya_bundle(m: int, delta: DyadicRational, depth: int | None = None) 
     for lo_j, step_j in zip(lo.tolist(), step.tolist()):
         r = first_center_row(spec, lo_j + step_j * cols)[:, None] + np.arange(1 << (m - n))
         nums[((cols[:, None] << m) + r)[r < spec.n]] = 1
-    indicator = GridFunction._adopt(spec, 0, nums.tolist())
+    indicator = GridFunction._adopt(spec, 0, nums)
 
     tails = RectangleFamily(FamilyParams(spec, delta), keys)
 

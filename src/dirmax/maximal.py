@@ -9,7 +9,8 @@ Member averages come from one exact numpy kernel for every numerator width:
 a slab's column integral is its rows summed less the parts of its end rows
 outside it (geometry.slab_rows), with the rows read from an int64 prefix
 table where a proven bit bound allows it (_int64_exact) and otherwise, as
-for the wide T*T ascent iterates, from f's Python ints.  Nothing here builds
+for the wide T*T ascent iterates, from f's values as Python ints; each bound
+reads the bit length f recorded when it was built.  Nothing here builds
 a Parallelogram: the kernels read the family's key rows, and the oracle's
 maximal_apply referees the painter.  One rank painter gives Mf and rho: each
 cell keeps the member of highest (average, -index) rank, that is the largest
@@ -41,7 +42,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dyadic import DyadicRational
 from .family import RectangleFamily
 from .geometry import GridSpec, first_center_row, slab_rows, slab_run
-from .grids import GridFunction, cell_array
+from .grids import _INT64_BITS, GridFunction, _int_array, cell_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,24 +99,23 @@ class ChoiceMap:
 # segment length of at most n, so each is below 2^(b + 2m).  b + 2m <= 62
 # keeps all below 2^62; otherwise the same code runs on Python ints.  T*'s
 # chooser masses, sums of at most n^2 numerators, share this bound.
-_INT64_BITS = 62
 _BLOCK = 1 << 15  # member-columns per numpy block
 
 
 def _int64_exact(f: GridFunction) -> bool:
     """True when the kernel's int64 side provably computes f's averages exactly."""
-    return max(f.nums).bit_length() + 2 * f.spec.m + 3 <= _INT64_BITS
+    return f.bits + 2 * f.spec.m + 3 <= _INT64_BITS
 
 
-def _splat_dtype(mass: list[int], fam: RectangleFamily):
-    """np.int64 where the T* splat of these member masses is provably exact, else object."""
-    bits = max((x.bit_length() for x in mass), default=0) + len(fam).bit_length()
+def _splat_dtype(mass: np.ndarray, fam: RectangleFamily):
+    """np.int64 where the T* splat of these (nonnegative) member masses is provably exact, else object."""
+    bits = int(mass.max(initial=0)).bit_length() + len(fam).bit_length()
     return np.int64 if bits + 2 * fam.spec.m_w + 3 <= _INT64_BITS else object
 
 
 def _vertical_dtype(g: GridFunction):
     """np.int64 where m2_vertical on g, or any sum of g's cells, is provably exact, else object."""
-    return np.int64 if max(g.nums).bit_length() + 2 * g.spec.m <= _INT64_BITS else object
+    return np.int64 if g.bits + 2 * g.spec.m <= _INT64_BITS else object
 
 
 def _blocks(fam: RectangleFamily, size: int):
@@ -140,18 +140,18 @@ def _scaled_averages(fam: RectangleFamily, f: GridFunction) -> tuple[list[int], 
     """Per-member averages over the common scale 2^(2m + 2 + f.scale).
 
     Each slab reads its rows a..b summed, row a and row b: from one int64 table
-    of column prefix sums under _int64_exact, else gathered from f's own ints,
-    about _BLOCK >> 3 at a time, so no table of new ints is built.
+    of column prefix sums under _int64_exact, else gathered from f's values as
+    Python ints, about _BLOCK >> 3 at a time, so no table of new ints is built.
     """
     spec = fam.spec
     n, rows = spec.n, (1 << (spec.m - spec.m_w)) + 1  # rows a slab touches
     narrow = _int64_exact(f)
     if narrow:
         pref = np.zeros((n, n + 1), dtype=np.int64)
-        pref[:, 1:] = np.array(f.nums, dtype=np.int64).reshape(n, n)
+        pref[:, 1:] = f.array.reshape(n, n)
         np.cumsum(pref, axis=1, out=pref)
     else:  # win[c, a]: the rows from a on of column c
-        win = sliding_window_view(np.array(f.nums, dtype=object).reshape(n, n), rows, axis=1)
+        win = sliding_window_view(f.array.astype(object, copy=False).reshape(n, n), rows, axis=1)
     out = np.empty(len(fam), dtype=np.int64 if narrow else object)
     for part, c, lo, k in _blocks(fam, _BLOCK if narrow else (_BLOCK >> 3) // rows):
         a, b, below, above = slab_rows(spec, lo)
@@ -194,9 +194,9 @@ def _rank_grid(fam: RectangleFamily, avgs: list[int]) -> tuple[np.ndarray, list[
     return top, order
 
 
-def _cells(table: list, top: np.ndarray) -> list:
-    """[table[r] for r in top]: every cell shares its member's object."""
-    return np.array(table, dtype=object)[top].tolist()
+def _cells(table: list, top: np.ndarray) -> np.ndarray:
+    """[table[r] for r in top] as one array (grids._int_array's dtype rule)."""
+    return _int_array(table)[top]
 
 
 def _paint(
@@ -260,11 +260,10 @@ def apply_T_adjoint(rho: ChoiceMap, g: GridFunction) -> GridFunction:
     if spec != g.spec:
         raise ValueError("incompatible grids")
     chosen = rho.entries >= 0
-    nums = np.array(g.nums, dtype=_vertical_dtype(g))[chosen]
+    nums = g.array[chosen].astype(_vertical_dtype(g), copy=False)
     mass = np.zeros(len(fam), dtype=nums.dtype)  # scaled by 2^(g.scale + 2m)
     np.add.at(mass, rho.entries[chosen], nums)
-    mass = mass.tolist()
-    mass = np.array(mass, dtype=_splat_dtype(mass, fam))
+    mass = mass.astype(_splat_dtype(mass, fam))
     m = spec.m
     # one column-major difference array: a slab that ends on its column's
     # last row closes at the next column's first index, hence n^2 + 1 entries;
@@ -280,7 +279,7 @@ def apply_T_adjoint(rho: ChoiceMap, g: GridFunction) -> GridFunction:
         np.subtract.at(diff, b, coef * above)
         np.add.at(diff, b + 1, coef * above - full)
     np.cumsum(diff, out=diff)
-    return GridFunction._adopt(spec, g.scale + 2 * m + 2, diff[:-1].tolist())
+    return GridFunction._adopt(spec, g.scale + 2 * m + 2, diff[:-1])
 
 
 def nu_all(rho: ChoiceMap, cells) -> list[int]:
@@ -296,30 +295,35 @@ def _raise_to(num: np.ndarray, den: np.ndarray, cnum: np.ndarray, cden: np.ndarr
     np.copyto(den, cden, where=take)
 
 
-def m2_vertical(g: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Hardy-Littlewood maximal function along vertical cell-aligned segments.
+def m2_vertical(g: GridFunction, columns) -> tuple[np.ndarray, np.ndarray]:
+    """Hardy-Littlewood maximal function along vertical cell-aligned segments,
+    on the given columns of g (sorted and distinct; range(n) for all).
 
-    Exact: per cell, the best average of g over the column segments through
-    it, as two 1-D integer arrays (num, den) over the cells in cell-index
-    order: M2 g at cell i is num[i] / (den[i] << g.scale), den[i] the length
-    of a best segment.  Averages over odd segment lengths are not dyadic,
-    hence the pair; callers compare them by integer cross-products.
+    Exact: per cell of those columns, the best average of g over the column
+    segments through it, as two 1-D integer arrays (num, den), column by
+    column: M2 g at row r of the i-th column given is num[i n + r] /
+    (den[i n + r] << g.scale), den the length of a best segment.  Averages
+    over odd lengths are not dyadic, hence the pair; callers compare them by
+    integer cross-products.
 
-    One recurrence over segment lengths L = n .. 1 runs on all columns at
+    One recurrence over segment lengths L = n .. 1 runs on the columns at
     once.  C_L[c, a] is the best average of column c over the segments that
     contain rows [a, a + L).  A longer segment containing [a, a + L) contains
     [a - 1, a + L) or [a, a + L + 1), so C_L[a] = max(S_L[a] / L, C_{L+1}[a - 1],
     C_{L+1}[a]), with S_L[a] the column sum over [a, a + L) from prefix sums
     and C_n[0] the whole column's average; M2 g at row r is C_1[r].  Each C_L
     is a (numerator, length) pair compared only by integer cross-products.
-    With b the bit length of g's largest numerator, every cross-product is
-    below 2^(b + 2m), so the recurrence runs in int64 when b + 2m <= 62
+    With b the bit length g recorded, every cross-product is below
+    2^(b + 2m), so the recurrence runs in int64 when b + 2m <= 62
     (_vertical_dtype) and on Python ints otherwise; the arrays keep that dtype.
     """
     n = g.spec.n
+    cols = np.asarray(columns, dtype=np.int64)
+    if len(cols) and (cols[0] < 0 or cols[-1] >= n or (cols[1:] <= cols[:-1]).any()):
+        raise ValueError("columns must be sorted, distinct and in range")
     dtype = _vertical_dtype(g)
-    pref = np.zeros((n, n + 1), dtype=dtype)
-    pref[:, 1:] = np.array(g.nums, dtype=dtype).reshape(n, n)  # [column, row]
+    pref = np.zeros((len(cols), n + 1), dtype=dtype)
+    pref[:, 1:] = g.array.reshape(n, n)[cols]  # [column, row]
     np.cumsum(pref, axis=1, out=pref)
     num = pref[:, n:] - pref[:, :1]
     den = np.full_like(num, n)

@@ -331,9 +331,9 @@ def domination_check(
     operates (the diagonal k = j is controlled by the good-collection bound
     instead).  Returns (violations, tuples checked, worst excess ratio where
     m2_vertical > 0); an empty violation list means the domination held exactly.
-    Each tuple is decided by one cross-product of Python ints: avg_R(g) is
-    avgs[e] / 2^scale and M2 g(x) is num / (den << g.scale), with scale - g.scale
-    = 2m + 2, so nothing wraps; Fractions are built only for the violations.
+    M2 g runs on those cells' columns only.  Each tuple is decided by one
+    cross-product of Python ints: avg_R(g) is avgs[e] / 2^scale and M2 g(x) is
+    num / (den << g.scale), with scale - g.scale = 2m + 2, so nothing wraps.
     """
     if max_pieces is not None and max_pieces < 0:
         raise ValueError("max_pieces must be nonnegative")
@@ -347,15 +347,18 @@ def domination_check(
         if max_pieces is not None:
             pieces = pieces[:max_pieces]
         for J, n, cells in pieces:
+            later = [_under(a_sets[k], J, m) for k in range(j + 1, len(result.generations))]
+            read = np.bincount(np.concatenate(later) >> m, minlength=1 << m) > 0
+            place = np.cumsum(read) - 1  # a read column's position among them
             g = apply_T_adjoint(rho, f.masked(cells))
-            num, den = m2_vertical(g)
+            num, den = m2_vertical(g, np.flatnonzero(read))
             avgs, scale = _scaled_averages(rho.fam, g)
             shift = scale - g.scale
-            for k in range(j + 1, len(result.generations)):
-                cells = _under(a_sets[k], J, m)
+            for cells in later:
                 checked += len(cells)
+                at = (place[cells >> m] << m) | (cells & ((1 << m) - 1))
                 for idx, e, x, d in zip(
-                    cells.tolist(), rho.entries[cells].tolist(), num[cells].tolist(), den[cells].tolist()
+                    cells.tolist(), rho.entries[cells].tolist(), num[at].tolist(), den[at].tolist()
                 ):
                     if avgs[e] * d > x << shift:
                         avg, rhs = Fraction(avgs[e], 1 << scale), Fraction(x, d << g.scale)

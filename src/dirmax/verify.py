@@ -77,7 +77,7 @@ class VerifyReport:
 
 def _fractions(g) -> list[Fraction]:
     """A grid function's or field's values as the oracle reads them."""
-    return [Fraction(n, 1 << g.scale) for n in g.nums]
+    return [Fraction(n, 1 << g.scale) for n in g.array.tolist()]
 
 
 def raw_members(fam: RectangleFamily) -> list[tuple[int, int, int, Fraction]]:
@@ -220,7 +220,7 @@ def check_oracle_equivalence(
 
 
 def _inner(a: GridFunction, b: GridFunction) -> tuple[int, int]:
-    return sum(x * y for x, y in zip(a.nums, b.nums)), a.scale + b.scale
+    return sum(x * y for x, y in zip(a.array.tolist(), b.array.tolist())), a.scale + b.scale
 
 
 def check_exact_identities(report: VerifyReport, corpus: list[CorpusInstance]) -> None:

@@ -79,7 +79,9 @@ def test_adopt_checks_without_copying():
     public = GridFunction(spec, 0, nums)
     nums[0] = 5
     assert public.nums[0] == 1  # the caller's list was copied
-    assert GridFunction._adopt(spec, 0, nums).nums is nums
+    arr = np.ones(64, dtype=np.int64)
+    assert GridFunction._adopt(spec, 0, arr).array is arr  # kept, and made read-only
+    assert not arr.flags.writeable
     for scale, bad, match in ((0, [0] * 10, "count"), (-1, nums, "scale"), (0, [-1] * 64, "nonnegative")):
         with pytest.raises(ValueError, match=match):
             GridFunction._adopt(spec, scale, bad)
@@ -315,3 +317,110 @@ def test_from_values_accepts_dyadic_fractions_only():
         GridFunction.from_values(spec, [Fraction(1, 3)] * 64)
     with pytest.raises(TypeError):
         GridFunction.from_values(spec, [0.5] * 64)
+
+
+# -- the storage rule: int64 below 2^62, Python ints in an object array above --
+
+_EDGES = (0, 2**62 - 1, 2**62, 2**63, 2**64 + 1)
+
+
+def _stored_as(v, nums, dtype) -> None:
+    """v holds nums exactly, read-only, in dtype, with their bit length recorded."""
+    assert v.array.dtype == np.dtype(dtype) and v.array.dtype.kind != "f"
+    assert not v.array.flags.writeable
+    assert v.nums == nums and {type(n) for n in v.nums} == {int}
+    assert v.bits == max(nums).bit_length()
+
+
+@pytest.mark.parametrize("top", _EDGES)
+def test_every_way_in_stores_by_the_int64_rule(top):
+    # numpy alone would make [1, 2**63] float64; the explicit dtype never does
+    assert np.array([1, 2**63]).dtype == np.float64
+    spec = GridSpec(2, 0, False)
+    dtype = np.int64 if top < 1 << 62 else object
+    nums = [top] + [0, 1, 2] * 5  # the 1 keeps scale 3 canonical through the text format
+    built = [
+        GridFunction(spec, 3, nums),
+        GridFunction(spec, 3, np.array(nums, dtype=object)),
+        GridFunction._adopt(spec, 3, list(nums)),
+        GridFunction._adopt(spec, 3, np.array(nums, dtype=object)),
+        GridFunction.from_values(spec, [D(n, 3) for n in nums]),
+        parse_grid(render_grid(GridFunction(spec, 3, nums))),
+    ]
+    if top < 1 << 63:  # an int64 array at or above 2^62 is kept as Python ints
+        built.append(GridFunction._adopt(spec, 3, np.array(nums, dtype=np.int64)))
+    for g in built:
+        assert g.scale == 3
+        _stored_as(g, nums, dtype)
+    assert len({hash(g) for g in built}) == 1 and all(g == built[0] for g in built)
+    field = [top, 1] + [0] * 6  # values up to 2^65 over 2^66 lie in [0, 1]
+    spec = GridSpec(3, 1, False)
+    for v in (
+        OneVarField(spec, 66, field),
+        OneVarField._adopt(spec, 66, np.array(field, dtype=object)),
+        OneVarField.from_values(spec, [D(n, 66) for n in field]),
+        parse_field(render_field(OneVarField(spec, 66, field))),
+    ):
+        assert v.scale == 66
+        _stored_as(v, field, dtype)
+
+
+def test_shifts_and_sums_promote_past_int64():
+    spec = GridSpec(2, 0, False)
+    nums = [(1 << 62) - 1] * 8 + [1, 3] * 4
+    f = GridFunction(spec, 2, nums)
+    _stored_as(f, nums, np.int64)
+    up = f.rescaled(3)  # the top numerators reach 2^63 - 2
+    _stored_as(up, [n << 1 for n in nums], object)
+    assert up == f and hash(up) == hash(f)
+    _stored_as(up.rescaled(2), nums, np.int64)
+    _stored_as(up.reduced(), nums, np.int64)
+    _stored_as(f.rescaled(100), [n << 98 for n in nums], object)
+    _stored_as(f.rescaled(100).rescaled(0), [n >> 2 for n in nums], np.int64)
+    # 16 numerators near 2^62 sum past 2^63; their squares pass 2^123
+    assert f.integral() == D(sum(nums), 2 + 4)
+    assert f.l2_sq() == D(sum(n * n for n in nums), 4 + 4)
+    # reduced strips 2^3 and moves to int64 when the numerators fall below 2^62
+    wide = GridFunction(spec, 5, [n << 3 for n in nums])
+    _stored_as(wide, [n << 3 for n in nums], object)
+    assert wide.reduced().scale == 2
+    _stored_as(wide.reduced(), nums, np.int64)
+    big = [(1 << 63) + 1] * 16
+    _stored_as(GridFunction(spec, 5, [n << 3 for n in big]).reduced(), big, object)
+
+
+def test_equal_grids_at_other_scales_and_dtypes():
+    spec = GridSpec(2, 0, False)
+    a = GridFunction(spec, 0, [(1 << 61) + k for k in range(16)])
+    b = GridFunction(spec, 3, [n << 3 for n in a.nums])
+    assert (a.array.dtype, b.array.dtype) == (np.int64, object)
+    assert a == b and b == a and hash(a) == hash(b)
+    assert a != GridFunction(spec, 3, [(n << 3) + (k == 15) for k, n in enumerate(a.nums)])
+    assert GridFunction.zeros(spec) == GridFunction(spec, 90, [0] * 16)
+    assert hash(GridFunction.zeros(spec)) == hash(GridFunction(spec, 90, [0] * 16))
+
+
+def test_bad_values_raise_the_same_messages_every_way_in():
+    spec = GridSpec(2, 0, False)
+    cases = (
+        ([-1] + [0] * 15, "grid values must be nonnegative"),
+        ([-(1 << 70)] + [1 << 70] * 15, "grid values must be nonnegative"),
+        ([0] * 15, "grid value count mismatch"),
+        ([1 << 70] * 17, "grid value count mismatch"),
+    )
+    for nums, match in cases:
+        for build in (
+            lambda: GridFunction(spec, 0, nums),
+            lambda: GridFunction._adopt(spec, 0, nums),
+            lambda: GridFunction._adopt(spec, 0, np.array(nums, dtype=object)),
+        ):
+            with pytest.raises(ValueError, match=match):
+                build()
+    with pytest.raises(ValueError, match="grid value count mismatch"):
+        GridFunction._adopt(spec, 0, np.zeros((4, 4), dtype=np.int64))
+    spec = GridSpec(2, 0, False)
+    for nums in ([-1, 0, 0, 0], [5, 0, 0, 0], [1 << 70, 0, 0, 0]):
+        with pytest.raises(ValueError, match=r"field values must lie in \[0,1\]"):
+            OneVarField(spec, 2, nums)
+        with pytest.raises(ValueError, match=r"field values must lie in \[0,1\]"):
+            OneVarField._adopt(spec, 2, np.array(nums, dtype=object))

@@ -175,7 +175,7 @@ def test_seeded_draws_match_the_randrange_loop():
                 values.append(loop.randrange(1 << bits))
             for n in _REPLAY_SIZES:
                 rng = random.Random(seed)
-                assert _randbelow_pow2(rng, bits, n) == values[:n], (seed, bits, n)
+                assert _randbelow_pow2(rng, bits, n).tolist() == values[:n], (seed, bits, n)
                 assert (rng.getstate(), rng.random()) == after[n], (seed, bits, n)
 
     # a stream that has already drawn, then random_field and random_grid on

@@ -557,8 +557,8 @@ def test_choice_map_rejects_non_integer_or_misshapen_entries():
 
 
 def _m2(g) -> list[Fraction]:
-    """m2_vertical's (num, den) arrays as one Fraction per cell."""
-    num, den = m2_vertical(g)
+    """m2_vertical's (num, den) arrays on every column as one Fraction per cell."""
+    num, den = m2_vertical(g, range(g.spec.n))
     return [Fraction(x, d << g.scale) for x, d in zip(num.tolist(), den.tolist())]
 
 
@@ -650,7 +650,37 @@ def test_m2_vertical_dtype_bound_both_sides(monkeypatch):
         assert picked[-1] is dtype
         assert got == _oracle_m2(g)
         # the (num, den) arrays come back in the dtype the recurrence ran in
-        assert [a.dtype for a in m2_vertical(g)] == [np.dtype(dtype)] * 2
+        assert [a.dtype for a in m2_vertical(g, range(spec.n))] == [np.dtype(dtype)] * 2
+
+
+def test_m2_vertical_on_columns_is_the_full_result_restricted():
+    """M2 on given columns equals M2 on all columns read at those columns'
+    cells, column by column, on both sides of _vertical_dtype's bound
+    (b + 2m = 62 and 63) and above it; on all columns it is the oracle's."""
+    rng = random.Random(31)
+    for m in range(2, 7):
+        spec = GridSpec(m, m - 2, False)
+        n = spec.n
+        for bits in (3, 62 - 2 * m, 63 - 2 * m, 70):
+            nums = [rng.getrandbits(bits) for _ in range(spec.n_cells)]
+            nums[rng.randrange(spec.n_cells)] = (1 << bits) - 1  # b is exactly bits
+            g = GridFunction(spec, rng.randrange(4), nums)
+            full_num, full_den = m2_vertical(g, range(n))
+            dtype = np.int64 if bits + 2 * m <= 62 else object
+            assert full_num.dtype == full_den.dtype == np.dtype(dtype)
+            if m <= 5 and bits in (62 - 2 * m, 63 - 2 * m):
+                assert _m2(g) == _oracle_m2(g)
+            picks = [[], [0], [n - 1], list(range(n))]
+            picks += [sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(3)]
+            for cols in picks:
+                num, den = m2_vertical(g, np.array(cols, dtype=np.int32))
+                at = np.array([c * n + r for c in cols for r in range(n)], dtype=np.int64)
+                assert num.dtype == den.dtype == np.dtype(dtype)
+                assert num.tolist() == full_num[at].tolist() and den.tolist() == full_den[at].tolist()
+    g = GridFunction.constant(GridSpec(3, 1, False), 1)
+    for cols in ([1, 0], [2, 2], [-1], [8]):
+        with pytest.raises(ValueError, match="columns must be sorted, distinct and in range"):
+            m2_vertical(g, cols)
 
 
 def test_estimate_norm_single_member_optimum():

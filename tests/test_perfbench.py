@@ -1,7 +1,7 @@
 """The benchmark harness runs on this tree.
 
 perfbench's counting hooks read program attributes (Parallelogram.touched_rows,
-col_lo and col_hi, RectangleFamily.members), and its tracer wraps the layer
+col_lo and col_hi, RectangleFamily.members, a grid's nums), and its tracer wraps the layer
 functions by name.  A traced run of each workload that touches them must end
 correct with no failed operation, so removing what a hook reads fails here and
 not only in the benchmark.
@@ -29,7 +29,7 @@ GONE = {
 }
 
 
-@pytest.mark.parametrize("workload", ["shrink", "ascent"])
+@pytest.mark.parametrize("workload", ["shrink", "ascent", "decompose"])
 def test_traced_bench_run_is_correct(workload):
     args = ["--workload", workload, "--seed", "0", "--seconds", "1", "--trace", "1"]
     out = subprocess.run(

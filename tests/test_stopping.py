@@ -586,9 +586,9 @@ def test_omega_levels_match_the_oracle_on_random_good_subsets():
     assert omega_levels(np.empty((0, 3), dtype=np.int64), [(0, 0, 2)]) == ()
 
 
-def _zero_vertical_max(g):
-    """m2_vertical's (num, den) arrays for M2 g = 0 on every cell."""
-    n = g.spec.n_cells
+def _zero_vertical_max(g, columns):
+    """m2_vertical's (num, den) arrays for M2 g = 0 on every cell of the columns."""
+    n = len(columns) * g.spec.n
     return np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
 
 
@@ -667,6 +667,39 @@ def test_domination_check_on_an_m6_cascade(monkeypatch):
     violations, again, _ = domination_check(res, inst.rho, inst.f)
     assert again == checked == len(violations)
     assert {v.vertical_max for v in violations} == {"0"}
+
+
+def _violation_digest(violations) -> str:
+    text = "".join(
+        f"{v.generation} {v.interval.level} {v.interval.index} {v.layer} {v.cell} {v.average} {v.vertical_max}\n"
+        for v in violations
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "m, generations, pinned",
+    [
+        (6, 2, {1: (22, 110, "e45de1cf29eef281"), None: (27, 330, "a8c3852b9f882328")}),
+        (7, 2, {1: (58, 393, "b23c73130f926fe1"), None: (63, 1179, "16cbdf246f39bf18")}),
+        (8, 3, {1: (414, 2188, "926ea3a7fde6fe7d"), None: (467, 6287, "835217622e4ccbc6")}),
+    ],
+    ids=["m6", "m7", "m8"],
+)
+def test_domination_check_pinned_on_cascades(m, generations, pinned):
+    """domination_check on the cascade at m, m_w = m - 2, delta 1/2
+    (random_grid seed 0), with one piece and with every piece: the
+    violations (count and a digest of every field), the tuples checked and
+    the worst ratio, pinned from the program that ran M2 on every column."""
+    spec = spec_from_offstep(m, m - 2, "w")
+    inst = CorpusInstance(f"cascade_m{m}", spec, D(1, 1), cascade_field(spec), 0)
+    res = run_generations(inst.field, spec.w, inst.delta, inst.rho)
+    assert len(res.generations) == generations
+    worst = {6: Fraction(152068237, 106871040), 7: Fraction(2125373089, 1501804544),
+             8: Fraction(1673451097, 889601600)}[m]
+    for max_pieces, (count, checked, digest) in pinned.items():
+        got = domination_check(res, inst.rho, inst.f, max_pieces=max_pieces)
+        assert (len(got[0]), got[1], got[2], _violation_digest(got[0])) == (count, checked, worst, digest)
 
 
 def test_run_generations_builds_one_popularity_table(monkeypatch):
