@@ -15,12 +15,12 @@ weight vector, counts[Q] << level_Q (nu_Q / |Q| over a fixed power of two)
 per member Q, zeroed for the members it leaves out.  Overlaps are
 ``geometry.slab_overlap`` of two progressions; a member's mass below height
 y, G(y), is ``geometry.slab_cover``, and its mass in [a, b) is G(b) - G(a).
-B_R, the reformulation sums and box masses build one DyadicRational at
-return.  A shrinking step tabulates w * G at the grid points and B_R once
-per member, for the bad-window scan under every base I, the audit and the
-bands.  The scan compares B_out with lambda0 by cross-multiplying integers,
-so it builds no DyadicRational or Fraction per window.  Cell sets are
-sorted read-only int32 arrays, as in stopping_time.
+B_R is an integer numerator over 2^exp (``BadnessEngine.exp``).  A
+shrinking step tabulates w * G at the grid points and B_R once per member,
+for the bad-window scan under every base I, the audit and the bands.  The
+scan, the audit and the bands compare with lambda0 by cross-multiplying
+integers, so a DyadicRational is built only for a value the layer returns.
+Cell sets are sorted read-only int32 arrays, as in stopping_time.
 """
 
 from __future__ import annotations
@@ -60,12 +60,14 @@ class BadnessEngine:
     bottom, step, columns, slab height), its pi_2 ends (an (N, 2) int64
     array) and its base (level, index).  A scan passes one weight per
     member, nu_Q / |Q| = counts[Q] << level_Q over 4^m / 2^m_w
-    (``weights``) or 0, as Python ints so that no product wraps.
+    (``weights``) or 0, as Python ints so that no product wraps.  B_R is
+    ``badness_of`` over 2^exp, exp = 3m + S - 2m_w.
     """
 
     def __init__(self, fam: RectangleFamily):
         self.spec = spec = fam.spec
         self.scale = spec.slab_scale
+        self.exp = 3 * spec.m + self.scale - 2 * spec.m_w
         keys = fam.sort_keys.T
         c0, lo, step = slab_run(spec, *keys)
         i, d = keys[1], spec.m_w - keys[0]  # d is the base level
@@ -104,8 +106,8 @@ class BadnessEngine:
         u = self.scale - self.spec.m
         return (a << u <= self.ends[:, 0]) & (self.ends[:, 1] <= b << u)
 
-    def badness_of(self, mi: int, weights: list[int]) -> DyadicRational:
-        """B_R: (1/|R|) integral over R of T* of the weighted choosers under pi_1(R)."""
+    def badness_of(self, mi: int, weights: list[int]) -> int:
+        """B_R over 2^exp: (1/|R|) integral over R of T* of the weighted choosers under pi_1(R)."""
         run, runs = self.runs[mi], self.runs
         total = 0
         for qi in self.inside_base(self.bases[mi]):
@@ -113,20 +115,7 @@ class BadnessEngine:
             if w:
                 total += w * slab_overlap(run, runs[qi])
         # |R cap Q| is slab_overlap over 2^(S + m), and 1/|R| = 2^(level_R + m_w)
-        spec = self.spec
-        return DyadicRational(total << self.levels[mi], 3 * spec.m + self.scale - 2 * spec.m_w)
-
-    def box_mass(self, weights: list[int], I: DyadicInterval, a: int, b: int) -> DyadicRational:
-        """Integral over I x [a, b) (grid points over 2^m) of T* of the weighted choosers."""
-        u = self.scale - self.spec.m
-        total = 0
-        for qi in self.inside_base((I.level, I.index)):
-            w = weights[qi]
-            if w:
-                slabs = self.runs[qi][1:]
-                total += w * (slab_cover(*slabs, b << u) - slab_cover(*slabs, a << u))
-        # slab mass over 2^S, times the cell width 2^-m
-        return DyadicRational(total, 3 * self.spec.m + self.scale - self.spec.m_w)
+        return total << self.levels[mi]
 
 
 def badness_table(cells: Iterable[int], rho: ChoiceMap) -> "BadnessTable":
@@ -136,7 +125,7 @@ def badness_table(cells: Iterable[int], rho: ChoiceMap) -> "BadnessTable":
     weights = eng.weights(counts).tolist()
     two_m = 2 * eng.spec.m
     nus = tuple(DyadicRational(c, two_m) for c in counts)
-    bs = tuple(eng.badness_of(mi, weights) for mi in range(len(rho.fam)))
+    bs = tuple(DyadicRational(eng.badness_of(mi, weights), eng.exp) for mi in range(len(rho.fam)))
     return BadnessTable(nus, bs)
 
 
@@ -196,20 +185,19 @@ def badness_components(
     w = eng.weights(nu_all(rho, cells))
     rows = K.columns(m)  # K's grid points over 2^m
     inside = eng.fits(*window_triple(rows.start, rows.stop, 1 << m))
-    return eng.badness_of(mi, (w * inside).tolist()), eng.badness_of(mi, (w * ~inside).tolist())
+    b_in, b_out = (eng.badness_of(mi, (w * keep).tolist()) for keep in (inside, ~inside))
+    return DyadicRational(b_in, eng.exp), DyadicRational(b_out, eng.exp)
 
 
-def _cover_rows(
-    eng: BadnessEngine, weights: list[int], members: Iterable[int]
-) -> dict[int, tuple[int, int, list[int]]]:
-    """Per member with choosers among members: its pi_2 ends and its weight
-    times the slab mass below each of the 2^m + 1 grid points (over 2^S)."""
+def _cover_rows(eng: BadnessEngine, weights: list[int]) -> dict[int, tuple[int, int, list[int]]]:
+    """Per member with choosers: its pi_2 ends and its weight times the slab
+    mass below each of the 2^m + 1 grid points (over 2^S)."""
     u = eng.scale - eng.spec.m  # grid point p sits at p << u
     grid = range((1 << eng.spec.m) + 1)
     ends = eng.ends.tolist()  # the scan compares Python ints
     rows = {}
-    for qi in members:
-        if w := weights[qi]:
+    for qi, w in enumerate(weights):
+        if w:
             _, start, step, cols, height = eng.runs[qi]  # a *args call costs ~20% here
             rows[qi] = (*ends[qi], [w * slab_cover(start, step, cols, height, p << u) for p in grid])
     return rows
@@ -279,7 +267,7 @@ class ShrinkDiagnostics:
     windows: tuple[tuple[DyadicInterval, tuple[DyadicInterval, ...]], ...]
     halved: bool
     dichotomy_failures: tuple[DichotomyRecord, ...]
-    badness: tuple[DyadicRational, ...]  # B_R against the step's input; empty without the audit
+    badness: tuple[int, ...]  # B_R over 2^exp against the step's input; empty without the audit
 
 
 def shrink_once(
@@ -300,7 +288,7 @@ def shrink_once(
     m = spec.m
     cells = _cell_set(cell_array(spec, cells))
     weights = eng.weights(nu_all(rho, cells)).tolist()
-    covers = _cover_rows(eng, weights, range(len(weights)))
+    covers = _cover_rows(eng, weights)
 
     windows = []
     grid = np.zeros((spec.n, spec.n), dtype=bool)  # grid[c, r] is cell (c << m) + r
@@ -321,19 +309,21 @@ def shrink_once(
 
     halved = 2 * len(shrunk) <= len(cells)
     failures: list[DichotomyRecord] = []
-    bs: tuple[DyadicRational, ...] = ()
+    bs: tuple[int, ...] = ()
     if audit:
-        cap = DyadicRational(UNIVERSAL_BADNESS_FACTOR) * lam0
+        # B_R > 20 lam0 is b / 2^exp > cap / 2^(exp + lam0.exp)
+        cap = (UNIVERSAL_BADNESS_FACTOR * lam0.num) << eng.exp
         weights_after = eng.weights(nu_all(rho, shrunk)).tolist()
         bs = tuple(eng.badness_of(mi, weights) for mi in range(len(rho.fam)))
         for mi, b in enumerate(bs):
-            if b <= cap:
+            if b << lam0.exp <= cap:
                 continue
             inside = bool(in_shrunk[eng.touched_cells(mi)].all())
             b_after = eng.badness_of(mi, weights_after)
-            if inside and b <= cap + b_after:
+            if inside and (b - b_after) << lam0.exp <= cap:
                 continue
-            failures.append(DichotomyRecord(mi, b.render(), inside, b_after.render()))
+            shown, shown_after = (DyadicRational(x, eng.exp).render() for x in (b, b_after))
+            failures.append(DichotomyRecord(mi, shown, inside, shown_after))
     return shrunk, ShrinkDiagnostics(tuple(windows), halved, tuple(failures), bs)
 
 
@@ -395,13 +385,12 @@ def shrink_iterate(cells: Iterable[int], rho: ChoiceMap, lam0) -> ShrinkTrace:
             )
 
     eng = BadnessEngine(rho.fam)
-    cap = DyadicRational(UNIVERSAL_BADNESS_FACTOR) * lam0
+    cap = (UNIVERSAL_BADNESS_FACTOR * lam0.num) << eng.exp  # 20 lam0 over 2^(exp + lam0.exp)
     b0 = diags[0].badness if diags else ()  # no step, no bands: E_0 is empty
     bands: list[BandRow] = []
     k = 1
     while True:
-        thresh = cap * DyadicRational(k)
-        members = tuple(mi for mi, b in enumerate(b0) if b >= thresh)
+        members = tuple(mi for mi, b in enumerate(b0) if b << lam0.exp >= cap * k)
         if not members:
             break
         contained = True

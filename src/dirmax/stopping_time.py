@@ -32,7 +32,7 @@ from .dyadic import DyadicRational
 from .family import _unique_rows, popular_table
 from .geometry import DyadicInterval, GridSpec, dyadic_inside
 from .grids import GridFunction, OneVarField, _cell_set, cell_array
-from .maximal import ChoiceMap, _scaled_averages, apply_T_adjoint, m2_vertical
+from .maximal import ChoiceMap, apply_T, apply_T_adjoint, m2_vertical
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,8 +332,8 @@ def domination_check(
     instead).  Returns (violations, tuples checked, worst excess ratio where
     m2_vertical > 0); an empty violation list means the domination held exactly.
     M2 g runs on those cells' columns only.  Each tuple is decided by one
-    cross-product of Python ints: avg_R(g) is avgs[e] / 2^scale and M2 g(x) is
-    num / (den << g.scale), with scale - g.scale = 2m + 2, so nothing wraps.
+    cross-product of Python ints: avg_R(g) is (T g)(x) from apply_T, over
+    2^(g.scale + 2m + 2), and M2 g(x) is num / (den << g.scale), so nothing wraps.
     """
     if max_pieces is not None and max_pieces < 0:
         raise ValueError("max_pieces must be nonnegative")
@@ -352,16 +352,16 @@ def domination_check(
             place = np.cumsum(read) - 1  # a read column's position among them
             g = apply_T_adjoint(rho, f.masked(cells))
             num, den = m2_vertical(g, np.flatnonzero(read))
-            avgs, scale = _scaled_averages(rho.fam, g)
-            shift = scale - g.scale
+            tg = apply_T(rho, g)
+            shift = tg.scale - g.scale
             for cells in later:
                 checked += len(cells)
                 at = (place[cells >> m] << m) | (cells & ((1 << m) - 1))
-                for idx, e, x, d in zip(
-                    cells.tolist(), rho.entries[cells].tolist(), num[at].tolist(), den[at].tolist()
+                for idx, a, x, d in zip(
+                    cells.tolist(), tg.array[cells].tolist(), num[at].tolist(), den[at].tolist()
                 ):
-                    if avgs[e] * d > x << shift:
-                        avg, rhs = Fraction(avgs[e], 1 << scale), Fraction(x, d << g.scale)
+                    if a * d > x << shift:
+                        avg, rhs = Fraction(a, 1 << tg.scale), Fraction(x, d << g.scale)
                         violations.append(
                             DominationViolation(j, J, n, idx, str(avg), str(rhs))
                         )

@@ -190,11 +190,19 @@ def test_reformulate_and_components_match_oracle():
 def _engine_masses(rho, cells, I, a, b):
     """(in-mass, out-mass) over I x [a, b) (grid points over 2^m) of T* of the
     choosers under I, split by whether the chosen rectangle's pi_2 lies
-    inside the window's triple: BadnessEngine's weights, fits and box masses."""
+    inside the window's triple: differences of the scan's cover rows, split
+    by BadnessEngine.fits."""
     eng = BadnessEngine(rho.fam)
-    w = eng.weights(nu_all(rho, cells))
+    covers = _cover_rows(eng, eng.weights(nu_all(rho, cells)).tolist())
     inside = eng.fits(*window_triple(a, b, rho.spec.n))
-    return eng.box_mass((w * inside).tolist(), I, a, b), eng.box_mass((w * ~inside).tolist(), I, a, b)
+    masses = [0, 0]
+    for qi in eng.inside_base((I.level, I.index)):
+        if qi in covers:
+            cover = covers[qi][2]
+            masses[not inside[qi]] += cover[b] - cover[a]
+    # slab masses over 2^S, times the cell width 2^-m, over 4^m / 2^m_w
+    exp = 3 * eng.spec.m + eng.scale - eng.spec.m_w
+    return D(masses[0], exp), D(masses[1], exp)
 
 
 def _engine_split(rho, cells, I, a, b):
@@ -251,7 +259,7 @@ def _bad_windows(I, cells, rho, lam0):
     """The bad-window scan over one base I, as a shrinking step runs it."""
     eng = BadnessEngine(rho.fam)
     weights = eng.weights(nu_all(rho, cells)).tolist()
-    return _select_bad_windows(eng, I, _cover_rows(eng, weights, range(len(rho.fam))), lam0)
+    return _select_bad_windows(eng, I, _cover_rows(eng, weights), lam0)
 
 
 def test_select_bad_windows_degenerate():
@@ -324,7 +332,7 @@ def test_select_bad_windows_at_threshold():
         rho = linearize(random_grid(spec, random.Random(seed + 1)), fam)
         E = frozenset(rho.covered_cells())
         eng = BadnessEngine(fam)
-        covers = _cover_rows(eng, eng.weights(nu_all(rho, E)).tolist(), range(len(fam)))
+        covers = _cover_rows(eng, eng.weights(nu_all(rho, E)).tolist())
         raw = raw_members(fam)
         for i_level in range(m_w + 1):
             for I in (DyadicInterval(i_level, 0), DyadicInterval(i_level, (1 << i_level) - 1)):
@@ -461,7 +469,8 @@ def test_shrink_iterate_computes_badness_once_per_member_and_step(monkeypatch):
     trace = shrink_iterate(inst.covered, inst.rho, D(5, 2))
     assert len(trace.diagnostics) == 2 and trace.bands == ()
     assert len(calls) == len(inst.family) * len(trace.diagnostics)
-    assert trace.diagnostics[0].badness == badness_table(inst.covered, inst.rho).badness
+    exp = BadnessEngine(inst.family).exp
+    assert tuple(D(b, exp) for b in trace.diagnostics[0].badness) == badness_table(inst.covered, inst.rho).badness
     assert list(inspect.signature(shrink_iterate).parameters) == ["cells", "rho", "lam0"]
     assert list(inspect.signature(BadnessEngine).parameters) == ["fam"]
 
@@ -580,6 +589,47 @@ def test_dichotomy_audit_inside_shrunk_matches_the_oracle(monkeypatch):
     entries = rho.entries.tolist()
     assert got == _oracle_records(spec.m, spec.m_w, raw, entries, touched, E, shrunk.tolist(), Fraction(0))
     assert len(got) == 12 and sum(inside for _, _, inside, _ in got) == 2
+
+
+@pytest.mark.parametrize("m, half, seed", [(4, False, 3), (4, True, 2), (5, False, 0)])
+def test_audit_and_bands_at_threshold(monkeypatch, m, half, seed):
+    """lambda0 pinned at every member's B_R >= 1 and 2^-40 below and above
+    it, with the dichotomy factor at 1: the audit's B_R > lambda0 and the
+    bands' B_R >= lambda0 k flip exactly there, so an inexact value or a
+    wrong comparison changes a record or a band.  A step that does not halve
+    leaves its first audit to check.  (B_R - B_R^{E'} stays below lambda0 / 4
+    here; the factor-0 test above meets that comparison at equality.)"""
+    monkeypatch.setattr(dirmax.badness, "UNIVERSAL_BADNESS_FACTOR", 1)
+    spec = GridSpec(m, m - 2, half)
+    fam = enumerate_family(FamilyParams(spec, D(1, 1)), random_field(spec, random.Random(m)))
+    rho = linearize(random_grid(spec, random.Random(seed)), fam)
+    E = rho.covered_cells()
+    raw, entries, m_w = raw_members(fam), rho.entries.tolist(), spec.m_w
+    touched = _touched(m, m_w, raw)
+    b0 = [oracle.badness(m, m_w, raw, entries, E, mi) for mi in range(len(raw))]
+    records = bands = 0
+    for b in sorted({b for b in b0 if b >= 1}):
+        for lam in (D.from_fraction(b) + D(d, 40) for d in (-1, 0, 1)):
+            if lam < 1:
+                continue
+            try:
+                trace = shrink_iterate(E, rho, lam)
+            except ShrinkHalvingError as err:
+                trace = err.trace
+            got = _records(trace.diagnostics[0])
+            cap = lam.as_fraction()
+            assert got == _oracle_records(m, m_w, raw, entries, touched, E, trace.steps[1].tolist(), cap)
+            want = []
+            for k in range(1, len(raw) + 2):
+                members = tuple(mi for mi, x in enumerate(b0) if x >= cap * k)
+                if not members:
+                    break
+                want.append((k, members))
+            if trace.diagnostics[-1].halved:
+                assert [(row.k, row.members) for row in trace.bands] == want
+                bands += len(want)
+            records += len(got)
+    assert records and bands  # the replay is not vacuous
 
 
 def test_multi_collection_experiment():

@@ -359,11 +359,14 @@ def test_annotation_checker_reads_each_method():
 
 def test_badness_builds_no_frozensets_and_takes_no_member_callbacks():
     """Badness scans read one weight vector and its cell sets are int32
-    arrays: no BadnessEngine method takes a callable, and no frozenset is left."""
+    arrays: no BadnessEngine method takes a callable, and no frozenset is left.
+    The engine keeps B_R an integer: its source names no DyadicRational."""
     source = (Path(dirmax.__file__).parent / "badness.py").read_text()
     assert name_lines(source, "frozenset") == []
     methods = method_annotations(source, "BadnessEngine")
-    assert {"badness_of", "box_mass", "fits", "touched_cells"} <= set(methods)
+    assert {"badness_of", "fits", "touched_cells"} <= set(methods) and "box_mass" not in methods
+    [engine] = [n for n in ast.parse(source).body if isinstance(n, ast.ClassDef) and n.name == "BadnessEngine"]
+    assert name_lines(ast.unparse(engine), "DyadicRational") == []
     assert {name: a for name, a in methods.items() if any("Callable" in t for t in a)} == {}
 
 
@@ -394,13 +397,13 @@ def test_badness_applies_no_operator():
 
 def test_stopping_time_holds_no_float_norm_estimates():
     """The L2 assembly waits for an exact, refereed form: stopping_time.py
-    imports from maximal only the choice map, T*, M2 and the member kernel,
+    imports from maximal only the choice map, T, T* and M2,
     names no math and none of the float lower estimates, and the T*T ascent
     lives only in estimate_norm."""
     from dirmax import calibration, maximal
 
     source = (Path(dirmax.__file__).parent / "stopping_time.py").read_text()
-    assert from_imports(source, ".maximal") == {"ChoiceMap", "apply_T_adjoint", "m2_vertical", "_scaled_averages"}
+    assert from_imports(source, ".maximal") == {"ChoiceMap", "apply_T", "apply_T_adjoint", "m2_vertical"}
     names = (
         "math", "generation_operator_ratio", "cross_norm_estimate", "orthogonality_table", "cotlar_stein_bound",
     )
