@@ -8,13 +8,19 @@ Raw conventions: a member is (k, base_index, slope_index, offset) with the
 offset a Fraction; grids and fields are flat lists of Fractions; cell index
 is (column << m) + row.
 
-Each call builds what it reuses as local tables: every member's slabs
-(column, bottom, top) once, and in ``shrink_once`` each member's weight
-area / |Q| * cell once, before the window loops.  A slab [lo, hi) meets
-only rows floor(lo * 2^m) .. ceil(hi * 2^m) - 1; every other row has no
-overlap with it and no center in it, so integrals, maximal values and T*
-read only those rows.  Nothing is cached across calls: each call answers
-from its own arguments alone.
+Each call builds what it reuses as local tables, in the same Fraction
+arithmetic: every member's slabs (column, bottom, top) once, and the row
+edges r / 2^m once.  A slab [lo, hi) meets only rows floor(lo * 2^m) ..
+ceil(hi * 2^m) - 1; every other row has no overlap with it and no center in
+it, so integrals, maximal values and T* read only those rows.  ``badness``
+takes a sequence of member indices and answers for all of them from one
+set of tables: the column -> slab table of each member it reads, and the
+chooser weights once per distinct base.  ``shrink_once`` builds, per window
+K, the masses of the choosers whose pi2 extent lies outside triple(K) and
+meets K (and, once some base passes that test, those outside the double
+triple over triple(K)); each base I then sums the masses of its own
+choosers.  Nothing is cached across calls: each call answers from its own
+arguments alone.
 """
 
 from __future__ import annotations
@@ -65,18 +71,23 @@ def _rows(m: int, lo: Fraction, hi: Fraction) -> range:
     return range(max(0, math.floor(lo * n)), min(n, math.ceil(hi * n)))
 
 
-def _integrate(m: int, table: SlabTable, f: Sequence[Fraction]) -> Fraction:
-    cell = Fraction(1, 1 << m)
+def _edges(m: int) -> list[Fraction]:
+    """The row edges r / 2^m for r = 0 .. 2^m: row r is [edges[r], edges[r + 1])."""
+    n = 1 << m
+    return [Fraction(r, n) for r in range(n + 1)]
+
+
+def _integrate(m: int, edges: Sequence[Fraction], table: SlabTable, f: Sequence[Fraction]) -> Fraction:
     total = Fraction(0)
     for c, lo, hi in table:
         for r in _rows(m, lo, hi):
-            seg = min(hi, (r + 1) * cell) - max(lo, r * cell)
+            seg = min(hi, edges[r + 1]) - max(lo, edges[r])
             total += seg * f[(c << m) + r]
-    return total * cell
+    return total * edges[1]
 
 
 def integrate(m: int, m_w: int, member: Member, f: Sequence[Fraction]) -> Fraction:
-    return _integrate(m, _slab_table(m, m_w, member), f)
+    return _integrate(m, _edges(m), _slab_table(m, m_w, member), f)
 
 
 def weighted_count(
@@ -85,26 +96,30 @@ def weighted_count(
     """T* of an indicator whose cells chose each member counts times: per cell,
     the sum of counts * cell area / |R| * (share of the cell R's slab covers)."""
     n = 1 << m
-    cell = Fraction(1, n)
+    edges = _edges(m)
     out = [Fraction(0)] * (n * n)
     for r, cnt in zip(members, counts):
         if not cnt:
             continue
-        coef = cnt * cell / member_measure(m_w, r)  # cell area / (|R| * cell height)
+        coef = cnt * edges[1] / member_measure(m_w, r)  # cell area / (|R| * cell height)
         for c, lo, hi in _slab_table(m, m_w, r):
             for row in _rows(m, lo, hi):
-                seg = min(hi, (row + 1) * cell) - max(lo, row * cell)
+                seg = min(hi, edges[row + 1]) - max(lo, edges[row])
                 out[(c << m) + row] += coef * seg
     return out
 
 
-def _overlap(m: int, m_w: int, spans: dict[int, tuple[Fraction, Fraction]], b: Member) -> Fraction:
-    """|A cap B|, with A given as its column -> (bottom, top) table."""
+def _spans(m: int, m_w: int, member: Member) -> dict:
+    """column -> (bottom, top) of the member's slab."""
+    return {c: (lo, hi) for c, lo, hi in _slab_table(m, m_w, member)}
+
+
+def _overlap(m: int, a: dict, b: dict) -> Fraction:
+    """|A cap B|, with A and B given as their column -> (bottom, top) tables."""
     total = Fraction(0)
-    for c in columns(m, m_w, b):
-        if c in spans:
-            alo, ahi = spans[c]
-            blo, bhi = slab(m, m_w, b, c)
+    for c, (blo, bhi) in b.items():
+        if c in a:
+            alo, ahi = a[c]
             lo, hi = max(alo, blo), min(ahi, bhi)
             if hi > lo:
                 total += hi - lo
@@ -112,8 +127,7 @@ def _overlap(m: int, m_w: int, spans: dict[int, tuple[Fraction, Fraction]], b: M
 
 
 def pair_overlap(m: int, m_w: int, a: Member, b: Member) -> Fraction:
-    spans = {c: (lo, hi) for c, lo, hi in _slab_table(m, m_w, a)}
-    return _overlap(m, m_w, spans, b)
+    return _overlap(m, _spans(m, m_w, a), _spans(m, m_w, b))
 
 
 def pi2_extent(m: int, m_w: int, member: Member) -> tuple[Fraction, Fraction]:
@@ -156,12 +170,13 @@ def maximal_apply(
     chooser is the lowest-index member holding its center among those of
     largest average, and -1 where no member holds it."""
     n = 1 << m
+    edges = _edges(m)
     centers = [Fraction(2 * row + 1, 2 * n) for row in range(n)]
     out = [Fraction(0)] * (n * n)
     chooser = [-1] * (n * n)
     for i, r in enumerate(members):
         table = _slab_table(m, m_w, r)
-        avg = _integrate(m, table, f) / member_measure(m_w, r)
+        avg = _integrate(m, edges, table, f) / member_measure(m_w, r)
         for c, lo, hi in table:
             for row in _rows(m, lo, hi):
                 if lo <= centers[row] < hi:
@@ -350,21 +365,33 @@ def badness(
     members: Sequence[Member],
     rho: Sequence[int],
     cells,
-    mi: int,
-) -> Fraction:
-    """(1/|R|) * sum over rectangles chosen from inside pi_1(R)."""
-    k, i, _j, _b = members[mi]
-    base = (m_w - k, i)
-    keep = [idx for idx in cells if rho[idx] >= 0 and base_contains(m_w, base, members[rho[idx]])]
-    counts = nu_counts(members, rho, keep)
-    spans = {c: (lo, hi) for c, lo, hi in _slab_table(m, m_w, members[mi])}
+    mis: Sequence[int],
+) -> list[Fraction]:
+    """B_R for R = members[mi], for each mi in mis in that order: (1/|R|) *
+    the sum, over the rectangles Q chosen from inside pi_1(R), of Q's
+    choosers * cell area / |Q| * |R cap Q|.  An index outside [0, N) raises
+    IndexError."""
+    for mi in mis:
+        if not 0 <= mi < len(members):
+            raise IndexError(f"member index {mi} out of range for {len(members)} members")
+    counts = nu_counts(members, rho, cells)
     area = Fraction(1, 1 << (2 * m))
-    total = Fraction(0)
-    for qi, cnt in enumerate(counts):
-        if cnt:
-            q = members[qi]
-            total += cnt * area / member_measure(m_w, q) * _overlap(m, m_w, spans, q)
-    return total / member_measure(m_w, members[mi])
+    bases = [(m_w - members[mi][0], members[mi][1]) for mi in mis]
+    under = {  # base -> (Q, its choosers' weight) for each chooser Q under the base
+        base: [
+            (qi, cnt * area / member_measure(m_w, q))
+            for qi, (q, cnt) in enumerate(zip(members, counts))
+            if cnt and base_contains(m_w, base, q)
+        ]
+        for base in set(bases)
+    }
+    needed = set(mis).union(*([qi for qi, _w in pairs] for pairs in under.values()))
+    spans = {qi: _spans(m, m_w, members[qi]) for qi in needed}  # R's and its choosers' slabs
+    return [
+        sum((w * _overlap(m, spans[mi], spans[qi]) for qi, w in under[base]), Fraction(0))
+        / member_measure(m_w, members[mi])
+        for mi, base in zip(mis, bases)
+    ]
 
 
 def _triple(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
@@ -372,37 +399,67 @@ def _triple(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     return max(Fraction(0), lo - ln), min(Fraction(1), hi + ln)
 
 
-def _box_average(
-    tables: Sequence[SlabTable],
-    weights: Sequence[Fraction],
-    counts: Sequence[int],
-    keep: Sequence[int],
-    i_level: int,
-    wlo: Fraction,
-    whi: Fraction,
-) -> Fraction:
-    """B over I x [wlo, whi) from the members in keep: the sum of count * area
-    / |Q| * cell * (Q's slab length inside the window), over |I| (whi - wlo)."""
-    total = Fraction(0)
-    for qi in keep:
+def _out_masses(
+    tables: Sequence[SlabTable], coefs: Sequence[Fraction], chosen, window, fit
+) -> dict[int, Fraction]:
+    """qi -> coefs[qi] * (Q's slab length inside the window), for each member
+    in chosen whose pi2 extent is not inside fit and meets the window."""
+    (wlo, whi), (flo, fhi) = window, fit
+    masses = {}
+    for qi in chosen:
         table = tables[qi]
-        if not counts[qi] or table[0][1] >= whi or table[-1][2] <= wlo:
-            continue  # no chooser, or Q's pi2 extent misses the window
+        lo, hi = table[0][1], table[-1][2]  # Q's pi2 extent
+        if (flo <= lo and hi <= fhi) or lo >= whi or hi <= wlo:
+            continue
         acc = Fraction(0)
-        for _c, lo, hi in table:
-            seg = min(hi, whi) - max(lo, wlo)
+        for _c, bottom, top in table:
+            seg = min(top, whi) - max(bottom, wlo)
             if seg > 0:
                 acc += seg
-        total += counts[qi] * weights[qi] * acc
-    denom = Fraction(1, 1 << i_level) * (whi - wlo)
-    return total / denom if denom else Fraction(0)
+        masses[qi] = coefs[qi] * acc
+    return masses
 
 
-def _box_weights(m: int, m_w: int, members: Sequence[Member]) -> list[Fraction]:
-    """area / |Q| * cell for each member Q: one chooser's mass per unit slab length."""
-    area = Fraction(1, 1 << (2 * m))
-    cell = Fraction(1, 1 << m)
-    return [area / member_measure(m_w, q) * cell for q in members]
+def _bad_windows(
+    m: int, m_w: int, members: Sequence[Member], rho: Sequence[int], cells, lam0: Fraction
+) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The selected pairs ((I's level, index), (K's level, index)), sorted.
+
+    (I, K) is selected when the average over I x K of the mass of the
+    choosers under I whose pi2 extent is not inside triple(K) reaches lam0,
+    and the average over I x triple(K) of those whose extent is not inside
+    triple(triple(K)) stays below it.  A chooser's mass over a window is its
+    count * area / |Q| * cell * (Q's slab length inside the window)."""
+    counts = nu_counts(members, rho, cells)
+    tables = [_slab_table(m, m_w, r) for r in members]
+    cube = Fraction(1, 1 << (3 * m))  # cell area * cell height
+    coefs = [cnt * cube / member_measure(m_w, q) for q, cnt in zip(members, counts)]
+    chosen = [qi for qi, cnt in enumerate(counts) if cnt]
+    bases = [  # (I, the choosers under I)
+        ((level, index), [qi for qi in chosen if base_contains(m_w, (level, index), members[qi])])
+        for level in range(m_w + 1)
+        for index in range(1 << level)
+    ]
+
+    def average(masses, I, active, window):
+        total = sum((masses[qi] for qi in active if qi in masses), Fraction(0))
+        return total / (Fraction(1, 1 << I[0]) * (window[1] - window[0]))
+
+    selected = []
+    for k_level in range(m + 1):
+        for k_index in range(1 << k_level):
+            K = Fraction(k_index, 1 << k_level), Fraction(k_index + 1, 1 << k_level)
+            triple = _triple(*K)
+            mass = _out_masses(tables, coefs, chosen, K, triple)
+            mass3 = None  # built when a base first passes the K test
+            for I, active in bases:
+                if average(mass, I, active, K) < lam0:
+                    continue
+                if mass3 is None:
+                    mass3 = _out_masses(tables, coefs, chosen, triple, _triple(*triple))
+                if average(mass3, I, active, triple) < lam0:
+                    selected.append((I, (k_level, k_index)))
+    return sorted(selected)
 
 
 def shrink_once(
@@ -413,39 +470,11 @@ def shrink_once(
     cells,
     lam0: Fraction,
 ) -> set[int]:
-    """Definition replay of the shrunken set E' as a set of cell indices."""
-    counts = nu_counts(members, rho, cells)
-    tables = [_slab_table(m, m_w, r) for r in members]
-    weights = _box_weights(m, m_w, members)
-    pi2 = [pi2_extent(m, m_w, r) for r in members]
+    """Definition replay of the shrunken set E' as a set of cell indices: the
+    union of I x triple(K) over the selected pairs (I, K)."""
     shrunk: set[int] = set()
-    for i_level in range(m_w + 1):
-        for i_index in range(1 << i_level):
-            active = [
-                qi for qi, r in enumerate(members)
-                if counts[qi] and base_contains(m_w, (i_level, i_index), r)
-            ]
-            if not active:
-                continue
-            for k_level in range(m + 1):
-                for k_index in range(1 << k_level):
-                    klo = Fraction(k_index, 1 << k_level)
-                    khi = Fraction(k_index + 1, 1 << k_level)
-                    tlo, thi = _triple(klo, khi)
-                    out = [qi for qi in active if not (tlo <= pi2[qi][0] and pi2[qi][1] <= thi)]
-                    b_out = _box_average(tables, weights, counts, out, i_level, klo, khi)
-                    if b_out < lam0:
-                        continue
-                    t2lo, t2hi = _triple(tlo, thi)
-                    out3 = [qi for qi in active if not (t2lo <= pi2[qi][0] and pi2[qi][1] <= t2hi)]
-                    b_out3 = _box_average(tables, weights, counts, out3, i_level, tlo, thi)
-                    if b_out3 >= lam0:
-                        continue
-                    c0 = i_index << (m - i_level)
-                    c1 = (i_index + 1) << (m - i_level)
-                    r0 = int(tlo * (1 << m))
-                    r1 = int(thi * (1 << m))
-                    for c in range(c0, c1):
-                        for r in range(r0, r1):
-                            shrunk.add((c << m) + r)
+    for (i_level, i_index), (k_level, k_index) in _bad_windows(m, m_w, members, rho, cells, lam0):
+        tlo, thi = _triple(Fraction(k_index, 1 << k_level), Fraction(k_index + 1, 1 << k_level))
+        for c in range(i_index << (m - i_level), (i_index + 1) << (m - i_level)):
+            shrunk.update(range((c << m) + int(tlo * (1 << m)), (c << m) + int(thi * (1 << m))))
     return shrunk

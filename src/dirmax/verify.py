@@ -174,8 +174,8 @@ def _oracle_checks(inst: CorpusInstance, members, vvals):
             rng = random.Random(inst.seed)
             idxs = sorted(rng.sample(range(len(members)), ORACLE_BADNESS_SAMPLE))
         entries = inst.rho.entries.tolist()  # the oracle reads Python ints only
-        for mi in idxs:
-            ob = oracle.badness(m, m_w, members, entries, inst.covered, mi)
+        obs = oracle.badness(m, m_w, members, entries, inst.covered, idxs)
+        for mi, ob in zip(idxs, obs):
             if tab.badness[mi].as_fraction() != ob:
                 return f"member {mi}"
 

@@ -73,9 +73,9 @@ def test_badness_against_direct_integral():
     spec, fam, rho, E = _setup(seed=22)
     raw = raw_members(fam)
     tab = badness_table(E, rho)
-    for mi in range(0, len(fam), 3):
-        want = oracle.badness(spec.m, spec.m_w, raw, rho.entries, E, mi)
-        assert tab.badness[mi].as_fraction() == want
+    mis = range(0, len(fam), 3)
+    want = oracle.badness(spec.m, spec.m_w, raw, rho.entries, E, mis)
+    assert [tab.badness[mi].as_fraction() for mi in mis] == want
 
 
 def test_badness_monotone_in_set():
@@ -166,7 +166,7 @@ def test_reformulate_and_components_match_oracle():
             return overlaps[key]
 
         lhs = sum(nu[a] / size[a] * nu[b] / size[b] * ov(a, b) for a in active for b in active)
-        bad = {a: oracle.badness(m, m_w, raw, rho.entries, E, a) for a in active}
+        bad = dict(zip(active, oracle.badness(m, m_w, raw, rho.entries, E, active)))
         rhs = sum(nu[a] * bad[a] for a in active)
         got = reformulate_check(E, rho)
         assert (got[0].as_fraction(), got[1].as_fraction()) == (lhs, rhs)
@@ -273,23 +273,21 @@ def test_select_bad_windows_degenerate():
 
 
 def _oracle_split(spec, raw, rho, E, I, lo, hi):
-    """(B_in, B_out) over I x [lo, hi) from the oracle's Fraction definitions."""
+    """(B_in, B_out) over I x [lo, hi) from the oracle's Fraction definitions:
+    each chooser Q under I adds count * area / |Q| * cell * (Q's slab length
+    inside the window) to B_in when pi2(Q) lies inside the window's triple,
+    else to B_out."""
     m, m_w = spec.m, spec.m_w
-    counts = [
-        c if oracle.base_contains(m_w, (I.level, I.index), r) else 0
-        for c, r in zip(oracle.nu_counts(raw, rho.entries, E), raw)
-    ]
-    tables = [oracle._slab_table(m, m_w, r) for r in raw]
-    weights = oracle._box_weights(m, m_w, raw)
     tlo, thi = oracle._triple(lo, hi)
-    inside = [tlo <= a and b <= thi for a, b in (oracle.pi2_extent(m, m_w, r) for r in raw)]
-    return tuple(
-        oracle._box_average(tables, weights, counts, keep, I.level, lo, hi)
-        for keep in (
-            [qi for qi, x in enumerate(inside) if x],
-            [qi for qi, x in enumerate(inside) if not x],
-        )
-    )
+    parts = [Fraction(0), Fraction(0)]
+    for q, cnt in zip(raw, oracle.nu_counts(raw, rho.entries, E)):
+        if cnt and oracle.base_contains(m_w, (I.level, I.index), q):
+            a, b = oracle.pi2_extent(m, m_w, q)
+            slabs = (oracle.slab(m, m_w, q, c) for c in oracle.columns(m, m_w, q))
+            length = sum((max(min(top, hi) - max(bottom, lo), Fraction(0)) for bottom, top in slabs), Fraction(0))
+            parts[not (tlo <= a and b <= thi)] += cnt * Fraction(1, 1 << (3 * m)) / oracle.member_measure(m_w, q) * length
+    box = Fraction(1, 1 << I.level) * (hi - lo)
+    return tuple(part / box if box else Fraction(0) for part in parts)
 
 
 def test_select_bad_windows_definition_replay():
@@ -371,8 +369,10 @@ def test_shrink_and_split_match_oracle(spec_args, seed, delta, lam, pick):
     rho = linearize(random_grid(spec, random.Random(seed + 1)), fam)
     E = frozenset(rho.covered_cells())
     raw = raw_members(fam)
-    got, _ = shrink_once(E, rho, lam, audit=False)
+    got, diag = shrink_once(E, rho, lam, audit=False)
     assert set(got) == oracle.shrink_once(m, spec.m_w, raw, rho.entries, E, lam.as_fraction())
+    windows = sorted(((I.level, I.index), (K.level, K.index)) for I, cal in diag.windows for K in cal)
+    assert windows == oracle._bad_windows(m, spec.m_w, raw, rho.entries, E, lam.as_fraction())
     # windows whose triples clip at 0 and at 1, the triples themselves, and a
     # zero-length window
     i_level = pick % (spec.m_w + 1)
@@ -398,6 +398,153 @@ def test_shrink_once_empty_and_oracle():
         ep, _ = shrink_once(E, rho, lam, audit=False)
         want = oracle.shrink_once(spec.m, spec.m_w, raw, rho.entries, E, Fraction(lam))
         assert set(ep) == want
+
+
+_LAMBDAS = (Fraction(1), Fraction(3, 2), Fraction(2))
+
+
+def _twin_instance(m, m_w, half, field):
+    """(raw members, chooser entries, covered cells) at delta 1/2."""
+    spec = GridSpec(m, m_w, half)
+    rng = random.Random(m + 2 * half)
+    v = cascade_field(spec) if field == "cascade" else random_field(spec, rng)
+    fam = enumerate_family(FamilyParams(spec, D(1, 1)), v)
+    rho = linearize(random_grid(spec, rng), fam)
+    return raw_members(fam), rho.entries.tolist(), rho.covered_cells()
+
+
+def _replay_shrink(m, m_w, raw, counts, lams):
+    """Per lambda0, the selected pairs (I, K) and E', with no per-window
+    table: (I, K) is selected when the out-average over I x K reaches lambda0
+    and the out3-average over I x triple(K) stays below it, each read from
+    every chooser under I, every column and every slab clipped to the window."""
+    cell, area = Fraction(1, 1 << m), Fraction(1, 1 << (2 * m))
+    chosen = []  # (Q, count * area / |Q| * cell, Q's slabs)
+    for q, cnt in zip(raw, counts):
+        if cnt:
+            coef = cnt * area / oracle.member_measure(m_w, q) * cell
+            chosen.append((q, coef, [oracle.slab(m, m_w, q, c) for c in oracle.columns(m, m_w, q)]))
+
+    def b_out(I, wlo, whi, fit_lo, fit_hi):
+        total = Fraction(0)
+        for q, coef, slabs in chosen:
+            if not oracle.base_contains(m_w, I, q):
+                continue
+            if fit_lo <= min(lo for lo, _ in slabs) and max(hi for _, hi in slabs) <= fit_hi:
+                continue
+            for lo, hi in slabs:
+                total += coef * max(min(hi, whi) - max(lo, wlo), Fraction(0))
+        return total / (Fraction(1, 1 << I[0]) * (whi - wlo))
+
+    pairs = {lam: [] for lam in lams}
+    cells = {lam: set() for lam in lams}
+    for i_level in range(m_w + 1):
+        for i_index in range(1 << i_level):
+            I = (i_level, i_index)
+            cols = range(i_index << (m - i_level), (i_index + 1) << (m - i_level))
+            for level in range(m + 1):
+                for index in range(1 << level):
+                    klo, khi = Fraction(index, 1 << level), Fraction(index + 1, 1 << level)
+                    tlo, thi = oracle._triple(klo, khi)
+                    b1 = b_out(I, klo, khi, tlo, thi)
+                    if b1 < min(lams):
+                        continue
+                    b3 = b_out(I, tlo, thi, *oracle._triple(tlo, thi))
+                    rows = range(int(tlo * (1 << m)), int(thi * (1 << m)))
+                    for lam in lams:
+                        if b1 >= lam > b3:
+                            pairs[lam].append((I, (level, index)))
+                            cells[lam] |= {(c << m) + r for c in cols for r in rows}
+    return pairs, cells
+
+
+@pytest.mark.parametrize(
+    "m, m_w, half, field",
+    [(3, 1, False, "random"), (3, 1, True, "cascade"), (4, 2, False, "cascade"),
+     (4, 2, True, "random"), (5, 2, False, "random"), (5, 2, True, "cascade"), (5, 3, False, "cascade")],
+)
+def test_oracle_shrink_and_badness_match_the_definitions(m, m_w, half, field):
+    """oracle.shrink_once builds per-window mass tables over the choosers
+    outside each triple, and oracle.badness per-base chooser weights; the
+    replays here build neither.  The selected pairs pin the out and out3
+    sets, which E' (a union of boxes) can hide.  B_R sums, over the choosers
+    Q under R's base, count * area / |Q| * |R cap Q| / |R| (pair_overlap)."""
+    raw, entries, E = _twin_instance(m, m_w, half, field)
+    counts = oracle.nu_counts(raw, entries, E)
+    pairs, cells = _replay_shrink(m, m_w, raw, counts, _LAMBDAS)
+    for lam in _LAMBDAS:
+        assert oracle._bad_windows(m, m_w, raw, entries, E, lam) == pairs[lam]
+        assert oracle.shrink_once(m, m_w, raw, entries, E, lam) == cells[lam]
+    assert pairs[_LAMBDAS[0]]  # the replay is not vacuous
+
+    area = Fraction(1, 1 << (2 * m))
+
+    def b_def(mi):
+        k, i, _j, _b = raw[mi]
+        total = sum(
+            cnt * area / oracle.member_measure(m_w, q) * oracle.pair_overlap(m, m_w, raw[mi], q)
+            for q, cnt in zip(raw, counts)
+            if cnt and oracle.base_contains(m_w, (m_w - k, i), q)
+        )
+        return total / oracle.member_measure(m_w, raw[mi])
+
+    every = [b_def(mi) for mi in range(len(raw))]
+    n = len(raw)
+    for mis in ([], [n - 1, 0, n // 2], [1, 1, 0, 1], range(n)):
+        assert oracle.badness(m, m_w, raw, entries, E, mis) == [every[mi] for mi in mis]
+    assert any(every)
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_oracle_triple_test_is_closed(end):
+    """pi2(Q) inside a triple is tlo <= bottom and top <= thi.  A family
+    member's extent never ends on a row edge (its ends are odd over
+    2^(k + m + 2)), so one chooser is moved down until its extent's bottom
+    (end 0), or up until its top (end 1), sits on a row edge, where some
+    triple ends."""
+    m, m_w = 3, 1
+    raw, entries, E = _twin_instance(m, m_w, False, "random")
+    counts = oracle.nu_counts(raw, entries, E)
+    qi = next(q for q, cnt in enumerate(counts) if cnt)
+    k, i, j, b = raw[qi]
+    y = oracle.pi2_extent(m, m_w, raw[qi])[end]
+    edge = (math.ceil if end else math.floor)(y * (1 << m))
+    raw[qi] = (k, i, j, b + Fraction(edge, 1 << m) - y)
+    lo, hi = oracle.pi2_extent(m, m_w, raw[qi])
+    assert (lo, hi)[end] * (1 << m) == edge and 0 <= lo < hi <= 1
+    pairs, cells = _replay_shrink(m, m_w, raw, counts, _LAMBDAS[:1])
+    assert oracle._bad_windows(m, m_w, raw, entries, E, _LAMBDAS[0]) == pairs[_LAMBDAS[0]]
+
+
+def test_oracle_badness_rejects_out_of_range_index():
+    spec, fam, rho, E = _setup(seed=24)
+    raw = raw_members(fam)
+    for mi in (-1, len(fam), len(fam) + 5):
+        with pytest.raises(IndexError, match="member index"):
+            oracle.badness(spec.m, spec.m_w, raw, rho.entries, E, [0, mi])
+
+
+def test_oracle_badness_weighs_the_choosers_once_per_base(monkeypatch):
+    """oracle.badness finds the choosers under a base once, however many of
+    the asked members share it: one base_contains call per chooser and
+    distinct base."""
+    spec, fam, rho, E = _setup(seed=24)
+    raw = raw_members(fam)
+    chosen = sum(1 for cnt in oracle.nu_counts(raw, rho.entries, E) if cnt)
+    bases = {(spec.m_w - k, i) for k, i, _j, _b in raw}
+    assert len(bases) < len(raw)
+    calls = []
+    contains = oracle.base_contains
+
+    def counted(*args):
+        calls.append(args)
+        return contains(*args)
+
+    monkeypatch.setattr(oracle, "base_contains", counted)
+    for mis, n_bases in (([0, 0, 0], 1), (range(len(raw)), len(bases))):
+        calls.clear()
+        oracle.badness(spec.m, spec.m_w, raw, rho.entries, E, mis)
+        assert len(calls) == chosen * n_bases
 
 
 def test_shrink_iterate_trace():
@@ -506,12 +653,13 @@ def _oracle_records(m, m_w, raw, entries, touched, E, E_next, cap: Fraction) -> 
     a record for every R with B_R > cap that is not inside E_next with
     B_R <= cap + B_R^{E_next}."""
     want = []
-    for mi in range(len(raw)):
-        b = oracle.badness(m, m_w, raw, entries, E, mi)
+    every = range(len(raw))
+    before = oracle.badness(m, m_w, raw, entries, E, every)
+    after = oracle.badness(m, m_w, raw, entries, E_next, every)
+    for mi, (b, b_after) in enumerate(zip(before, after)):
         if b <= cap:
             continue
         inside = touched[mi] <= set(E_next)
-        b_after = oracle.badness(m, m_w, raw, entries, E_next, mi)
         if inside and b <= cap + b_after:
             continue
         want.append((mi, D.from_fraction(b).render(), inside, D.from_fraction(b_after).render()))
@@ -541,17 +689,13 @@ def test_dichotomy_audit_and_bands_match_the_oracle(monkeypatch, m, half, seed, 
         want = [(c << m) + r for c in range(R.col_lo, R.col_hi) for r in range(*R.touched_rows(c))]
         assert sorted(map(int, eng.touched_cells(mi))) == sorted(want) == sorted(touched[mi])
     cap = lam.as_fraction()
-
-    def b_of(cells, mi):
-        return oracle.badness(m, m_w, raw, entries, cells, mi)
-
     steps = [[int(i) for i in step] for step in trace.steps]
     records = 0
     for E, E_next, diag in zip(steps, steps[1:], trace.diagnostics):
         got = _records(diag)
         assert got == _oracle_records(m, m_w, raw, entries, touched, E, E_next, cap)
         records += len(got)
-    b0 = [b_of(steps[0], mi) for mi in range(len(raw))]
+    b0 = oracle.badness(m, m_w, raw, entries, steps[0], range(len(raw)))
     want_bands = []
     for k in range(1, len(raw) + 2):
         members = tuple(mi for mi, b in enumerate(b0) if b >= cap * k)
@@ -606,7 +750,7 @@ def test_audit_and_bands_at_threshold(monkeypatch, m, half, seed):
     E = rho.covered_cells()
     raw, entries, m_w = raw_members(fam), rho.entries.tolist(), spec.m_w
     touched = _touched(m, m_w, raw)
-    b0 = [oracle.badness(m, m_w, raw, entries, E, mi) for mi in range(len(raw))]
+    b0 = oracle.badness(m, m_w, raw, entries, E, range(len(raw)))
     records = bands = 0
     for b in sorted({b for b in b0 if b >= 1}):
         for lam in (D.from_fraction(b) + D(d, 40) for d in (-1, 0, 1)):

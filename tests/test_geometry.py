@@ -317,10 +317,12 @@ def test_slab_rows_against_oracle_slab(m):
 
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_oracle_row_ranges_match_the_definitions(m):
-    """oracle.integrate and oracle.maximal_apply read only the rows a slab
-    meets; the definitions below read every row of every column: the integral
-    sums each row's overlap with the slab, and M takes, per cell, the largest
-    average over the members that contain its center (contains_cell)."""
+    """oracle.integrate, oracle.maximal_apply and oracle.weighted_count read
+    only the rows a slab meets; the definitions below read every row of every
+    column: the integral sums each row's overlap with the slab, M takes, per
+    cell, the largest average over the members that contain its center
+    (contains_cell), and T* adds, per cell, count * cell / |R| * the row's
+    overlap with each member's slab in that column."""
     n = 1 << m
     cell = Fraction(1, n)
     rng = random.Random(100 + m)
@@ -333,14 +335,17 @@ def test_oracle_row_ranges_match_the_definitions(m):
             members = rng.sample(every, min(6, len(every))) + lowest[:2] + highest[-2:]
             f = [Fraction(rng.randrange(-5, 40), 1 << rng.randrange(4)) for _ in range(n * n)]
 
-            avgs = []
-            for r in members:
-                want = Fraction(0)
+            counts = [rng.randrange(4) for _ in members]  # some members chose no cell
+            avgs, want_t = [], [Fraction(0)] * (n * n)
+            for r, cnt in zip(members, counts):
+                want, coef = Fraction(0), cnt * cell / oracle.member_measure(m_w, r)
                 for c in oracle.columns(m, m_w, r):
                     lo, hi = oracle.slab(m, m_w, r, c)
                     for row in range(n):
                         seg = min(hi, (row + 1) * cell) - max(lo, row * cell)
-                        want += max(seg, Fraction(0)) * cell * f[(c << m) + row]
+                        if seg > 0:
+                            want += seg * cell * f[(c << m) + row]
+                            want_t[(c << m) + row] += coef * seg
                 assert oracle.integrate(m, m_w, r, f) == want
                 avgs.append(want / oracle.member_measure(m_w, r))
 
@@ -352,3 +357,4 @@ def test_oracle_row_ranges_match_the_definitions(m):
                 for row in range(n)
             ]
             assert oracle.maximal_apply(m, m_w, members, f)[0] == want_max
+            assert oracle.weighted_count(m, m_w, members, counts) == want_t
